@@ -14,9 +14,11 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.linalg import LinAlgError
 
+from . import gpr
 from .data import Dataset, split
-from .errors import DatasetError, InvalidHyperparameterError, ShapeError
+from .errors import DatasetError, HdmrnetError, InvalidHyperparameterError, ShapeError
 from .gpr import gpr_component
 from .model import HdmrModel, hdmr_fit, hdmr_predict, term_values
 
@@ -32,6 +34,10 @@ SWEEP_COLUMNS = (
     "wall_s",
     "status",
 )
+
+# Failures a sweep cell or a grid-search candidate records and moves past;
+# anything else is a bug and propagates.
+_FIT_ERRORS = (HdmrnetError, LinAlgError, ValueError)
 
 
 def rmse(predicted: np.ndarray, actual: np.ndarray) -> float:
@@ -113,7 +119,7 @@ def _run_cell(args) -> SweepRecord:
             wall_s=time.perf_counter() - started,
             status="ok",
         )
-    except Exception as exc:
+    except _FIT_ERRORS as exc:
         record = SweepRecord(
             d=d, N=N, repeat=repeat, seed=seed,
             train_rmse=float("nan"), test_rmse=float("nan"),
@@ -122,6 +128,11 @@ def _run_cell(args) -> SweepRecord:
             status=f"error:{type(exc).__name__}",
         )
     return record
+
+
+def _set_kernel_threads(threads: int) -> None:
+    """Sweep worker initializer: the worker's share of the kernel threads."""
+    gpr._THREADS = threads
 
 
 def sweep(
@@ -157,7 +168,10 @@ def sweep(
     if jobs == 1:
         records = [_run_cell(task) for task in tasks]
     else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        # Split the cores among the workers so workers x threads <= cores.
+        threads = max(1, gpr._THREADS // jobs)
+        with ProcessPoolExecutor(max_workers=jobs, initializer=_set_kernel_threads,
+                                 initargs=(threads,)) as pool:
             records = list(pool.map(_run_cell, tasks))
     records.sort(key=lambda r: (r.d, r.N, r.repeat))
     config = {
@@ -263,7 +277,7 @@ def grid_search_l(
         try:
             model = hdmr_fit(inner, order, neurons_per_term, l, noise)
             score = rmse(hdmr_predict(model, val.X), val.t)
-        except Exception:
+        except _FIT_ERRORS:
             score = float("inf")
         results.append((float(l), score))
     best_l, best_score = results[0]

@@ -13,10 +13,16 @@ the per-neuron activation functions of the network assembled in
 
 Training is a Cholesky solve of (K + noise * I) alpha = t - mean(t); no
 hyperparameter is optimized.  All arithmetic is float64.
+
+The Gram matrix, predictions and components share one kernel routine, run
+over fixed row blocks on every core of the affinity mask (no setting); fixed
+block edges and feature order make results independent of the thread count.
 """
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,10 +33,10 @@ from .errors import IllConditionedGramError, InvalidHyperparameterError, ShapeEr
 # Jitter escalation ceiling; fits needing more than this are refused.
 MAX_JITTER = 1e-2
 
-# Feature chunk for pairwise kernel accumulation (bounds peak memory at
-# roughly n_rows * n_cols * _FEATURE_CHUNK doubles).
-_FEATURE_CHUNK = 8
-_ROW_CHUNK = 256
+# Rows per block of the kernel routine, and threads that blocks run on.
+_BLOCK = 128
+_THREADS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
 
 
 @dataclass
@@ -88,39 +94,59 @@ def kernel_additive(ya: np.ndarray, yb: np.ndarray, length_scale: float) -> floa
     return float(np.sum(kernel_1d(ya, yb, length_scale)))
 
 
-def _pairwise_additive(Ya: np.ndarray, Yb: np.ndarray, length_scale: float) -> np.ndarray:
-    """(n, m) matrix of additive-kernel values between the rows of Ya and Yb.
+def _kernel(a: np.ndarray, b: np.ndarray, inv: float, out: np.ndarray) -> np.ndarray:
+    """Fill `out` in place with exp(-(a[i] - b[j])^2 * inv) and return it."""
+    np.subtract.outer(a, b, out=out)
+    np.multiply(out, out, out=out)
+    np.multiply(out, -inv, out=out)
+    return np.exp(out, out=out)
 
-    Accumulates over feature chunks in fixed order, so the result is
-    independent of any caller-side parallelism and bit-symmetric when
-    Ya is Yb.
-    """
-    inv = 1.0 / (2.0 * length_scale**2)
-    n, n_feat = Ya.shape
-    m = Yb.shape[0]
-    K = np.zeros((n, m))
-    for f0 in range(0, n_feat, _FEATURE_CHUNK):
-        a = Ya[:, f0 : f0 + _FEATURE_CHUNK]
-        b = Yb[:, f0 : f0 + _FEATURE_CHUNK]
-        d = a[:, None, :] - b[None, :, :]
-        np.multiply(d, d, out=d)
-        np.multiply(d, -inv, out=d)
-        np.exp(d, out=d)
-        K += d.sum(axis=2)
-    return K
+
+def _map_blocks(n_rows: int, work) -> None:
+    """Call work(r0, r1) on each fixed block of `_BLOCK` rows, on `_THREADS` threads."""
+    starts = range(0, n_rows, _BLOCK)
+    ends = [min(r0 + _BLOCK, n_rows) for r0 in starts]
+    if _THREADS < 2 or len(starts) < 2:
+        list(map(work, starts, ends))
+    else:
+        with ThreadPoolExecutor(min(_THREADS, len(starts))) as pool:
+            list(pool.map(work, starts, ends))
+
+
+def _dual_sums(model: AdditiveGprModel, U: np.ndarray, Vt: np.ndarray,
+               start: float) -> np.ndarray:
+    """start + sum_j sum_m alpha[m] * k(U[r, j], Vt[j, m]) for each row r of U."""
+    inv = 1.0 / (2.0 * model.length_scale**2)
+    out = np.full(U.shape[0], start)
+    def work(r0, r1):
+        buf = np.empty((r1 - r0, Vt.shape[1]))
+        for j in range(U.shape[1]):
+            out[r0:r1] += _kernel(U[r0:r1, j], Vt[j], inv, buf) @ model.alpha
+    _map_blocks(U.shape[0], work)
+    return out
 
 
 def gram_matrix(Y: np.ndarray, length_scale: float) -> np.ndarray:
     """Symmetric (M, M) Gram matrix of the additive kernel.
 
-    Diagonal entries equal the feature count.  Symmetry holds to exact bit
-    equality because (a-b)^2 and (b-a)^2 are identical in floating point.
+    Diagonal entries equal the feature count.  Only the upper triangle is
+    computed; the lower is its mirror, so symmetry holds to the bit.
     """
     length_scale = _check_length_scale(length_scale)
     Y = np.asarray(Y, dtype=np.float64)
     if Y.ndim != 2 or Y.shape[0] < 1:
         raise ShapeError(f"Y must be a non-empty 2-D matrix, got shape {Y.shape}")
-    return _pairwise_additive(Y, Y, length_scale)
+    inv = 1.0 / (2.0 * length_scale**2)
+    M = Y.shape[0]
+    Yt = np.ascontiguousarray(Y.T)
+    K = np.zeros((M, M))
+    def work(r0, r1):
+        buf = np.empty((r1 - r0, M - r0))
+        for y in Yt:
+            K[r0:r1, r0:] += _kernel(y[r0:r1], y[r0:], inv, buf)
+        K[r1:, r0:r1] = K[r0:r1, r1:].T
+    _map_blocks(M, work)
+    return K
 
 
 def gpr_fit(
@@ -164,7 +190,8 @@ def gpr_fit(
     K = gram_matrix(Y, length_scale)
     sigma = noise
     while True:
-        A = K + sigma * np.eye(K.shape[0])
+        A = K.copy()
+        A.flat[:: K.shape[0] + 1] += sigma
         try:
             factor = cho_factor(A, lower=True)
         except LinAlgError:
@@ -212,14 +239,7 @@ def gpr_predict(model: AdditiveGprModel, Ystar: np.ndarray) -> np.ndarray:
         raise ShapeError(
             f"Ystar must be (n, {model.n_features}), got shape {Ystar.shape}"
         )
-    out = np.empty(Ystar.shape[0])
-    for r0 in range(0, Ystar.shape[0], _ROW_CHUNK):
-        block = Ystar[r0 : r0 + _ROW_CHUNK]
-        acc = np.full(block.shape[0], model.target_offset)
-        for j in range(model.n_features):
-            acc += gpr_component(model, j, block[:, j])
-        out[r0 : r0 + _ROW_CHUNK] = acc
-    return out
+    return _dual_sums(model, Ystar, np.ascontiguousarray(model.Ytrain.T), model.target_offset)
 
 
 def gpr_component(model: AdditiveGprModel, feature_index: int, u) -> np.ndarray:
@@ -234,9 +254,4 @@ def gpr_component(model: AdditiveGprModel, feature_index: int, u) -> np.ndarray:
             f"feature index {feature_index} out of range [0, {model.n_features})"
         )
     u = np.atleast_1d(np.asarray(u, dtype=np.float64))
-    inv = 1.0 / (2.0 * model.length_scale**2)
-    d = u[:, None] - model.Ytrain[None, :, feature_index]
-    np.multiply(d, d, out=d)
-    np.multiply(d, -inv, out=d)
-    np.exp(d, out=d)
-    return d @ model.alpha
+    return _dual_sums(model, u[:, None], model.Ytrain[None, :, feature_index], 0.0)

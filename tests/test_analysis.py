@@ -17,6 +17,7 @@ from hdmrnet import (
     synth,
     write_sweep_csv,
 )
+from hdmrnet import analysis
 from hdmrnet.analysis import SWEEP_COLUMNS
 from hdmrnet.errors import DatasetError, InvalidHyperparameterError, ShapeError
 
@@ -114,6 +115,18 @@ def test_sweep_records_failed_cells_without_aborting():
     assert by_d[4].status == "error:InvalidOrderError"
     assert math.isnan(by_d[4].test_rmse)
     assert [(d, N) for d, N, _ in result.summary()] == [(2, 2)]
+
+
+def test_bugs_in_a_fit_propagate(monkeypatch):
+    def broken_fit(*args, **kwargs):
+        raise TypeError("bug inside the fit")
+
+    monkeypatch.setattr(analysis, "hdmr_fit", broken_fit)
+    ds = synth("pairwise", 3, 60, seed=3)
+    with pytest.raises(TypeError, match="bug inside the fit"):
+        sweep(ds, [2], [2], 1, 30, 20, 0.3, 1e-6, 7)
+    with pytest.raises(TypeError, match="bug inside the fit"):
+        grid_search_l(ds, 1, 0, [0.3], 1e-6, seed=5)
 
 
 def test_sweep_csv_layout(tiny_sweep, tmp_path):

@@ -10,12 +10,16 @@ import numpy as np
 import pytest
 
 from hdmrnet import (
+    gpr,
     gpr_component,
     gpr_fit,
     gpr_predict,
     gram_matrix,
+    hdmr_fit,
     kernel_1d,
     kernel_additive,
+    save_model,
+    synth,
 )
 from hdmrnet.errors import (
     IllConditionedGramError,
@@ -54,6 +58,49 @@ def test_gram_matrix_properties():
             math.exp(-((Y[i, f] - Y[j, f]) ** 2) / (2 * 0.6**2)) for f in range(9)
         )
         assert K[i, j] == pytest.approx(expected, rel=1e-14)
+
+
+@pytest.mark.parametrize("M", [1, gpr._BLOCK, gpr._BLOCK + 1])
+def test_gram_matrix_ragged_block_sizes(M):
+    rng = np.random.default_rng(M)
+    Y = rng.uniform(size=(M, 5))
+    K = gram_matrix(Y, 0.45)
+    assert np.array_equal(K, K.T)
+    assert np.array_equal(np.diag(K), np.full(M, 5.0))
+    for i in range(M):
+        for j in range(i, M):
+            assert K[i, j] == pytest.approx(kernel_additive(Y[i], Y[j], 0.45), rel=1e-14)
+
+
+def test_results_do_not_depend_on_thread_count(monkeypatch, tmp_path):
+    pools = []
+
+    class SpyExecutor(gpr.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(gpr, "ThreadPoolExecutor", SpyExecutor)
+    rng = np.random.default_rng(7)
+    M = 2 * gpr._BLOCK + 5  # three row blocks, the last one ragged
+    Y = rng.uniform(size=(M, 6))
+    t = np.sin(3.0 * Y).sum(axis=1)
+    Ystar = rng.uniform(size=(M + 40, 6))
+    train = synth("pairwise", 3, M, seed=2)
+    outputs = {}
+    for threads in (1, 2):
+        monkeypatch.setattr(gpr, "_THREADS", threads)
+        model = gpr_fit(Y, t, 0.4)
+        path = tmp_path / f"threads{threads}.model"
+        save_model(hdmr_fit(train, 2, 3, 0.3), str(path))
+        outputs[threads] = (
+            gram_matrix(Y, 0.4).tobytes(),
+            gpr_predict(model, Ystar).tobytes(),
+            gpr_component(model, 2, Ystar[:, 2]).tobytes(),
+            path.read_bytes(),
+        )
+    assert pools and set(pools) == {2}  # the one-thread run starts no pool
+    assert outputs[1] == outputs[2]
 
 
 def test_two_point_fit_matches_closed_form():
@@ -157,6 +204,7 @@ def test_shape_validation():
     model = gpr_fit(np.random.default_rng(5).uniform(size=(5, 2)), np.arange(5.0), 0.5)
     with pytest.raises(ShapeError):
         gpr_predict(model, np.zeros((4, 3)))
+    assert gpr_predict(model, np.zeros((0, 2))).shape == (0,)
     with pytest.raises(IndexError):
         gpr_component(model, 2, [0.5])
 
