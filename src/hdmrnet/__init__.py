@@ -23,7 +23,6 @@ from .analysis import (
 )
 from .coupling import (
     FeatureMap,
-    FeatureRow,
     build_feature_map,
     enumerate_subsets,
     map_features,
@@ -66,7 +65,7 @@ from .model import (
     save_model,
     term_values,
 )
-from .sobol import MAX_DIMENSION, SobolStream, sobol_points
+from .sobol import MAX_DIMENSION, sobol_points
 
 __all__ = [
     "__version__",
@@ -75,7 +74,6 @@ __all__ = [
     "Dataset",
     "DatasetError",
     "FeatureMap",
-    "FeatureRow",
     "HdmrModel",
     "HdmrnetError",
     "IllConditionedGramError",
@@ -85,7 +83,6 @@ __all__ = [
     "ModelFormatError",
     "Scaler",
     "ShapeError",
-    "SobolStream",
     "SweepRecord",
     "SweepResult",
     "UnsupportedDimensionError",

@@ -17,7 +17,7 @@ import numpy as np
 from numpy.linalg import LinAlgError
 
 from . import gpr
-from .data import Dataset, split
+from .data import Dataset, _atomic_open, split
 from .errors import DatasetError, HdmrnetError, InvalidHyperparameterError, ShapeError
 from .gpr import gpr_component
 from .model import HdmrModel, hdmr_fit, hdmr_predict, term_values
@@ -190,8 +190,9 @@ def sweep(
 
 
 def write_sweep_csv(result: SweepResult, path: str) -> None:
-    """One row per cell, with the sweep configuration echoed as a comment."""
-    with open(path, "w", encoding="utf-8") as fh:
+    """One row per cell, with the sweep configuration echoed as a comment;
+    written atomically."""
+    with _atomic_open(path) as fh:
         fh.write("# config: " + json.dumps(result.config, sort_keys=True) + "\n")
         fh.write(",".join(SWEEP_COLUMNS) + "\n")
         for rec in result.records:
@@ -231,14 +232,14 @@ def component_curves(model: HdmrModel, grid_size: int = 201) -> list[ComponentCu
         raise ValueError(f"grid_size must be >= 2, got {grid_size}")
     grid = np.linspace(0.0, 1.0, grid_size)
     curves = []
-    for j, row in enumerate(model.feature_map.rows):
+    for j in range(model.n_features):
         values = gpr_component(model.gpr, j, grid)
         on_train = gpr_component(model.gpr, j, model.gpr.Ytrain[:, j])
         curves.append(
             ComponentCurve(
                 feature_index=j,
-                subset=row.subset,
-                kind=row.kind,
+                subset=model.feature_map.subset(j),
+                kind=model.feature_map.kind(j),
                 grid=grid,
                 values=values,
                 train_std=float(np.std(on_train)),

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import __version__
 from .analysis import component_curves, pearson_corr, rmse, sweep, write_sweep_csv
-from .data import SYNTH_KINDS, load_csv, load_matrix, save_csv, split, synth
+from .data import SYNTH_KINDS, _atomic_open, load_csv, load_matrix, save_csv, split, synth
 from .errors import (
     DatasetError,
     IllConditionedGramError,
@@ -93,7 +93,7 @@ def _cmd_fit(args) -> int:
         report["test_corr"] = pearson_corr(test_pred, test.t)
     save_model(model, args.out)
     report_path = args.out + ".report.json"
-    with open(report_path, "w", encoding="utf-8") as fh:
+    with _atomic_open(report_path) as fh:
         json.dump(report, fh, indent=2, sort_keys=True)
         fh.write("\n")
     if report["test_rmse"] is None:
@@ -147,7 +147,7 @@ def _cmd_eval(args) -> int:
         report["corr"] = pearson_corr(predictions, dataset.t)
     text = json.dumps(report, indent=2, sort_keys=True)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
+        with _atomic_open(args.out) as fh:
             fh.write(text + "\n")
     print(text)
     return EXIT_OK

@@ -6,58 +6,65 @@ are kept as features); every further row has exactly d nonzero entries,
 drawn from one shared d-dimensional Sobol stream, placed on one of the
 C(D, d) coordinate subsets.  Each subset receives the same number N of
 rows, so F = D + N * C(D, d) for d >= 2 and F = D for d = 1.
+
+The map is stored as two (F - D, d) arrays, the coordinate indices and the
+Sobol weights of each coupled row; it is a pure function of (D, d, N,
+sobol_skip).  `map_features` evaluates each coupled feature elementwise in
+a fixed order, so a row's features do not depend on the rest of the batch
+or on the BLAS thread count.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
-from math import comb
 
 import numpy as np
 
 from .errors import InvalidOrderError, ShapeError
-from .sobol import SobolStream
+from .sobol import sobol_points
 
 KIND_ORIGINAL = "original"
 KIND_COUPLED = "coupled"
 
 
 @dataclass
-class FeatureRow:
-    """One row of the weight matrix, tagged with its coordinate subset."""
-
-    weights: np.ndarray  # length-D, nonzero exactly on `subset`
-    subset: tuple[int, ...]
-    kind: str  # KIND_ORIGINAL or KIND_COUPLED
-    sobol_index: int | None  # sequence index of the weights, coupled rows only
-
-
-@dataclass
 class FeatureMap:
-    """Immutable-by-convention bundle of all weight rows.
+    """Immutable-by-convention weight rows of the feature map.
 
     Rows are ordered: the D original rows first, then N coupled rows per
-    subset, subsets in lexicographic order.  Construction is deterministic
-    given (dimension, order, neurons_per_term, sobol_skip).
+    subset, subsets in lexicographic order.  Coupled row D + k has weights
+    `weights[k]` on coordinates `indices[k]`.  Construction is
+    deterministic given (dimension, order, neurons_per_term, sobol_skip).
     """
 
     dimension: int
     order: int
     neurons_per_term: int
     sobol_skip: int
-    rows: list[FeatureRow]
-    _matrix: np.ndarray | None = field(default=None, repr=False, compare=False)
+    indices: np.ndarray  # (F - D, d) coordinate subset of each coupled row
+    weights: np.ndarray  # (F - D, d) its Sobol point
 
     @property
     def n_features(self) -> int:
-        return len(self.rows)
+        return self.dimension + self.indices.shape[0]
+
+    def subset(self, j: int) -> tuple[int, ...]:
+        """Coordinate subset of feature j: (j,) for the original rows."""
+        if j < self.dimension:
+            return (j,)
+        return tuple(int(i) for i in self.indices[j - self.dimension])
+
+    def kind(self, j: int) -> str:
+        return KIND_ORIGINAL if j < self.dimension else KIND_COUPLED
 
     def weight_matrix(self) -> np.ndarray:
-        """Dense (F, D) weight matrix W; cached after first call."""
-        if self._matrix is None:
-            self._matrix = np.vstack([row.weights for row in self.rows])
-        return self._matrix
+        """Dense (F, D) weight matrix W, built from the arrays on each call."""
+        W = np.zeros((self.n_features, self.dimension))
+        W[: self.dimension] = np.eye(self.dimension)
+        rows = np.arange(self.dimension, self.n_features)[:, None]
+        W[rows, self.indices] = self.weights
+        return W
 
 
 def enumerate_subsets(dimension: int, order: int) -> list[tuple[int, ...]]:
@@ -77,51 +84,33 @@ def build_feature_map(
 ) -> FeatureMap:
     """Build the rule-based sparse weight matrix.
 
-    Coupled rows consume consecutive points from a single shared
-    `order`-dimensional Sobol stream across subsets, so no two rows repeat
-    a weight pattern.  For order 1 no coupled rows are added and
-    `neurons_per_term` is ignored.
+    Coupled rows take consecutive points of one `order`-dimensional Sobol
+    call across subsets, so no two rows repeat a weight pattern.  For
+    order 1 no coupled rows are added and `neurons_per_term` is ignored.
     """
     subsets = enumerate_subsets(dimension, order)
     if neurons_per_term < 0:
         raise ValueError(f"neurons_per_term must be >= 0, got {neurons_per_term}")
     if sobol_skip < 0:
         raise ValueError(f"sobol_skip must be >= 0, got {sobol_skip}")
-
-    rows = []
-    for i in range(dimension):
-        w = np.zeros(dimension)
-        w[i] = 1.0
-        rows.append(FeatureRow(weights=w, subset=(i,), kind=KIND_ORIGINAL, sobol_index=None))
-
-    if order >= 2 and neurons_per_term > 0:
-        stream = SobolStream(order, skip=sobol_skip)
-        for subset in subsets:
-            start = stream.cursor
-            points = stream.take(neurons_per_term)
-            for j in range(neurons_per_term):
-                w = np.zeros(dimension)
-                w[list(subset)] = points[j]
-                rows.append(
-                    FeatureRow(weights=w, subset=subset, kind=KIND_COUPLED, sobol_index=start + j)
-                )
-
-    fmap = FeatureMap(
+    per_subset = neurons_per_term if order >= 2 else 0
+    weights = sobol_points(order, per_subset * len(subsets), sobol_skip)
+    return FeatureMap(
         dimension=dimension,
         order=order,
         neurons_per_term=neurons_per_term,
         sobol_skip=sobol_skip,
-        rows=rows,
+        indices=np.repeat(np.array(subsets, dtype=np.intp), per_subset, axis=0),
+        weights=weights,
     )
-    expected = dimension if order == 1 else dimension + neurons_per_term * comb(dimension, order)
-    assert fmap.n_features == expected
-    return fmap
 
 
 def map_features(fmap: FeatureMap, X: np.ndarray) -> np.ndarray:
     """Apply the weight matrix: Y[n, j] = dot(X[n], W[j]).
 
-    Original rows copy their coordinate exactly; the result is linear in X.
+    Original rows copy their coordinate exactly.  Coupled feature D + k is
+    X[:, i0] * w0 + X[:, i1] * w1 + ..., summed in that order by
+    elementwise ufuncs, so each entry depends only on its own row of X.
     """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2:
@@ -130,4 +119,10 @@ def map_features(fmap: FeatureMap, X: np.ndarray) -> np.ndarray:
         raise ShapeError(
             f"X has {X.shape[1]} columns but the feature map expects {fmap.dimension}"
         )
-    return X @ fmap.weight_matrix().T
+    Y = np.zeros((X.shape[0], fmap.n_features))
+    Y[:, : fmap.dimension] = X
+    for k in range(fmap.order):
+        term = X[:, fmap.indices[:, k]]
+        term *= fmap.weights[:, k]
+        Y[:, fmap.dimension :] += term
+    return Y

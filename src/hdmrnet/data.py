@@ -15,6 +15,9 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
+import uuid
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -196,17 +199,32 @@ def load_matrix(path: str) -> tuple[np.ndarray, list[str]]:
     return values, names
 
 
+@contextmanager
+def _atomic_open(path: str):
+    """Text handle on a new file next to `path` that replaces `path` only
+    once the block succeeds; no partial file is ever left at `path`."""
+    tmp = os.path.join(os.path.dirname(os.path.abspath(path)), f".{uuid.uuid4().hex}.tmp")
+    fh = open(tmp, "x", encoding="utf-8")
+    try:
+        with fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
 def save_csv(
     path: str,
     names: list[str],
     columns: list[np.ndarray],
     comments: list[str] | None = None,
 ) -> None:
-    """Write columns as CSV with shortest round-trip float formatting."""
+    """Write columns as CSV with shortest round-trip float formatting, atomically."""
     if len(names) != len(columns):
         raise ValueError(f"{len(names)} names for {len(columns)} columns")
     n = len(columns[0]) if columns else 0
-    with open(path, "w", encoding="utf-8") as fh:
+    with _atomic_open(path) as fh:
         for comment in comments or []:
             fh.write(f"# {comment}\n")
         fh.write(",".join(names) + "\n")

@@ -6,35 +6,30 @@ neuron activation functions are the per-feature component functions of
 the additive GPR.  The prediction therefore decomposes exactly into
 per-coupling-term contributions plus a constant offset.
 
-Model files are JSON documents with a fixed top-level layout
-(format_version, metadata, feature_map, scaler, gpr, checksum).  Floats
-are serialized as shortest round-trip decimals, so a save/load round trip
-reproduces predictions bit-exactly.
+Model files (format version 2) are JSON documents with a fixed top-level
+layout (format_version, metadata, X, gpr, checksum).  They store only what
+cannot be regenerated: the configuration in `metadata`, the raw training
+inputs `X`, and the dual coefficients with the noise actually used and the
+target offset in `gpr`.  Loading rebuilds the feature map, the scaler and
+the training features with the same code that fitted them, and every
+field is validated.  Floats are serialized as shortest round-trip
+decimals, so a save/load round trip reproduces predictions bit-exactly.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import os
-import tempfile
 from dataclasses import dataclass
 
 import numpy as np
 
-from .coupling import (
-    KIND_COUPLED,
-    KIND_ORIGINAL,
-    FeatureMap,
-    FeatureRow,
-    build_feature_map,
-    map_features,
-)
-from .data import Dataset
-from .errors import ModelFormatError, ShapeError
+from .coupling import FeatureMap, build_feature_map, map_features
+from .data import Dataset, _atomic_open
+from .errors import HdmrnetError, ModelFormatError, ShapeError
 from .gpr import AdditiveGprModel, gpr_component, gpr_fit, gpr_predict
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
 @dataclass
@@ -72,12 +67,17 @@ def apply_scaler(scaler: Scaler, Y: np.ndarray) -> np.ndarray:
 
 @dataclass
 class HdmrModel:
-    """Fitted surrogate: feature map + scaler + additive GPR + provenance."""
+    """Fitted surrogate: feature map + scaler + additive GPR + provenance.
+
+    `X` is the raw (M, D) training input; the feature map, the scaler and
+    `gpr.Ytrain` are regenerated from it and the configuration.
+    """
 
     feature_map: FeatureMap
     scaler: Scaler
     gpr: AdditiveGprModel
     metadata: dict
+    X: np.ndarray
 
     @property
     def dimension(self) -> int:
@@ -86,6 +86,21 @@ class HdmrModel:
     @property
     def n_features(self) -> int:
         return self.feature_map.n_features
+
+
+def _training_features(
+    X: np.ndarray, order: int, neurons_per_term: int, sobol_skip: int
+) -> tuple[FeatureMap, Scaler, np.ndarray]:
+    """Feature map, scaler and scaled training features of X.
+
+    The one path by which `hdmr_fit` builds a model and `load_model`
+    rebuilds it, so a loaded model's features are the fitted ones bit for
+    bit.
+    """
+    fmap = build_feature_map(X.shape[1], order, neurons_per_term, sobol_skip)
+    Y = map_features(fmap, X)
+    scaler = fit_scaler(Y)
+    return fmap, scaler, apply_scaler(scaler, Y)
 
 
 def hdmr_fit(
@@ -105,10 +120,8 @@ def hdmr_fit(
     """
     if train.n < 2:
         raise ValueError(f"training set needs at least 2 rows, got {train.n}")
-    fmap = build_feature_map(train.dimension, order, neurons_per_term, sobol_skip)
-    Y = map_features(fmap, train.X)
-    scaler = fit_scaler(Y)
-    gpr = gpr_fit(apply_scaler(scaler, Y), train.t, length_scale, noise)
+    fmap, scaler, Y = _training_features(train.X, order, neurons_per_term, sobol_skip)
+    gpr = gpr_fit(Y, train.t, length_scale, noise)
     metadata = {
         "dimension": train.dimension,
         "order": order,
@@ -119,7 +132,8 @@ def hdmr_fit(
         "split_seed": split_seed,
         "dataset_fingerprint": train.fingerprint(),
     }
-    return HdmrModel(feature_map=fmap, scaler=scaler, gpr=gpr, metadata=metadata)
+    return HdmrModel(feature_map=fmap, scaler=scaler, gpr=gpr, metadata=metadata,
+                     X=train.X.copy())
 
 
 def hdmr_predict(model: HdmrModel, X: np.ndarray) -> np.ndarray:
@@ -143,12 +157,13 @@ def term_values(model: HdmrModel, X: np.ndarray) -> dict[tuple[int, ...], np.nda
         raise ShapeError(f"X must be (n, {model.dimension}), got shape {X.shape}")
     Y = apply_scaler(model.scaler, map_features(model.feature_map, X))
     out: dict[tuple[int, ...], np.ndarray] = {}
-    for j, row in enumerate(model.feature_map.rows):
+    for j in range(model.n_features):
+        subset = model.feature_map.subset(j)
         contrib = gpr_component(model.gpr, j, Y[:, j])
-        if row.subset in out:
-            out[row.subset] += contrib
+        if subset in out:
+            out[subset] += contrib
         else:
-            out[row.subset] = contrib
+            out[subset] = contrib
     return out
 
 
@@ -157,67 +172,29 @@ def term_values(model: HdmrModel, X: np.ndarray) -> dict[tuple[int, ...], np.nda
 # ---------------------------------------------------------------------------
 
 
-def _canonical_bytes(document: dict) -> bytes:
-    return json.dumps(
-        document, sort_keys=True, separators=(",", ":"), allow_nan=False
-    ).encode("utf-8")
+def _canonical(document: dict) -> str:
+    return json.dumps(document, sort_keys=True, separators=(",", ":"), allow_nan=False)
 
 
 def _floats(a: np.ndarray) -> list:
     return [float(v) for v in np.asarray(a).ravel()]
 
 
-def _model_document(model: HdmrModel) -> dict:
-    fmap = model.feature_map
-    rows = [
-        {
-            "subset": list(row.subset),
-            "kind": row.kind,
-            "sobol_index": row.sobol_index,
-            "values": [float(row.weights[i]) for i in row.subset],
-        }
-        for row in fmap.rows
-    ]
-    return {
-        "format_version": FORMAT_VERSION,
-        "metadata": model.metadata,
-        "feature_map": {
-            "dimension": fmap.dimension,
-            "order": fmap.order,
-            "neurons_per_term": fmap.neurons_per_term,
-            "sobol_skip": fmap.sobol_skip,
-            "rows": rows,
-        },
-        "scaler": {
-            "mins": _floats(model.scaler.mins),
-            "maxs": _floats(model.scaler.maxs),
-        },
-        "gpr": {
-            "length_scale": model.gpr.length_scale,
-            "noise": model.gpr.noise,
-            "effective_noise": model.gpr.effective_noise,
-            "target_offset": model.gpr.target_offset,
-            "alpha": _floats(model.gpr.alpha),
-            "Ytrain": [_floats(r) for r in model.gpr.Ytrain],
-        },
-    }
-
-
 def save_model(model: HdmrModel, path: str) -> None:
     """Write the model file atomically; no partial file is ever left at `path`."""
-    document = _model_document(model)
-    document["checksum"] = hashlib.sha256(_canonical_bytes(document)).hexdigest()
-    payload = _canonical_bytes(document)
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(payload)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    document = {
+        "format_version": FORMAT_VERSION,
+        "metadata": model.metadata,
+        "X": [_floats(row) for row in model.X],
+        "gpr": {
+            "alpha": _floats(model.gpr.alpha),
+            "effective_noise": model.gpr.effective_noise,
+            "target_offset": model.gpr.target_offset,
+        },
+    }
+    document["checksum"] = hashlib.sha256(_canonical(document).encode()).hexdigest()
+    with _atomic_open(path) as fh:
+        fh.write(_canonical(document))
 
 
 def _require(mapping, key, section):
@@ -226,89 +203,110 @@ def _require(mapping, key, section):
     return mapping[key]
 
 
+def _integer(metadata: dict, key: str, low: int) -> int:
+    value = _require(metadata, key, "metadata")
+    if type(value) is not int or value < low:
+        raise ModelFormatError(f"metadata: '{key}' must be an integer >= {low}, got {value!r}")
+    return value
+
+
+def _numbers(mapping, key: str, section: str, shape: tuple = ()) -> np.ndarray:
+    """Field `key` as a float64 array of `shape` (None matches any length).
+
+    Every leaf must be a finite JSON number (not a string, bool or null)
+    and the nesting must be exactly `shape`, so ragged lists are refused.
+    """
+    value = _require(mapping, key, section)
+
+    def fits(v, dims) -> bool:
+        if not dims:
+            return type(v) in (int, float)
+        return (isinstance(v, list) and dims[0] in (None, len(v))
+                and all(fits(item, dims[1:]) for item in v))
+
+    if fits(value, shape):
+        try:
+            array = np.array(value, dtype=np.float64)
+        except OverflowError:
+            array = None
+        if array is not None and np.isfinite(array).all():
+            return array
+    layout = " x ".join("M" if n is None else str(n) for n in shape)
+    expected = f"a list of {layout} finite numbers" if shape else "a finite number"
+    raise ModelFormatError(f"{section}.{key}: must be {expected}, got {value!r:.80}")
+
+
+def _reject_literal(name: str):
+    raise ModelFormatError(f"document: non-finite number literal '{name}'")
+
+
 def load_model(path: str) -> HdmrModel:
-    """Read a model file, verifying structure, version, and checksum."""
+    """Read a model file, verifying structure, version, checksum and every field."""
     try:
         with open(path, "rb") as fh:
             raw = fh.read()
     except OSError as exc:
         raise ModelFormatError(f"cannot read model file: {exc}") from exc
     try:
-        document = json.loads(raw)
+        document = json.loads(raw, parse_constant=_reject_literal)
     except json.JSONDecodeError as exc:
         raise ModelFormatError(f"document: not valid JSON ({exc.msg} at char {exc.pos})") from exc
     if not isinstance(document, dict):
         raise ModelFormatError("document: top level must be an object")
 
     version = _require(document, "format_version", "document")
-    if not isinstance(version, int):
+    if type(version) is not int:
         raise ModelFormatError("format_version: must be an integer")
-    if version > FORMAT_VERSION:
+    if version != FORMAT_VERSION:
         raise ModelFormatError(
-            f"format_version: file has version {version}, this build reads <= {FORMAT_VERSION}"
+            f"format_version: file has version {version}, this build reads only "
+            f"version {FORMAT_VERSION}; refit the model to write a version {FORMAT_VERSION} file"
         )
 
     stored_checksum = _require(document, "checksum", "document")
     unsigned = {k: v for k, v in document.items() if k != "checksum"}
-    actual = hashlib.sha256(_canonical_bytes(unsigned)).hexdigest()
+    try:
+        actual = hashlib.sha256(_canonical(unsigned).encode()).hexdigest()
+    except ValueError as exc:  # a number such as 1e999 overflows to inf
+        raise ModelFormatError(f"document: {exc}") from exc
     if actual != stored_checksum:
         raise ModelFormatError("checksum: stored checksum does not match file contents")
 
     metadata = _require(document, "metadata", "document")
-
-    fm = _require(document, "feature_map", "document")
-    dimension = _require(fm, "dimension", "feature_map")
-    rows = []
-    for i, entry in enumerate(_require(fm, "rows", "feature_map")):
-        subset = tuple(_require(entry, "subset", f"feature_map.rows[{i}]"))
-        kind = _require(entry, "kind", f"feature_map.rows[{i}]")
-        if kind not in (KIND_ORIGINAL, KIND_COUPLED):
-            raise ModelFormatError(f"feature_map.rows[{i}]: unknown kind '{kind}'")
-        values = _require(entry, "values", f"feature_map.rows[{i}]")
-        if len(values) != len(subset):
-            raise ModelFormatError(
-                f"feature_map.rows[{i}]: {len(values)} values for {len(subset)} subset indices"
-            )
-        weights = np.zeros(dimension)
-        weights[list(subset)] = values
-        rows.append(
-            FeatureRow(
-                weights=weights,
-                subset=subset,
-                kind=kind,
-                sobol_index=entry.get("sobol_index"),
-            )
+    dimension = _integer(metadata, "dimension", 1)
+    order = _integer(metadata, "order", 1)
+    neurons_per_term = _integer(metadata, "neurons_per_term", 0)
+    sobol_skip = _integer(metadata, "sobol_skip", 0)
+    length_scale = float(_numbers(metadata, "length_scale", "metadata"))
+    noise = float(_numbers(metadata, "noise", "metadata"))
+    if not (length_scale > 0.0 and noise > 0.0):
+        raise ModelFormatError(
+            f"metadata: length_scale and noise must be > 0, got {length_scale} and {noise}"
         )
-    fmap = FeatureMap(
-        dimension=dimension,
-        order=_require(fm, "order", "feature_map"),
-        neurons_per_term=_require(fm, "neurons_per_term", "feature_map"),
-        sobol_skip=_require(fm, "sobol_skip", "feature_map"),
-        rows=rows,
-    )
 
-    sc = _require(document, "scaler", "document")
-    scaler = Scaler(
-        mins=np.asarray(_require(sc, "mins", "scaler"), dtype=np.float64),
-        maxs=np.asarray(_require(sc, "maxs", "scaler"), dtype=np.float64),
-    )
+    X = _numbers(document, "X", "document", (None, dimension))
+    if X.shape[0] < 2:
+        raise ModelFormatError(f"document.X: needs at least 2 training rows, got {X.shape[0]}")
 
     gp = _require(document, "gpr", "document")
-    gpr = AdditiveGprModel(
-        Ytrain=np.asarray(_require(gp, "Ytrain", "gpr"), dtype=np.float64),
-        alpha=np.asarray(_require(gp, "alpha", "gpr"), dtype=np.float64),
-        length_scale=_require(gp, "length_scale", "gpr"),
-        noise=_require(gp, "noise", "gpr"),
-        effective_noise=_require(gp, "effective_noise", "gpr"),
-        target_offset=_require(gp, "target_offset", "gpr"),
-    )
-    if gpr.Ytrain.ndim != 2:
-        raise ModelFormatError("gpr: Ytrain must be a 2-D matrix")
-
-    n_features = fmap.n_features
-    if gpr.n_features != n_features or scaler.mins.shape[0] != n_features:
+    alpha = _numbers(gp, "alpha", "gpr", (X.shape[0],))
+    effective_noise = float(_numbers(gp, "effective_noise", "gpr"))
+    target_offset = float(_numbers(gp, "target_offset", "gpr"))
+    if not effective_noise >= noise:
         raise ModelFormatError(
-            f"document: inconsistent feature counts (feature_map {n_features}, "
-            f"gpr {gpr.n_features}, scaler {scaler.mins.shape[0]})"
+            f"gpr: effective_noise {effective_noise} is below the requested noise {noise}"
         )
-    return HdmrModel(feature_map=fmap, scaler=scaler, gpr=gpr, metadata=metadata)
+
+    try:
+        fmap, scaler, Y = _training_features(X, order, neurons_per_term, sobol_skip)
+    except (HdmrnetError, ValueError) as exc:
+        raise ModelFormatError(f"metadata: {exc}") from exc
+    gpr = AdditiveGprModel(
+        Ytrain=Y,
+        alpha=alpha,
+        length_scale=length_scale,
+        noise=noise,
+        effective_noise=effective_noise,
+        target_offset=target_offset,
+    )
+    return HdmrModel(feature_map=fmap, scaler=scaler, gpr=gpr, metadata=metadata, X=X)

@@ -1,7 +1,8 @@
 """Gray-code Sobol low-discrepancy sequence generator.
 
-The sequence populates the nonzero entries of the sparse weight matrix
-built in :mod:`hdmrnet.coupling`.  Direction numbers are the standard
+`sobol_points` is the one entry point: a pure function of (dimension,
+count, skip).  The feature map of :mod:`hdmrnet.coupling` takes all of its
+nonzero weights from a single call.  Direction numbers are the standard
 Joe-Kuo set for dimensions up to 64, embedded below as an implementation
 constant.  Points are emitted in Gray-code order, and the index-0
 all-zeros point is never emitted: downstream it would turn into an
@@ -116,67 +117,6 @@ def _direction_table(dimension: int) -> np.ndarray:
     return table
 
 
-def _lowest_zero_bit(index: int) -> int:
-    """1-based position of the rightmost zero bit of `index`."""
-    c = 1
-    while index & 1:
-        index >>= 1
-        c += 1
-    return c
-
-
-class SobolStream:
-    """Mutable cursor over the Sobol sequence in a fixed dimension.
-
-    The stream starts at sequence index ``1 + skip`` (index 0 is always
-    skipped) and `take` advances it.  Emission is a pure function of
-    (dimension, cursor): two streams with equal state emit identical
-    points.  Single-owner use; not thread-safe.
-    """
-
-    def __init__(self, dimension: int, skip: int = 0):
-        if not 1 <= dimension <= MAX_DIMENSION:
-            raise UnsupportedDimensionError(
-                f"Sobol dimension must be in [1, {MAX_DIMENSION}], got {dimension}"
-            )
-        if skip < 0:
-            raise ValueError(f"skip must be non-negative, got {skip}")
-        self.dimension = dimension
-        self._directions = _direction_table(dimension)
-        self.cursor = 1 + skip
-        self._state = self._state_at(skip)
-
-    def _state_at(self, index: int) -> np.ndarray:
-        # Gray-code identity: the integer state of point `index` is the XOR
-        # of V[:, b+1] over the set bits b of index ^ (index >> 1).
-        gray = index ^ (index >> 1)
-        if gray >= 1 << _NBITS:
-            raise ValueError(f"sequence index {index} exceeds 2**{_NBITS} - 1")
-        state = np.zeros(self.dimension, dtype=np.uint64)
-        bit = 0
-        while gray:
-            if gray & 1:
-                state ^= self._directions[:, bit + 1]
-            gray >>= 1
-            bit += 1
-        return state
-
-    def take(self, count: int) -> np.ndarray:
-        """Emit the next `count` points as a (count, dimension) float array."""
-        if count < 0:
-            raise ValueError(f"count must be non-negative, got {count}")
-        if self.cursor + count > 1 << _NBITS:
-            raise ValueError(f"sequence exhausted beyond 2**{_NBITS} - 1 points")
-        out = np.empty((count, self.dimension))
-        state = self._state
-        for r in range(count):
-            state = state ^ self._directions[:, _lowest_zero_bit(self.cursor - 1)]
-            out[r] = state / _SCALE
-            self.cursor += 1
-        self._state = state
-        return out
-
-
 def sobol_points(dimension: int, count: int, skip: int = 0) -> np.ndarray:
     """Points skip+1 .. skip+count of the Sobol sequence, in [0, 1).
 
@@ -184,4 +124,27 @@ def sobol_points(dimension: int, count: int, skip: int = 0) -> np.ndarray:
     arrays, and the rows of a longer request are a prefix-extension of a
     shorter one.
     """
-    return SobolStream(dimension, skip=skip).take(count)
+    if not 1 <= dimension <= MAX_DIMENSION:
+        raise UnsupportedDimensionError(
+            f"Sobol dimension must be in [1, {MAX_DIMENSION}], got {dimension}"
+        )
+    if skip < 0 or count < 0:
+        raise ValueError(f"skip and count must be non-negative, got {skip} and {count}")
+    if 1 + skip + count > 1 << _NBITS:
+        raise ValueError(f"sequence exhausted beyond 2**{_NBITS} - 1 points")
+    directions = _direction_table(dimension)
+    # Gray-code identity: the integer state of point `skip` is the XOR of
+    # V[:, b+1] over the set bits b of skip ^ (skip >> 1).
+    state = np.zeros(dimension, dtype=np.uint64)
+    gray, bit = skip ^ (skip >> 1), 1
+    while gray:
+        if gray & 1:
+            state ^= directions[:, bit]
+        gray >>= 1
+        bit += 1
+    out = np.empty((count, dimension))
+    for r, index in enumerate(range(skip, skip + count)):
+        # Point index + 1 flips the direction of index's lowest zero bit.
+        state ^= directions[:, ((index + 1) & ~index).bit_length()]
+        out[r] = state / _SCALE
+    return out

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from hdmrnet.cli import main
+from hdmrnet.model import FORMAT_VERSION
 
 
 def run(*argv):
@@ -45,7 +46,8 @@ def test_fit_writes_model_and_report(workspace):
     assert report["train_rmse"] <= report["test_rmse"]
     assert report["test_corr"] > 0.99
     doc = json.load(open(model))
-    assert doc["format_version"] == 1
+    assert doc["format_version"] == FORMAT_VERSION
+    assert set(doc) == {"format_version", "metadata", "X", "gpr", "checksum"}
     assert doc["metadata"]["config"]["seed"] == 7
 
 
@@ -208,6 +210,16 @@ def test_data_errors_exit_three(workspace, tmp_path, capsys):
     open(broken, "w").write("{}")
     assert run("predict", "--model", broken, "--data", data,
                "--out", str(tmp_path / "p.csv")) == 3
+
+
+def test_non_finite_literal_in_model_exits_three(workspace, tmp_path, capsys):
+    _, data, model = workspace
+    broken = str(tmp_path / "nan.model")
+    raw = open(model).read()
+    open(broken, "w").write(raw.replace('"target_offset":', '"target_offset":NaN,"x":', 1))
+    assert run("predict", "--model", broken, "--data", data,
+               "--out", str(tmp_path / "p.csv")) == 3
+    assert "NaN" in capsys.readouterr().err
 
 
 def test_numeric_errors_exit_four(workspace, tmp_path, capsys):

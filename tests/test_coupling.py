@@ -28,8 +28,9 @@ def test_order_one_is_identity():
     fmap = build_feature_map(5, 1, 99)
     assert fmap.n_features == 5
     assert np.array_equal(fmap.weight_matrix(), np.eye(5))
-    assert all(row.kind == KIND_ORIGINAL for row in fmap.rows)
-    assert [row.subset for row in fmap.rows] == [(i,) for i in range(5)]
+    assert fmap.indices.shape == fmap.weights.shape == (0, 1)
+    assert [fmap.kind(j) for j in range(5)] == [KIND_ORIGINAL] * 5
+    assert [fmap.subset(j) for j in range(5)] == [(i,) for i in range(5)]
 
 
 def test_feature_count_formula():
@@ -42,31 +43,38 @@ def test_coupled_rows_consume_one_shared_stream():
     D, d, N = 3, 2, 4
     fmap = build_feature_map(D, d, N)
     subsets = enumerate_subsets(D, d)
+    # one call, starting after the never-used sequence index 0
     stream_points = sobol_points(d, N * len(subsets))
-    for k, row in enumerate(fmap.rows[D:]):
+    assert np.array_equal(fmap.weights, stream_points)
+    W = fmap.weight_matrix()
+    for k in range(N * len(subsets)):
         subset = subsets[k // N]
-        assert row.subset == subset
-        assert row.kind == KIND_COUPLED
-        assert row.sobol_index == k + 1  # sequence index 0 is never used
+        assert tuple(fmap.indices[k]) == subset
+        assert fmap.subset(D + k) == subset
+        assert fmap.kind(D + k) == KIND_COUPLED
         dense = np.zeros(D)
         dense[list(subset)] = stream_points[k]
-        assert np.array_equal(row.weights, dense)
+        assert np.array_equal(W[D + k], dense)
 
 
 def test_sparsity_pattern():
     fmap = build_feature_map(5, 3, 6)
-    for row in fmap.rows[5:]:
-        nonzero = tuple(np.nonzero(row.weights)[0])
-        assert nonzero == row.subset
-        assert len(row.subset) == 3
+    W = fmap.weight_matrix()
+    assert fmap.indices.shape == fmap.weights.shape == (6 * 10, 3)
+    for j in range(5, fmap.n_features):
+        nonzero = tuple(np.nonzero(W[j])[0])
+        assert nonzero == fmap.subset(j)
+        assert len(fmap.subset(j)) == 3
 
 
 def test_sobol_skip_shifts_the_stream():
     base = build_feature_map(4, 2, 3)
     shifted = build_feature_map(4, 2, 3, sobol_skip=5)
     flat_base = sobol_points(2, 3 * 6 + 5)[5:]
-    for k, row in enumerate(shifted.rows[4:]):
-        assert np.array_equal(row.weights[list(row.subset)], flat_base[k])
+    assert np.array_equal(shifted.weights, flat_base)
+    W = shifted.weight_matrix()
+    for k in range(3 * 6):
+        assert np.array_equal(W[4 + k, list(shifted.subset(4 + k))], flat_base[k])
     assert not np.array_equal(base.weight_matrix(), shifted.weight_matrix())
 
 
@@ -81,6 +89,20 @@ def test_map_features_is_the_linear_map():
     W = fmap.weight_matrix()
     expected = np.array([[row @ w for w in W] for row in X])
     assert np.allclose(Y, expected, rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("D,d,N", [(6, 2, 20), (6, 3, 10)])
+def test_map_features_is_independent_of_the_batch(D, d, N):
+    # each row's features are bit-identical however the rows are batched,
+    # and within 1e-15 of the dense matmul on the unit cube
+    X = np.random.default_rng(11).uniform(size=(3000, D))
+    fmap = build_feature_map(D, d, N)
+    Y = map_features(fmap, X)
+    for k in (1, 7, 1000):
+        assert np.array_equal(Y[:k], map_features(fmap, X[:k]))
+    assert np.array_equal(Y[1234:1237], map_features(fmap, X[1234:1237]))
+    assert np.array_equal(Y[:, :D], X)
+    assert np.abs(Y - X @ fmap.weight_matrix().T).max() <= 1e-15
 
 
 def test_map_features_shape_validation():

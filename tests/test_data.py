@@ -1,6 +1,7 @@
 """Dataset loading, splitting, and synthetic target tests."""
 
 import math
+import os
 
 import numpy as np
 import pytest
@@ -222,3 +223,24 @@ def test_split_validation():
         split(ds, 10, seed=1, test_size=11)
     with pytest.raises(DatasetError):
         split(ds, 10, seed=1, test_size=0)
+
+
+def test_failed_save_csv_leaves_no_partial_file(tmp_path):
+    target = tmp_path / "out.csv"
+    target.write_text("previous contents\n")
+    # the third cell cannot be formatted, after two rows were written
+    with pytest.raises(TypeError):
+        save_csv(str(target), ["a"], [[1.0, 2.0, None]], ["config: {}"])
+    assert target.read_text() == "previous contents\n"
+    assert list(tmp_path.iterdir()) == [target]
+    with pytest.raises(OSError):
+        save_csv(str(tmp_path / "missing_dir" / "out.csv"), ["a"], [[1.0]])
+    assert list(tmp_path.iterdir()) == [target]
+
+
+def test_saved_csv_gets_the_umask_mode(tmp_path):
+    path = tmp_path / "out.csv"
+    save_csv(str(path), ["a"], [[1.0]])
+    umask = os.umask(0)
+    os.umask(umask)
+    assert path.stat().st_mode & 0o777 == 0o666 & ~umask

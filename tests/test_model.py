@@ -1,5 +1,6 @@
 """Pipeline and serialization tests for the fitted surrogate."""
 
+import hashlib
 import json
 import os
 
@@ -18,6 +19,7 @@ from hdmrnet import (
     term_values,
 )
 from hdmrnet.errors import ModelFormatError, ShapeError
+from hdmrnet.model import FORMAT_VERSION
 
 
 def _small_model(order=2, neurons=4, seed=0, n=80):
@@ -135,7 +137,13 @@ def test_save_load_round_trip_is_bit_exact(tmp_path):
     X = np.random.default_rng(9).uniform(size=(30, 3))
     assert np.array_equal(hdmr_predict(model, X), hdmr_predict(loaded, X))
     assert loaded.metadata == model.metadata
+    assert np.array_equal(loaded.X, ds.X)
     assert np.array_equal(loaded.gpr.alpha, model.gpr.alpha)
+    assert np.array_equal(loaded.gpr.Ytrain, model.gpr.Ytrain)
+    assert loaded.gpr.length_scale == model.gpr.length_scale
+    assert loaded.gpr.noise == model.gpr.noise
+    assert loaded.gpr.effective_noise == model.gpr.effective_noise
+    assert loaded.gpr.target_offset == model.gpr.target_offset
     assert np.array_equal(
         loaded.feature_map.weight_matrix(), model.feature_map.weight_matrix()
     )
@@ -183,7 +191,7 @@ def test_newer_format_version_is_refused(tmp_path):
     path = str(tmp_path / "m.json")
     save_model(model, path)
     doc = json.load(open(path))
-    doc["format_version"] = 2
+    doc["format_version"] = FORMAT_VERSION + 1
     del doc["checksum"]
     import hashlib
 
@@ -214,3 +222,110 @@ def test_failed_save_leaves_no_partial_file(tmp_path):
         save_model(model, target)
     assert not os.path.exists(target)
     assert list(tmp_path.iterdir()) == []
+
+
+# ---------------------------------------------------------------------------
+# Model file validation: hand-edited files with a recomputed checksum
+# ---------------------------------------------------------------------------
+
+
+def _saved_document(tmp_path):
+    model, _ = _small_model()
+    path = str(tmp_path / "m.json")
+    save_model(model, path)
+    doc = json.load(open(path))
+    del doc["checksum"]
+    return path, doc
+
+
+def _write_signed(path, doc, text=lambda raw: raw):
+    payload = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    doc = dict(doc, checksum=hashlib.sha256(payload.encode()).hexdigest())
+    open(path, "w").write(text(json.dumps(doc, sort_keys=True, separators=(",", ":"))))
+
+
+def test_model_file_holds_only_config_inputs_and_alpha(tmp_path):
+    path, doc = _saved_document(tmp_path)
+    assert set(doc) == {"format_version", "metadata", "X", "gpr"}
+    assert set(doc["gpr"]) == {"alpha", "effective_noise", "target_offset"}
+    assert len(doc["X"]) == len(doc["gpr"]["alpha"]) == 80
+    assert all(len(row) == 3 for row in doc["X"])
+
+
+def test_version_one_file_is_refused(tmp_path):
+    path, doc = _saved_document(tmp_path)
+    doc["format_version"] = 1
+    _write_signed(path, doc)
+    with pytest.raises(ModelFormatError, match="version 1.*refit"):
+        load_model(path)
+
+
+def _edit(section, key, value):
+    def edit(doc):
+        doc[section][key] = value
+    return edit
+
+
+def _short_x(doc):
+    doc["X"] = doc["X"][:1]
+    doc["gpr"]["alpha"] = doc["gpr"]["alpha"][:1]
+
+
+BAD_FIELDS = {
+    "dimension float": (_edit("metadata", "dimension", 3.0), "dimension"),
+    "dimension bool": (_edit("metadata", "dimension", True), "dimension"),
+    "dimension zero": (_edit("metadata", "dimension", 0), "dimension"),
+    "dimension not X width": (_edit("metadata", "dimension", 4), "X"),
+    "order string": (_edit("metadata", "order", "2"), "order"),
+    "order bool": (_edit("metadata", "order", True), "order"),
+    "order zero": (_edit("metadata", "order", 0), "order"),
+    "order above dimension": (_edit("metadata", "order", 4), "metadata.*coupling order"),
+    "neurons negative": (_edit("metadata", "neurons_per_term", -1), "neurons_per_term"),
+    "neurons float": (_edit("metadata", "neurons_per_term", 4.5), "neurons_per_term"),
+    "neurons past the sequence": (_edit("metadata", "neurons_per_term", 10**400), "exhausted"),
+    "skip negative": (_edit("metadata", "sobol_skip", -3), "sobol_skip"),
+    "skip bool": (_edit("metadata", "sobol_skip", False), "sobol_skip"),
+    "skip past the sequence": (_edit("metadata", "sobol_skip", 2**32), "metadata.*exhausted"),
+    "length scale negative": (_edit("metadata", "length_scale", -0.3), "length_scale"),
+    "length scale zero": (_edit("metadata", "length_scale", 0), "length_scale"),
+    "length scale string": (_edit("metadata", "length_scale", "0.3"), "length_scale"),
+    "noise zero": (_edit("metadata", "noise", 0.0), "noise"),
+    "noise null": (_edit("metadata", "noise", None), "noise"),
+    "effective noise below noise": (_edit("gpr", "effective_noise", 1e-7), "effective_noise"),
+    "effective noise bool": (_edit("gpr", "effective_noise", True), "effective_noise"),
+    "target offset string": (_edit("gpr", "target_offset", "0.5"), "target_offset"),
+    "X ragged": (lambda doc: doc["X"][5].pop(), "X"),
+    "X not M x D": (lambda doc: [row.append(0.5) for row in doc["X"]], "X"),
+    "X holds a string": (lambda doc: doc["X"][0].__setitem__(0, "0.5"), "X"),
+    "X holds a bool": (lambda doc: doc["X"][2].__setitem__(1, True), "X"),
+    "X not a list": (lambda doc: doc.update(X=7), "X"),
+    "X one row": (_short_x, "X: needs at least 2"),
+    "alpha short": (lambda doc: doc["gpr"]["alpha"].pop(), "alpha"),
+    "alpha holds null": (lambda doc: doc["gpr"]["alpha"].__setitem__(3, None), "alpha"),
+    "alpha huge integer": (lambda doc: doc["gpr"]["alpha"].__setitem__(3, 10**400), "alpha"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_FIELDS))
+def test_bad_field_is_refused(tmp_path, case):
+    edit, message = BAD_FIELDS[case]
+    path, doc = _saved_document(tmp_path)
+    edit(doc)
+    _write_signed(path, doc)
+    with pytest.raises(ModelFormatError, match=message):
+        load_model(path)
+
+
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e999"])
+@pytest.mark.parametrize("field", ["alpha", "target_offset", "X"])
+def test_non_finite_number_is_a_format_error(tmp_path, literal, field):
+    path, doc = _saved_document(tmp_path)
+    if field == "X":
+        doc["X"][4][1] = "HOLE"
+    elif field == "alpha":
+        doc["gpr"]["alpha"][4] = "HOLE"
+    else:
+        doc["gpr"]["target_offset"] = "HOLE"
+    _write_signed(path, doc, lambda raw: raw.replace('"HOLE"', literal))
+    with pytest.raises(ModelFormatError):
+        load_model(path)

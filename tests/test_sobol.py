@@ -11,7 +11,7 @@ import os
 import numpy as np
 import pytest
 
-from hdmrnet import MAX_DIMENSION, SobolStream, sobol_points
+from hdmrnet import MAX_DIMENSION, sobol_points
 from hdmrnet.errors import UnsupportedDimensionError
 
 REFERENCE_PATH = os.path.join(os.path.dirname(__file__), "data", "sobol_reference.json")
@@ -64,16 +64,19 @@ def test_skip_is_a_pure_offset():
     assert np.array_equal(sobol_points(4, 1, skip=39), full[39:])
 
 
-def test_stream_statefulness_matches_batch():
-    stream = SobolStream(3)
-    chunks = [stream.take(3), stream.take(0), stream.take(5)]
-    assert chunks[1].shape == (0, 3)
-    assert np.array_equal(np.vstack([chunks[0], chunks[2]]), sobol_points(3, 8))
+def test_longer_request_extends_shorter_one():
+    # sobol_points(d, a) is sobol_points(d, a + b)[:a], also from a skip and
+    # for an empty request
+    for dim, a, b, skip in [(3, 3, 5, 0), (2, 1, 40, 0), (6, 17, 15, 9), (1, 0, 8, 3)]:
+        longer = sobol_points(dim, a + b, skip=skip)
+        assert sobol_points(dim, a, skip=skip).shape == (a, dim)
+        assert np.array_equal(sobol_points(dim, a, skip=skip), longer[:a])
+        assert np.array_equal(sobol_points(dim, b, skip=skip + a), longer[a:])
 
 
-def test_deterministic_across_instances():
-    a = SobolStream(6, skip=7).take(100)
-    b = SobolStream(6, skip=7).take(100)
+def test_repeated_calls_are_bit_identical():
+    a = sobol_points(6, 100, skip=7)
+    b = sobol_points(6, 100, skip=7)
     assert np.array_equal(a, b)
 
 
@@ -82,16 +85,19 @@ def test_supported_dimension_range():
     first = sobol_points(64, 1)
     assert np.array_equal(first[0], np.full(64, 0.5))
     with pytest.raises(UnsupportedDimensionError):
-        SobolStream(0)
+        sobol_points(0, 1)
     with pytest.raises(UnsupportedDimensionError):
-        SobolStream(65)
+        sobol_points(65, 1)
 
 
 def test_argument_validation():
     with pytest.raises(ValueError):
-        SobolStream(2, skip=-1)
+        sobol_points(2, 1, skip=-1)
     with pytest.raises(ValueError):
-        SobolStream(2).take(-1)
+        sobol_points(2, -1)
+    # index 2**32 - 1 is the last point the 32-bit direction integers reach
+    with pytest.raises(ValueError):
+        sobol_points(2, 2, skip=2**32 - 2)
 
 
 def test_values_are_dyadic_rationals():
