@@ -4,6 +4,11 @@ activation curves, and a validation grid search for the length scale.
 Sweep results are deterministic functions of (dataset, grid, seeds); the
 worker count only changes scheduling, so CSV outputs are bit-identical
 across runs and across `jobs` settings except for the wall_s column.
+
+`_scores` is the one place that turns a model and a dataset into RMSE and
+correlation, for sweep cells and for the `fit` and `eval` commands.  Sweep
+records are written by the CSV writer of :mod:`hdmrnet.data`, one row per
+`SweepRecord`, its fields in order.
 """
 
 from __future__ import annotations
@@ -11,29 +16,16 @@ from __future__ import annotations
 import json
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field, fields
 
 import numpy as np
 from numpy.linalg import LinAlgError
 
 from . import gpr
-from .data import Dataset, _atomic_open, split
+from .data import Dataset, _write_rows, split
 from .errors import DatasetError, HdmrnetError, InvalidHyperparameterError, ShapeError
 from .gpr import gpr_component
 from .model import HdmrModel, hdmr_fit, hdmr_predict, term_values
-
-SWEEP_COLUMNS = (
-    "d",
-    "N",
-    "repeat",
-    "seed",
-    "train_rmse",
-    "test_rmse",
-    "train_corr",
-    "test_corr",
-    "wall_s",
-    "status",
-)
 
 # Failures a sweep cell or a grid-search candidate records and moves past;
 # anything else is a bug and propagates.
@@ -81,6 +73,10 @@ class SweepRecord:
     status: str
 
 
+# One sweep.csv column per SweepRecord field, in field order.
+SWEEP_COLUMNS = tuple(f.name for f in fields(SweepRecord))
+
+
 @dataclass
 class SweepResult:
     records: list[SweepRecord]
@@ -98,35 +94,31 @@ class SweepResult:
         return [(d, N, best[(d, N)]) for d, N in sorted(best)]
 
 
+def _scores(model: HdmrModel, dataset: Dataset) -> tuple[float, float]:
+    """RMSE and Pearson correlation of the model's predictions on `dataset`."""
+    predicted = hdmr_predict(model, dataset.X)
+    return rmse(predicted, dataset.t), pearson_corr(predicted, dataset.t)
+
+
 def _run_cell(args) -> SweepRecord:
     (dataset, d, N, repeat, seed, train_size, test_size, length_scale,
      noise, sobol_skip) = args
     started = time.perf_counter()
+    nan = float("nan")
+    record = SweepRecord(d, N, repeat, seed, nan, nan, nan, nan, nan, "ok")
     try:
         train, test = split(dataset, train_size, seed, test_size)
         model = hdmr_fit(
             train, d, N, length_scale, noise,
             sobol_skip=sobol_skip, split_seed=seed,
         )
-        train_pred = hdmr_predict(model, train.X)
-        test_pred = hdmr_predict(model, test.X)
-        record = SweepRecord(
-            d=d, N=N, repeat=repeat, seed=seed,
-            train_rmse=rmse(train_pred, train.t),
-            test_rmse=rmse(test_pred, test.t),
-            train_corr=pearson_corr(train_pred, train.t),
-            test_corr=pearson_corr(test_pred, test.t),
-            wall_s=time.perf_counter() - started,
-            status="ok",
-        )
+        # Score both sides before setting a field: a failed cell keeps NaN.
+        train_scores, test_scores = _scores(model, train), _scores(model, test)
+        record.train_rmse, record.train_corr = train_scores
+        record.test_rmse, record.test_corr = test_scores
     except _FIT_ERRORS as exc:
-        record = SweepRecord(
-            d=d, N=N, repeat=repeat, seed=seed,
-            train_rmse=float("nan"), test_rmse=float("nan"),
-            train_corr=float("nan"), test_corr=float("nan"),
-            wall_s=time.perf_counter() - started,
-            status=f"error:{type(exc).__name__}",
-        )
+        record.status = f"error:{type(exc).__name__}"
+    record.wall_s = time.perf_counter() - started
     return record
 
 
@@ -192,16 +184,12 @@ def sweep(
 def write_sweep_csv(result: SweepResult, path: str) -> None:
     """One row per cell, with the sweep configuration echoed as a comment;
     written atomically."""
-    with _atomic_open(path) as fh:
-        fh.write("# config: " + json.dumps(result.config, sort_keys=True) + "\n")
-        fh.write(",".join(SWEEP_COLUMNS) + "\n")
-        for rec in result.records:
-            fh.write(
-                f"{rec.d},{rec.N},{rec.repeat},{rec.seed},"
-                f"{rec.train_rmse!r},{rec.test_rmse!r},"
-                f"{rec.train_corr!r},{rec.test_corr!r},"
-                f"{rec.wall_s!r},{rec.status}\n"
-            )
+    _write_rows(
+        path,
+        SWEEP_COLUMNS,
+        map(astuple, result.records),
+        ["config: " + json.dumps(result.config, sort_keys=True)],
+    )
 
 
 def importance(model: HdmrModel, X: np.ndarray) -> list[tuple[tuple[int, ...], float]]:

@@ -20,7 +20,7 @@ import time
 import numpy as np
 
 from . import __version__
-from .analysis import component_curves, pearson_corr, rmse, sweep, write_sweep_csv
+from .analysis import _scores, component_curves, sweep, write_sweep_csv
 from .data import SYNTH_KINDS, _atomic_open, load_csv, load_matrix, save_csv, split, synth
 from .errors import (
     DatasetError,
@@ -57,6 +57,16 @@ def _config_echo(args: argparse.Namespace, keys: list[str]) -> dict:
     return config
 
 
+def _write_report(path: str | None, report: dict) -> str:
+    """`report` as sorted, indented JSON text, also written atomically to
+    `path` unless it is None."""
+    text = json.dumps(report, indent=2, sort_keys=True)
+    if path is not None:
+        with _atomic_open(path) as fh:
+            fh.write(text + "\n")
+    return text
+
+
 def _cmd_fit(args) -> int:
     dataset = load_csv(args.data, target=args.target)
     config = _config_echo(
@@ -75,27 +85,20 @@ def _cmd_fit(args) -> int:
     )
     fit_seconds = time.perf_counter() - started
     model.metadata["config"] = config
-    train_pred = hdmr_predict(model, train.X)
     report = {
         "config": config,
         "n_train": train.n,
         "n_test": test.n if test is not None else 0,
         "n_features": model.n_features,
-        "train_rmse": rmse(train_pred, train.t),
-        "train_corr": pearson_corr(train_pred, train.t),
         "test_rmse": None,
         "test_corr": None,
         "fit_seconds": fit_seconds,
     }
+    report["train_rmse"], report["train_corr"] = _scores(model, train)
     if test is not None:
-        test_pred = hdmr_predict(model, test.X)
-        report["test_rmse"] = rmse(test_pred, test.t)
-        report["test_corr"] = pearson_corr(test_pred, test.t)
+        report["test_rmse"], report["test_corr"] = _scores(model, test)
     save_model(model, args.out)
-    report_path = args.out + ".report.json"
-    with _atomic_open(report_path) as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_report(args.out + ".report.json", report)
     if report["test_rmse"] is None:
         print(f"wrote {args.out} (train rmse {report['train_rmse']:.6g})")
     else:
@@ -112,13 +115,9 @@ def _cmd_predict(args) -> int:
     config = _config_echo(args, ["model", "data", "out"])
     comments = ["config: " + json.dumps(config, sort_keys=True)]
     names = [f"x{i + 1}" for i in range(model.dimension)] + ["prediction"]
-    if X.shape[0] == 0:
-        save_csv(args.out, names, [np.empty(0)] * len(names), comments)
-        print(f"wrote {args.out} (0 rows)")
-        return EXIT_OK
-    predictions = hdmr_predict(model, X)
-    columns = [X[:, i] for i in range(X.shape[1])] + [predictions]
-    save_csv(args.out, names, columns, comments)
+    if X.shape[0] == 0:  # no rows, so no column count to check
+        X = np.empty((0, model.dimension))
+    save_csv(args.out, names, list(X.T) + [hdmr_predict(model, X)], comments)
     print(f"wrote {args.out} ({X.shape[0]} rows)")
     return EXIT_OK
 
@@ -134,22 +133,12 @@ def _cmd_eval(args) -> int:
         train, test = split(dataset, args.train, args.seed, args.test)
         report["n_train"] = train.n
         report["n_test"] = test.n
-        train_pred = hdmr_predict(model, train.X)
-        test_pred = hdmr_predict(model, test.X)
-        report["train_rmse"] = rmse(train_pred, train.t)
-        report["train_corr"] = pearson_corr(train_pred, train.t)
-        report["test_rmse"] = rmse(test_pred, test.t)
-        report["test_corr"] = pearson_corr(test_pred, test.t)
+        report["train_rmse"], report["train_corr"] = _scores(model, train)
+        report["test_rmse"], report["test_corr"] = _scores(model, test)
     else:
-        predictions = hdmr_predict(model, dataset.X)
         report["n"] = dataset.n
-        report["rmse"] = rmse(predictions, dataset.t)
-        report["corr"] = pearson_corr(predictions, dataset.t)
-    text = json.dumps(report, indent=2, sort_keys=True)
-    if args.out:
-        with _atomic_open(args.out) as fh:
-            fh.write(text + "\n")
-    print(text)
+        report["rmse"], report["corr"] = _scores(model, dataset)
+    print(_write_report(args.out, report))
     return EXIT_OK
 
 
@@ -182,11 +171,7 @@ def _cmd_sweep(args) -> int:
     save_csv(
         summary_path,
         ["d", "N", "best_test_rmse"],
-        [
-            np.array([row[0] for row in summary]),
-            np.array([row[1] for row in summary]),
-            np.array([row[2] for row in summary]),
-        ],
+        [np.array([row[k] for row in summary]) for k in range(3)],
         ["config: " + json.dumps(result.config, sort_keys=True)],
     )
     failed = sum(1 for rec in result.records if rec.status != "ok")
@@ -207,34 +192,28 @@ def _cmd_components(args) -> int:
     curves = component_curves(model, args.grid)
     config = _config_echo(args, ["model", "grid", "out"])
     comments = ["config: " + json.dumps(config, sort_keys=True)]
-    to_dir = args.out.endswith(("/", os.sep)) or os.path.isdir(args.out)
-    if to_dir:
+    labelled = [(_term_label(curve), curve) for curve in curves]
+    if args.out.endswith(("/", os.sep)) or os.path.isdir(args.out):
         os.makedirs(args.out, exist_ok=True)
-        for curve in curves:
-            label = _term_label(curve)
-            safe = label.replace("*", "-").replace("#", "-n")
-            path = os.path.join(args.out, f"term_{safe}.csv")
-            save_csv(
-                path,
-                ["term", "grid", "value"],
-                [[label] * len(curve.grid), curve.grid, curve.values],
-                comments,
-            )
-        print(f"wrote {len(curves)} curve files to {args.out}")
+        groups = [
+            (os.path.join(args.out, f"term_{label.replace('*', '-').replace('#', '-n')}.csv"),
+             [(label, curve)])
+            for label, curve in labelled
+        ]
+        message = f"{len(curves)} curve files to {args.out}"
     else:
-        terms, grids, values = [], [], []
-        for curve in curves:
-            label = _term_label(curve)
-            terms.extend([label] * len(curve.grid))
-            grids.append(curve.grid)
-            values.append(curve.values)
+        groups = [(args.out, labelled)]
+        message = f"{args.out} ({len(curves)} curves)"
+    for path, group in groups:
         save_csv(
-            args.out,
+            path,
             ["term", "grid", "value"],
-            [terms, np.concatenate(grids), np.concatenate(values)],
+            [[label for label, curve in group for _ in curve.grid],
+             np.concatenate([curve.grid for _, curve in group]),
+             np.concatenate([curve.values for _, curve in group])],
             comments,
         )
-        print(f"wrote {args.out} ({len(curves)} curves)")
+    print(f"wrote {message}")
     return EXIT_OK
 
 

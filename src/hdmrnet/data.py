@@ -5,9 +5,13 @@ CSV conventions
 Lines starting with '#' and blank lines are skipped.  A header row is
 detected by attempting to parse the first remaining row as floats; if any
 cell fails, the row is treated as column names.  Headerless files get
-synthesized names x1..x{K-1} plus "target" for the last column.  Error
-messages cite physical (1-based) line numbers of the file, counting
-comments and blanks.
+synthesized names x1..x{K-1} plus "target" for the last column (x1..xK in
+a points-only file).  Error messages cite physical (1-based) line numbers
+of the file, counting comments and blanks.
+
+One reader, `_read_matrix`, serves both `load_csv` and `load_matrix`, and
+one writer, `_write_rows`, serves both `save_csv` and the sweep records of
+:mod:`hdmrnet.analysis`; every file is written atomically.
 """
 
 from __future__ import annotations
@@ -80,14 +84,15 @@ class Dataset:
         }
 
 
-def _parse_rows(path: str):
-    """Yield (line_number, cells) for data rows; detect an optional header.
+def _read_matrix(path: str, with_target: bool) -> tuple[np.ndarray, list[str]]:
+    """The one CSV reader: (values, column names) of the file's data rows.
 
-    Returns (names_or_None, rows).
+    The first non-comment row is a header when any of its cells is not a
+    number.  Every row must have as many cells as the first; cells must be
+    finite numbers.  With `with_target`, the file needs a data row and at
+    least 2 columns, and a headerless file's last column is "target".
     """
-    rows = []
-    header = None
-    first = True
+    header, rows = None, []
     try:
         fh = open(path, "r", encoding="utf-8")
     except OSError as exc:
@@ -98,8 +103,7 @@ def _parse_rows(path: str):
             if not stripped or stripped.startswith("#"):
                 continue
             cells = [c.strip() for c in stripped.split(",")]
-            if first:
-                first = False
+            if header is None and not rows:
                 try:
                     for c in cells:
                         float(c)
@@ -107,7 +111,27 @@ def _parse_rows(path: str):
                     header = cells
                     continue
             rows.append((line_number, cells))
-    return header, rows
+    if with_target and not rows:
+        raise DatasetError(f"{path}: no data rows")
+    width = len(rows[0][1]) if rows else len(header or [])
+    if with_target and width < 2:
+        raise DatasetError(
+            f"{path}: need at least 2 columns (features plus target), got {width}"
+        )
+    if header is not None and len(header) != width:
+        raise DatasetError(f"{path}: header has {len(header)} names for {width} columns")
+    names = header or [f"x{i + 1}" for i in range(width)]
+    if with_target and header is None:
+        names[-1] = "target"
+    values = np.empty((len(rows), width))
+    for r, (line_number, cells) in enumerate(rows):
+        if len(cells) != width:
+            raise DatasetError(
+                f"{path}: line {line_number}: expected {width} cells, got {len(cells)}"
+            )
+        for c, cell in enumerate(cells):
+            values[r, c] = _parse_cell(path, line_number, names[c], cell)
+    return values, names
 
 
 def _parse_cell(path: str, line_number: int, name: str, cell: str) -> float:
@@ -126,44 +150,16 @@ def _parse_cell(path: str, line_number: int, name: str, cell: str) -> float:
 
 def load_csv(path: str, target: str | None = None) -> Dataset:
     """Load a dataset; the target column is `target` by name, else the last."""
-    header, rows = _parse_rows(path)
-    if not rows:
-        raise DatasetError(f"{path}: no data rows")
-    width = len(rows[0][1])
-    if width < 2:
-        raise DatasetError(
-            f"{path}: need at least 2 columns (features plus target), got {width}"
-        )
-    if header is not None:
-        if len(header) != width:
-            raise DatasetError(
-                f"{path}: header has {len(header)} names for {width} columns"
-            )
-        names = header
-    else:
-        names = [f"x{i + 1}" for i in range(width - 1)] + ["target"]
+    values, names = _read_matrix(path, with_target=True)
     if len(set(names)) != len(names):
         raise DatasetError(f"{path}: duplicate column names in header")
-
     if target is None:
-        target_index = width - 1
-    else:
-        if target not in names:
-            raise DatasetError(
-                f"{path}: no column named '{target}' (have: {', '.join(names)})"
-            )
+        target_index = len(names) - 1
+    elif target in names:
         target_index = names.index(target)
-
-    values = np.empty((len(rows), width))
-    for r, (line_number, cells) in enumerate(rows):
-        if len(cells) != width:
-            raise DatasetError(
-                f"{path}: line {line_number}: expected {width} cells, got {len(cells)}"
-            )
-        for c, cell in enumerate(cells):
-            values[r, c] = _parse_cell(path, line_number, names[c], cell)
-
-    keep = [i for i in range(width) if i != target_index]
+    else:
+        raise DatasetError(f"{path}: no column named '{target}' (have: {', '.join(names)})")
+    keep = [i for i in range(len(names)) if i != target_index]
     return Dataset(
         X=values[:, keep],
         t=values[:, target_index],
@@ -174,29 +170,7 @@ def load_csv(path: str, target: str | None = None) -> Dataset:
 
 def load_matrix(path: str) -> tuple[np.ndarray, list[str]]:
     """Load a points-only CSV (no target column); zero rows is allowed."""
-    header, rows = _parse_rows(path)
-    if not rows:
-        width = len(header) if header else 0
-        names = header if header else []
-        return np.empty((0, width)), names
-    width = len(rows[0][1])
-    if header is not None:
-        if len(header) != width:
-            raise DatasetError(
-                f"{path}: header has {len(header)} names for {width} columns"
-            )
-        names = header
-    else:
-        names = [f"x{i + 1}" for i in range(width)]
-    values = np.empty((len(rows), width))
-    for r, (line_number, cells) in enumerate(rows):
-        if len(cells) != width:
-            raise DatasetError(
-                f"{path}: line {line_number}: expected {width} cells, got {len(cells)}"
-            )
-        for c, cell in enumerate(cells):
-            values[r, c] = _parse_cell(path, line_number, names[c], cell)
-    return values, names
+    return _read_matrix(path, with_target=False)
 
 
 @contextmanager
@@ -223,13 +197,19 @@ def save_csv(
     """Write columns as CSV with shortest round-trip float formatting, atomically."""
     if len(names) != len(columns):
         raise ValueError(f"{len(names)} names for {len(columns)} columns")
-    n = len(columns[0]) if columns else 0
+    _write_rows(path, names, zip(*columns), comments or [])
+
+
+def _write_rows(path: str, names, rows, comments: list[str]) -> None:
+    """The one CSV writer: '# ' comment lines, the header, then one line per
+    row, with ints as integers, floats as shortest round-trip decimals and
+    strings verbatim; written atomically."""
     with _atomic_open(path) as fh:
-        for comment in comments or []:
+        for comment in comments:
             fh.write(f"# {comment}\n")
         fh.write(",".join(names) + "\n")
-        for r in range(n):
-            fh.write(",".join(_format_cell(col[r]) for col in columns) + "\n")
+        for row in rows:
+            fh.write(",".join(map(_format_cell, row)) + "\n")
 
 
 def _format_cell(value) -> str:
@@ -263,22 +243,16 @@ def split(
             f"{train_size} training rows, got {test_size}"
         )
     order = np.random.Generator(np.random.PCG64(seed)).permutation(n)
-    train_idx = order[:train_size]
-    test_idx = order[train_size : train_size + test_size]
-    return (
+    train, test = (
         Dataset(
-            X=dataset.X[train_idx],
-            t=dataset.t[train_idx],
+            X=dataset.X[rows],
+            t=dataset.t[rows],
             column_names=list(dataset.column_names),
             target_name=dataset.target_name,
-        ),
-        Dataset(
-            X=dataset.X[test_idx],
-            t=dataset.t[test_idx],
-            column_names=list(dataset.column_names),
-            target_name=dataset.target_name,
-        ),
+        )
+        for rows in (order[:train_size], order[train_size : train_size + test_size])
     )
+    return train, test
 
 
 def synth(

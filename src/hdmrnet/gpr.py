@@ -187,13 +187,14 @@ def gpr_fit(
             target_offset=offset,
         )
 
+    # One working matrix: each try rewrites the diagonal of K in place.
     K = gram_matrix(Y, length_scale)
+    diagonal = K.diagonal().copy()
     sigma = noise
     while True:
-        A = K.copy()
-        A.flat[:: K.shape[0] + 1] += sigma
+        K.flat[:: K.shape[0] + 1] = diagonal + sigma
         try:
-            factor = cho_factor(A, lower=True)
+            factor = cho_factor(K, lower=True)
         except LinAlgError:
             alpha = None
         else:
@@ -201,11 +202,11 @@ def gpr_fit(
             # One round of iterative refinement tightens the residual when
             # the matrix is barely positive definite.
             for _ in range(2):
-                resid = b - A @ alpha
+                resid = b - K @ alpha
                 if np.linalg.norm(resid) <= 1e-9 * b_norm:
                     break
                 alpha = alpha + cho_solve(factor, resid)
-            if np.linalg.norm(b - A @ alpha) > 1e-8 * b_norm:
+            if np.linalg.norm(b - K @ alpha) > 1e-8 * b_norm:
                 alpha = None
         if alpha is not None:
             return AdditiveGprModel(

@@ -20,16 +20,24 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from .coupling import FeatureMap, build_feature_map, map_features
 from .data import Dataset, _atomic_open
-from .errors import HdmrnetError, ModelFormatError, ShapeError
+from .errors import (DatasetError, HdmrnetError, InvalidHyperparameterError,
+                     ModelFormatError, ShapeError)
 from .gpr import AdditiveGprModel, gpr_component, gpr_fit, gpr_predict
+from .sobol import _NBITS
 
 FORMAT_VERSION = 2
+
+# Physical memory in bytes; a model whose features would not fit is refused.
+_MEMORY_BYTES = (os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+                 if hasattr(os, "sysconf") else math.inf)
 
 
 @dataclass
@@ -95,9 +103,20 @@ def _training_features(
 
     The one path by which `hdmr_fit` builds a model and `load_model`
     rebuilds it, so a loaded model's features are the fitted ones bit for
-    bit.
+    bit.  Sizes whose features and map arrays would exceed physical memory
+    are refused before anything is allocated.
     """
-    fmap = build_feature_map(X.shape[1], order, neurons_per_term, sobol_skip)
+    M, D = X.shape
+    coupled = neurons_per_term * math.comb(D, order) if 2 <= order <= D else 0
+    needed = 8 * M * (D + coupled) + 16 * order * coupled
+    # Counts past the Sobol sequence are left to build_feature_map, which
+    # refuses them before generating anything.
+    if needed > _MEMORY_BYTES and sobol_skip + coupled < 1 << _NBITS:
+        raise InvalidHyperparameterError(
+            f"{D + coupled} features of {M} rows need about {needed / 2**30:.3g} GiB, "
+            f"more than the {_MEMORY_BYTES / 2**30:.3g} GiB of physical memory"
+        )
+    fmap = build_feature_map(D, order, neurons_per_term, sobol_skip)
     Y = map_features(fmap, X)
     scaler = fit_scaler(Y)
     return fmap, scaler, apply_scaler(scaler, Y)
@@ -136,13 +155,19 @@ def hdmr_fit(
                      X=train.X.copy())
 
 
-def hdmr_predict(model: HdmrModel, X: np.ndarray) -> np.ndarray:
-    """Evaluate the surrogate at each row of X."""
+def _features(model: HdmrModel, X: np.ndarray) -> np.ndarray:
+    """Scaled features of the rows of X, which must be finite (n, D) points."""
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != model.dimension:
         raise ShapeError(f"X must be (n, {model.dimension}), got shape {X.shape}")
-    Y = apply_scaler(model.scaler, map_features(model.feature_map, X))
-    return gpr_predict(model.gpr, Y)
+    if not np.isfinite(X).all():
+        raise DatasetError("X contains non-finite values")
+    return apply_scaler(model.scaler, map_features(model.feature_map, X))
+
+
+def hdmr_predict(model: HdmrModel, X: np.ndarray) -> np.ndarray:
+    """Evaluate the surrogate at each row of X."""
+    return gpr_predict(model.gpr, _features(model, X))
 
 
 def term_values(model: HdmrModel, X: np.ndarray) -> dict[tuple[int, ...], np.ndarray]:
@@ -152,10 +177,7 @@ def term_values(model: HdmrModel, X: np.ndarray) -> dict[tuple[int, ...], np.nda
     plus, for order >= 2, the C(D, d) coupled subsets.  Values sum (with
     the GPR offset) to `hdmr_predict` up to summation order.
     """
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2 or X.shape[1] != model.dimension:
-        raise ShapeError(f"X must be (n, {model.dimension}), got shape {X.shape}")
-    Y = apply_scaler(model.scaler, map_features(model.feature_map, X))
+    Y = _features(model, X)
     out: dict[tuple[int, ...], np.ndarray] = {}
     for j in range(model.n_features):
         subset = model.feature_map.subset(j)

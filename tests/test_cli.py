@@ -1,5 +1,6 @@
 """Command-line workflow tests: every subcommand, exit codes, artifacts."""
 
+import hashlib
 import json
 import os
 
@@ -238,3 +239,28 @@ def test_failed_fit_leaves_no_model_file(workspace, tmp_path):
                "--l", "0.3", "--seed", "1", "--out", target) == 5
     assert not os.path.exists(target)
     assert not os.path.exists(target + ".report.json")
+
+
+def test_fit_past_physical_memory_exits_four(workspace, tmp_path, monkeypatch, capsys):
+    _, data, _ = workspace
+    monkeypatch.setattr("hdmrnet.model._MEMORY_BYTES", 1000)
+    target = str(tmp_path / "big.model")
+    assert run("fit", "--data", data, "--d", "2", "--n-per-term", "5",
+               "--l", "0.3", "--seed", "1", "--out", target) == 4
+    assert "physical memory" in capsys.readouterr().err
+    assert not os.path.exists(target)
+
+
+def test_model_past_physical_memory_exits_three(workspace, tmp_path, monkeypatch, capsys):
+    _, data, model = workspace
+    doc = json.load(open(model))
+    del doc["checksum"]
+    doc["metadata"]["neurons_per_term"] = 10_000_000
+    payload = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    doc["checksum"] = hashlib.sha256(payload.encode()).hexdigest()
+    edited = str(tmp_path / "huge.model")
+    json.dump(doc, open(edited, "w"))
+    monkeypatch.setattr("hdmrnet.model._MEMORY_BYTES", 8 * 2**30)
+    assert run("predict", "--model", edited, "--data", data,
+               "--out", str(tmp_path / "p.csv")) == 3
+    assert "physical memory" in capsys.readouterr().err

@@ -244,3 +244,33 @@ def test_saved_csv_gets_the_umask_mode(tmp_path):
     umask = os.umask(0)
     os.umask(umask)
     assert path.stat().st_mode & 0o777 == 0o666 & ~umask
+
+
+# ---------------------------------------------------------------------------
+# One reader behind load_csv and load_matrix
+# ---------------------------------------------------------------------------
+
+
+def test_headerless_bad_target_cell_names_the_target_column(tmp_path):
+    path = str(tmp_path / "d.csv")
+    open(path, "w").write("1,2,3\n4,5,oops\n")
+    with pytest.raises(DatasetError, match="line 2: cannot parse 'oops' in column 'target'"):
+        load_csv(path)
+    with pytest.raises(DatasetError, match="line 2: cannot parse 'oops' in column 'x3'"):
+        load_matrix(path)
+
+
+@pytest.mark.parametrize("text", [
+    "a,b,E\n1,2,3\n4,5,6\n",
+    "1,2,3\n4.5,5,6\n",
+    "# config: {}\n\na,b,E\n# interior note\n1,2,3\n\n4,5,6e-3\n",
+    "# one\n\n0.25,2,3\n# two\n4,5,6\n",
+])
+def test_load_csv_is_load_matrix_minus_the_target(tmp_path, text):
+    path = str(tmp_path / "d.csv")
+    open(path, "w").write(text)
+    values, names = load_matrix(path)
+    ds = load_csv(path)
+    assert np.array_equal(ds.X, values[:, :-1])
+    assert np.array_equal(ds.t, values[:, -1])
+    assert ds.column_names == names[:-1]

@@ -223,3 +223,16 @@ def test_fit_is_deterministic():
     b = gpr_fit(Y, t, 0.7)
     assert np.array_equal(a.alpha, b.alpha)
     assert a.target_offset == b.target_offset
+
+
+def test_escalated_fit_solves_with_the_reported_noise_alone():
+    # Each jitter try must see the Gram diagonal plus that try's jitter
+    # only, so refitting at the reported noise reproduces alpha bit for bit.
+    rng = np.random.default_rng(0)
+    Y = rng.uniform(size=(300, 2))
+    t = np.sin(6.0 * Y).sum(axis=1)
+    model = gpr_fit(Y, t, 1.0, 1e-12)
+    assert model.jitter_escalated
+    again = gpr_fit(Y, t, 1.0, model.effective_noise)
+    assert not again.jitter_escalated
+    assert np.array_equal(again.alpha, model.alpha)

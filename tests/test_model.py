@@ -7,6 +7,7 @@ import os
 import numpy as np
 import pytest
 
+import hdmrnet.model
 from hdmrnet import (
     Dataset,
     apply_scaler,
@@ -18,7 +19,8 @@ from hdmrnet import (
     synth,
     term_values,
 )
-from hdmrnet.errors import ModelFormatError, ShapeError
+from hdmrnet.errors import (DatasetError, InvalidHyperparameterError, ModelFormatError,
+                            ShapeError)
 from hdmrnet.model import FORMAT_VERSION
 
 
@@ -328,4 +330,51 @@ def test_non_finite_number_is_a_format_error(tmp_path, literal, field):
         doc["gpr"]["target_offset"] = "HOLE"
     _write_signed(path, doc, lambda raw: raw.replace('"HOLE"', literal))
     with pytest.raises(ModelFormatError):
+        load_model(path)
+
+
+# ---------------------------------------------------------------------------
+# Guarded inputs: non-finite points and sizes past physical memory
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("where", [np.s_[3], np.s_[0, 2]], ids=["row", "cell"])
+def test_non_finite_points_are_refused(bad, where):
+    model, ds = _small_model()
+    X = ds.X[:5].copy()
+    X[where] = bad
+    for evaluate in (hdmr_predict, term_values):
+        with pytest.raises(DatasetError, match="non-finite"):
+            evaluate(model, X)
+
+
+def test_fit_past_physical_memory_is_refused(monkeypatch):
+    # 80 rows of F = 3 + 4 * C(3, 2) = 15 features: 8 * 80 * 15 bytes of
+    # features plus 16 * 2 * 12 bytes of map arrays = 9984 bytes.
+    monkeypatch.setattr(hdmrnet.model, "_MEMORY_BYTES", 9983)
+    with pytest.raises(InvalidHyperparameterError, match="15 features of 80 rows"):
+        _small_model()
+    monkeypatch.setattr(hdmrnet.model, "_MEMORY_BYTES", 9984)
+    model, _ = _small_model()
+    assert model.n_features == 15
+
+
+def _huge_map_file(tmp_path):
+    """A valid D = 6, d = 3 model file edited to 10^7 neurons per term, with
+    a recomputed checksum: 2 * 10^8 coupled features."""
+    ds = synth("morse_like", 6, 30, seed=3)
+    path = str(tmp_path / "huge.json")
+    save_model(hdmr_fit(ds, 3, 1, 0.3), path)
+    doc = json.load(open(path))
+    del doc["checksum"]
+    doc["metadata"]["neurons_per_term"] = 10_000_000
+    _write_signed(path, doc)
+    return path
+
+
+def test_load_past_physical_memory_is_refused_before_building(tmp_path, monkeypatch):
+    path = _huge_map_file(tmp_path)
+    monkeypatch.setattr(hdmrnet.model, "_MEMORY_BYTES", 8 * 2**30)
+    with pytest.raises(ModelFormatError, match="200000006 features of 30 rows.*physical memory"):
         load_model(path)
