@@ -1,9 +1,11 @@
 """Model quality tools: metrics, coupling-order sweeps, term importance,
 activation curves, and a validation grid search for the length scale.
 
-Sweep results are deterministic functions of (dataset, grid, seeds); the
-worker count only changes scheduling, so CSV outputs are bit-identical
-across runs and across `jobs` settings except for the wall_s column.
+Sweep results are deterministic functions of (dataset, grid, seeds).  The
+cells run on `jobs` threads of the calling process, and each fit's kernel
+already uses every core; the thread count only changes scheduling, so CSV
+outputs are bit-identical across runs and across `jobs` settings except
+for the wall_s column.
 
 `_scores` is the one place that turns a model and a dataset into RMSE and
 correlation, for sweep cells and for the `fit` and `eval` commands.  Sweep
@@ -15,13 +17,12 @@ from __future__ import annotations
 
 import json
 import time
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import astuple, dataclass, field, fields
 
 import numpy as np
 from numpy.linalg import LinAlgError
 
-from . import gpr
 from .data import Dataset, _write_rows, split
 from .errors import DatasetError, HdmrnetError, InvalidHyperparameterError, ShapeError
 from .gpr import gpr_component
@@ -100,17 +101,16 @@ def _scores(model: HdmrModel, dataset: Dataset) -> tuple[float, float]:
     return rmse(predicted, dataset.t), pearson_corr(predicted, dataset.t)
 
 
-def _run_cell(args) -> SweepRecord:
-    (dataset, d, N, repeat, seed, train_size, test_size, length_scale,
-     noise, sobol_skip) = args
+def _run_cell(dataset: Dataset, config: dict, d: int, N: int, repeat: int) -> SweepRecord:
+    seed = config["base_seed"] + repeat
     started = time.perf_counter()
     nan = float("nan")
     record = SweepRecord(d, N, repeat, seed, nan, nan, nan, nan, nan, "ok")
     try:
-        train, test = split(dataset, train_size, seed, test_size)
+        train, test = split(dataset, config["train_size"], seed, config["test_size"])
         model = hdmr_fit(
-            train, d, N, length_scale, noise,
-            sobol_skip=sobol_skip, split_seed=seed,
+            train, d, N, config["length_scale"], config["noise"],
+            sobol_skip=config["sobol_skip"], split_seed=seed,
         )
         # Score both sides before setting a field: a failed cell keeps NaN.
         train_scores, test_scores = _scores(model, train), _scores(model, test)
@@ -120,11 +120,6 @@ def _run_cell(args) -> SweepRecord:
         record.status = f"error:{type(exc).__name__}"
     record.wall_s = time.perf_counter() - started
     return record
-
-
-def _set_kernel_threads(threads: int) -> None:
-    """Sweep worker initializer: the worker's share of the kernel threads."""
-    gpr._THREADS = threads
 
 
 def sweep(
@@ -144,28 +139,13 @@ def sweep(
 
     Repeat r uses split seed base_seed + r, shared across cells so that
     different (d, N) settings are compared on identical splits.  Failed
-    cells are kept with status "error:<type>" and NaN metrics.
+    cells are kept with status "error:<type>" and NaN metrics.  Up to
+    `jobs` cells run at once, on threads of this process.
     """
     if repeats < 1:
         raise ValueError(f"repeats must be >= 1, got {repeats}")
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
-    tasks = [
-        (dataset, d, N, repeat, base_seed + repeat, train_size, test_size,
-         length_scale, noise, sobol_skip)
-        for d in d_list
-        for N in N_list
-        for repeat in range(repeats)
-    ]
-    if jobs == 1:
-        records = [_run_cell(task) for task in tasks]
-    else:
-        # Split the cores among the workers so workers x threads <= cores.
-        threads = max(1, gpr._THREADS // jobs)
-        with ProcessPoolExecutor(max_workers=jobs, initializer=_set_kernel_threads,
-                                 initargs=(threads,)) as pool:
-            records = list(pool.map(_run_cell, tasks))
-    records.sort(key=lambda r: (r.d, r.N, r.repeat))
     config = {
         "d_list": list(d_list),
         "N_list": list(N_list),
@@ -178,6 +158,9 @@ def sweep(
         "sobol_skip": sobol_skip,
         "dataset": dataset.fingerprint(),
     }
+    cells = [(d, N, repeat) for d in d_list for N in N_list for repeat in range(repeats)]
+    with ThreadPoolExecutor(max_workers=jobs) as pool:
+        records = list(pool.map(lambda cell: _run_cell(dataset, config, *cell), cells))
     return SweepResult(records=records, config=config)
 
 

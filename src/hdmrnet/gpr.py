@@ -21,6 +21,7 @@ block edges and feature order make results independent of the thread count.
 
 from __future__ import annotations
 
+import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -69,10 +70,25 @@ class AdditiveGprModel:
 
 
 def _check_length_scale(length_scale: float) -> float:
+    """The length scale as a float; the kernel's 1/(2 l^2) must be finite and > 0."""
     length_scale = float(length_scale)
-    if not length_scale > 0.0:
-        raise InvalidHyperparameterError(f"length scale must be > 0, got {length_scale}")
+    try:
+        inv = 1.0 / (2.0 * length_scale**2)
+    except (OverflowError, ZeroDivisionError):
+        inv = math.nan
+    if not (length_scale > 0.0 and 0.0 < inv < math.inf):
+        raise InvalidHyperparameterError(
+            f"length scale must be > 0 with 1/(2 l^2) a finite positive number, "
+            f"got {length_scale}"
+        )
     return length_scale
+
+
+def _check_noise(noise: float) -> float:
+    noise = float(noise)
+    if not 0.0 < noise < math.inf:
+        raise InvalidHyperparameterError(f"noise must be finite and > 0, got {noise}")
+    return noise
 
 
 def kernel_1d(a, b, length_scale: float):
@@ -163,9 +179,7 @@ def gpr_fit(
     up to `MAX_JITTER`; beyond that an error reports the final jitter.
     """
     length_scale = _check_length_scale(length_scale)
-    noise = float(noise)
-    if not noise > 0.0:
-        raise InvalidHyperparameterError(f"noise must be > 0, got {noise}")
+    noise = _check_noise(noise)
     Y = np.asarray(Y, dtype=np.float64)
     t = np.asarray(t, dtype=np.float64).ravel()
     if Y.ndim != 2 or Y.shape[0] < 1:
@@ -199,8 +213,8 @@ def gpr_fit(
             alpha = None
         else:
             alpha = cho_solve(factor, b)
-            # One round of iterative refinement tightens the residual when
-            # the matrix is barely positive definite.
+            # Up to two rounds of iterative refinement tighten the residual
+            # when the matrix is barely positive definite.
             for _ in range(2):
                 resid = b - K @ alpha
                 if np.linalg.norm(resid) <= 1e-9 * b_norm:

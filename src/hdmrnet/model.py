@@ -30,7 +30,8 @@ from .coupling import FeatureMap, build_feature_map, map_features
 from .data import Dataset, _atomic_open
 from .errors import (DatasetError, HdmrnetError, InvalidHyperparameterError,
                      ModelFormatError, ShapeError)
-from .gpr import AdditiveGprModel, gpr_component, gpr_fit, gpr_predict
+from .gpr import (AdditiveGprModel, _check_length_scale, _check_noise, gpr_component,
+                  gpr_fit, gpr_predict)
 from .sobol import _NBITS
 
 FORMAT_VERSION = 2
@@ -97,23 +98,26 @@ class HdmrModel:
 
 
 def _training_features(
-    X: np.ndarray, order: int, neurons_per_term: int, sobol_skip: int
+    X: np.ndarray, order: int, neurons_per_term: int, sobol_skip: int, gram: bool = False
 ) -> tuple[FeatureMap, Scaler, np.ndarray]:
     """Feature map, scaler and scaled training features of X.
 
     The one path by which `hdmr_fit` builds a model and `load_model`
     rebuilds it, so a loaded model's features are the fitted ones bit for
     bit.  Sizes whose features and map arrays would exceed physical memory
-    are refused before anything is allocated.
+    are refused before anything is allocated; with `gram`, so are sizes
+    whose M x M Gram matrix and the copy that its Cholesky factorization
+    takes would not fit as well.
     """
     M, D = X.shape
     coupled = neurons_per_term * math.comb(D, order) if 2 <= order <= D else 0
-    needed = 8 * M * (D + coupled) + 16 * order * coupled
+    needed = 8 * M * (D + coupled) + 16 * order * coupled + (16 * M * M if gram else 0)
     # Counts past the Sobol sequence are left to build_feature_map, which
     # refuses them before generating anything.
     if needed > _MEMORY_BYTES and sobol_skip + coupled < 1 << _NBITS:
         raise InvalidHyperparameterError(
-            f"{D + coupled} features of {M} rows need about {needed / 2**30:.3g} GiB, "
+            f"{D + coupled} features of {M} rows{' and their Gram matrix' if gram else ''} "
+            f"need about {needed / 2**30:.3g} GiB, "
             f"more than the {_MEMORY_BYTES / 2**30:.3g} GiB of physical memory"
         )
     fmap = build_feature_map(D, order, neurons_per_term, sobol_skip)
@@ -139,7 +143,8 @@ def hdmr_fit(
     """
     if train.n < 2:
         raise ValueError(f"training set needs at least 2 rows, got {train.n}")
-    fmap, scaler, Y = _training_features(train.X, order, neurons_per_term, sobol_skip)
+    fmap, scaler, Y = _training_features(train.X, order, neurons_per_term, sobol_skip,
+                                         gram=True)
     gpr = gpr_fit(Y, train.t, length_scale, noise)
     metadata = {
         "dimension": train.dimension,
@@ -299,12 +304,12 @@ def load_model(path: str) -> HdmrModel:
     order = _integer(metadata, "order", 1)
     neurons_per_term = _integer(metadata, "neurons_per_term", 0)
     sobol_skip = _integer(metadata, "sobol_skip", 0)
-    length_scale = float(_numbers(metadata, "length_scale", "metadata"))
-    noise = float(_numbers(metadata, "noise", "metadata"))
-    if not (length_scale > 0.0 and noise > 0.0):
-        raise ModelFormatError(
-            f"metadata: length_scale and noise must be > 0, got {length_scale} and {noise}"
-        )
+    length_scale = _numbers(metadata, "length_scale", "metadata")
+    noise = _numbers(metadata, "noise", "metadata")
+    try:
+        length_scale, noise = _check_length_scale(length_scale), _check_noise(noise)
+    except InvalidHyperparameterError as exc:
+        raise ModelFormatError(f"metadata: bad length_scale or noise: {exc}") from exc
 
     X = _numbers(document, "X", "document", (None, dimension))
     if X.shape[0] < 2:

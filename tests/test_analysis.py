@@ -2,6 +2,9 @@
 
 import json
 import math
+import os
+import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -127,6 +130,35 @@ def test_bugs_in_a_fit_propagate(monkeypatch):
         sweep(ds, [2], [2], 1, 30, 20, 0.3, 1e-6, 7)
     with pytest.raises(TypeError, match="bug inside the fit"):
         grid_search_l(ds, 1, 0, [0.3], 1e-6, seed=5)
+
+
+def test_sweep_cells_run_in_this_process(monkeypatch):
+    calls = []
+    real_fit = analysis.hdmr_fit
+
+    def recording_fit(*args, **kwargs):
+        calls.append(os.getpid())
+        return real_fit(*args, **kwargs)
+
+    monkeypatch.setattr(analysis, "hdmr_fit", recording_fit)
+    ds = synth("pairwise", 3, 60, seed=3)
+    result = sweep(ds, [1, 2], [2], 2, 30, 20, 0.3, 1e-6, 7, jobs=2)
+    assert len(calls) == len(result.records) == 4
+    assert calls == [os.getpid()] * 4
+
+
+def test_sweep_cells_on_more_threads_than_cores_match_one_thread(tiny_sweep):
+    # Cells share the dataset and the configuration; frequent thread
+    # switches with four threads would expose any state a cell writes.
+    ds, result = tiny_sweep
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        again = sweep(ds, [1, 2], [3, 5], 2, 100, 50, 0.3, 1e-6, 40, jobs=4)
+    finally:
+        sys.setswitchinterval(interval)
+    untimed = [[replace(r, wall_s=0.0) for r in res.records] for res in (result, again)]
+    assert untimed[0] == untimed[1]
 
 
 def test_sweep_csv_layout(tiny_sweep, tmp_path):

@@ -232,6 +232,20 @@ def test_numeric_errors_exit_four(workspace, tmp_path, capsys):
     assert "length scale" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag,value", [("--l", "inf"), ("--l", "1e200"), ("--l", "1e-200"),
+                                        ("--noise", "inf"), ("--noise", "nan")])
+def test_bad_hyperparameter_exits_four_before_writing(workspace, tmp_path, capsys,
+                                                      flag, value):
+    _, data, _ = workspace
+    target = str(tmp_path / "x.model")
+    hyper = {"--l": "0.3", "--noise": "1e-6", flag: value}
+    code = run("fit", "--data", data, "--d", "2", "--n-per-term", "2", "--seed", "1",
+               "--l", hyper["--l"], "--noise", hyper["--noise"], "--out", target)
+    assert code == 4
+    assert ("length scale" if flag == "--l" else "noise") in capsys.readouterr().err
+    assert not os.path.exists(target)
+
+
 def test_failed_fit_leaves_no_model_file(workspace, tmp_path):
     _, data, _ = workspace
     target = str(tmp_path / "never.model")
@@ -248,6 +262,19 @@ def test_fit_past_physical_memory_exits_four(workspace, tmp_path, monkeypatch, c
     assert run("fit", "--data", data, "--d", "2", "--n-per-term", "5",
                "--l", "0.3", "--seed", "1", "--out", target) == 4
     assert "physical memory" in capsys.readouterr().err
+    assert not os.path.exists(target)
+
+
+def test_fit_whose_gram_would_not_fit_exits_four(workspace, tmp_path, monkeypatch, capsys):
+    # 400 rows of 3 + 2 * 3 = 9 features: 28,800 bytes of features and
+    # 192 bytes of map arrays fit, the 2 * 8 * 400^2 bytes of the Gram
+    # matrix and its Cholesky copy do not.
+    _, data, _ = workspace
+    monkeypatch.setattr("hdmrnet.model._MEMORY_BYTES", 10**6)
+    target = str(tmp_path / "gram.model")
+    assert run("fit", "--data", data, "--d", "2", "--n-per-term", "2",
+               "--l", "0.3", "--seed", "1", "--out", target) == 4
+    assert "Gram matrix" in capsys.readouterr().err
     assert not os.path.exists(target)
 
 

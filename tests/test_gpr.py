@@ -196,6 +196,25 @@ def test_hyperparameter_validation():
         gpr_fit(Y, t, 0.5, -1e-6)
 
 
+@pytest.mark.parametrize("length_scale", [math.inf, math.nan, 1e200, 1e-200, 1e-160])
+def test_length_scale_without_a_finite_kernel_exponent_is_refused(length_scale):
+    # 1/(2 l^2) is 0, NaN, 0 (l^2 overflows), inf (l^2 underflows to 0) and
+    # inf (l^2 is subnormal).
+    Y = np.random.default_rng(5).uniform(size=(5, 2))
+    for call in (lambda: gpr_fit(Y, np.arange(5.0), length_scale),
+                 lambda: gram_matrix(Y, length_scale),
+                 lambda: kernel_1d(0.0, 1.0, length_scale)):
+        with pytest.raises(InvalidHyperparameterError, match="length scale"):
+            call()
+
+
+@pytest.mark.parametrize("noise", [math.inf, math.nan])
+def test_non_finite_noise_is_refused(noise):
+    Y = np.random.default_rng(5).uniform(size=(5, 2))
+    with pytest.raises(InvalidHyperparameterError, match="noise"):
+        gpr_fit(Y, np.arange(5.0), 0.5, noise)
+
+
 def test_shape_validation():
     with pytest.raises(ShapeError):
         gpr_fit(np.zeros((3, 2)), np.zeros(4), 0.5)

@@ -291,6 +291,7 @@ BAD_FIELDS = {
     "length scale negative": (_edit("metadata", "length_scale", -0.3), "length_scale"),
     "length scale zero": (_edit("metadata", "length_scale", 0), "length_scale"),
     "length scale string": (_edit("metadata", "length_scale", "0.3"), "length_scale"),
+    "length scale 1e200": (_edit("metadata", "length_scale", 1e200), "length_scale"),
     "noise zero": (_edit("metadata", "noise", 0.0), "noise"),
     "noise null": (_edit("metadata", "noise", None), "noise"),
     "effective noise below noise": (_edit("gpr", "effective_noise", 1e-7), "effective_noise"),
@@ -351,13 +352,38 @@ def test_non_finite_points_are_refused(bad, where):
 
 def test_fit_past_physical_memory_is_refused(monkeypatch):
     # 80 rows of F = 3 + 4 * C(3, 2) = 15 features: 8 * 80 * 15 bytes of
-    # features plus 16 * 2 * 12 bytes of map arrays = 9984 bytes.
+    # features plus 16 * 2 * 12 bytes of map arrays = 9984 bytes; a fit also
+    # needs 16 * 80^2 bytes for its Gram matrix and the Cholesky copy.
     monkeypatch.setattr(hdmrnet.model, "_MEMORY_BYTES", 9983)
     with pytest.raises(InvalidHyperparameterError, match="15 features of 80 rows"):
         _small_model()
-    monkeypatch.setattr(hdmrnet.model, "_MEMORY_BYTES", 9984)
+    monkeypatch.setattr(hdmrnet.model, "_MEMORY_BYTES", 9984 + 16 * 80**2)
     model, _ = _small_model()
     assert model.n_features == 15
+
+
+def test_fit_guard_counts_the_gram_and_its_factor_copy(monkeypatch):
+    # 200 rows of D = d = 1: 8 * 200 bytes of features, no map arrays, and
+    # 2 * 8 * 200^2 bytes for the Gram matrix and the copy cho_factor takes.
+    ds = synth("additive", 1, 200, seed=4)
+    monkeypatch.setattr(hdmrnet.model, "_MEMORY_BYTES", 641_599)
+    with pytest.raises(InvalidHyperparameterError, match="1 features of 200 rows and their Gram"):
+        hdmr_fit(ds, 1, 0, 0.3)
+    monkeypatch.setattr(hdmrnet.model, "_MEMORY_BYTES", 641_600)
+    assert hdmr_fit(ds, 1, 0, 0.3).gpr.n_train == 200
+
+
+def test_load_guard_counts_no_gram(tmp_path, monkeypatch):
+    # The loader builds no Gram, so its bound is the features and map
+    # arrays alone: 9984 bytes for the 80-row model above.
+    model, _ = _small_model()
+    path = str(tmp_path / "small.json")
+    save_model(model, path)
+    monkeypatch.setattr(hdmrnet.model, "_MEMORY_BYTES", 9983)
+    with pytest.raises(ModelFormatError, match="15 features of 80 rows need"):
+        load_model(path)
+    monkeypatch.setattr(hdmrnet.model, "_MEMORY_BYTES", 9984)
+    assert load_model(path).n_features == 15
 
 
 def _huge_map_file(tmp_path):
