@@ -21,16 +21,15 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import astuple, dataclass, field, fields
 
 import numpy as np
-from numpy.linalg import LinAlgError
 
-from .data import Dataset, _write_rows, split
+from .data import Dataset, _split_sizes, _write_rows, split
 from .errors import DatasetError, HdmrnetError, InvalidHyperparameterError, ShapeError
-from .gpr import gpr_component
+from .gpr import _check_length_scale, _check_noise, gpr_component
 from .model import HdmrModel, hdmr_fit, hdmr_predict, term_values
 
 # Failures a sweep cell or a grid-search candidate records and moves past;
 # anything else is a bug and propagates.
-_FIT_ERRORS = (HdmrnetError, LinAlgError, ValueError)
+_FIT_ERRORS = (HdmrnetError, ValueError)
 
 
 def rmse(predicted: np.ndarray, actual: np.ndarray) -> float:
@@ -140,20 +139,24 @@ def sweep(
     Repeat r uses split seed base_seed + r, shared across cells so that
     different (d, N) settings are compared on identical splits.  Failed
     cells are kept with status "error:<type>" and NaN metrics.  Up to
-    `jobs` cells run at once, on threads of this process.
+    `jobs` cells run at once, on threads of this process.  A length scale,
+    noise or split size that every cell would refuse raises before any
+    cell runs.
     """
     if repeats < 1:
         raise ValueError(f"repeats must be >= 1, got {repeats}")
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
+    length_scale, noise = _check_length_scale(length_scale), _check_noise(noise)
+    _split_sizes(dataset.n, train_size, test_size)
     config = {
         "d_list": list(d_list),
         "N_list": list(N_list),
         "repeats": repeats,
         "train_size": train_size,
         "test_size": test_size,
-        "length_scale": float(length_scale),
-        "noise": float(noise),
+        "length_scale": length_scale,
+        "noise": noise,
         "base_seed": base_seed,
         "sobol_skip": sobol_skip,
         "dataset": dataset.fingerprint(),
@@ -195,28 +198,22 @@ class ComponentCurve:
     kind: str
     grid: np.ndarray
     values: np.ndarray
-    train_std: float
 
 
 def component_curves(model: HdmrModel, grid_size: int = 201) -> list[ComponentCurve]:
     if grid_size < 2:
         raise ValueError(f"grid_size must be >= 2, got {grid_size}")
     grid = np.linspace(0.0, 1.0, grid_size)
-    curves = []
-    for j in range(model.n_features):
-        values = gpr_component(model.gpr, j, grid)
-        on_train = gpr_component(model.gpr, j, model.gpr.Ytrain[:, j])
-        curves.append(
-            ComponentCurve(
-                feature_index=j,
-                subset=model.feature_map.subset(j),
-                kind=model.feature_map.kind(j),
-                grid=grid,
-                values=values,
-                train_std=float(np.std(on_train)),
-            )
+    return [
+        ComponentCurve(
+            feature_index=j,
+            subset=model.feature_map.subset(j),
+            kind=model.feature_map.kind(j),
+            grid=grid,
+            values=gpr_component(model.gpr, j, grid),
         )
-    return curves
+        for j in range(model.n_features)
+    ]
 
 
 def grid_search_l(

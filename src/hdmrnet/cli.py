@@ -249,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
     fit.add_argument("--noise", type=float, default=1e-6, help="noise variance")
     fit.add_argument("--train", type=int, default=None,
                      help="training rows; remainder becomes the test set")
-    fit.add_argument("--test", type=int, default=None, help="cap on test rows")
+    fit.add_argument("--test", type=int, default=None, help="cap on test rows; needs --train")
     fit.add_argument("--seed", type=int, required=True, help="split seed")
     fit.add_argument("--sobol-skip", type=int, default=0,
                      help="skip this many initial direction points")
@@ -268,7 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
     evaluate.add_argument("--target", default=None)
     evaluate.add_argument("--train", type=int, default=None,
                           help="re-split as in fit and report both sides")
-    evaluate.add_argument("--test", type=int, default=None)
+    evaluate.add_argument("--test", type=int, default=None, help="cap on test rows; needs --train")
     evaluate.add_argument("--seed", type=int, default=None,
                           help="split seed (required with --train)")
     evaluate.add_argument("--out", default=None, help="also write the report JSON here")
@@ -319,6 +319,8 @@ def main(argv: list[str] | None = None) -> int:
     if getattr(args, "train", None) is not None and args.command == "eval":
         if args.seed is None:
             parser.error("eval --train requires --seed")
+    if getattr(args, "test", None) is not None and args.train is None:
+        parser.error(f"{args.command} --test requires --train")
     try:
         return args.func(args)
     except (DatasetError, ModelFormatError, OSError) as exc:

@@ -220,16 +220,8 @@ def _format_cell(value) -> str:
     return repr(float(value))
 
 
-def split(
-    dataset: Dataset, train_size: int, seed: int, test_size: int | None = None
-) -> tuple[Dataset, Dataset]:
-    """Deterministic random train/test split.
-
-    A seeded permutation assigns the first `train_size` rows to training and
-    the remainder (or its first `test_size` rows) to testing.  Same seed,
-    same dataset: same split, on any platform.
-    """
-    n = dataset.n
+def _split_sizes(n: int, train_size: int, test_size: int | None) -> int:
+    """The test size that `split` takes from n rows, or a DatasetError."""
     if not 1 <= train_size < n:
         raise DatasetError(
             f"train_size must be in [1, {n - 1}] for {n} rows, got {train_size}"
@@ -242,7 +234,20 @@ def split(
             f"test_size must be in [1, {remainder}] after removing "
             f"{train_size} training rows, got {test_size}"
         )
-    order = np.random.Generator(np.random.PCG64(seed)).permutation(n)
+    return test_size
+
+
+def split(
+    dataset: Dataset, train_size: int, seed: int, test_size: int | None = None
+) -> tuple[Dataset, Dataset]:
+    """Deterministic random train/test split.
+
+    A seeded permutation assigns the first `train_size` rows to training and
+    the remainder (or its first `test_size` rows) to testing.  Same seed,
+    same dataset: same split, on any platform.
+    """
+    test_size = _split_sizes(dataset.n, train_size, test_size)
+    order = np.random.Generator(np.random.PCG64(seed)).permutation(dataset.n)
     train, test = (
         Dataset(
             X=dataset.X[rows],

@@ -11,8 +11,9 @@ and the full mean is f0 + sum_j f_j(y_j).  Those component functions are
 the per-neuron activation functions of the network assembled in
 :mod:`hdmrnet.model`.
 
-Training is a Cholesky solve of (K + noise * I) alpha = t - mean(t); no
-hyperparameter is optimized.  All arithmetic is float64.
+Training is one Cholesky solve of (K + sigma * I) alpha = t - mean(t) in
+`_solve`, where sigma is the requested noise unless that solve has to
+escalate it; no hyperparameter is optimized.  All arithmetic is float64.
 
 The Gram matrix, predictions and components share one kernel routine, run
 over fixed row blocks on every core of the affinity mask (no setting); fixed
@@ -165,19 +166,51 @@ def gram_matrix(Y: np.ndarray, length_scale: float) -> np.ndarray:
     return K
 
 
+def _solve(K: np.ndarray, b: np.ndarray, noise: float) -> tuple[np.ndarray, float]:
+    """(alpha, sigma) with (K + sigma * I) alpha = b, by Cholesky.
+
+    sigma starts at `noise` and rises by factors of 10 up to `MAX_JITTER`
+    while factorization fails or, after up to two rounds of iterative
+    refinement, the residual exceeds 1e-8 * ||b||; beyond that an error
+    reports the final jitter.  Each try rewrites the diagonal of K in place.
+    """
+    diagonal = K.diagonal().copy()
+    b_norm = float(np.linalg.norm(b))
+    sigma = noise
+    while True:
+        K.flat[:: K.shape[0] + 1] = diagonal + sigma
+        try:
+            factor = cho_factor(K, lower=True)
+        except LinAlgError:
+            pass
+        else:
+            alpha = cho_solve(factor, b)
+            resid = b - K @ alpha
+            for _ in range(2):
+                if np.linalg.norm(resid) <= 1e-9 * b_norm:
+                    break
+                alpha = alpha + cho_solve(factor, resid)
+                resid = b - K @ alpha
+            if np.linalg.norm(resid) <= 1e-8 * b_norm:
+                return alpha, sigma
+        if sigma * 10.0 > MAX_JITTER * (1.0 + 1e-12):
+            raise IllConditionedGramError(
+                f"Gram matrix not positive definite even at jitter {sigma:g} "
+                f"(requested noise {noise:g})",
+                final_jitter=sigma,
+            )
+        sigma *= 10.0
+
+
 def gpr_fit(
     Y: np.ndarray,
     t: np.ndarray,
     length_scale: float,
     noise: float = 1e-6,
 ) -> AdditiveGprModel:
-    """Fit the additive GPR by a Cholesky solve with jitter escalation.
-
-    The target mean is subtracted before the solve and stored as the
-    offset.  If factorization fails, or the solve residual exceeds
-    1e-8 * ||t - mean||, the diagonal noise is escalated by factors of 10
-    up to `MAX_JITTER`; beyond that an error reports the final jitter.
-    """
+    """Fit the additive GPR: `_solve` for the targets minus their mean,
+    which is stored as the offset.  Zero-variance targets get alpha = 0
+    and build no Gram matrix."""
     length_scale = _check_length_scale(length_scale)
     noise = _check_noise(noise)
     Y = np.asarray(Y, dtype=np.float64)
@@ -189,55 +222,18 @@ def gpr_fit(
 
     offset = float(np.mean(t))
     b = t - offset
-    b_norm = float(np.linalg.norm(b))
-
-    if b_norm == 0.0:
-        return AdditiveGprModel(
-            Ytrain=Y.copy(),
-            alpha=np.zeros(Y.shape[0]),
-            length_scale=length_scale,
-            noise=noise,
-            effective_noise=noise,
-            target_offset=offset,
-        )
-
-    # One working matrix: each try rewrites the diagonal of K in place.
-    K = gram_matrix(Y, length_scale)
-    diagonal = K.diagonal().copy()
-    sigma = noise
-    while True:
-        K.flat[:: K.shape[0] + 1] = diagonal + sigma
-        try:
-            factor = cho_factor(K, lower=True)
-        except LinAlgError:
-            alpha = None
-        else:
-            alpha = cho_solve(factor, b)
-            # Up to two rounds of iterative refinement tighten the residual
-            # when the matrix is barely positive definite.
-            for _ in range(2):
-                resid = b - K @ alpha
-                if np.linalg.norm(resid) <= 1e-9 * b_norm:
-                    break
-                alpha = alpha + cho_solve(factor, resid)
-            if np.linalg.norm(b - K @ alpha) > 1e-8 * b_norm:
-                alpha = None
-        if alpha is not None:
-            return AdditiveGprModel(
-                Ytrain=Y.copy(),
-                alpha=alpha,
-                length_scale=length_scale,
-                noise=noise,
-                effective_noise=sigma,
-                target_offset=offset,
-            )
-        if sigma * 10.0 > MAX_JITTER * (1.0 + 1e-12):
-            raise IllConditionedGramError(
-                f"Gram matrix not positive definite even at jitter {sigma:g} "
-                f"(requested noise {noise:g})",
-                final_jitter=sigma,
-            )
-        sigma *= 10.0
+    if np.linalg.norm(b) == 0.0:
+        alpha, sigma = np.zeros(Y.shape[0]), noise
+    else:
+        alpha, sigma = _solve(gram_matrix(Y, length_scale), b, noise)
+    return AdditiveGprModel(
+        Ytrain=Y.copy(),
+        alpha=alpha,
+        length_scale=length_scale,
+        noise=noise,
+        effective_noise=sigma,
+        target_offset=offset,
+    )
 
 
 def gpr_predict(model: AdditiveGprModel, Ystar: np.ndarray) -> np.ndarray:

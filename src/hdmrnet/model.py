@@ -30,7 +30,7 @@ from .coupling import FeatureMap, build_feature_map, map_features
 from .data import Dataset, _atomic_open
 from .errors import (DatasetError, HdmrnetError, InvalidHyperparameterError,
                      ModelFormatError, ShapeError)
-from .gpr import (AdditiveGprModel, _check_length_scale, _check_noise, gpr_component,
+from .gpr import (AdditiveGprModel, _check_length_scale, _check_noise, _dual_sums,
                   gpr_fit, gpr_predict)
 from .sobol import _NBITS
 
@@ -183,15 +183,12 @@ def term_values(model: HdmrModel, X: np.ndarray) -> dict[tuple[int, ...], np.nda
     the GPR offset) to `hdmr_predict` up to summation order.
     """
     Y = _features(model, X)
-    out: dict[tuple[int, ...], np.ndarray] = {}
+    groups: dict[tuple[int, ...], list[int]] = {}
     for j in range(model.n_features):
-        subset = model.feature_map.subset(j)
-        contrib = gpr_component(model.gpr, j, Y[:, j])
-        if subset in out:
-            out[subset] += contrib
-        else:
-            out[subset] = contrib
-    return out
+        groups.setdefault(model.feature_map.subset(j), []).append(j)
+    # One dual-sum pass per subset; it adds the features in index order.
+    return {subset: _dual_sums(model.gpr, Y[:, js], model.gpr.Ytrain.T[js], 0.0)
+            for subset, js in groups.items()}
 
 
 # ---------------------------------------------------------------------------

@@ -177,12 +177,21 @@ def test_sweep_csv_layout(tiny_sweep, tmp_path):
     assert float(first[5]) == result.records[0].test_rmse
 
 
-def test_sweep_validation():
+def test_sweep_validation(monkeypatch):
     ds = synth("pairwise", 3, 60, seed=3)
     with pytest.raises(ValueError):
         sweep(ds, [1], [2], 0, 30, 20, 0.3, 1e-6, 7)
     with pytest.raises(ValueError):
         sweep(ds, [1], [2], 1, 30, 20, 0.3, 1e-6, 7, jobs=0)
+    # settings that every cell would refuse are refused before any cell runs
+    monkeypatch.setattr(analysis, "_run_cell", lambda *args: pytest.fail("a cell ran"))
+    for l, noise in [(math.inf, 1e-6), (-0.3, 1e-6), (1e-200, 1e-6), (0.3, math.nan),
+                     (0.3, 0.0)]:
+        with pytest.raises(InvalidHyperparameterError):
+            sweep(ds, [1], [2], 1, 30, 20, l, noise, 7)
+    for train_size, test_size in [(60, None), (0, None), (30, 31), (30, 0)]:
+        with pytest.raises(DatasetError, match="_size must be in"):
+            sweep(ds, [1], [2], 1, train_size, test_size, 0.3, 1e-6, 7)
 
 
 # ---------------------------------------------------------------------------
@@ -223,7 +232,6 @@ def test_component_curves_shapes_and_consistency():
         assert curve.feature_index == j
         assert curve.grid[0] == 0.0 and curve.grid[-1] == 1.0
         assert curve.grid.shape == curve.values.shape == (41,)
-        assert curve.train_std >= 0
     # curve values are exactly the neuron function sampled on the grid
     from hdmrnet import gpr_component
 
@@ -240,7 +248,6 @@ def test_component_curves_zero_for_constant_target():
     model = hdmr_fit(ds, 2, 3, 0.3)
     for curve in component_curves(model, grid_size=11):
         assert np.array_equal(curve.values, np.zeros(11))
-        assert curve.train_std == 0.0
 
 
 def test_component_curves_smoothness_bound():

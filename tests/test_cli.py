@@ -185,6 +185,11 @@ def test_usage_errors_exit_two(workspace):
     with pytest.raises(SystemExit) as info:
         run("eval", "--model", "m", "--data", data, "--train", "10")  # no seed
     assert info.value.code == 2
+    for argv in (["fit", "--d", "1", "--n-per-term", "0", "--l", "0.3", "--out", "x.model"],
+                 ["eval", "--model", "m"]):
+        with pytest.raises(SystemExit) as info:  # --test without --train
+            run(*argv, "--data", data, "--test", "50", "--seed", "1")
+        assert info.value.code == 2
     with pytest.raises(SystemExit) as info:
         run("sweep", "--data", data, "--d", "1,x", "--n-per-term", "2",
             "--train", "10", "--l", "0.3", "--seed", "1", "--out-dir", "/tmp/s")
@@ -244,6 +249,22 @@ def test_bad_hyperparameter_exits_four_before_writing(workspace, tmp_path, capsy
     assert code == 4
     assert ("length scale" if flag == "--l" else "noise") in capsys.readouterr().err
     assert not os.path.exists(target)
+
+
+@pytest.mark.parametrize("flag,value,code,message", [
+    ("--l", "inf", 4, "length scale"), ("--noise", "nan", 4, "noise"),
+    ("--train", "500", 3, "train_size must be in"), ("--test", "300", 3, "test_size must be in"),
+])
+def test_sweep_refuses_bad_settings_before_writing(workspace, tmp_path, capsys,
+                                                   flag, value, code, message):
+    _, data, _ = workspace
+    out_dir = tmp_path / "sweep"
+    settings = {"--l": "0.3", "--noise": "1e-6", "--train": "200", "--test": "100",
+                flag: value}
+    assert run("sweep", "--data", data, "--d", "1,2", "--n-per-term", "2", "--seed", "1",
+               "--out-dir", str(out_dir), *(x for kv in settings.items() for x in kv)) == code
+    assert message in capsys.readouterr().err
+    assert not out_dir.exists() or not any(out_dir.iterdir())
 
 
 def test_failed_fit_leaves_no_model_file(workspace, tmp_path):

@@ -162,10 +162,14 @@ def test_near_interpolation_at_small_noise():
     assert np.abs(on_train - t).max() <= 1e-3 * t.std()
 
 
-def test_constant_target_short_circuits():
+def test_constant_target_short_circuits(monkeypatch):
+    calls = []
+    monkeypatch.setattr(gpr, "gram_matrix", lambda *args: calls.append(args))
     Y = np.random.default_rng(4).uniform(size=(10, 2))
-    model = gpr_fit(Y, np.full(10, 3.25), 0.5)
+    model = gpr_fit(Y, np.full(10, 3.25), 0.5, 1e-7)
+    assert calls == []  # no Gram is built for a zero-variance target
     assert np.array_equal(model.alpha, np.zeros(10))
+    assert model.effective_noise == model.noise == 1e-7
     assert model.target_offset == 3.25
     assert np.array_equal(gpr_predict(model, Y), np.full(10, 3.25))
     assert np.array_equal(gpr_component(model, 0, [0.1, 0.9]), np.zeros(2))

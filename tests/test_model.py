@@ -12,6 +12,7 @@ from hdmrnet import (
     Dataset,
     apply_scaler,
     fit_scaler,
+    gpr_component,
     hdmr_fit,
     hdmr_predict,
     load_model,
@@ -118,6 +119,29 @@ def test_terms_sum_to_prediction():
         mean = hdmr_predict(model, X)
         scale = max(1.0, float(np.abs(mean).max()))
         assert np.abs(total - mean).max() <= 1e-10 * scale
+
+
+def test_term_values_make_one_pass_per_term(monkeypatch):
+    # D + C(D, d) = 3 + 3 dual-sum passes, not one per feature (F = 15)
+    model, ds = _small_model(neurons=4)
+    passes = []
+    real = hdmrnet.model._dual_sums
+
+    def spy(*args):
+        passes.append(args[1].shape[1])
+        return real(*args)
+
+    monkeypatch.setattr(hdmrnet.model, "_dual_sums", spy)
+    terms = term_values(model, ds.X[:9])
+    assert len(passes) == 6 and sum(passes) == model.n_features
+    # each term adds the component values of its features in feature order
+    Y = hdmrnet.model._features(model, ds.X[:9])
+    for subset, values in terms.items():
+        expected = 0.0
+        for j in range(model.n_features):
+            if model.feature_map.subset(j) == subset:
+                expected = expected + gpr_component(model.gpr, j, Y[:, j])
+        assert np.array_equal(values, expected)
 
 
 def test_order_one_has_no_coupled_terms():
