@@ -94,10 +94,15 @@ class SweepResult:
         return [(d, N, best[(d, N)]) for d, N in sorted(best)]
 
 
-def _scores(model: HdmrModel, dataset: Dataset) -> tuple[float, float]:
-    """RMSE and Pearson correlation of the model's predictions on `dataset`."""
+def _scores(model: HdmrModel, dataset: Dataset) -> tuple[float, float | None]:
+    """RMSE and Pearson correlation of the model's predictions on `dataset`;
+    the correlation is None where it is undefined, as for a constant target."""
     predicted = hdmr_predict(model, dataset.X)
-    return rmse(predicted, dataset.t), pearson_corr(predicted, dataset.t)
+    try:
+        corr = pearson_corr(predicted, dataset.t)
+    except DatasetError:  # zero variance
+        corr = None
+    return rmse(predicted, dataset.t), corr
 
 
 def _run_cell(dataset: Dataset, config: dict, d: int, N: int, repeat: int) -> SweepRecord:
@@ -111,10 +116,11 @@ def _run_cell(dataset: Dataset, config: dict, d: int, N: int, repeat: int) -> Sw
             train, d, N, config["length_scale"], config["noise"],
             sobol_skip=config["sobol_skip"], split_seed=seed,
         )
-        # Score both sides before setting a field: a failed cell keeps NaN.
-        train_scores, test_scores = _scores(model, train), _scores(model, test)
-        record.train_rmse, record.train_corr = train_scores
-        record.test_rmse, record.test_corr = test_scores
+        # Score both sides before setting a field: a failed cell keeps NaN,
+        # and so does an undefined correlation.
+        scores = [_scores(model, train), _scores(model, test)]
+        record.train_rmse, record.train_corr, record.test_rmse, record.test_corr = (
+            nan if value is None else value for pair in scores for value in pair)
     except _FIT_ERRORS as exc:
         record.status = f"error:{type(exc).__name__}"
     record.wall_s = time.perf_counter() - started

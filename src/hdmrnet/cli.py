@@ -67,6 +67,15 @@ def _write_report(path: str | None, report: dict) -> str:
     return text
 
 
+def _table_report(model) -> dict | None:
+    """The model's activation table as a report field; None on the exact path."""
+    table = model.activation_table
+    if table is None:
+        return None
+    return {"nodes": table.nodes, "max_deviation": table.max_deviation,
+            "tolerance": table.tolerance}
+
+
 def _cmd_fit(args) -> int:
     dataset = load_csv(args.data, target=args.target)
     config = _config_echo(
@@ -97,6 +106,7 @@ def _cmd_fit(args) -> int:
     report["train_rmse"], report["train_corr"] = _scores(model, train)
     if test is not None:
         report["test_rmse"], report["test_corr"] = _scores(model, test)
+    report["activation_table"] = _table_report(model)
     save_model(model, args.out)
     _write_report(args.out + ".report.json", report)
     if report["test_rmse"] is None:
@@ -138,6 +148,7 @@ def _cmd_eval(args) -> int:
     else:
         report["n"] = dataset.n
         report["rmse"], report["corr"] = _scores(model, dataset)
+    report["activation_table"] = _table_report(model)
     print(_write_report(args.out, report))
     return EXIT_OK
 

@@ -18,10 +18,16 @@ escalate it; no hyperparameter is optimized.  All arithmetic is float64.
 The Gram matrix, predictions and components share one kernel routine, run
 over fixed row blocks on every core of the affinity mask (no setting); fixed
 block edges and feature order make results independent of the thread count.
+
+`compile_components` tabulates every component function as a Chebyshev
+interpolant on the padded interval `TABLE_INTERVAL`, checked against the
+exact components, so that a forward pass costs O(nodes) per feature instead
+of O(M); `table_predict` evaluates those tables over the same row blocks.
 """
 
 from __future__ import annotations
 
+import logging
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -39,6 +45,16 @@ MAX_JITTER = 1e-2
 _BLOCK = 128
 _THREADS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
+
+# Scaled-feature interval that an activation table covers, the most nodes a
+# table may have, and its accepted deviation per unit of sum |alpha|.
+TABLE_INTERVAL = (-0.25, 1.25)
+_MAX_NODES = 256
+_TABLE_TOLERANCE = 1e-12
+_CENTER = 0.5 * (TABLE_INTERVAL[0] + TABLE_INTERVAL[1])
+_HALF_WIDTH = 0.5 * (TABLE_INTERVAL[1] - TABLE_INTERVAL[0])
+
+_log = logging.getLogger("hdmrnet")
 
 
 @dataclass
@@ -266,3 +282,113 @@ def gpr_component(model: AdditiveGprModel, feature_index: int, u) -> np.ndarray:
         )
     u = np.atleast_1d(np.asarray(u, dtype=np.float64))
     return _dual_sums(model, u[:, None], model.Ytrain[None, :, feature_index], 0.0)
+
+
+@dataclass(frozen=True)
+class ActivationTable:
+    """Chebyshev interpolants of every component function on `TABLE_INTERVAL`.
+
+    Column j of `coefficients` holds the coefficients of f_j in the
+    Chebyshev polynomials T_k(x), x = (u - 0.5) / 0.75.  `max_deviation`
+    is sum_j max |table_j - f_j| over the points halfway (in angle) between
+    the nodes; `compile_components` accepts a table only while it is at
+    most `tolerance` = 1e-12 * sum_m |alpha_m|.
+    """
+
+    coefficients: np.ndarray  # (nodes, F)
+    max_deviation: float
+    tolerance: float
+
+    @property
+    def nodes(self) -> int:
+        return self.coefficients.shape[0]
+
+
+def _clenshaw(coefficients: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """sum_k coefficients[k, j] * T_k(x[r, j]) for each entry of x, by
+    Clenshaw's recurrence; elementwise, so a row's values do not depend on
+    the other rows."""
+    x2 = x + x
+    b1, b2, tmp = np.zeros_like(x), np.zeros_like(x), np.empty_like(x)
+    for c in coefficients[:0:-1]:
+        np.multiply(x2, b1, out=tmp)
+        tmp -= b2
+        tmp += c
+        b1, b2, tmp = tmp, b1, b2
+    np.multiply(x, b1, out=tmp)
+    tmp -= b2
+    tmp += coefficients[0]
+    return tmp
+
+
+def compile_components(model: AdditiveGprModel) -> ActivationTable | None:
+    """One checked Chebyshev table per component function, or None.
+
+    The table of f_j interpolates the exact `gpr_component` values at the
+    n + 1 Chebyshev points of the second kind on `TABLE_INTERVAL`, with
+    n = max(16, 8 * ceil(1.25 / l)): the kernel's width sets how many
+    nodes resolve it.  The coefficients are a type-I DCT of the node
+    values, summed node by node without BLAS, so the table's bytes do not
+    depend on the thread count.  The deviation from the exact components,
+    measured at the n points between the nodes and summed over the
+    features, must be at most tau = 1e-12 * sum_m |alpha_m| (about 100
+    times the exact path's own rounding); a table that fails the check, or
+    one that would need more than `_MAX_NODES` nodes, is not built.
+    """
+    n = max(16, 8 * math.ceil(1.25 / model.length_scale))
+    tolerance = _TABLE_TOLERANCE * float(np.abs(model.alpha).sum())
+    if n + 1 > _MAX_NODES:
+        _log.debug("activation table refused: l = %g needs %d nodes, more than %d",
+                   model.length_scale, n + 1, _MAX_NODES)
+        return None
+    # Points cos(pi i / 2n): the even ones are the nodes, the odd ones lie
+    # halfway between them and check the interpolant.
+    x = np.cos(np.pi * np.arange(2 * n + 1) / (2 * n))
+    u = _CENTER + _HALF_WIDTH * x
+    values = np.empty((2 * n + 1, model.n_features))
+    def work(j0, j1):
+        for j in range(j0, j1):
+            values[:, j] = gpr_component(model, j, u)
+    _map_blocks(model.n_features, work)  # blocks of features, not rows
+    # a_k = (2 / n) sum_i w_i v_i cos(pi i k / n), with w_i = 1/2 at the
+    # two end nodes and 1 elsewhere, and a_0, a_n halved as well.
+    k = np.arange(n + 1)
+    cosines = np.cos(np.pi * (np.outer(k, k) % (2 * n)) / n) * (2.0 / n)
+    cosines[:, [0, -1]] *= 0.5
+    coefficients = np.zeros((n + 1, model.n_features))
+    for i in k:
+        coefficients += cosines[:, i, None] * values[2 * i]
+    coefficients[[0, -1]] *= 0.5
+    between = np.broadcast_to(x[1::2, None], (n, model.n_features))
+    deviation = float(np.abs(_clenshaw(coefficients, between) - values[1::2])
+                      .max(axis=0).sum())
+    if not deviation <= tolerance:
+        _log.debug("activation table refused: %d nodes deviate by %.3g, above %.3g",
+                   n + 1, deviation, tolerance)
+        return None
+    _log.debug("activation table built: %d nodes, deviation %.3g, tolerance %.3g",
+               n + 1, deviation, tolerance)
+    return ActivationTable(coefficients, deviation, tolerance)
+
+
+def table_predict(table: ActivationTable, offset: float,
+                  Ystar: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """offset + sum_j table_j(Ystar[r, j]) for each row r, the features added
+    in index order over the fixed row blocks of the kernel routine, and
+    whether each row's features all lie in `TABLE_INTERVAL`.
+
+    Only the values of rows inside the interval are meaningful: features
+    outside it are clamped to it, so that the other rows stay finite.
+    """
+    out = np.full(Ystar.shape[0], offset)
+    inside = np.empty(Ystar.shape[0], dtype=bool)
+    def work(r0, r1):
+        x = Ystar[r0:r1] - _CENTER
+        x /= _HALF_WIDTH
+        inside[r0:r1] = ((x >= -1.0) & (x <= 1.0)).all(axis=1)
+        np.clip(x, -1.0, 1.0, out=x)
+        acc = out[r0:r1]
+        for column in _clenshaw(table.coefficients, x).T:
+            acc += column
+    _map_blocks(Ystar.shape[0], work)
+    return out, inside

@@ -4,7 +4,10 @@ A fitted model evaluates as a single-hidden-layer network whose hidden
 weights are the rule-based sparse rows of the feature map and whose
 neuron activation functions are the per-feature component functions of
 the additive GPR.  The prediction therefore decomposes exactly into
-per-coupling-term contributions plus a constant offset.
+per-coupling-term contributions plus a constant offset.  `hdmr_predict`
+evaluates the activations through the model's Chebyshev tables (see
+`gpr.compile_components`), which are rebuilt on first use and never
+stored; `term_values` stays on the exact kernel expansion.
 
 Model files (format version 2) are JSON documents with a fixed top-level
 layout (format_version, metadata, X, gpr, checksum).  They store only what
@@ -18,6 +21,7 @@ decimals, so a save/load round trip reproduces predictions bit-exactly.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
@@ -30,8 +34,8 @@ from .coupling import FeatureMap, build_feature_map, map_features
 from .data import Dataset, _atomic_open
 from .errors import (DatasetError, HdmrnetError, InvalidHyperparameterError,
                      ModelFormatError, ShapeError)
-from .gpr import (AdditiveGprModel, _check_length_scale, _check_noise, _dual_sums,
-                  gpr_fit, gpr_predict)
+from .gpr import (ActivationTable, AdditiveGprModel, _check_length_scale, _check_noise,
+                  _dual_sums, compile_components, gpr_fit, gpr_predict, table_predict)
 from .sobol import _NBITS
 
 FORMAT_VERSION = 2
@@ -95,6 +99,13 @@ class HdmrModel:
     @property
     def n_features(self) -> int:
         return self.feature_map.n_features
+
+    @functools.cached_property
+    def activation_table(self) -> ActivationTable | None:
+        """The neurons' activations compiled by `compile_components`, built
+        on first use and never stored; None when the model predicts on the
+        exact path."""
+        return compile_components(self.gpr)
 
 
 def _training_features(
@@ -171,8 +182,24 @@ def _features(model: HdmrModel, X: np.ndarray) -> np.ndarray:
 
 
 def hdmr_predict(model: HdmrModel, X: np.ndarray) -> np.ndarray:
-    """Evaluate the surrogate at each row of X."""
-    return gpr_predict(model.gpr, _features(model, X))
+    """Evaluate the surrogate at each row of X.
+
+    Through the model's activation table when it has one.  Its bound
+    against the exact `gpr_predict` is tau = 1e-12 * sum |alpha|, checked
+    by `compile_components` at the points between the table's nodes.
+    `gpr_predict` itself serves the rows with a scaled feature outside
+    `TABLE_INTERVAL` = [-0.25, 1.25], and every row of a model without a
+    table.
+    """
+    Y = _features(model, X)
+    table = model.activation_table
+    if table is None:
+        return gpr_predict(model.gpr, Y)
+    out, inside = table_predict(table, model.gpr.target_offset, Y)
+    outside = np.flatnonzero(~inside)
+    if outside.size:
+        out[outside] = gpr_predict(model.gpr, Y[outside])
+    return out
 
 
 def term_values(model: HdmrModel, X: np.ndarray) -> dict[tuple[int, ...], np.ndarray]:

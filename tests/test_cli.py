@@ -46,6 +46,9 @@ def test_fit_writes_model_and_report(workspace):
     assert report["n_train"] == 200 and report["n_test"] == 200
     assert report["train_rmse"] <= report["test_rmse"]
     assert report["test_corr"] > 0.99
+    table = report["activation_table"]
+    assert table["nodes"] == 41  # 8 * ceil(1.25 / 0.3) + 1
+    assert 0.0 <= table["max_deviation"] <= table["tolerance"]
     doc = json.load(open(model))
     assert doc["format_version"] == FORMAT_VERSION
     assert set(doc) == {"format_version", "metadata", "X", "gpr", "checksum"}
@@ -58,7 +61,7 @@ def test_eval_reproduces_fit_report_bit_exactly(workspace, capsys):
                "--train", "200", "--seed", "7") == 0
     evaluated = json.loads(capsys.readouterr().out)
     report = json.load(open(model + ".report.json"))
-    for key in ("train_rmse", "test_rmse", "train_corr", "test_corr"):
+    for key in ("train_rmse", "test_rmse", "train_corr", "test_corr", "activation_table"):
         assert evaluated[key] == report[key]
 
 
@@ -68,6 +71,32 @@ def test_eval_without_split_uses_all_rows(workspace, capsys):
     evaluated = json.loads(capsys.readouterr().out)
     assert evaluated["n"] == 400
     assert evaluated["rmse"] >= 0
+
+
+def test_constant_target_fits_and_sweeps_with_null_correlation(tmp_path, capsys):
+    data = str(tmp_path / "constant.csv")
+    X = np.random.default_rng(3).uniform(size=(50, 2))
+    np.savetxt(data, np.column_stack([X, np.full(50, 2.5)]), delimiter=",",
+               header="x1,x2,y", comments="")
+    model = str(tmp_path / "constant.model")
+    assert run("fit", "--data", data, "--d", "2", "--n-per-term", "3", "--l", "0.3",
+               "--train", "40", "--seed", "1", "--out", model) == 0
+    assert os.path.exists(model)
+    report = json.load(open(model + ".report.json"))
+    assert report["train_corr"] is None and report["test_corr"] is None
+    assert report["train_rmse"] == 0.0 and report["test_rmse"] == 0.0
+    capsys.readouterr()
+    assert run("eval", "--model", model, "--data", data) == 0
+    assert json.loads(capsys.readouterr().out)["corr"] is None
+    out = str(tmp_path / "sweep")
+    assert run("sweep", "--data", data, "--d", "1,2", "--n-per-term", "3", "--l", "0.3",
+               "--train", "40", "--seed", "1", "--repeats", "1", "--out-dir", out) == 0
+    lines = open(os.path.join(out, "sweep.csv")).read().splitlines()
+    header = lines[1].split(",")
+    for line in lines[2:]:
+        cells = dict(zip(header, line.split(",")))
+        assert cells["status"] == "ok"
+        assert cells["train_corr"] == cells["test_corr"] == "nan"
 
 
 def test_predict_round_trip(workspace, tmp_path):

@@ -16,6 +16,7 @@ from hdmrnet import (
     gpr_predict,
     gram_matrix,
     hdmr_fit,
+    hdmr_predict,
     kernel_1d,
     kernel_additive,
     save_model,
@@ -92,12 +93,15 @@ def test_results_do_not_depend_on_thread_count(monkeypatch, tmp_path):
         monkeypatch.setattr(gpr, "_THREADS", threads)
         model = gpr_fit(Y, t, 0.4)
         path = tmp_path / f"threads{threads}.model"
-        save_model(hdmr_fit(train, 2, 3, 0.3), str(path))
+        surrogate = hdmr_fit(train, 2, 3, 0.3)
+        save_model(surrogate, str(path))
         outputs[threads] = (
             gram_matrix(Y, 0.4).tobytes(),
             gpr_predict(model, Ystar).tobytes(),
             gpr_component(model, 2, Ystar[:, 2]).tobytes(),
             path.read_bytes(),
+            # the compiled path: its table is built under this thread count
+            hdmr_predict(surrogate, Ystar[:, :3]).tobytes(),
         )
     assert pools and set(pools) == {2}  # the one-thread run starts no pool
     assert outputs[1] == outputs[2]

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import logging
 import os
 
 import numpy as np
@@ -12,7 +13,9 @@ from hdmrnet import (
     Dataset,
     apply_scaler,
     fit_scaler,
+    gpr,
     gpr_component,
+    gpr_predict,
     hdmr_fit,
     hdmr_predict,
     load_model,
@@ -151,6 +154,97 @@ def test_order_one_has_no_coupled_terms():
 
 
 # ---------------------------------------------------------------------------
+# Compiled activations: one checked Chebyshev table per neuron
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("length_scale", [0.1, 0.3, 1.0])
+def test_compiled_predict_is_within_tolerance_of_exact(length_scale):
+    ds = synth("morse_like", 4, 300, seed=3)
+    model = hdmr_fit(ds, 2, 5, length_scale)
+    table = model.activation_table
+    assert table is not None
+    assert table.nodes == 1 + max(16, 8 * int(np.ceil(1.25 / length_scale)))
+    assert table.tolerance == 1e-12 * np.abs(model.gpr.alpha).sum()
+    assert table.max_deviation <= table.tolerance
+    X = np.random.default_rng(4).uniform(size=(500, 4))
+    Y = hdmrnet.model._features(model, X)
+    assert ((Y >= -0.25) & (Y <= 1.25)).all()
+    compiled, exact = hdmr_predict(model, X), gpr_predict(model.gpr, Y)
+    assert np.abs(compiled - exact).max() <= table.tolerance
+    assert not np.array_equal(compiled, exact)  # the table, not the exact path
+
+
+def test_rows_outside_the_table_interval_take_the_exact_path():
+    model, ds = _small_model()
+    X = np.random.default_rng(5).uniform(size=(200, 3))
+    X[[3, 150, 151], 0] = [2.0, -1.5, 1.6]  # scaled x1 far outside [-0.25, 1.25]
+    Y = hdmrnet.model._features(model, X)
+    outside = ((Y < -0.25) | (Y > 1.25)).any(axis=1)
+    assert np.flatnonzero(outside).tolist() == [3, 150, 151]
+    predicted = hdmr_predict(model, X)
+    assert np.array_equal(predicted[outside], gpr_predict(model.gpr, Y[outside]))
+    assert np.array_equal(predicted[~outside], hdmr_predict(model, X[~outside]))
+
+
+def test_small_length_scale_builds_no_table(caplog):
+    model, ds = _small_model()
+    model = hdmr_fit(ds, 2, 4, 0.02)  # 8 * ceil(1.25 / 0.02) + 1 = 505 nodes
+    with caplog.at_level(logging.DEBUG, logger="hdmrnet"):
+        assert model.activation_table is None
+    assert "refused" in caplog.text and "505 nodes" in caplog.text
+    X = np.random.default_rng(6).uniform(size=(150, 3))
+    Y = hdmrnet.model._features(model, X)
+    assert np.array_equal(hdmr_predict(model, X), gpr_predict(model.gpr, Y))
+
+
+def test_table_failing_its_check_is_not_built(monkeypatch, caplog):
+    model, _ = _small_model()
+    monkeypatch.setattr(gpr, "_TABLE_TOLERANCE", 1e-30)
+    with caplog.at_level(logging.DEBUG, logger="hdmrnet"):
+        assert model.activation_table is None
+    assert "refused" in caplog.text and "deviate" in caplog.text
+    X = np.random.default_rng(7).uniform(size=(20, 3))
+    Y = hdmrnet.model._features(model, X)
+    assert np.array_equal(hdmr_predict(model, X), gpr_predict(model.gpr, Y))
+
+
+def test_table_is_built_once_and_logged(monkeypatch, caplog):
+    model, ds = _small_model()
+    builds = []
+    real = hdmrnet.model.compile_components
+
+    def spy(gp):
+        builds.append(gp)
+        return real(gp)
+
+    monkeypatch.setattr(hdmrnet.model, "compile_components", spy)
+    with caplog.at_level(logging.DEBUG, logger="hdmrnet"):
+        hdmr_predict(model, ds.X[:5])
+        hdmr_predict(model, ds.X[5:9])
+    assert builds == [model.gpr]
+    assert [r.getMessage().split(":")[0] for r in caplog.records] == [
+        "activation table built"]
+
+
+def test_constant_target_predicts_its_offset_exactly():
+    X = np.random.default_rng(8).uniform(size=(40, 3))
+    model = hdmr_fit(Dataset(X=X, t=np.full(40, 2.5)), 2, 3, 0.3)
+    assert not model.gpr.alpha.any()
+    assert model.activation_table.max_deviation == 0.0
+    predicted = hdmr_predict(model, np.random.default_rng(9).uniform(size=(30, 3)))
+    assert np.array_equal(predicted, np.full(30, 2.5))
+
+
+def test_row_alone_equals_row_in_batch():
+    model, _ = _small_model()
+    X = np.random.default_rng(10).uniform(size=(300, 3))  # three row blocks
+    batch = hdmr_predict(model, X)
+    for r in (0, 127, 128, 255, 299):
+        assert hdmr_predict(model, X[r:r + 1])[0] == batch[r]
+
+
+# ---------------------------------------------------------------------------
 # Serialization
 # ---------------------------------------------------------------------------
 
@@ -162,6 +256,9 @@ def test_save_load_round_trip_is_bit_exact(tmp_path):
     loaded = load_model(path)
     X = np.random.default_rng(9).uniform(size=(30, 3))
     assert np.array_equal(hdmr_predict(model, X), hdmr_predict(loaded, X))
+    tables = loaded.activation_table, model.activation_table
+    assert tables[0].coefficients.tobytes() == tables[1].coefficients.tobytes()
+    assert tables[0].max_deviation == tables[1].max_deviation
     assert loaded.metadata == model.metadata
     assert np.array_equal(loaded.X, ds.X)
     assert np.array_equal(loaded.gpr.alpha, model.gpr.alpha)
