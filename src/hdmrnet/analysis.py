@@ -22,7 +22,7 @@ from dataclasses import astuple, dataclass, field, fields
 
 import numpy as np
 
-from .data import Dataset, _split_sizes, _write_rows, split
+from .data import Dataset, _check_memory, _split_sizes, _write_rows, split
 from .errors import DatasetError, HdmrnetError, InvalidHyperparameterError, ShapeError
 from .gpr import _check_length_scale, _check_noise, gpr_component
 from .model import HdmrModel, hdmr_fit, hdmr_predict, term_values
@@ -30,6 +30,8 @@ from .model import HdmrModel, hdmr_fit, hdmr_predict, term_values
 # Failures a sweep cell or a grid-search candidate records and moves past;
 # anything else is a bug and propagates.
 _FIT_ERRORS = (HdmrnetError, ValueError)
+
+_VAL_FRACTION = 0.2  # share of the rows `grid_search_l` holds out
 
 
 def rmse(predicted: np.ndarray, actual: np.ndarray) -> float:
@@ -186,8 +188,10 @@ def write_sweep_csv(result: SweepResult, path: str) -> None:
 
 def importance(model: HdmrModel, X: np.ndarray) -> list[tuple[tuple[int, ...], float]]:
     """Rank coupling terms by the standard deviation of their contribution
-    over the rows of X; descending, ties broken by subset order."""
+    over the rows of X (at least one); descending, ties broken by subset order."""
     contributions = term_values(model, X)
+    if np.shape(X)[0] == 0:
+        raise DatasetError("importance needs at least one row of X")
     ranked = [
         (subset, float(np.std(values))) for subset, values in contributions.items()
     ]
@@ -209,6 +213,8 @@ class ComponentCurve:
 def component_curves(model: HdmrModel, grid_size: int = 201) -> list[ComponentCurve]:
     if grid_size < 2:
         raise ValueError(f"grid_size must be >= 2, got {grid_size}")
+    _check_memory(8 * model.n_features * grid_size,
+                  f"{model.n_features} curves of {grid_size} points")
     grid = np.linspace(0.0, 1.0, grid_size)
     return [
         ComponentCurve(
@@ -229,9 +235,9 @@ def grid_search_l(
     candidates: list[float],
     noise: float,
     seed: int,
-    val_fraction: float = 0.2,
 ) -> tuple[float, list[tuple[float, float]]]:
-    """Pick a length scale by RMSE on an inner validation split.
+    """Pick a length scale by RMSE on an inner validation split of
+    `_VAL_FRACTION` of the rows.
 
     The inner split uses seed + 1 so it never coincides with the outer
     train/test split of the same seed.  Ties go to the larger (smoother)
@@ -239,11 +245,7 @@ def grid_search_l(
     """
     if not candidates:
         raise InvalidHyperparameterError("no length scale candidates given")
-    if not 0.0 < val_fraction < 1.0:
-        raise InvalidHyperparameterError(
-            f"val_fraction must be in (0, 1), got {val_fraction}"
-        )
-    val_size = max(1, int(round(val_fraction * train.n)))
+    val_size = max(1, int(round(_VAL_FRACTION * train.n)))
     if val_size >= train.n:
         raise DatasetError(f"{train.n} rows is too few for a validation split")
     inner, val = split(train, train.n - val_size, seed + 1, val_size)

@@ -69,7 +69,7 @@ def _write_report(path: str | None, report: dict) -> str:
 
 def _table_report(model) -> dict | None:
     """The model's activation table as a report field; None on the exact path."""
-    table = model.activation_table
+    table = model.gpr.activation_table
     if table is None:
         return None
     return {"nodes": table.nodes, "max_deviation": table.max_deviation,

@@ -26,9 +26,20 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DatasetError
+from .errors import DatasetError, InvalidHyperparameterError
 
 SYNTH_KINDS = ("additive", "pairwise", "product", "morse_like")
+
+# Physical memory in bytes; work whose arrays would not fit is refused.
+_MEMORY_BYTES = (os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+                 if hasattr(os, "sysconf") else math.inf)
+
+
+def _check_memory(needed: int, what: str) -> None:
+    """Refuse `what`, before it is allocated, if it needs more bytes than physical memory."""
+    if needed > _MEMORY_BYTES:
+        raise InvalidHyperparameterError(f"{what} need about {needed / 2**30:.3g} GiB, more "
+                                         f"than the {_MEMORY_BYTES / 2**30:.3g} GiB of physical memory")
 
 
 @dataclass
@@ -288,6 +299,7 @@ def synth(
         raise DatasetError(f"n must be >= 1, got {n}")
     if noise_std < 0:
         raise DatasetError(f"noise_std must be >= 0, got {noise_std}")
+    _check_memory(8 * n * (dimension + 1), f"{n} points of dimension {dimension} and their targets")
 
     rng = np.random.Generator(np.random.PCG64(seed))
     X = rng.uniform(size=(n, dimension))

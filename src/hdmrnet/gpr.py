@@ -22,11 +22,13 @@ block edges and feature order make results independent of the thread count.
 `compile_components` tabulates every component function as a Chebyshev
 interpolant on the padded interval `TABLE_INTERVAL`, checked against the
 exact components, so that a forward pass costs O(nodes) per feature instead
-of O(M); `table_predict` evaluates those tables over the same row blocks.
+of O(M).  `activation_sums` evaluates the activations of predictions and
+coupling terms alike: through the table where it applies, else exactly.
 """
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 import os
@@ -84,6 +86,11 @@ class AdditiveGprModel:
     @property
     def jitter_escalated(self) -> bool:
         return self.effective_noise != self.noise
+
+    @functools.cached_property
+    def activation_table(self) -> ActivationTable | None:
+        """`compile_components` of this model, built on first use and never stored."""
+        return compile_components(self)
 
 
 def _check_length_scale(length_scale: float) -> float:
@@ -371,24 +378,31 @@ def compile_components(model: AdditiveGprModel) -> ActivationTable | None:
     return ActivationTable(coefficients, deviation, tolerance)
 
 
-def table_predict(table: ActivationTable, offset: float,
-                  Ystar: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """offset + sum_j table_j(Ystar[r, j]) for each row r, the features added
-    in index order over the fixed row blocks of the kernel routine, and
-    whether each row's features all lie in `TABLE_INTERVAL`.
-
-    Only the values of rows inside the interval are meaningful: features
-    outside it are clamped to it, so that the other rows stay finite.
+def activation_sums(model: AdditiveGprModel, Y: np.ndarray, groups, start: float) -> np.ndarray:
+    """(len(groups), n) array of start + sum_{j in group} f_j(Y[r, j]), each
+    group a list or slice of feature indices added in order over the fixed
+    row blocks.  Rows whose features all lie in `TABLE_INTERVAL` read the
+    activation table; every other row, and every row of a model without a
+    table, takes one exact `_dual_sums` pass per group.
     """
-    out = np.full(Ystar.shape[0], offset)
-    inside = np.empty(Ystar.shape[0], dtype=bool)
-    def work(r0, r1):
-        x = Ystar[r0:r1] - _CENTER
-        x /= _HALF_WIDTH
-        inside[r0:r1] = ((x >= -1.0) & (x <= 1.0)).all(axis=1)
-        np.clip(x, -1.0, 1.0, out=x)
-        acc = out[r0:r1]
-        for column in _clenshaw(table.coefficients, x).T:
-            acc += column
-    _map_blocks(Ystar.shape[0], work)
-    return out, inside
+    out = np.full((len(groups), Y.shape[0]), start)
+    table = model.activation_table
+    if table is not None:
+        inside = np.empty(Y.shape[0], dtype=bool)
+        def work(r0, r1):
+            x = Y[r0:r1] - _CENTER
+            x /= _HALF_WIDTH
+            inside[r0:r1] = ((x >= -1.0) & (x <= 1.0)).all(axis=1)
+            np.clip(x, -1.0, 1.0, out=x)  # keeps the fallback rows finite
+            values = _clenshaw(table.coefficients, x)
+            for acc, js in zip(out[:, r0:r1], groups):
+                for column in values[:, js].T:
+                    acc += column
+        _map_blocks(Y.shape[0], work)
+    rows = slice(None) if table is None else np.flatnonzero(~inside)
+    U = Y[rows]  # a view of Y, or a copy of the fallback rows only
+    if U.shape[0]:
+        Vt = np.ascontiguousarray(model.Ytrain.T)
+        for g, js in enumerate(groups):
+            out[g, rows] = _dual_sums(model, U[:, js], Vt[js], start)
+    return out

@@ -5,9 +5,9 @@ weights are the rule-based sparse rows of the feature map and whose
 neuron activation functions are the per-feature component functions of
 the additive GPR.  The prediction therefore decomposes exactly into
 per-coupling-term contributions plus a constant offset.  `hdmr_predict`
-evaluates the activations through the model's Chebyshev tables (see
-`gpr.compile_components`), which are rebuilt on first use and never
-stored; `term_values` stays on the exact kernel expansion.
+and `term_values` both evaluate the activations with
+`gpr.activation_sums`, which decides between the GPR's checked Chebyshev
+tables and the exact kernel expansion.
 
 Model files (format version 2) are JSON documents with a fixed top-level
 layout (format_version, metadata, X, gpr, checksum).  They store only what
@@ -21,28 +21,22 @@ decimals, so a save/load round trip reproduces predictions bit-exactly.
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import json
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from .coupling import FeatureMap, build_feature_map, map_features
-from .data import Dataset, _atomic_open
+from .data import Dataset, _atomic_open, _check_memory
 from .errors import (DatasetError, HdmrnetError, InvalidHyperparameterError,
                      ModelFormatError, ShapeError)
-from .gpr import (ActivationTable, AdditiveGprModel, _check_length_scale, _check_noise,
-                  _dual_sums, compile_components, gpr_fit, gpr_predict, table_predict)
+from .gpr import (AdditiveGprModel, _check_length_scale, _check_noise, activation_sums,
+                  gpr_fit)
 from .sobol import _NBITS
 
 FORMAT_VERSION = 2
-
-# Physical memory in bytes; a model whose features would not fit is refused.
-_MEMORY_BYTES = (os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-                 if hasattr(os, "sysconf") else math.inf)
 
 
 @dataclass
@@ -100,13 +94,6 @@ class HdmrModel:
     def n_features(self) -> int:
         return self.feature_map.n_features
 
-    @functools.cached_property
-    def activation_table(self) -> ActivationTable | None:
-        """The neurons' activations compiled by `compile_components`, built
-        on first use and never stored; None when the model predicts on the
-        exact path."""
-        return compile_components(self.gpr)
-
 
 def _training_features(
     X: np.ndarray, order: int, neurons_per_term: int, sobol_skip: int, gram: bool = False
@@ -125,12 +112,9 @@ def _training_features(
     needed = 8 * M * (D + coupled) + 16 * order * coupled + (16 * M * M if gram else 0)
     # Counts past the Sobol sequence are left to build_feature_map, which
     # refuses them before generating anything.
-    if needed > _MEMORY_BYTES and sobol_skip + coupled < 1 << _NBITS:
-        raise InvalidHyperparameterError(
-            f"{D + coupled} features of {M} rows{' and their Gram matrix' if gram else ''} "
-            f"need about {needed / 2**30:.3g} GiB, "
-            f"more than the {_MEMORY_BYTES / 2**30:.3g} GiB of physical memory"
-        )
+    if sobol_skip + coupled < 1 << _NBITS:
+        _check_memory(needed, f"{D + coupled} features of {M} rows"
+                              f"{' and their Gram matrix' if gram else ''}")
     fmap = build_feature_map(D, order, neurons_per_term, sobol_skip)
     Y = map_features(fmap, X)
     scaler = fit_scaler(Y)
@@ -184,22 +168,12 @@ def _features(model: HdmrModel, X: np.ndarray) -> np.ndarray:
 def hdmr_predict(model: HdmrModel, X: np.ndarray) -> np.ndarray:
     """Evaluate the surrogate at each row of X.
 
-    Through the model's activation table when it has one.  Its bound
-    against the exact `gpr_predict` is tau = 1e-12 * sum |alpha|, checked
-    by `compile_components` at the points between the table's nodes.
-    `gpr_predict` itself serves the rows with a scaled feature outside
-    `TABLE_INTERVAL` = [-0.25, 1.25], and every row of a model without a
-    table.
+    Through `activation_sums`: within tau = 1e-12 * sum |alpha| of the exact
+    `gpr_predict` on the rows that read the activation table, and bit-equal
+    to it on the rows and models that take the exact path.
     """
     Y = _features(model, X)
-    table = model.activation_table
-    if table is None:
-        return gpr_predict(model.gpr, Y)
-    out, inside = table_predict(table, model.gpr.target_offset, Y)
-    outside = np.flatnonzero(~inside)
-    if outside.size:
-        out[outside] = gpr_predict(model.gpr, Y[outside])
-    return out
+    return activation_sums(model.gpr, Y, [slice(None)], model.gpr.target_offset)[0]
 
 
 def term_values(model: HdmrModel, X: np.ndarray) -> dict[tuple[int, ...], np.ndarray]:
@@ -213,9 +187,7 @@ def term_values(model: HdmrModel, X: np.ndarray) -> dict[tuple[int, ...], np.nda
     groups: dict[tuple[int, ...], list[int]] = {}
     for j in range(model.n_features):
         groups.setdefault(model.feature_map.subset(j), []).append(j)
-    # One dual-sum pass per subset; it adds the features in index order.
-    return {subset: _dual_sums(model.gpr, Y[:, js], model.gpr.Ytrain.T[js], 0.0)
-            for subset, js in groups.items()}
+    return dict(zip(groups, activation_sums(model.gpr, Y, list(groups.values()), 0.0)))
 
 
 # ---------------------------------------------------------------------------

@@ -223,6 +223,12 @@ def test_importance_ignores_target_offset():
     assert np.allclose([v for _, v in a], [v for _, v in b], rtol=0, atol=1e-9)
 
 
+def test_importance_on_zero_rows_is_refused():
+    ds = synth("pairwise", 3, 60, seed=9)
+    with pytest.raises(DatasetError, match="at least one row"):
+        importance(hdmr_fit(ds, 2, 3, 0.3), ds.X[:0])
+
+
 def test_component_curves_shapes_and_consistency():
     ds = synth("pairwise", 3, 120, seed=10)
     model = hdmr_fit(ds, 2, 4, 0.3)
@@ -248,6 +254,16 @@ def test_component_curves_zero_for_constant_target():
     model = hdmr_fit(ds, 2, 3, 0.3)
     for curve in component_curves(model, grid_size=11):
         assert np.array_equal(curve.values, np.zeros(11))
+
+
+def test_component_curves_past_physical_memory_are_refused(monkeypatch):
+    # F = 3 + 3 * 3 = 12 curves of 41 points: 8 * 12 * 41 = 3936 bytes
+    model = hdmr_fit(synth("pairwise", 3, 60, seed=10), 2, 3, 0.3)
+    monkeypatch.setattr("hdmrnet.data._MEMORY_BYTES", 3935)
+    with pytest.raises(InvalidHyperparameterError, match="12 curves of 41 points"):
+        component_curves(model, grid_size=41)
+    monkeypatch.setattr("hdmrnet.data._MEMORY_BYTES", 3936)
+    assert len(component_curves(model, grid_size=41)) == 12
 
 
 def test_component_curves_smoothness_bound():
@@ -296,7 +312,5 @@ def test_grid_search_validation():
     ds = synth("additive", 3, 50, seed=15)
     with pytest.raises(InvalidHyperparameterError):
         grid_search_l(ds, 1, 0, [], 1e-6, seed=1)
-    with pytest.raises(InvalidHyperparameterError):
-        grid_search_l(ds, 1, 0, [0.3], 1e-6, seed=1, val_fraction=1.5)
     with pytest.raises(InvalidHyperparameterError, match="stable"):
         grid_search_l(ds, 1, 0, [-1.0, -2.0], 1e-6, seed=1)

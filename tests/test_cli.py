@@ -307,7 +307,7 @@ def test_failed_fit_leaves_no_model_file(workspace, tmp_path):
 
 def test_fit_past_physical_memory_exits_four(workspace, tmp_path, monkeypatch, capsys):
     _, data, _ = workspace
-    monkeypatch.setattr("hdmrnet.model._MEMORY_BYTES", 1000)
+    monkeypatch.setattr("hdmrnet.data._MEMORY_BYTES", 1000)
     target = str(tmp_path / "big.model")
     assert run("fit", "--data", data, "--d", "2", "--n-per-term", "5",
                "--l", "0.3", "--seed", "1", "--out", target) == 4
@@ -320,12 +320,27 @@ def test_fit_whose_gram_would_not_fit_exits_four(workspace, tmp_path, monkeypatc
     # 192 bytes of map arrays fit, the 2 * 8 * 400^2 bytes of the Gram
     # matrix and its Cholesky copy do not.
     _, data, _ = workspace
-    monkeypatch.setattr("hdmrnet.model._MEMORY_BYTES", 10**6)
+    monkeypatch.setattr("hdmrnet.data._MEMORY_BYTES", 10**6)
     target = str(tmp_path / "gram.model")
     assert run("fit", "--data", data, "--d", "2", "--n-per-term", "2",
                "--l", "0.3", "--seed", "1", "--out", target) == 4
     assert "Gram matrix" in capsys.readouterr().err
     assert not os.path.exists(target)
+
+
+def test_synth_and_components_past_physical_memory_exit_four(workspace, tmp_path,
+                                                             monkeypatch, capsys):
+    # Against 1 MB of memory: 10^5 points of dimension 3 and their targets
+    # need 3.2 MB, and the model's 18 curves of 10^5 points 14.4 MB, while
+    # the model's own features (29,280 bytes) still load.
+    _, _, model = workspace
+    monkeypatch.setattr("hdmrnet.data._MEMORY_BYTES", 10**6)
+    data, curves = str(tmp_path / "big.csv"), str(tmp_path / "curves.csv")
+    assert run("synth", "--kind", "pairwise", "--dim", "3", "--n", "100000",
+               "--seed", "1", "--out", data) == 4
+    assert run("components", "--model", model, "--grid", "100000", "--out", curves) == 4
+    assert capsys.readouterr().err.count("physical memory") == 2
+    assert not os.listdir(tmp_path)
 
 
 def test_model_past_physical_memory_exits_three(workspace, tmp_path, monkeypatch, capsys):
@@ -337,7 +352,7 @@ def test_model_past_physical_memory_exits_three(workspace, tmp_path, monkeypatch
     doc["checksum"] = hashlib.sha256(payload.encode()).hexdigest()
     edited = str(tmp_path / "huge.model")
     json.dump(doc, open(edited, "w"))
-    monkeypatch.setattr("hdmrnet.model._MEMORY_BYTES", 8 * 2**30)
+    monkeypatch.setattr("hdmrnet.data._MEMORY_BYTES", 8 * 2**30)
     assert run("predict", "--model", edited, "--data", data,
                "--out", str(tmp_path / "p.csv")) == 3
     assert "physical memory" in capsys.readouterr().err

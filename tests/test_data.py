@@ -8,7 +8,7 @@ import pytest
 
 from hdmrnet import Dataset, load_csv, load_matrix, save_csv, split, synth
 from hdmrnet.data import SYNTH_KINDS
-from hdmrnet.errors import DatasetError
+from hdmrnet.errors import DatasetError, InvalidHyperparameterError
 
 
 # ---------------------------------------------------------------------------
@@ -67,6 +67,15 @@ def test_synth_validation():
         synth("additive", 2, 0, seed=0)
     with pytest.raises(DatasetError):
         synth("additive", 2, 10, seed=0, noise_std=-1.0)
+
+
+def test_synth_past_physical_memory_is_refused(monkeypatch):
+    # 10 points of dimension 3 and their targets: 8 * 10 * (3 + 1) = 320 bytes
+    monkeypatch.setattr("hdmrnet.data._MEMORY_BYTES", 319)
+    with pytest.raises(InvalidHyperparameterError, match="10 points of dimension 3"):
+        synth("pairwise", 3, 10, seed=0)
+    monkeypatch.setattr("hdmrnet.data._MEMORY_BYTES", 320)
+    assert synth("pairwise", 3, 10, seed=0).n == 10
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ import os
 import numpy as np
 import pytest
 
+import hdmrnet.data
 import hdmrnet.model
 from hdmrnet import (
     Dataset,
@@ -28,9 +29,9 @@ from hdmrnet.errors import (DatasetError, InvalidHyperparameterError, ModelForma
 from hdmrnet.model import FORMAT_VERSION
 
 
-def _small_model(order=2, neurons=4, seed=0, n=80):
+def _small_model(order=2, neurons=4, seed=0, n=80, length_scale=0.3):
     ds = synth("pairwise", 3, n, seed=seed)
-    return hdmr_fit(ds, order, neurons, 0.3), ds
+    return hdmr_fit(ds, order, neurons, length_scale), ds
 
 
 # ---------------------------------------------------------------------------
@@ -113,28 +114,37 @@ def test_term_keys_cover_singletons_and_subsets():
 
 
 def test_terms_sum_to_prediction():
+    # l = 0.3 reads the activation table, l = 0.02 builds none
     for seed in range(5):
-        model, ds = _small_model(seed=seed)
-        X = np.random.default_rng(seed).uniform(size=(40, 3))
-        total = np.full(40, model.gpr.target_offset)
-        for values in term_values(model, X).values():
-            total += values
-        mean = hdmr_predict(model, X)
-        scale = max(1.0, float(np.abs(mean).max()))
-        assert np.abs(total - mean).max() <= 1e-10 * scale
+        for length_scale in (0.3, 0.02):
+            model, ds = _small_model(seed=seed, length_scale=length_scale)
+            assert (model.gpr.activation_table is None) == (length_scale == 0.02)
+            X = np.random.default_rng(seed).uniform(size=(40, 3))
+            total = np.full(40, model.gpr.target_offset)
+            for values in term_values(model, X).values():
+                total += values
+            mean = hdmr_predict(model, X)
+            scale = max(1.0, float(np.abs(mean).max()))
+            assert np.abs(total - mean).max() <= 1e-10 * scale
 
 
 def test_term_values_make_one_pass_per_term(monkeypatch):
-    # D + C(D, d) = 3 + 3 dual-sum passes, not one per feature (F = 15)
-    model, ds = _small_model(neurons=4)
+    # Without a table: D + C(D, d) = 3 + 3 dual-sum passes, not one per
+    # feature (F = 15).  With one, rows inside its interval make none.
+    tabled, _ = _small_model(neurons=4)
+    assert tabled.gpr.activation_table is not None
+    model, ds = _small_model(neurons=4, length_scale=0.02)
+    assert model.gpr.activation_table is None
     passes = []
-    real = hdmrnet.model._dual_sums
+    real = gpr._dual_sums
 
     def spy(*args):
         passes.append(args[1].shape[1])
         return real(*args)
 
-    monkeypatch.setattr(hdmrnet.model, "_dual_sums", spy)
+    monkeypatch.setattr(gpr, "_dual_sums", spy)
+    term_values(tabled, ds.X[:9])
+    assert passes == []
     terms = term_values(model, ds.X[:9])
     assert len(passes) == 6 and sum(passes) == model.n_features
     # each term adds the component values of its features in feature order
@@ -162,7 +172,7 @@ def test_order_one_has_no_coupled_terms():
 def test_compiled_predict_is_within_tolerance_of_exact(length_scale):
     ds = synth("morse_like", 4, 300, seed=3)
     model = hdmr_fit(ds, 2, 5, length_scale)
-    table = model.activation_table
+    table = model.gpr.activation_table
     assert table is not None
     assert table.nodes == 1 + max(16, 8 * int(np.ceil(1.25 / length_scale)))
     assert table.tolerance == 1e-12 * np.abs(model.gpr.alpha).sum()
@@ -173,6 +183,10 @@ def test_compiled_predict_is_within_tolerance_of_exact(length_scale):
     compiled, exact = hdmr_predict(model, X), gpr_predict(model.gpr, Y)
     assert np.abs(compiled - exact).max() <= table.tolerance
     assert not np.array_equal(compiled, exact)  # the table, not the exact path
+    for subset, values in term_values(model, X).items():
+        js = [j for j in range(model.n_features) if model.feature_map.subset(j) == subset]
+        grouped = gpr._dual_sums(model.gpr, Y[:, js], model.gpr.Ytrain.T[js], 0.0)
+        assert np.abs(values - grouped).max() <= table.tolerance
 
 
 def test_rows_outside_the_table_interval_take_the_exact_path():
@@ -191,7 +205,7 @@ def test_small_length_scale_builds_no_table(caplog):
     model, ds = _small_model()
     model = hdmr_fit(ds, 2, 4, 0.02)  # 8 * ceil(1.25 / 0.02) + 1 = 505 nodes
     with caplog.at_level(logging.DEBUG, logger="hdmrnet"):
-        assert model.activation_table is None
+        assert model.gpr.activation_table is None
     assert "refused" in caplog.text and "505 nodes" in caplog.text
     X = np.random.default_rng(6).uniform(size=(150, 3))
     Y = hdmrnet.model._features(model, X)
@@ -202,7 +216,7 @@ def test_table_failing_its_check_is_not_built(monkeypatch, caplog):
     model, _ = _small_model()
     monkeypatch.setattr(gpr, "_TABLE_TOLERANCE", 1e-30)
     with caplog.at_level(logging.DEBUG, logger="hdmrnet"):
-        assert model.activation_table is None
+        assert model.gpr.activation_table is None
     assert "refused" in caplog.text and "deviate" in caplog.text
     X = np.random.default_rng(7).uniform(size=(20, 3))
     Y = hdmrnet.model._features(model, X)
@@ -212,13 +226,13 @@ def test_table_failing_its_check_is_not_built(monkeypatch, caplog):
 def test_table_is_built_once_and_logged(monkeypatch, caplog):
     model, ds = _small_model()
     builds = []
-    real = hdmrnet.model.compile_components
+    real = gpr.compile_components
 
     def spy(gp):
         builds.append(gp)
         return real(gp)
 
-    monkeypatch.setattr(hdmrnet.model, "compile_components", spy)
+    monkeypatch.setattr(gpr, "compile_components", spy)
     with caplog.at_level(logging.DEBUG, logger="hdmrnet"):
         hdmr_predict(model, ds.X[:5])
         hdmr_predict(model, ds.X[5:9])
@@ -231,7 +245,7 @@ def test_constant_target_predicts_its_offset_exactly():
     X = np.random.default_rng(8).uniform(size=(40, 3))
     model = hdmr_fit(Dataset(X=X, t=np.full(40, 2.5)), 2, 3, 0.3)
     assert not model.gpr.alpha.any()
-    assert model.activation_table.max_deviation == 0.0
+    assert model.gpr.activation_table.max_deviation == 0.0
     predicted = hdmr_predict(model, np.random.default_rng(9).uniform(size=(30, 3)))
     assert np.array_equal(predicted, np.full(30, 2.5))
 
@@ -256,7 +270,7 @@ def test_save_load_round_trip_is_bit_exact(tmp_path):
     loaded = load_model(path)
     X = np.random.default_rng(9).uniform(size=(30, 3))
     assert np.array_equal(hdmr_predict(model, X), hdmr_predict(loaded, X))
-    tables = loaded.activation_table, model.activation_table
+    tables = loaded.gpr.activation_table, model.gpr.activation_table
     assert tables[0].coefficients.tobytes() == tables[1].coefficients.tobytes()
     assert tables[0].max_deviation == tables[1].max_deviation
     assert loaded.metadata == model.metadata
@@ -475,10 +489,10 @@ def test_fit_past_physical_memory_is_refused(monkeypatch):
     # 80 rows of F = 3 + 4 * C(3, 2) = 15 features: 8 * 80 * 15 bytes of
     # features plus 16 * 2 * 12 bytes of map arrays = 9984 bytes; a fit also
     # needs 16 * 80^2 bytes for its Gram matrix and the Cholesky copy.
-    monkeypatch.setattr(hdmrnet.model, "_MEMORY_BYTES", 9983)
+    monkeypatch.setattr(hdmrnet.data, "_MEMORY_BYTES", 9983)
     with pytest.raises(InvalidHyperparameterError, match="15 features of 80 rows"):
         _small_model()
-    monkeypatch.setattr(hdmrnet.model, "_MEMORY_BYTES", 9984 + 16 * 80**2)
+    monkeypatch.setattr(hdmrnet.data, "_MEMORY_BYTES", 9984 + 16 * 80**2)
     model, _ = _small_model()
     assert model.n_features == 15
 
@@ -487,10 +501,10 @@ def test_fit_guard_counts_the_gram_and_its_factor_copy(monkeypatch):
     # 200 rows of D = d = 1: 8 * 200 bytes of features, no map arrays, and
     # 2 * 8 * 200^2 bytes for the Gram matrix and the copy cho_factor takes.
     ds = synth("additive", 1, 200, seed=4)
-    monkeypatch.setattr(hdmrnet.model, "_MEMORY_BYTES", 641_599)
+    monkeypatch.setattr(hdmrnet.data, "_MEMORY_BYTES", 641_599)
     with pytest.raises(InvalidHyperparameterError, match="1 features of 200 rows and their Gram"):
         hdmr_fit(ds, 1, 0, 0.3)
-    monkeypatch.setattr(hdmrnet.model, "_MEMORY_BYTES", 641_600)
+    monkeypatch.setattr(hdmrnet.data, "_MEMORY_BYTES", 641_600)
     assert hdmr_fit(ds, 1, 0, 0.3).gpr.n_train == 200
 
 
@@ -500,10 +514,10 @@ def test_load_guard_counts_no_gram(tmp_path, monkeypatch):
     model, _ = _small_model()
     path = str(tmp_path / "small.json")
     save_model(model, path)
-    monkeypatch.setattr(hdmrnet.model, "_MEMORY_BYTES", 9983)
+    monkeypatch.setattr(hdmrnet.data, "_MEMORY_BYTES", 9983)
     with pytest.raises(ModelFormatError, match="15 features of 80 rows need"):
         load_model(path)
-    monkeypatch.setattr(hdmrnet.model, "_MEMORY_BYTES", 9984)
+    monkeypatch.setattr(hdmrnet.data, "_MEMORY_BYTES", 9984)
     assert load_model(path).n_features == 15
 
 
@@ -522,6 +536,6 @@ def _huge_map_file(tmp_path):
 
 def test_load_past_physical_memory_is_refused_before_building(tmp_path, monkeypatch):
     path = _huge_map_file(tmp_path)
-    monkeypatch.setattr(hdmrnet.model, "_MEMORY_BYTES", 8 * 2**30)
+    monkeypatch.setattr(hdmrnet.data, "_MEMORY_BYTES", 8 * 2**30)
     with pytest.raises(ModelFormatError, match="200000006 features of 30 rows.*physical memory"):
         load_model(path)
