@@ -24,7 +24,7 @@ import numpy as np
 
 from .data import Dataset, _check_memory, _split_sizes, _write_rows, split
 from .errors import DatasetError, HdmrnetError, InvalidHyperparameterError, ShapeError
-from .gpr import _check_length_scale, _check_noise, gpr_component
+from .gpr import _check_length_scale, _check_noise, _kernel_scratch_bytes, gpr_component
 from .model import HdmrModel, hdmr_fit, hdmr_predict, term_values
 
 # Failures a sweep cell or a grid-search candidate records and moves past;
@@ -213,7 +213,10 @@ class ComponentCurve:
 def component_curves(model: HdmrModel, grid_size: int = 201) -> list[ComponentCurve]:
     if grid_size < 2:
         raise ValueError(f"grid_size must be >= 2, got {grid_size}")
-    _check_memory(8 * model.n_features * grid_size,
+    # The curves, their grid and one spare column for the interpreter's own
+    # objects, plus the kernel's scratch.
+    _check_memory(8 * (model.n_features + 2) * grid_size
+                  + _kernel_scratch_bytes(model.gpr.n_train),
                   f"{model.n_features} curves of {grid_size} points")
     grid = np.linspace(0.0, 1.0, grid_size)
     return [

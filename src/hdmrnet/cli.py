@@ -21,7 +21,8 @@ import numpy as np
 
 from . import __version__
 from .analysis import _scores, component_curves, sweep, write_sweep_csv
-from .data import SYNTH_KINDS, _atomic_open, load_csv, load_matrix, save_csv, split, synth
+from .data import (SYNTH_KINDS, _atomic_open, _write_rows, load_csv, load_matrix, save_csv, split,
+                   synth)
 from .errors import (
     DatasetError,
     IllConditionedGramError,
@@ -216,14 +217,8 @@ def _cmd_components(args) -> int:
         groups = [(args.out, labelled)]
         message = f"{args.out} ({len(curves)} curves)"
     for path, group in groups:
-        save_csv(
-            path,
-            ["term", "grid", "value"],
-            [[label for label, curve in group for _ in curve.grid],
-             np.concatenate([curve.grid for _, curve in group]),
-             np.concatenate([curve.values for _, curve in group])],
-            comments,
-        )
+        rows = ((label, u, v) for label, curve in group for u, v in zip(curve.grid, curve.values))
+        _write_rows(path, ["term", "grid", "value"], rows, comments)
     print(f"wrote {message}")
     return EXIT_OK
 

@@ -30,6 +30,11 @@ from .errors import DatasetError, InvalidHyperparameterError
 
 SYNTH_KINDS = ("additive", "pairwise", "product", "morse_like")
 
+# Peak bytes of `synth` per point, 8 * (width * dimension + extra): the
+# points, the targets and the widest temporaries of each kind, plus one
+# spare column for the interpreter's own objects.
+_SYNTH_COLUMNS = {"additive": (2, 2), "pairwise": (2, 3), "product": (2, 2), "morse_like": (3, 3)}
+
 # Physical memory in bytes; work whose arrays would not fit is refused.
 _MEMORY_BYTES = (os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
                  if hasattr(os, "sysconf") else math.inf)
@@ -271,6 +276,38 @@ def split(
     return train, test
 
 
+def _synth_targets(kind: str, X: np.ndarray) -> np.ndarray:
+    """The targets of `synth`.  Temporaries are reused in place, and an
+    in-place operation rounds exactly like the same one into a fresh array,
+    so the bits do not depend on the reuse; they die on return."""
+    if kind == "additive":
+        A = X * (2.0 * np.pi)
+        return np.sin(A, out=A).sum(axis=1)
+    if kind == "pairwise":
+        t = X.sum(axis=1)
+        q = (X * X).sum(axis=1)
+        t *= t
+        t -= q
+        t *= 0.5
+        return t
+    if kind == "product":
+        return np.prod(1.0 + X, axis=1)
+    Z = X - 0.3
+    s = Z.sum(axis=1)
+    A = Z * Z
+    q = A.sum(axis=1)
+    np.negative(Z, out=A)
+    del Z
+    np.exp(A, out=A)
+    np.subtract(1.0, A, out=A)
+    t = np.multiply(A, A, out=A).sum(axis=1)
+    s *= s
+    s -= q
+    s *= 0.25
+    t += s
+    return t
+
+
 def synth(
     kind: str,
     dimension: int,
@@ -299,22 +336,13 @@ def synth(
         raise DatasetError(f"n must be >= 1, got {n}")
     if noise_std < 0:
         raise DatasetError(f"noise_std must be >= 0, got {noise_std}")
-    _check_memory(8 * n * (dimension + 1), f"{n} points of dimension {dimension} and their targets")
+    width, extra = _SYNTH_COLUMNS[kind]
+    _check_memory(8 * n * (width * dimension + extra),
+                  f"{n} points of dimension {dimension}, their targets and temporaries")
 
     rng = np.random.Generator(np.random.PCG64(seed))
     X = rng.uniform(size=(n, dimension))
-    if kind == "additive":
-        t = np.sin(2.0 * np.pi * X).sum(axis=1)
-    elif kind == "pairwise":
-        s = X.sum(axis=1)
-        t = 0.5 * (s * s - (X * X).sum(axis=1))
-    elif kind == "product":
-        t = np.prod(1.0 + X, axis=1)
-    else:
-        Z = X - 0.3
-        s = Z.sum(axis=1)
-        morse = 1.0 - np.exp(-Z)
-        t = (morse * morse).sum(axis=1) + 0.25 * (s * s - (Z * Z).sum(axis=1))
+    t = _synth_targets(kind, X)
     if noise_std > 0:
-        t = t + rng.normal(scale=noise_std, size=n)
+        t += rng.normal(scale=noise_std, size=n)
     return Dataset(X=X, t=t, column_names=[f"x{i + 1}" for i in range(dimension)])

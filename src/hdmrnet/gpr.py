@@ -29,16 +29,19 @@ coupling terms alike: through the table where it applies, else exactly.
 from __future__ import annotations
 
 import functools
+import itertools
 import logging
 import math
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
-from .errors import IllConditionedGramError, InvalidHyperparameterError, ShapeError
+from .errors import (DatasetError, IllConditionedGramError, InvalidHyperparameterError,
+                     ShapeError)
 
 # Jitter escalation ceiling; fits needing more than this are refused.
 MAX_JITTER = 1e-2
@@ -115,6 +118,17 @@ def _check_noise(noise: float) -> float:
     return noise
 
 
+def _check_features(Y) -> np.ndarray:
+    """Y as a non-empty 2-D float64 matrix of finite values, checked in O(M F)
+    before any Gram matrix is built."""
+    Y = np.asarray(Y, dtype=np.float64)
+    if Y.ndim != 2 or Y.shape[0] < 1:
+        raise ShapeError(f"Y must be a non-empty 2-D matrix, got shape {Y.shape}")
+    if not np.isfinite(Y).all():
+        raise DatasetError("training features contain non-finite values")
+    return Y
+
+
 def kernel_1d(a, b, length_scale: float):
     """One-dimensional squared-exponential kernel exp(-(a-b)^2 / (2 l^2)).
 
@@ -143,14 +157,32 @@ def _kernel(a: np.ndarray, b: np.ndarray, inv: float, out: np.ndarray) -> np.nda
 
 
 def _map_blocks(n_rows: int, work) -> None:
-    """Call work(r0, r1) on each fixed block of `_BLOCK` rows, on `_THREADS` threads."""
-    starts = range(0, n_rows, _BLOCK)
-    ends = [min(r0 + _BLOCK, n_rows) for r0 in starts]
-    if _THREADS < 2 or len(starts) < 2:
-        list(map(work, starts, ends))
+    """Call work(r0, r1) on each fixed block of `_BLOCK` rows, on `_THREADS`
+    threads that each take the next block until none is left, so the
+    bookkeeping is one task per thread, not one per block."""
+    threads = min(_THREADS, -(-n_rows // _BLOCK))
+    starts = itertools.count(0, _BLOCK)
+    lock = threading.Lock()
+    def drain():
+        while True:
+            with lock:
+                r0 = next(starts)
+            if r0 >= n_rows:
+                return
+            work(r0, min(r0 + _BLOCK, n_rows))
+    if threads < 2:
+        drain()
     else:
-        with ThreadPoolExecutor(min(_THREADS, len(starts))) as pool:
-            list(pool.map(work, starts, ends))
+        with ThreadPoolExecutor(threads) as pool:
+            for task in [pool.submit(drain) for _ in range(threads)]:
+                task.result()
+
+
+def _kernel_scratch_bytes(n_train: int) -> int:
+    """Bytes that one kernel pass against `n_train` training rows holds
+    besides its output: per thread, a (_BLOCK, n_train) block buffer and
+    numpy's two 8192-double ufunc buffers."""
+    return _THREADS * 8 * (_BLOCK * n_train + 2 * 8192)
 
 
 def _dual_sums(model: AdditiveGprModel, U: np.ndarray, Vt: np.ndarray,
@@ -173,9 +205,7 @@ def gram_matrix(Y: np.ndarray, length_scale: float) -> np.ndarray:
     computed; the lower is its mirror, so symmetry holds to the bit.
     """
     length_scale = _check_length_scale(length_scale)
-    Y = np.asarray(Y, dtype=np.float64)
-    if Y.ndim != 2 or Y.shape[0] < 1:
-        raise ShapeError(f"Y must be a non-empty 2-D matrix, got shape {Y.shape}")
+    Y = _check_features(Y)
     inv = 1.0 / (2.0 * length_scale**2)
     M = Y.shape[0]
     Yt = np.ascontiguousarray(Y.T)
@@ -195,24 +225,32 @@ def _solve(K: np.ndarray, b: np.ndarray, noise: float) -> tuple[np.ndarray, floa
     sigma starts at `noise` and rises by factors of 10 up to `MAX_JITTER`
     while factorization fails or, after up to two rounds of iterative
     refinement, the residual exceeds 1e-8 * ||b||; beyond that an error
-    reports the final jitter.  Each try rewrites the diagonal of K in place.
+    reports the final jitter.  Each try rewrites the diagonal of K in place
+    and factors a copy of K in one Fortran-ordered (M, M) buffer that every
+    try overwrites, so a fit holds K and that buffer, 16 M^2 bytes, and no
+    more.  The copy is a plain memcpy of K's transpose, which is K itself
+    because `gram_matrix` makes K symmetric to the bit.  Residuals use the
+    intact K.  K and b must be finite: no LAPACK call checks them.
     """
+    M = K.shape[0]
     diagonal = K.diagonal().copy()
+    work = np.empty((M, M), order="F")
     b_norm = float(np.linalg.norm(b))
     sigma = noise
     while True:
-        K.flat[:: K.shape[0] + 1] = diagonal + sigma
+        K.flat[:: M + 1] = diagonal + sigma
+        work.T[...] = K
         try:
-            factor = cho_factor(K, lower=True)
+            factor = cho_factor(work, lower=True, overwrite_a=True, check_finite=False)
         except LinAlgError:
             pass
         else:
-            alpha = cho_solve(factor, b)
+            alpha = cho_solve(factor, b, check_finite=False)
             resid = b - K @ alpha
             for _ in range(2):
                 if np.linalg.norm(resid) <= 1e-9 * b_norm:
                     break
-                alpha = alpha + cho_solve(factor, resid)
+                alpha = alpha + cho_solve(factor, resid, check_finite=False)
                 resid = b - K @ alpha
             if np.linalg.norm(resid) <= 1e-8 * b_norm:
                 return alpha, sigma
@@ -233,18 +271,21 @@ def gpr_fit(
 ) -> AdditiveGprModel:
     """Fit the additive GPR: `_solve` for the targets minus their mean,
     which is stored as the offset.  Zero-variance targets get alpha = 0
-    and build no Gram matrix."""
+    and build no Gram matrix.  Non-finite features, or targets whose
+    deviations from their mean are not all finite (a mean that overflows
+    included), are refused with `DatasetError` before any Gram is built."""
     length_scale = _check_length_scale(length_scale)
     noise = _check_noise(noise)
-    Y = np.asarray(Y, dtype=np.float64)
+    Y = _check_features(Y)
     t = np.asarray(t, dtype=np.float64).ravel()
-    if Y.ndim != 2 or Y.shape[0] < 1:
-        raise ShapeError(f"Y must be a non-empty 2-D matrix, got shape {Y.shape}")
     if t.shape[0] != Y.shape[0]:
         raise ShapeError(f"{t.shape[0]} targets for {Y.shape[0]} feature rows")
 
-    offset = float(np.mean(t))
-    b = t - offset
+    with np.errstate(over="ignore", invalid="ignore"):
+        offset = float(np.mean(t))
+        b = t - offset
+    if not np.isfinite(b).all():
+        raise DatasetError("targets minus their mean are not all finite")
     if np.linalg.norm(b) == 0.0:
         alpha, sigma = np.zeros(Y.shape[0]), noise
     else:

@@ -104,8 +104,8 @@ def _training_features(
     rebuilds it, so a loaded model's features are the fitted ones bit for
     bit.  Sizes whose features and map arrays would exceed physical memory
     are refused before anything is allocated; with `gram`, so are sizes
-    whose M x M Gram matrix and the copy that its Cholesky factorization
-    takes would not fit as well.
+    whose M x M Gram matrix and the M x M buffer that `gpr._solve` factors
+    it in, 16 M^2 bytes together, would not fit as well.
     """
     M, D = X.shape
     coupled = neurons_per_term * math.comb(D, order) if 2 <= order <= D else 0

@@ -257,12 +257,15 @@ def test_component_curves_zero_for_constant_target():
 
 
 def test_component_curves_past_physical_memory_are_refused(monkeypatch):
-    # F = 3 + 3 * 3 = 12 curves of 41 points: 8 * 12 * 41 = 3936 bytes
+    # F = 3 + 3 * 3 = 12 curves of 41 points, their grid and a spare
+    # column, 8 * 14 * 41 = 4592 bytes, plus one kernel thread's scratch
+    # against M = 60 rows, 8 * (128 * 60 + 2 * 8192) = 192,512 bytes
     model = hdmr_fit(synth("pairwise", 3, 60, seed=10), 2, 3, 0.3)
-    monkeypatch.setattr("hdmrnet.data._MEMORY_BYTES", 3935)
+    monkeypatch.setattr("hdmrnet.gpr._THREADS", 1)
+    monkeypatch.setattr("hdmrnet.data._MEMORY_BYTES", 197_103)
     with pytest.raises(InvalidHyperparameterError, match="12 curves of 41 points"):
         component_curves(model, grid_size=41)
-    monkeypatch.setattr("hdmrnet.data._MEMORY_BYTES", 3936)
+    monkeypatch.setattr("hdmrnet.data._MEMORY_BYTES", 197_104)
     assert len(component_curves(model, grid_size=41)) == 12
 
 

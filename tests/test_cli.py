@@ -1,14 +1,21 @@
 """Command-line workflow tests: every subcommand, exit codes, artifacts."""
 
+import contextlib
 import hashlib
+import io
 import json
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import hdmrnet.analysis
+import hdmrnet.cli
+import hdmrnet.data
 from hdmrnet.cli import main
-from hdmrnet.model import FORMAT_VERSION
+from hdmrnet.data import SYNTH_KINDS, synth
+from hdmrnet.model import FORMAT_VERSION, hdmr_fit
 
 
 def run(*argv):
@@ -330,9 +337,10 @@ def test_fit_whose_gram_would_not_fit_exits_four(workspace, tmp_path, monkeypatc
 
 def test_synth_and_components_past_physical_memory_exit_four(workspace, tmp_path,
                                                              monkeypatch, capsys):
-    # Against 1 MB of memory: 10^5 points of dimension 3 and their targets
-    # need 3.2 MB, and the model's 18 curves of 10^5 points 14.4 MB, while
-    # the model's own features (29,280 bytes) still load.
+    # Against 1 MB of memory: 10^5 points of dimension 3, their targets and
+    # temporaries need 7.2 MB, and the model's 18 curves of 10^5 points
+    # more than 14.4 MB, while the model's own features (29,280 bytes)
+    # still load.
     _, _, model = workspace
     monkeypatch.setattr("hdmrnet.data._MEMORY_BYTES", 10**6)
     data, curves = str(tmp_path / "big.csv"), str(tmp_path / "curves.csv")
@@ -356,3 +364,42 @@ def test_model_past_physical_memory_exits_three(workspace, tmp_path, monkeypatch
     assert run("predict", "--model", edited, "--data", data,
                "--out", str(tmp_path / "p.csv")) == 3
     assert "physical memory" in capsys.readouterr().err
+
+
+def _peak_and_counted(monkeypatch, module, argv):
+    """(tracemalloc peak, bytes its memory guard counted) of one command,
+    run once untraced first so that only the command's own work is seen."""
+    counted = []
+    check = module._check_memory
+    monkeypatch.setattr(module, "_check_memory",
+                        lambda needed, what: (counted.append(needed), check(needed, what)))
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == 0
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            assert main(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+    return peak, counted[-1]
+
+
+@pytest.mark.parametrize("kind", SYNTH_KINDS)
+def test_synth_peak_memory_is_within_the_counted_bytes(kind, tmp_path, monkeypatch):
+    peak, counted = _peak_and_counted(
+        monkeypatch, hdmrnet.data,
+        ["synth", "--kind", kind, "--dim", "3", "--n", "20000", "--seed", "1",
+         "--noise-std", "0.1", "--out", str(tmp_path / "d.csv")])
+    assert peak <= counted
+
+
+@pytest.mark.parametrize("directory", [False, True])
+def test_components_peak_memory_is_within_the_counted_bytes(tmp_path, monkeypatch, directory):
+    model = hdmr_fit(synth("pairwise", 3, 200, seed=1), 1, 1, 0.3)  # 3 curves
+    monkeypatch.setattr(hdmrnet.cli, "load_model", lambda path: model)
+    out = str(tmp_path / "curves") + os.sep if directory else str(tmp_path / "curves.csv")
+    peak, counted = _peak_and_counted(
+        monkeypatch, hdmrnet.analysis,
+        ["components", "--model", "unused", "--grid", "20000", "--out", out])
+    assert peak <= counted

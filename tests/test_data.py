@@ -70,11 +70,12 @@ def test_synth_validation():
 
 
 def test_synth_past_physical_memory_is_refused(monkeypatch):
-    # 10 points of dimension 3 and their targets: 8 * 10 * (3 + 1) = 320 bytes
-    monkeypatch.setattr("hdmrnet.data._MEMORY_BYTES", 319)
+    # 10 pairwise points of dimension 3, their targets and temporaries:
+    # 8 * 10 * (2 * 3 + 3) = 720 bytes
+    monkeypatch.setattr("hdmrnet.data._MEMORY_BYTES", 719)
     with pytest.raises(InvalidHyperparameterError, match="10 points of dimension 3"):
         synth("pairwise", 3, 10, seed=0)
-    monkeypatch.setattr("hdmrnet.data._MEMORY_BYTES", 320)
+    monkeypatch.setattr("hdmrnet.data._MEMORY_BYTES", 720)
     assert synth("pairwise", 3, 10, seed=0).n == 10
 
 

@@ -5,9 +5,11 @@ independent oracles for the linear-algebra path.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
 from hdmrnet import (
     gpr,
@@ -23,6 +25,7 @@ from hdmrnet import (
     synth,
 )
 from hdmrnet.errors import (
+    DatasetError,
     IllConditionedGramError,
     InvalidHyperparameterError,
     ShapeError,
@@ -263,3 +266,80 @@ def test_escalated_fit_solves_with_the_reported_noise_alone():
     again = gpr_fit(Y, t, 1.0, model.effective_noise)
     assert not again.jitter_escalated
     assert np.array_equal(again.alpha, model.alpha)
+
+
+def _reference_solve(K, b, noise):
+    """`gpr._solve` written with scipy's defaults: a fresh K + sigma * I per
+    try, factored with the finiteness checks on."""
+    b_norm = float(np.linalg.norm(b))
+    sigma = noise
+    while True:
+        A = K + sigma * np.eye(K.shape[0])
+        try:
+            factor = cho_factor(A, lower=True)
+        except LinAlgError:
+            pass
+        else:
+            alpha = cho_solve(factor, b)
+            resid = b - A @ alpha
+            for _ in range(2):
+                if np.linalg.norm(resid) <= 1e-9 * b_norm:
+                    break
+                alpha = alpha + cho_solve(factor, resid)
+                resid = b - A @ alpha
+            if np.linalg.norm(resid) <= 1e-8 * b_norm:
+                return alpha, sigma
+        sigma *= 10.0
+
+
+@pytest.mark.parametrize("M, F, length_scale, noise, escalates", [
+    (1, 3, 0.5, 1e-6, False), (gpr._BLOCK, 3, 0.5, 1e-6, False),
+    (gpr._BLOCK + 1, 4, 0.5, 1e-8, False), (300, 5, 0.5, 1e-6, False),
+    (300, 2, 1.0, 1e-12, True),  # the escalating case of the test above
+])
+def test_solve_in_the_factor_buffer_matches_scipy_defaults_bit_for_bit(
+        M, F, length_scale, noise, escalates):
+    Y = np.random.default_rng(0).uniform(size=(M, F))
+    b = np.sin(6.0 * Y).sum(axis=1)
+    K = gram_matrix(Y, length_scale)
+    expected, expected_sigma = _reference_solve(K.copy(), b, noise)
+    alpha, sigma = gpr._solve(K, b, noise)
+    assert (sigma, sigma > noise) == (expected_sigma, escalates)
+    assert alpha.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("M, F, noise, escalates", [(600, 2, 1e-12, True), (600, 3, 1e-6, False)])
+def test_fit_peak_memory_is_the_counted_gram_and_factor_buffer(M, F, noise, escalates):
+    # The Gram guard of `model._training_features` counts 16 M^2 bytes for
+    # a fit: the Gram matrix and the factor buffer.  Anything else a fit
+    # allocates is O(M F), plus 64 KiB for the interpreter's own objects.
+    rng = np.random.default_rng(0)
+    Y = rng.uniform(size=(M, F))
+    t = np.sin(6.0 * Y).sum(axis=1)
+    gpr_fit(Y, t, 1.0, noise)  # first LAPACK call outside the trace
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        model = gpr_fit(Y, t, 1.0, noise)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert model.jitter_escalated == escalates
+    assert peak <= 16 * M * M + 8 * M * (F + 16) + 2**16
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_fit_inputs_are_refused_before_any_gram(monkeypatch, bad):
+    Y = np.random.default_rng(7).uniform(size=(20, 3))
+    t = np.arange(20.0)
+    with pytest.raises(DatasetError, match="features"):
+        gram_matrix(np.where(Y > 0.9, bad, Y), 0.5)
+    calls = []
+    monkeypatch.setattr(gpr, "gram_matrix", lambda *args: calls.append(args))
+    with pytest.raises(DatasetError, match="features"):
+        gpr_fit(np.where(Y > 0.9, bad, Y), t, 0.5)
+    with pytest.raises(DatasetError, match="targets"):
+        gpr_fit(Y, np.where(t > 15, bad, t), 0.5)
+    with pytest.raises(DatasetError, match="targets"):  # the mean overflows
+        gpr_fit(Y, np.full(20, 1e308) * np.where(t > 10, 1.0, 0.9), 0.5)
+    assert calls == []
