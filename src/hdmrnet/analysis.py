@@ -22,7 +22,7 @@ from dataclasses import astuple, dataclass, field, fields
 
 import numpy as np
 
-from .data import Dataset, _check_memory, _split_sizes, _write_rows, split
+from .data import Dataset, _check_memory, _split_sizes, _write_columns, split
 from .errors import DatasetError, HdmrnetError, InvalidHyperparameterError, ShapeError
 from .gpr import _check_length_scale, _check_noise, _kernel_scratch_bytes, gpr_component
 from .model import HdmrModel, hdmr_fit, hdmr_predict, term_values
@@ -148,13 +148,15 @@ def sweep(
     different (d, N) settings are compared on identical splits.  Failed
     cells are kept with status "error:<type>" and NaN metrics.  Up to
     `jobs` cells run at once, on threads of this process.  A length scale,
-    noise or split size that every cell would refuse raises before any
-    cell runs.
+    noise, Sobol skip or split size that every cell would refuse raises
+    before any cell runs.
     """
     if repeats < 1:
         raise ValueError(f"repeats must be >= 1, got {repeats}")
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
+    if sobol_skip < 0:
+        raise ValueError(f"sobol_skip must be >= 0, got {sobol_skip}")
     length_scale, noise = _check_length_scale(length_scale), _check_noise(noise)
     _split_sizes(dataset.n, train_size, test_size)
     config = {
@@ -178,10 +180,10 @@ def sweep(
 def write_sweep_csv(result: SweepResult, path: str) -> None:
     """One row per cell, with the sweep configuration echoed as a comment;
     written atomically."""
-    _write_rows(
+    _write_columns(
         path,
         SWEEP_COLUMNS,
-        map(astuple, result.records),
+        [list(zip(*map(astuple, result.records)))],
         ["config: " + json.dumps(result.config, sort_keys=True)],
     )
 

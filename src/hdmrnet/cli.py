@@ -21,8 +21,8 @@ import numpy as np
 
 from . import __version__
 from .analysis import _scores, component_curves, sweep, write_sweep_csv
-from .data import (SYNTH_KINDS, _atomic_open, _write_rows, load_csv, load_matrix, save_csv, split,
-                   synth)
+from .data import (SYNTH_KINDS, _atomic_open, _chunks, _write_columns, load_csv, load_matrix,
+                   save_csv, split, synth)
 from .errors import (
     DatasetError,
     IllConditionedGramError,
@@ -217,8 +217,9 @@ def _cmd_components(args) -> int:
         groups = [(args.out, labelled)]
         message = f"{args.out} ({len(curves)} curves)"
     for path, group in groups:
-        rows = ((label, u, v) for label, curve in group for u, v in zip(curve.grid, curve.values))
-        _write_rows(path, ["term", "grid", "value"], rows, comments)
+        chunks = ([[label] * len(u), u, v] for label, curve in group
+                  for u, v in _chunks([curve.grid, curve.values]))
+        _write_columns(path, ["term", "grid", "value"], chunks, comments)
     print(f"wrote {message}")
     return EXIT_OK
 

@@ -10,8 +10,12 @@ a points-only file).  Error messages cite physical (1-based) line numbers
 of the file, counting comments and blanks.
 
 One reader, `_read_matrix`, serves both `load_csv` and `load_matrix`, and
-one writer, `_write_rows`, serves both `save_csv` and the sweep records of
-:mod:`hdmrnet.analysis`; every file is written atomically.
+one writer, `_write_columns`, serves `save_csv`, the sweep records of
+:mod:`hdmrnet.analysis` and the component curves; every file is written
+atomically.  Both work a row or a column at a time, not a cell at a time:
+the reader parses each row with one `map(float, ...)`, going back to the
+cells only to word an error, and the writer formats columns of
+`_CHUNK_ROWS` rows.
 """
 
 from __future__ import annotations
@@ -34,6 +38,9 @@ SYNTH_KINDS = ("additive", "pairwise", "product", "morse_like")
 # points, the targets and the widest temporaries of each kind, plus one
 # spare column for the interpreter's own objects.
 _SYNTH_COLUMNS = {"additive": (2, 2), "pairwise": (2, 3), "product": (2, 2), "morse_like": (3, 3)}
+
+# Rows that the CSV writer formats at a time.
+_CHUNK_ROWS = 1024
 
 # Physical memory in bytes; work whose arrays would not fit is refused.
 _MEMORY_BYTES = (os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
@@ -106,9 +113,11 @@ def _read_matrix(path: str, with_target: bool) -> tuple[np.ndarray, list[str]]:
     The first non-comment row is a header when any of its cells is not a
     number.  Every row must have as many cells as the first; cells must be
     finite numbers.  With `with_target`, the file needs a data row and at
-    least 2 columns, and a headerless file's last column is "target".
+    least 2 columns, and a headerless file's last column is "target".  The
+    file is read in one pass, each row parsed by one `map(float, ...)` and
+    checked by one finiteness pass; errors come in file order.
     """
-    header, rows = None, []
+    header, names, flat, n_rows = None, None, [], 0
     try:
         fh = open(path, "r", encoding="utf-8")
     except OSError as exc:
@@ -118,18 +127,31 @@ def _read_matrix(path: str, with_target: bool) -> tuple[np.ndarray, list[str]]:
             stripped = line.strip()
             if not stripped or stripped.startswith("#"):
                 continue
-            cells = [c.strip() for c in stripped.split(",")]
-            if header is None and not rows:
-                try:
-                    for c in cells:
-                        float(c)
-                except ValueError:
+            cells = list(map(str.strip, stripped.split(",")))
+            try:
+                row = list(map(float, cells))
+            except ValueError:
+                row = None
+            if names is None:
+                if row is None and header is None:
                     header = cells
                     continue
-            rows.append((line_number, cells))
-    if with_target and not rows:
-        raise DatasetError(f"{path}: no data rows")
-    width = len(rows[0][1]) if rows else len(header or [])
+                names = _column_names(path, header, len(cells), with_target)
+            if row is None or len(row) != len(names) or not all(map(math.isfinite, row)):
+                _refuse_row(path, line_number, names, cells)
+            flat.extend(row)
+            n_rows += 1
+    if names is None:
+        if with_target:
+            raise DatasetError(f"{path}: no data rows")
+        names = _column_names(path, header, len(header or []), with_target)
+    return np.array(flat, dtype=np.float64).reshape(n_rows, len(names)), names
+
+
+def _column_names(path: str, header: list[str] | None, width: int,
+                  with_target: bool) -> list[str]:
+    """The names of `width` columns: the header's, else x1, x2, ... with the
+    last one "target" under `with_target`, which needs 2 columns or more."""
     if with_target and width < 2:
         raise DatasetError(
             f"{path}: need at least 2 columns (features plus target), got {width}"
@@ -139,15 +161,18 @@ def _read_matrix(path: str, with_target: bool) -> tuple[np.ndarray, list[str]]:
     names = header or [f"x{i + 1}" for i in range(width)]
     if with_target and header is None:
         names[-1] = "target"
-    values = np.empty((len(rows), width))
-    for r, (line_number, cells) in enumerate(rows):
-        if len(cells) != width:
-            raise DatasetError(
-                f"{path}: line {line_number}: expected {width} cells, got {len(cells)}"
-            )
-        for c, cell in enumerate(cells):
-            values[r, c] = _parse_cell(path, line_number, names[c], cell)
-    return values, names
+    return names
+
+
+def _refuse_row(path: str, line_number: int, names: list[str], cells: list[str]) -> None:
+    """Raise the DatasetError of a row with the wrong cell count or, else,
+    of its first cell that is not a finite number."""
+    if len(cells) != len(names):
+        raise DatasetError(
+            f"{path}: line {line_number}: expected {len(names)} cells, got {len(cells)}"
+        )
+    for name, cell in zip(names, cells):
+        _parse_cell(path, line_number, name, cell)
 
 
 def _parse_cell(path: str, line_number: int, name: str, cell: str) -> float:
@@ -213,19 +238,40 @@ def save_csv(
     """Write columns as CSV with shortest round-trip float formatting, atomically."""
     if len(names) != len(columns):
         raise ValueError(f"{len(names)} names for {len(columns)} columns")
-    _write_rows(path, names, zip(*columns), comments or [])
+    _write_columns(path, names, _chunks(columns), comments or [])
 
 
-def _write_rows(path: str, names, rows, comments: list[str]) -> None:
-    """The one CSV writer: '# ' comment lines, the header, then one line per
-    row, with ints as integers, floats as shortest round-trip decimals and
-    strings verbatim; written atomically."""
+def _chunks(columns: list):
+    """The columns cut into chunks of `_CHUNK_ROWS` rows, up to the shortest one."""
+    n_rows = min(map(len, columns), default=0)
+    for r0 in range(0, n_rows, _CHUNK_ROWS):
+        yield [column[r0:r0 + _CHUNK_ROWS] for column in columns]
+
+
+def _write_columns(path: str, names, chunks, comments: list[str]) -> None:
+    """The one CSV writer: '# ' comment lines, the header, then the rows of
+    each chunk, a list of equal-length columns, with ints as integers,
+    floats as shortest round-trip decimals and strings verbatim; written
+    atomically."""
     with _atomic_open(path) as fh:
         for comment in comments:
             fh.write(f"# {comment}\n")
         fh.write(",".join(names) + "\n")
-        for row in rows:
-            fh.write(",".join(map(_format_cell, row)) + "\n")
+        for chunk in chunks:
+            rows = map(",".join, zip(*map(_format_column, chunk)))
+            fh.write("".join([row + "\n" for row in rows]))
+
+
+def _format_column(column):
+    """The cells of a column as strings: a float64 or integer array in one
+    pass of `repr` or `str` over its Python numbers, anything else cell by
+    cell, with the same strings."""
+    if isinstance(column, np.ndarray):
+        if column.dtype == np.float64:
+            return map(repr, column.tolist())
+        if column.dtype.kind in "iu":
+            return map(str, column.tolist())
+    return map(_format_cell, column)
 
 
 def _format_cell(value) -> str:
@@ -323,8 +369,9 @@ def synth(
     morse_like  sum_i (1 - exp(-(x_i - 0.3)))^2
                 + 0.5 sum_{i<j} (x_i - 0.3)(x_j - 0.3)
 
-    Points are drawn uniformly, then Gaussian noise of scale `noise_std` is
-    added to the targets; both use one PCG64 stream seeded with `seed`.
+    Points are drawn uniformly, then Gaussian noise of scale `noise_std`
+    (finite and >= 0) is added to the targets; both use one PCG64 stream
+    seeded with `seed`.
     """
     if kind not in SYNTH_KINDS:
         raise DatasetError(f"unknown synth kind '{kind}' (have: {', '.join(SYNTH_KINDS)})")
@@ -334,8 +381,8 @@ def synth(
         raise DatasetError(f"kind '{kind}' needs dimension >= 2, got {dimension}")
     if n < 1:
         raise DatasetError(f"n must be >= 1, got {n}")
-    if noise_std < 0:
-        raise DatasetError(f"noise_std must be >= 0, got {noise_std}")
+    if not 0 <= noise_std < math.inf:
+        raise DatasetError(f"noise_std must be finite and >= 0, got {noise_std}")
     width, extra = _SYNTH_COLUMNS[kind]
     _check_memory(8 * n * (width * dimension + extra),
                   f"{n} points of dimension {dimension}, their targets and temporaries")

@@ -22,8 +22,9 @@ block edges and feature order make results independent of the thread count.
 `compile_components` tabulates every component function as a Chebyshev
 interpolant on the padded interval `TABLE_INTERVAL`, checked against the
 exact components, so that a forward pass costs O(nodes) per feature instead
-of O(M).  `activation_sums` evaluates the activations of predictions and
-coupling terms alike: through the table where it applies, else exactly.
+of O(M); the threads build the tables from one queue of neurons.
+`activation_sums` evaluates the activations of predictions and coupling
+terms alike: through the table where it applies, else exactly.
 """
 
 from __future__ import annotations
@@ -156,25 +157,27 @@ def _kernel(a: np.ndarray, b: np.ndarray, inv: float, out: np.ndarray) -> np.nda
     return np.exp(out, out=out)
 
 
-def _map_blocks(n_rows: int, work) -> None:
-    """Call work(r0, r1) on each fixed block of `_BLOCK` rows, on `_THREADS`
-    threads that each take the next block until none is left, so the
-    bookkeeping is one task per thread, not one per block."""
-    threads = min(_THREADS, -(-n_rows // _BLOCK))
-    starts = itertools.count(0, _BLOCK)
+def _map_blocks(n_items: int, work, step: int = _BLOCK) -> None:
+    """Call work(spans) on up to `_THREADS` threads, where `spans` yields
+    the fixed spans (i0, i1) of `step` items of range(n_items); the threads
+    share one queue, each taking the next span until none is left, so the
+    bookkeeping is one task per thread and `work` can set up per-thread
+    scratch before its loop."""
+    threads = min(_THREADS, -(-n_items // step))
+    starts = itertools.count(0, step)
     lock = threading.Lock()
-    def drain():
+    def spans():
         while True:
             with lock:
-                r0 = next(starts)
-            if r0 >= n_rows:
+                i0 = next(starts)
+            if i0 >= n_items:
                 return
-            work(r0, min(r0 + _BLOCK, n_rows))
+            yield i0, min(i0 + step, n_items)
     if threads < 2:
-        drain()
+        work(spans())
     else:
         with ThreadPoolExecutor(threads) as pool:
-            for task in [pool.submit(drain) for _ in range(threads)]:
+            for task in [pool.submit(work, spans()) for _ in range(threads)]:
                 task.result()
 
 
@@ -190,10 +193,11 @@ def _dual_sums(model: AdditiveGprModel, U: np.ndarray, Vt: np.ndarray,
     """start + sum_j sum_m alpha[m] * k(U[r, j], Vt[j, m]) for each row r of U."""
     inv = 1.0 / (2.0 * model.length_scale**2)
     out = np.full(U.shape[0], start)
-    def work(r0, r1):
-        buf = np.empty((r1 - r0, Vt.shape[1]))
-        for j in range(U.shape[1]):
-            out[r0:r1] += _kernel(U[r0:r1, j], Vt[j], inv, buf) @ model.alpha
+    def work(blocks):
+        for r0, r1 in blocks:
+            buf = np.empty((r1 - r0, Vt.shape[1]))
+            for j in range(U.shape[1]):
+                out[r0:r1] += _kernel(U[r0:r1, j], Vt[j], inv, buf) @ model.alpha
     _map_blocks(U.shape[0], work)
     return out
 
@@ -210,11 +214,12 @@ def gram_matrix(Y: np.ndarray, length_scale: float) -> np.ndarray:
     M = Y.shape[0]
     Yt = np.ascontiguousarray(Y.T)
     K = np.zeros((M, M))
-    def work(r0, r1):
-        buf = np.empty((r1 - r0, M - r0))
-        for y in Yt:
-            K[r0:r1, r0:] += _kernel(y[r0:r1], y[r0:], inv, buf)
-        K[r1:, r0:r1] = K[r0:r1, r1:].T
+    def work(blocks):
+        for r0, r1 in blocks:
+            buf = np.empty((r1 - r0, M - r0))
+            for y in Yt:
+                K[r0:r1, r0:] += _kernel(y[r0:r1], y[r0:], inv, buf)
+            K[r1:, r0:r1] = K[r0:r1, r1:].T
     _map_blocks(M, work)
     return K
 
@@ -382,6 +387,12 @@ def compile_components(model: AdditiveGprModel) -> ActivationTable | None:
     features, must be at most tau = 1e-12 * sum_m |alpha_m| (about 100
     times the exact path's own rounding); a table that fails the check, or
     one that would need more than `_MAX_NODES` nodes, is not built.
+
+    The 2n + 1 node and check values are built on a queue of neurons: each
+    thread takes the next neuron and fills its column over the same
+    `_BLOCK`-row blocks of points that `gpr_component` uses, in one
+    (_BLOCK, M) buffer of its own, so every value keeps `gpr_component`'s
+    bits while both cores stay busy whatever F is.
     """
     n = max(16, 8 * math.ceil(1.25 / model.length_scale))
     tolerance = _TABLE_TOLERANCE * float(np.abs(model.alpha).sum())
@@ -393,11 +404,16 @@ def compile_components(model: AdditiveGprModel) -> ActivationTable | None:
     # halfway between them and check the interpolant.
     x = np.cos(np.pi * np.arange(2 * n + 1) / (2 * n))
     u = _CENTER + _HALF_WIDTH * x
-    values = np.empty((2 * n + 1, model.n_features))
-    def work(j0, j1):
-        for j in range(j0, j1):
-            values[:, j] = gpr_component(model, j, u)
-    _map_blocks(model.n_features, work)  # blocks of features, not rows
+    inv = 1.0 / (2.0 * model.length_scale**2)
+    values = np.zeros((2 * n + 1, model.n_features))  # 0.0 + sum, as in _dual_sums
+    def work(neurons):
+        buf = np.empty((min(_BLOCK, 2 * n + 1), model.n_train))
+        for j, _ in neurons:
+            y = np.ascontiguousarray(model.Ytrain[:, j])
+            for r0 in range(0, 2 * n + 1, _BLOCK):
+                r1 = min(r0 + _BLOCK, 2 * n + 1)
+                values[r0:r1, j] += _kernel(u[r0:r1], y, inv, buf[:r1 - r0]) @ model.alpha
+    _map_blocks(model.n_features, work, step=1)
     # a_k = (2 / n) sum_i w_i v_i cos(pi i k / n), with w_i = 1/2 at the
     # two end nodes and 1 elsewhere, and a_0, a_n halved as well.
     k = np.arange(n + 1)
@@ -430,15 +446,16 @@ def activation_sums(model: AdditiveGprModel, Y: np.ndarray, groups, start: float
     table = model.activation_table
     if table is not None:
         inside = np.empty(Y.shape[0], dtype=bool)
-        def work(r0, r1):
-            x = Y[r0:r1] - _CENTER
-            x /= _HALF_WIDTH
-            inside[r0:r1] = ((x >= -1.0) & (x <= 1.0)).all(axis=1)
-            np.clip(x, -1.0, 1.0, out=x)  # keeps the fallback rows finite
-            values = _clenshaw(table.coefficients, x)
-            for acc, js in zip(out[:, r0:r1], groups):
-                for column in values[:, js].T:
-                    acc += column
+        def work(blocks):
+            for r0, r1 in blocks:
+                x = Y[r0:r1] - _CENTER
+                x /= _HALF_WIDTH
+                inside[r0:r1] = ((x >= -1.0) & (x <= 1.0)).all(axis=1)
+                np.clip(x, -1.0, 1.0, out=x)  # keeps the fallback rows finite
+                values = _clenshaw(table.coefficients, x)
+                for acc, js in zip(out[:, r0:r1], groups):
+                    for column in values[:, js].T:
+                        acc += column
         _map_blocks(Y.shape[0], work)
     rows = slice(None) if table is None else np.flatnonzero(~inside)
     U = Y[rows]  # a view of Y, or a copy of the fallback rows only

@@ -192,6 +192,8 @@ def test_sweep_validation(monkeypatch):
     for train_size, test_size in [(60, None), (0, None), (30, 31), (30, 0)]:
         with pytest.raises(DatasetError, match="_size must be in"):
             sweep(ds, [1], [2], 1, train_size, test_size, 0.3, 1e-6, 7)
+    with pytest.raises(ValueError, match="sobol_skip must be >= 0"):
+        sweep(ds, [1], [2], 1, 30, 20, 0.3, 1e-6, 7, sobol_skip=-3)
 
 
 # ---------------------------------------------------------------------------

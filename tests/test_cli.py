@@ -290,6 +290,7 @@ def test_bad_hyperparameter_exits_four_before_writing(workspace, tmp_path, capsy
 @pytest.mark.parametrize("flag,value,code,message", [
     ("--l", "inf", 4, "length scale"), ("--noise", "nan", 4, "noise"),
     ("--train", "500", 3, "train_size must be in"), ("--test", "300", 3, "test_size must be in"),
+    ("--sobol-skip", "-3", 2, "sobol_skip must be >= 0"),
 ])
 def test_sweep_refuses_bad_settings_before_writing(workspace, tmp_path, capsys,
                                                    flag, value, code, message):
@@ -301,6 +302,15 @@ def test_sweep_refuses_bad_settings_before_writing(workspace, tmp_path, capsys,
                "--out-dir", str(out_dir), *(x for kv in settings.items() for x in kv)) == code
     assert message in capsys.readouterr().err
     assert not out_dir.exists() or not any(out_dir.iterdir())
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+def test_synth_refuses_bad_noise_before_writing(tmp_path, capsys, value):
+    out = tmp_path / "d.csv"
+    assert run("synth", "--kind", "additive", "--dim", "2", "--n", "10", "--seed", "1",
+               "--noise-std", value, "--out", str(out)) == 3
+    assert "noise_std must be finite and >= 0" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_failed_fit_leaves_no_model_file(workspace, tmp_path):

@@ -6,6 +6,7 @@ import os
 import numpy as np
 import pytest
 
+import hdmrnet.data
 from hdmrnet import Dataset, load_csv, load_matrix, save_csv, split, synth
 from hdmrnet.data import SYNTH_KINDS
 from hdmrnet.errors import DatasetError, InvalidHyperparameterError
@@ -65,8 +66,10 @@ def test_synth_validation():
         synth("additive", 0, 10, seed=0)
     with pytest.raises(DatasetError):
         synth("additive", 2, 0, seed=0)
-    with pytest.raises(DatasetError):
-        synth("additive", 2, 10, seed=0, noise_std=-1.0)
+    # a NaN noise fails `noise_std > 0` and would leave the targets noiseless
+    for noise_std in (-1.0, math.nan, math.inf):
+        with pytest.raises(DatasetError, match="noise_std must be finite and >= 0"):
+            synth("additive", 2, 10, seed=0, noise_std=noise_std)
 
 
 def test_synth_past_physical_memory_is_refused(monkeypatch):
@@ -140,6 +143,30 @@ def test_load_csv_errors_cite_physical_line_numbers(tmp_path):
     open(path, "w").write("a,E\n1,2\n3\n")
     with pytest.raises(DatasetError, match="line 3.*expected 2 cells"):
         load_csv(path)
+
+
+def test_first_bad_cell_in_file_order_is_reported(tmp_path):
+    path = str(tmp_path / "d.csv")
+    for text, message in [
+        ("a,E\n1,2\n3,inf\n4,5\n6,oops\n", "line 3: non-finite value 'inf' in column 'E'"),
+        ("a,E\n1,2\n3,oops\n4,5\n6,inf\n", "line 3: cannot parse 'oops' in column 'E'"),
+        ("a,E\n1,2\n3,-inf\n4\n", "line 3: non-finite value '-inf' in column 'E'"),
+        ("a,E\n1,2\n3\n4,nan\n", "line 3: expected 2 cells, got 1"),
+        ("a,E\n1,2\nnan,oops\n", "line 3: non-finite value 'nan' in column 'a'"),
+        ("a,E\n1,2\n3, oops \n", "line 3: cannot parse 'oops' in column 'E'"),
+    ]:
+        open(path, "w").write(text)
+        with pytest.raises(DatasetError, match=message):
+            load_csv(path)
+
+
+def test_cells_are_parsed_after_stripping_blanks(tmp_path):
+    # str.strip() also drops the ASCII separators \x1c-\x1f, which float() refuses
+    path = str(tmp_path / "d.csv")
+    open(path, "w").write(" a ,\tE\n 1 ,\t2\n3\x1c,4\x1f\n")
+    ds = load_csv(path)
+    assert ds.column_names == ["a"] and ds.target_name == "E"
+    assert np.array_equal(ds.X, [[1.0], [3.0]]) and np.array_equal(ds.t, [2.0, 4.0])
 
 
 def test_load_csv_structural_errors(tmp_path):
@@ -246,6 +273,21 @@ def test_failed_save_csv_leaves_no_partial_file(tmp_path):
     with pytest.raises(OSError):
         save_csv(str(tmp_path / "missing_dir" / "out.csv"), ["a"], [[1.0]])
     assert list(tmp_path.iterdir()) == [target]
+
+
+def test_save_csv_writes_what_single_cells_format_to(tmp_path):
+    n = 2 * hdmrnet.data._CHUNK_ROWS + 5  # two full chunks and a ragged one
+    rng = np.random.default_rng(3)
+    floats = rng.normal(size=n) * 10.0 ** rng.integers(-300, 300, size=n)
+    floats[[0, 1, 2, 3, 4, n - 1]] = [-0.0, 5e-324, 1e22, 0.1 + 0.2, np.nan, -np.inf]
+    ints = rng.integers(-2**62, 2**62, size=n)
+    labels = [f"t{i % 7}" for i in range(n)]
+    path = tmp_path / "c.csv"
+    save_csv(str(path), ["f", "i", "s"], [floats, ints, labels], ["config: {}"])
+    rows = [f"{float(f)!r},{int(i)},{s}\n" for f, i, s in zip(floats, ints, labels)]
+    assert path.read_text() == "# config: {}\nf,i,s\n" + "".join(rows)
+    assert [row.split(",")[0] for row in rows[:5]] == [
+        "-0.0", "5e-324", "1e+22", "0.30000000000000004", "nan"]
 
 
 def test_saved_csv_gets_the_umask_mode(tmp_path):

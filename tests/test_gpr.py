@@ -23,6 +23,7 @@ from hdmrnet import (
     kernel_additive,
     save_model,
     synth,
+    term_values,
 )
 from hdmrnet.errors import (
     DatasetError,
@@ -105,6 +106,8 @@ def test_results_do_not_depend_on_thread_count(monkeypatch, tmp_path):
             path.read_bytes(),
             # the compiled path: its table is built under this thread count
             hdmr_predict(surrogate, Ystar[:, :3]).tobytes(),
+            surrogate.gpr.activation_table.coefficients.tobytes(),
+            b"".join(v.tobytes() for v in term_values(surrogate, Ystar[:, :3]).values()),
         )
     assert pools and set(pools) == {2}  # the one-thread run starts no pool
     assert outputs[1] == outputs[2]

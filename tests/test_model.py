@@ -189,6 +189,45 @@ def test_compiled_predict_is_within_tolerance_of_exact(length_scale):
         assert np.abs(values - grouped).max() <= table.tolerance
 
 
+@pytest.mark.parametrize("threads", [1, 2, 5])  # 5: more threads than cores share the queue
+@pytest.mark.parametrize("length_scale", [0.3, 0.1])  # 81 points in one block; 209 in two
+def test_table_coefficients_are_the_dct_of_gpr_component_values(monkeypatch, length_scale,
+                                                                threads):
+    model = hdmr_fit(synth("morse_like", 4, 300, seed=3), 2, 3, length_scale).gpr
+    monkeypatch.setattr(gpr, "_THREADS", 1)
+    n = max(16, 8 * int(np.ceil(1.25 / length_scale)))
+    x = np.cos(np.pi * np.arange(2 * n + 1) / (2 * n))
+    values = np.column_stack([gpr_component(model, j, gpr._CENTER + gpr._HALF_WIDTH * x)
+                              for j in range(model.n_features)])
+    k = np.arange(n + 1)
+    cosines = np.cos(np.pi * (np.outer(k, k) % (2 * n)) / n) * (2.0 / n)
+    cosines[:, [0, -1]] *= 0.5
+    reference = np.zeros((n + 1, model.n_features))
+    for i in k:
+        reference += cosines[:, i, None] * values[2 * i]
+    reference[[0, -1]] *= 0.5
+    monkeypatch.setattr(gpr, "_THREADS", threads)
+    table = gpr.compile_components(model)
+    assert table.coefficients.tobytes() == reference.tobytes()
+
+
+@pytest.mark.parametrize("length_scale", [0.3, 0.1])
+def test_table_build_runs_one_neuron_queue_on_every_core(monkeypatch, length_scale):
+    pools = []
+
+    class SpyExecutor(gpr.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers)
+
+    model = hdmr_fit(synth("additive", 4, 60, seed=1), 1, 1, length_scale).gpr
+    assert model.n_features == 4  # fewer neurons than a block of rows
+    monkeypatch.setattr(gpr, "ThreadPoolExecutor", SpyExecutor)
+    monkeypatch.setattr(gpr, "_THREADS", 2)
+    assert gpr.compile_components(model) is not None
+    assert pools == [2]  # one pool of two threads, and none per neuron
+
+
 def test_rows_outside_the_table_interval_take_the_exact_path():
     model, ds = _small_model()
     X = np.random.default_rng(5).uniform(size=(200, 3))
