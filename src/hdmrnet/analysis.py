@@ -24,7 +24,7 @@ import numpy as np
 
 from .data import Dataset, _check_memory, _split_sizes, _write_columns, split
 from .errors import DatasetError, HdmrnetError, InvalidHyperparameterError, ShapeError
-from .gpr import _check_length_scale, _check_noise, _kernel_scratch_bytes, gpr_component
+from .gpr import _check_length_scale, _check_noise, _dual_sums, _kernel_scratch_bytes
 from .model import HdmrModel, hdmr_fit, hdmr_predict, term_values
 
 # Failures a sweep cell or a grid-search candidate records and moves past;
@@ -215,22 +215,16 @@ class ComponentCurve:
 def component_curves(model: HdmrModel, grid_size: int = 201) -> list[ComponentCurve]:
     if grid_size < 2:
         raise ValueError(f"grid_size must be >= 2, got {grid_size}")
+    F = model.n_features
     # The curves, their grid and one spare column for the interpreter's own
-    # objects, plus the kernel's scratch.
-    _check_memory(8 * (model.n_features + 2) * grid_size
-                  + _kernel_scratch_bytes(model.gpr.n_train),
-                  f"{model.n_features} curves of {grid_size} points")
+    # objects, the F one-feature groups, plus the kernel's scratch.
+    _check_memory(8 * ((F + 2) * grid_size + F) + _kernel_scratch_bytes(model.gpr.n_train),
+                  f"{F} curves of {grid_size} points")
     grid = np.linspace(0.0, 1.0, grid_size)
-    return [
-        ComponentCurve(
-            feature_index=j,
-            subset=model.feature_map.subset(j),
-            kind=model.feature_map.kind(j),
-            grid=grid,
-            values=gpr_component(model.gpr, j, grid),
-        )
-        for j in range(model.n_features)
-    ]
+    values = _dual_sums(model.gpr, np.broadcast_to(grid[:, None], (grid_size, F)),
+                        np.arange(F)[:, None], 0.0)
+    return [ComponentCurve(j, model.feature_map.subset(j), model.feature_map.kind(j), grid,
+                           values[j]) for j in range(F)]
 
 
 def grid_search_l(

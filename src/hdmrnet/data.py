@@ -115,15 +115,23 @@ def _read_matrix(path: str, with_target: bool) -> tuple[np.ndarray, list[str]]:
     finite numbers.  With `with_target`, the file needs a data row and at
     least 2 columns, and a headerless file's last column is "target".  The
     file is read in one pass, each row parsed by one `map(float, ...)` and
-    checked by one finiteness pass; errors come in file order.
+    checked by one finiteness pass; errors come in file order.  The file
+    must be UTF-8 text: a byte that is not is refused with its line.
     """
     header, names, flat, n_rows = None, None, [], 0
     try:
-        fh = open(path, "r", encoding="utf-8")
+        fh = open(path, "r", encoding="utf-8", errors="surrogateescape")
     except OSError as exc:
         raise DatasetError(f"cannot read {path}: {exc}") from exc
     with fh:
         for line_number, line in enumerate(fh, start=1):
+            if not line.isascii():
+                try:
+                    line.encode("utf-8")
+                except UnicodeEncodeError as exc:  # a byte escaped on reading
+                    byte = ord(line[exc.start]) - 0xDC00
+                    raise DatasetError(f"{path}: line {line_number}: byte {byte:#04x} "
+                                       "is not UTF-8 text") from None
             stripped = line.strip()
             if not stripped or stripped.startswith("#"):
                 continue

@@ -15,16 +15,16 @@ Training is one Cholesky solve of (K + sigma * I) alpha = t - mean(t) in
 `_solve`, where sigma is the requested noise unless that solve has to
 escalate it; no hyperparameter is optimized.  All arithmetic is float64.
 
-The Gram matrix, predictions and components share one kernel routine, run
+The Gram matrix and `_dual_sums`, the one exact evaluator of predictions,
+components, table nodes and coupling terms, share one kernel routine, run
 over fixed row blocks on every core of the affinity mask (no setting); fixed
 block edges and feature order make results independent of the thread count.
 
 `compile_components` tabulates every component function as a Chebyshev
 interpolant on the padded interval `TABLE_INTERVAL`, checked against the
 exact components, so that a forward pass costs O(nodes) per feature instead
-of O(M); the threads build the tables from one queue of neurons.
-`activation_sums` evaluates the activations of predictions and coupling
-terms alike: through the table where it applies, else exactly.
+of O(M).  `activation_sums` evaluates the activations of predictions and
+coupling terms alike: through the table where it applies, else exactly.
 """
 
 from __future__ import annotations
@@ -183,22 +183,30 @@ def _map_blocks(n_items: int, work, step: int = _BLOCK) -> None:
 
 def _kernel_scratch_bytes(n_train: int) -> int:
     """Bytes that one kernel pass against `n_train` training rows holds
-    besides its output: per thread, a (_BLOCK, n_train) block buffer and
-    numpy's two 8192-double ufunc buffers."""
-    return _THREADS * 8 * (_BLOCK * n_train + 2 * 8192)
+    besides its output: per thread, a (_BLOCK, n_train) buffer, a training
+    column, numpy's two 8192-double ufunc buffers and 16 KiB of objects."""
+    return _THREADS * 8 * ((_BLOCK + 1) * n_train + 2 * 8192 + 2048)
 
 
-def _dual_sums(model: AdditiveGprModel, U: np.ndarray, Vt: np.ndarray,
-               start: float) -> np.ndarray:
-    """start + sum_j sum_m alpha[m] * k(U[r, j], Vt[j, m]) for each row r of U."""
+def _dual_sums(model: AdditiveGprModel, Y: np.ndarray, groups, start: float) -> np.ndarray:
+    """(len(groups), n) array of start + sum_{j in group} sum_m alpha[m] *
+    k(Y[r, j], Ytrain[m, j]), each group a sequence of feature indices.
+    The threads share one queue of (group, row block) tasks, each thread
+    with one block buffer, and add a group's features in order, so a
+    value does not depend on the thread count or the other groups and rows.
+    """
     inv = 1.0 / (2.0 * model.length_scale**2)
-    out = np.full(U.shape[0], start)
-    def work(blocks):
-        for r0, r1 in blocks:
-            buf = np.empty((r1 - r0, Vt.shape[1]))
-            for j in range(U.shape[1]):
-                out[r0:r1] += _kernel(U[r0:r1, j], Vt[j], inv, buf) @ model.alpha
-    _map_blocks(U.shape[0], work)
+    blocks = -(-len(Y) // _BLOCK)
+    out = np.full((len(groups), len(Y)), start)
+    def work(tasks):
+        buf, column = np.empty((min(_BLOCK, len(Y)), model.n_train)), np.empty(model.n_train)
+        for task, _ in tasks:
+            g, b = divmod(task, blocks)
+            r0, r1 = b * _BLOCK, min(b * _BLOCK + _BLOCK, len(Y))
+            for j in groups[g]:
+                column[:] = model.Ytrain[:, j]  # contiguous, with no (F, M) copy
+                out[g, r0:r1] += _kernel(Y[r0:r1, j], column, inv, buf[:r1 - r0]) @ model.alpha
+    _map_blocks(len(groups) * blocks, work, step=1)
     return out
 
 
@@ -319,7 +327,7 @@ def gpr_predict(model: AdditiveGprModel, Ystar: np.ndarray) -> np.ndarray:
         raise ShapeError(
             f"Ystar must be (n, {model.n_features}), got shape {Ystar.shape}"
         )
-    return _dual_sums(model, Ystar, np.ascontiguousarray(model.Ytrain.T), model.target_offset)
+    return _dual_sums(model, Ystar, [range(model.n_features)], model.target_offset)[0]
 
 
 def gpr_component(model: AdditiveGprModel, feature_index: int, u) -> np.ndarray:
@@ -334,7 +342,10 @@ def gpr_component(model: AdditiveGprModel, feature_index: int, u) -> np.ndarray:
             f"feature index {feature_index} out of range [0, {model.n_features})"
         )
     u = np.atleast_1d(np.asarray(u, dtype=np.float64))
-    return _dual_sums(model, u[:, None], model.Ytrain[None, :, feature_index], 0.0)
+    if u.ndim != 1:
+        raise ShapeError(f"u must be a scalar or 1-D, got shape {u.shape}")
+    return _dual_sums(model, np.broadcast_to(u[:, None], (u.size, model.n_features)),
+                      [[feature_index]], 0.0)[0]
 
 
 @dataclass(frozen=True)
@@ -387,12 +398,6 @@ def compile_components(model: AdditiveGprModel) -> ActivationTable | None:
     features, must be at most tau = 1e-12 * sum_m |alpha_m| (about 100
     times the exact path's own rounding); a table that fails the check, or
     one that would need more than `_MAX_NODES` nodes, is not built.
-
-    The 2n + 1 node and check values are built on a queue of neurons: each
-    thread takes the next neuron and fills its column over the same
-    `_BLOCK`-row blocks of points that `gpr_component` uses, in one
-    (_BLOCK, M) buffer of its own, so every value keeps `gpr_component`'s
-    bits while both cores stay busy whatever F is.
     """
     n = max(16, 8 * math.ceil(1.25 / model.length_scale))
     tolerance = _TABLE_TOLERANCE * float(np.abs(model.alpha).sum())
@@ -404,16 +409,8 @@ def compile_components(model: AdditiveGprModel) -> ActivationTable | None:
     # halfway between them and check the interpolant.
     x = np.cos(np.pi * np.arange(2 * n + 1) / (2 * n))
     u = _CENTER + _HALF_WIDTH * x
-    inv = 1.0 / (2.0 * model.length_scale**2)
-    values = np.zeros((2 * n + 1, model.n_features))  # 0.0 + sum, as in _dual_sums
-    def work(neurons):
-        buf = np.empty((min(_BLOCK, 2 * n + 1), model.n_train))
-        for j, _ in neurons:
-            y = np.ascontiguousarray(model.Ytrain[:, j])
-            for r0 in range(0, 2 * n + 1, _BLOCK):
-                r1 = min(r0 + _BLOCK, 2 * n + 1)
-                values[r0:r1, j] += _kernel(u[r0:r1], y, inv, buf[:r1 - r0]) @ model.alpha
-    _map_blocks(model.n_features, work, step=1)
+    values = _dual_sums(model, np.broadcast_to(u[:, None], (u.size, model.n_features)),
+                        np.arange(model.n_features)[:, None], 0.0).T
     # a_k = (2 / n) sum_i w_i v_i cos(pi i k / n), with w_i = 1/2 at the
     # two end nodes and 1 elsewhere, and a_0, a_n halved as well.
     k = np.arange(n + 1)
@@ -437,30 +434,28 @@ def compile_components(model: AdditiveGprModel) -> ActivationTable | None:
 
 def activation_sums(model: AdditiveGprModel, Y: np.ndarray, groups, start: float) -> np.ndarray:
     """(len(groups), n) array of start + sum_{j in group} f_j(Y[r, j]), each
-    group a list or slice of feature indices added in order over the fixed
+    group a sequence of feature indices added in order over the fixed
     row blocks.  Rows whose features all lie in `TABLE_INTERVAL` read the
     activation table; every other row, and every row of a model without a
-    table, takes one exact `_dual_sums` pass per group.
+    table, takes one exact `_dual_sums` call for all groups.
     """
-    out = np.full((len(groups), Y.shape[0]), start)
     table = model.activation_table
-    if table is not None:
-        inside = np.empty(Y.shape[0], dtype=bool)
-        def work(blocks):
-            for r0, r1 in blocks:
-                x = Y[r0:r1] - _CENTER
-                x /= _HALF_WIDTH
-                inside[r0:r1] = ((x >= -1.0) & (x <= 1.0)).all(axis=1)
-                np.clip(x, -1.0, 1.0, out=x)  # keeps the fallback rows finite
-                values = _clenshaw(table.coefficients, x)
-                for acc, js in zip(out[:, r0:r1], groups):
-                    for column in values[:, js].T:
-                        acc += column
-        _map_blocks(Y.shape[0], work)
-    rows = slice(None) if table is None else np.flatnonzero(~inside)
-    U = Y[rows]  # a view of Y, or a copy of the fallback rows only
-    if U.shape[0]:
-        Vt = np.ascontiguousarray(model.Ytrain.T)
-        for g, js in enumerate(groups):
-            out[g, rows] = _dual_sums(model, U[:, js], Vt[js], start)
+    if table is None:
+        return _dual_sums(model, Y, groups, start)
+    out = np.full((len(groups), Y.shape[0]), start)
+    inside = np.empty(Y.shape[0], dtype=bool)
+    def work(blocks):
+        for r0, r1 in blocks:
+            x = Y[r0:r1] - _CENTER
+            x /= _HALF_WIDTH
+            inside[r0:r1] = ((x >= -1.0) & (x <= 1.0)).all(axis=1)
+            np.clip(x, -1.0, 1.0, out=x)  # keeps the fallback rows finite
+            values = _clenshaw(table.coefficients, x)
+            for acc, js in zip(out[:, r0:r1], groups):
+                for j in js:
+                    acc += values[:, j]
+    _map_blocks(Y.shape[0], work)
+    rows = np.flatnonzero(~inside)
+    if rows.size:
+        out[:, rows] = _dual_sums(model, Y[rows], groups, start)
     return out

@@ -7,7 +7,9 @@ the additive GPR.  The prediction therefore decomposes exactly into
 per-coupling-term contributions plus a constant offset.  `hdmr_predict`
 and `term_values` both evaluate the activations with
 `gpr.activation_sums`, which decides between the GPR's checked Chebyshev
-tables and the exact kernel expansion.
+tables and the exact kernel expansion; the exact rows of all the groups
+(the whole prediction, or every coupling term) are one call of the one
+exact evaluator, `gpr._dual_sums`, over a queue of (group, row block) tasks.
 
 Model files (format version 2) are JSON documents with a fixed top-level
 layout (format_version, metadata, X, gpr, checksum).  They store only what
@@ -173,7 +175,7 @@ def hdmr_predict(model: HdmrModel, X: np.ndarray) -> np.ndarray:
     to it on the rows and models that take the exact path.
     """
     Y = _features(model, X)
-    return activation_sums(model.gpr, Y, [slice(None)], model.gpr.target_offset)[0]
+    return activation_sums(model.gpr, Y, [range(Y.shape[1])], model.gpr.target_offset)[0]
 
 
 def term_values(model: HdmrModel, X: np.ndarray) -> dict[tuple[int, ...], np.ndarray]:

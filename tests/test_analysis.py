@@ -4,12 +4,16 @@ import json
 import math
 import os
 import sys
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from hdmrnet import (
+    AdditiveGprModel,
+    HdmrModel,
+    build_feature_map,
     component_curves,
     grid_search_l,
     hdmr_fit,
@@ -259,16 +263,71 @@ def test_component_curves_zero_for_constant_target():
 
 
 def test_component_curves_past_physical_memory_are_refused(monkeypatch):
-    # F = 3 + 3 * 3 = 12 curves of 41 points, their grid and a spare
-    # column, 8 * 14 * 41 = 4592 bytes, plus one kernel thread's scratch
-    # against M = 60 rows, 8 * (128 * 60 + 2 * 8192) = 192,512 bytes
+    # F = 3 + 3 * 3 = 12 curves of 41 points, their grid, a spare column
+    # and the 12 one-feature groups, 8 * (14 * 41 + 12) = 4688 bytes, plus
+    # one kernel thread's scratch against M = 60 rows, a block buffer, a
+    # training column, two ufunc buffers and the thread's own objects,
+    # 8 * (128 * 60 + 60 + 2 * 8192 + 2048) = 209,376 bytes
     model = hdmr_fit(synth("pairwise", 3, 60, seed=10), 2, 3, 0.3)
     monkeypatch.setattr("hdmrnet.gpr._THREADS", 1)
-    monkeypatch.setattr("hdmrnet.data._MEMORY_BYTES", 197_103)
+    monkeypatch.setattr("hdmrnet.data._MEMORY_BYTES", 214_063)
     with pytest.raises(InvalidHyperparameterError, match="12 curves of 41 points"):
         component_curves(model, grid_size=41)
-    monkeypatch.setattr("hdmrnet.data._MEMORY_BYTES", 197_104)
+    monkeypatch.setattr("hdmrnet.data._MEMORY_BYTES", 214_064)
     assert len(component_curves(model, grid_size=41)) == 12
+
+
+def _curve_model(dimension, neurons, M, length_scale=0.3):
+    """An order-2 surrogate of F = D + C(D, 2) * neurons features against M
+    random training rows, built without a fit: curves need only the map and
+    the GPR's training features and dual coefficients."""
+    fmap = build_feature_map(dimension, 2, neurons)
+    rng = np.random.default_rng(0)
+    gp = AdditiveGprModel(rng.uniform(size=(M, fmap.n_features)), rng.normal(size=M),
+                          length_scale, 1e-6, 1e-6, 0.0)
+    return HdmrModel(fmap, None, gp, {}, None)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_component_curves_peak_memory_is_within_the_counted_bytes(monkeypatch, threads):
+    # The fit_coupled shape: F = 306 curves against M = 1000 rows.  Each
+    # kernel thread holds one block buffer, not one per block.
+    model = _curve_model(6, 20, 1000)
+    assert model.n_features == 306
+    monkeypatch.setattr("hdmrnet.gpr._THREADS", threads)
+    counted = []
+    check = analysis._check_memory
+    monkeypatch.setattr(analysis, "_check_memory",
+                        lambda needed, what: (counted.append(needed), check(needed, what)))
+    component_curves(model)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        curves = component_curves(model)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert len(curves) == 306
+    assert peak <= counted[-1]
+
+
+def test_component_curves_open_one_pool(monkeypatch):
+    from hdmrnet import gpr
+
+    pools = []
+
+    class SpyExecutor(gpr.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers)
+
+    model = _curve_model(3, 3, 60)
+    monkeypatch.setattr(gpr, "ThreadPoolExecutor", SpyExecutor)
+    monkeypatch.setattr(gpr, "_THREADS", 2)
+    curves = component_curves(model, grid_size=41)
+    assert pools == [2]  # one pool for all 12 curves
+    for j in (0, 11):
+        assert np.array_equal(curves[j].values, gpr.gpr_component(model.gpr, j, curves[j].grid))
 
 
 def test_component_curves_smoothness_bound():

@@ -254,6 +254,21 @@ def test_data_errors_exit_three(workspace, tmp_path, capsys):
                "--out", str(tmp_path / "p.csv")) == 3
 
 
+def test_non_utf8_data_exits_three_naming_the_line(workspace, tmp_path, capsys):
+    _, _, model = workspace
+    bad = str(tmp_path / "bad.csv")
+    open(bad, "wb").write(b"a,b,c,E\n1,2,3,4\n3,\xff,1,2\n")
+    target = str(tmp_path / "bad.model")
+    assert run("fit", "--data", bad, "--d", "1", "--n-per-term", "0", "--l", "0.3",
+               "--seed", "1", "--out", target) == 3
+    assert not os.path.exists(target)
+    assert run("predict", "--model", model, "--data", bad,
+               "--out", str(tmp_path / "p.csv")) == 3
+    err = capsys.readouterr().err
+    assert err.count("bad.csv: line 3: byte 0xff is not UTF-8 text") == 2
+    assert not os.path.exists(tmp_path / "p.csv")
+
+
 def test_non_finite_literal_in_model_exits_three(workspace, tmp_path, capsys):
     _, data, model = workspace
     broken = str(tmp_path / "nan.model")

@@ -312,6 +312,28 @@ def test_headerless_bad_target_cell_names_the_target_column(tmp_path):
         load_matrix(path)
 
 
+@pytest.mark.parametrize("raw, line, byte", [
+    (b"a,E\n1,2\n3,\xff\n", 3, "0xff"),
+    (b"# caf\xe9\na,E\n1,2\n", 1, "0xe9"),  # a Latin-1 comment
+    (b"a,\xc3\n1,2\n", 1, "0xc3"),  # a UTF-8 sequence cut short
+    (b"a,E\r\n1,2\r3,4\r\n5,\x80\r\n", 4, "0x80"),  # all three line ends
+])
+def test_non_utf8_bytes_are_data_errors_naming_their_line(tmp_path, raw, line, byte):
+    path = str(tmp_path / "d.csv")
+    open(path, "wb").write(raw)
+    for load in (load_csv, load_matrix):
+        with pytest.raises(DatasetError, match=f"d.csv: line {line}: byte {byte} is not UTF-8"):
+            load(path)
+
+
+def test_utf8_text_beyond_ascii_is_read(tmp_path):
+    path = str(tmp_path / "d.csv")
+    open(path, "w", encoding="utf-8").write("# café ✓ 😀\nα,β,E\n1,2,3\n")
+    ds = load_csv(path)
+    assert ds.column_names == ["α", "β"] and ds.target_name == "E"
+    assert np.array_equal(ds.X, [[1.0, 2.0]])
+
+
 @pytest.mark.parametrize("text", [
     "a,b,E\n1,2,3\n4,5,6\n",
     "1,2,3\n4.5,5,6\n",

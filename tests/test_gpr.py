@@ -240,6 +240,11 @@ def test_shape_validation():
     assert gpr_predict(model, np.zeros((0, 2))).shape == (0,)
     with pytest.raises(IndexError):
         gpr_component(model, 2, [0.5])
+    for u in (np.zeros((3, 2)), np.zeros((1, 1)), [[0.5]]):
+        with pytest.raises(ShapeError, match="scalar or 1-D"):
+            gpr_component(model, 0, u)
+    assert gpr_component(model, 0, 0.5).shape == (1,)
+    assert gpr_component(model, 0, np.zeros(0)).shape == (0,)
 
 
 def test_ill_conditioned_error_carries_final_jitter():

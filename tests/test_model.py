@@ -129,24 +129,24 @@ def test_terms_sum_to_prediction():
 
 
 def test_term_values_make_one_pass_per_term(monkeypatch):
-    # Without a table: D + C(D, d) = 3 + 3 dual-sum passes, not one per
-    # feature (F = 15).  With one, rows inside its interval make none.
+    # Without a table: one exact call with D + C(D, d) = 3 + 3 groups whose
+    # sizes sum to F = 15.  With one, rows inside its interval make none.
     tabled, _ = _small_model(neurons=4)
     assert tabled.gpr.activation_table is not None
     model, ds = _small_model(neurons=4, length_scale=0.02)
     assert model.gpr.activation_table is None
-    passes = []
+    calls = []
     real = gpr._dual_sums
 
     def spy(*args):
-        passes.append(args[1].shape[1])
+        calls.append([len(js) for js in args[2]])
         return real(*args)
 
     monkeypatch.setattr(gpr, "_dual_sums", spy)
     term_values(tabled, ds.X[:9])
-    assert passes == []
+    assert calls == []
     terms = term_values(model, ds.X[:9])
-    assert len(passes) == 6 and sum(passes) == model.n_features
+    assert len(calls) == 1 and len(calls[0]) == 6 and sum(calls[0]) == model.n_features
     # each term adds the component values of its features in feature order
     Y = hdmrnet.model._features(model, ds.X[:9])
     for subset, values in terms.items():
@@ -155,6 +155,22 @@ def test_term_values_make_one_pass_per_term(monkeypatch):
             if model.feature_map.subset(j) == subset:
                 expected = expected + gpr_component(model.gpr, j, Y[:, j])
         assert np.array_equal(values, expected)
+
+
+def test_term_values_without_a_table_open_one_pool(monkeypatch):
+    pools = []
+
+    class SpyExecutor(gpr.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers)
+
+    model, ds = _small_model(neurons=4, length_scale=0.02)
+    assert model.gpr.activation_table is None
+    monkeypatch.setattr(gpr, "ThreadPoolExecutor", SpyExecutor)
+    monkeypatch.setattr(gpr, "_THREADS", 2)
+    assert len(term_values(model, ds.X[:9])) == 6
+    assert pools == [2]  # one pool for all D + C(D, d) terms
 
 
 def test_order_one_has_no_coupled_terms():
@@ -185,7 +201,7 @@ def test_compiled_predict_is_within_tolerance_of_exact(length_scale):
     assert not np.array_equal(compiled, exact)  # the table, not the exact path
     for subset, values in term_values(model, X).items():
         js = [j for j in range(model.n_features) if model.feature_map.subset(j) == subset]
-        grouped = gpr._dual_sums(model.gpr, Y[:, js], model.gpr.Ytrain.T[js], 0.0)
+        grouped = gpr._dual_sums(model.gpr, Y, [js], 0.0)[0]
         assert np.abs(values - grouped).max() <= table.tolerance
 
 
