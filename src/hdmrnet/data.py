@@ -116,11 +116,12 @@ def _read_matrix(path: str, with_target: bool) -> tuple[np.ndarray, list[str]]:
     least 2 columns, and a headerless file's last column is "target".  The
     file is read in one pass, each row parsed by one `map(float, ...)` and
     checked by one finiteness pass; errors come in file order.  The file
-    must be UTF-8 text: a byte that is not is refused with its line.
+    must be UTF-8 text, a leading byte-order mark skipped; a byte that is
+    not is refused with its line.
     """
     header, names, flat, n_rows = None, None, [], 0
     try:
-        fh = open(path, "r", encoding="utf-8", errors="surrogateescape")
+        fh = open(path, "r", encoding="utf-8-sig", errors="surrogateescape")
     except OSError as exc:
         raise DatasetError(f"cannot read {path}: {exc}") from exc
     with fh:
@@ -175,26 +176,16 @@ def _column_names(path: str, header: list[str] | None, width: int,
 def _refuse_row(path: str, line_number: int, names: list[str], cells: list[str]) -> None:
     """Raise the DatasetError of a row with the wrong cell count or, else,
     of its first cell that is not a finite number."""
+    where = f"{path}: line {line_number}:"
     if len(cells) != len(names):
-        raise DatasetError(
-            f"{path}: line {line_number}: expected {len(names)} cells, got {len(cells)}"
-        )
+        raise DatasetError(f"{where} expected {len(names)} cells, got {len(cells)}")
     for name, cell in zip(names, cells):
-        _parse_cell(path, line_number, name, cell)
-
-
-def _parse_cell(path: str, line_number: int, name: str, cell: str) -> float:
-    try:
-        value = float(cell)
-    except ValueError as exc:
-        raise DatasetError(
-            f"{path}: line {line_number}: cannot parse '{cell}' in column '{name}'"
-        ) from exc
-    if not math.isfinite(value):
-        raise DatasetError(
-            f"{path}: line {line_number}: non-finite value '{cell}' in column '{name}'"
-        )
-    return value
+        try:
+            value = float(cell)
+        except ValueError as exc:
+            raise DatasetError(f"{where} cannot parse '{cell}' in column '{name}'") from exc
+        if not math.isfinite(value):
+            raise DatasetError(f"{where} non-finite value '{cell}' in column '{name}'")
 
 
 def load_csv(path: str, target: str | None = None) -> Dataset:

@@ -139,7 +139,7 @@ def hdmr_fit(
     recorded in the model metadata.
     """
     if train.n < 2:
-        raise ValueError(f"training set needs at least 2 rows, got {train.n}")
+        raise DatasetError(f"training set needs at least 2 rows, got {train.n}")
     fmap, scaler, Y = _training_features(train.X, order, neurons_per_term, sobol_skip,
                                          gram=True)
     gpr = gpr_fit(Y, train.t, length_scale, noise)
@@ -274,8 +274,8 @@ def load_model(path: str) -> HdmrModel:
         raise ModelFormatError(f"cannot read model file: {exc}") from exc
     try:
         document = json.loads(raw, parse_constant=_reject_literal)
-    except json.JSONDecodeError as exc:
-        raise ModelFormatError(f"document: not valid JSON ({exc.msg} at char {exc.pos})") from exc
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise ModelFormatError(f"document: not valid JSON ({exc})") from exc
     if not isinstance(document, dict):
         raise ModelFormatError("document: top level must be an object")
 

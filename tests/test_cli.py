@@ -269,6 +269,39 @@ def test_non_utf8_data_exits_three_naming_the_line(workspace, tmp_path, capsys):
     assert not os.path.exists(tmp_path / "p.csv")
 
 
+def test_non_utf8_model_exits_three_writing_nothing(workspace, tmp_path, capsys):
+    _, data, _ = workspace
+    bad = str(tmp_path / "latin.model")
+    open(bad, "wb").write(b'{"a":"\xff"}')
+    out = str(tmp_path / "p.csv")
+    assert run("predict", "--model", bad, "--data", data, "--out", out) == 3
+    assert "not valid JSON ('utf-8' codec can't decode byte 0xff in position 6" in \
+        capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
+def test_predict_reads_every_point_after_a_byte_order_mark(workspace, tmp_path):
+    _, _, model = workspace
+    points = str(tmp_path / "bom.csv")
+    open(points, "wb").write(b"\xef\xbb\xbf0.1,0.2,0.3\n0.9,0.8,0.7\n0.5,0.5,0.5\n")
+    out = str(tmp_path / "preds.csv")
+    assert run("predict", "--model", model, "--data", points, "--out", out) == 0
+    lines = open(out).read().splitlines()
+    assert lines[1] == "x1,x2,x3,prediction"
+    assert [line.split(",")[:3] for line in lines[2:]] == [
+        ["0.1", "0.2", "0.3"], ["0.9", "0.8", "0.7"], ["0.5", "0.5", "0.5"]]
+
+
+def test_fit_on_one_row_exits_three_writing_nothing(tmp_path, capsys):
+    one = str(tmp_path / "one.csv")
+    open(one, "w").write("a,b,E\n0.1,0.2,0.3\n")
+    target = str(tmp_path / "one.model")
+    assert run("fit", "--data", one, "--d", "1", "--n-per-term", "0", "--l", "0.3",
+               "--seed", "1", "--out", target) == 3
+    assert "training set needs at least 2 rows, got 1" in capsys.readouterr().err
+    assert not os.path.exists(target)
+
+
 def test_non_finite_literal_in_model_exits_three(workspace, tmp_path, capsys):
     _, data, model = workspace
     broken = str(tmp_path / "nan.model")

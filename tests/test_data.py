@@ -334,6 +334,25 @@ def test_utf8_text_beyond_ascii_is_read(tmp_path):
     assert np.array_equal(ds.X, [[1.0, 2.0]])
 
 
+def test_byte_order_mark_before_a_headerless_file_is_not_a_header(tmp_path):
+    path = str(tmp_path / "d.csv")
+    open(path, "wb").write(b"\xef\xbb\xbf1,2,3\n4,5,6\n7,8,9\n")
+    values, names = load_matrix(path)
+    assert names == ["x1", "x2", "x3"]
+    assert np.array_equal(values, [[1, 2, 3], [4, 5, 6], [7, 8, 9]])
+    ds = load_csv(path)
+    assert ds.n == 3 and ds.target_name == "target"
+
+
+def test_byte_order_mark_is_not_part_of_the_first_name(tmp_path):
+    path = str(tmp_path / "d.csv")
+    open(path, "w", encoding="utf-8-sig").write("a,b,E\n1,2,3\n4,5,6\n")
+    assert load_matrix(path)[1] == ["a", "b", "E"]
+    ds = load_csv(path, target="a")
+    assert ds.target_name == "a" and ds.column_names == ["b", "E"]
+    assert np.array_equal(ds.t, [1.0, 4.0])
+
+
 @pytest.mark.parametrize("text", [
     "a,b,E\n1,2,3\n4,5,6\n",
     "1,2,3\n4.5,5,6\n",

@@ -93,7 +93,7 @@ def test_fit_records_provenance():
 
 def test_fit_needs_two_rows():
     ds = Dataset(X=np.array([[0.1, 0.2]]), t=np.array([1.0]))
-    with pytest.raises(ValueError):
+    with pytest.raises(DatasetError, match="at least 2 rows, got 1"):
         hdmr_fit(ds, 1, 0, 0.5)
 
 
@@ -405,6 +405,10 @@ def test_unreadable_or_corrupt_files(tmp_path):
     open(listfile, "w").write("[1, 2]")
     with pytest.raises(ModelFormatError, match="top level"):
         load_model(listfile)
+    latin = str(tmp_path / "latin.json")
+    open(latin, "wb").write(b'{"a":"caf\xe9"}')
+    with pytest.raises(ModelFormatError, match="JSON .*can't decode byte 0xe9 in position 9"):
+        load_model(latin)
 
 
 def test_failed_save_leaves_no_partial_file(tmp_path):
