@@ -22,6 +22,7 @@ from dataclasses import astuple, dataclass, field, fields
 
 import numpy as np
 
+from .coupling import _check_count, _check_order
 from .data import Dataset, _check_memory, _split_sizes, _write_columns, split
 from .errors import DatasetError, HdmrnetError, InvalidHyperparameterError, ShapeError
 from .gpr import _check_length_scale, _check_noise, _dual_sums, _kernel_scratch_bytes
@@ -147,16 +148,19 @@ def sweep(
     Repeat r uses split seed base_seed + r, shared across cells so that
     different (d, N) settings are compared on identical splits.  Failed
     cells are kept with status "error:<type>" and NaN metrics.  Up to
-    `jobs` cells run at once, on threads of this process.  A length scale,
-    noise, Sobol skip or split size that every cell would refuse raises
-    before any cell runs.
+    `jobs` cells run at once, on threads of this process.  A coupling
+    order, neuron count, length scale, noise, Sobol skip or split size that
+    `hdmr_fit` would refuse raises before any cell runs.
     """
     if repeats < 1:
         raise ValueError(f"repeats must be >= 1, got {repeats}")
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
-    if sobol_skip < 0:
-        raise ValueError(f"sobol_skip must be >= 0, got {sobol_skip}")
+    _check_count("sobol_skip", sobol_skip)
+    for d in d_list:
+        _check_order(dataset.dimension, d)
+    for N in N_list:
+        _check_count("neurons_per_term", N)
     length_scale, noise = _check_length_scale(length_scale), _check_noise(noise)
     _split_sizes(dataset.n, train_size, test_size)
     config = {

@@ -67,12 +67,21 @@ class FeatureMap:
         return W
 
 
-def enumerate_subsets(dimension: int, order: int) -> list[tuple[int, ...]]:
-    """All C(D, d) strictly-increasing index subsets, lexicographic order."""
+def _check_order(dimension: int, order: int) -> None:
     if not 1 <= order <= dimension:
         raise InvalidOrderError(
             f"coupling order must be in [1, {dimension}], got {order}"
         )
+
+
+def _check_count(name: str, value: int) -> None:
+    if value < 0:
+        raise ValueError(f"{name} must be >= 0, got {value}")
+
+
+def enumerate_subsets(dimension: int, order: int) -> list[tuple[int, ...]]:
+    """All C(D, d) strictly-increasing index subsets, lexicographic order."""
+    _check_order(dimension, order)
     return list(combinations(range(dimension), order))
 
 
@@ -89,10 +98,8 @@ def build_feature_map(
     order 1 no coupled rows are added and `neurons_per_term` is ignored.
     """
     subsets = enumerate_subsets(dimension, order)
-    if neurons_per_term < 0:
-        raise ValueError(f"neurons_per_term must be >= 0, got {neurons_per_term}")
-    if sobol_skip < 0:
-        raise ValueError(f"sobol_skip must be >= 0, got {sobol_skip}")
+    _check_count("neurons_per_term", neurons_per_term)
+    _check_count("sobol_skip", sobol_skip)
     per_subset = neurons_per_term if order >= 2 else 0
     weights = sobol_points(order, per_subset * len(subsets), sobol_skip)
     return FeatureMap(

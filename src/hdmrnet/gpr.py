@@ -12,9 +12,10 @@ the per-neuron activation functions of the network assembled in
 :mod:`hdmrnet.model`.
 
 Training is one Cholesky solve of (K + sigma * I) alpha = t - mean(t) in
-`_solve`, accepted when its backward error is at most 8 eps; sigma, the
-requested noise, rises tenfold while the factorization or that check fails.
-No hyperparameter is optimized.  All arithmetic is float64.
+`_solve`, factored in K's own memory and accepted when its backward error
+is at most 8 eps; sigma, the requested noise, rises tenfold while the
+factorization or that check fails.  No hyperparameter is optimized.  All
+arithmetic is float64.
 
 The Gram matrix and `_dual_sums`, the one exact evaluator of predictions,
 components, table nodes and coupling terms, share one kernel routine, run
@@ -40,7 +41,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .errors import (DatasetError, IllConditionedGramError, InvalidHyperparameterError,
                      ShapeError)
@@ -49,9 +50,15 @@ from .errors import (DatasetError, IllConditionedGramError, InvalidHyperparamete
 # `_solve`'s acceptance rule: backward error at most c * eps.
 MAX_JITTER = 1e-2
 _BACKWARD_ERROR = 8.0
+# M-vectors that `_solve` holds at most: the diagonal, the shifted diagonal,
+# alpha, the residual, a vector of ones, and a product and its temporary.
+_SOLVE_VECTORS = 7
 
-# Rows per block of the kernel routine, and threads that blocks run on.
+# Rows per block of the kernel routine and of `_solve`'s products, the
+# strict upper triangle of such a block, and threads that kernel blocks
+# run on.
 _BLOCK = 128
+_UPPER = np.triu(np.ones((_BLOCK, _BLOCK), dtype=bool), 1)
 _THREADS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
 
@@ -184,11 +191,12 @@ def _map_blocks(n_items: int, work, step: int = _BLOCK) -> None:
                 task.result()
 
 
-def _kernel_scratch_bytes(n_train: int) -> int:
-    """Bytes that one kernel pass against `n_train` training rows holds
-    besides its output: per thread, a (_BLOCK, n_train) buffer, a training
-    column, numpy's two 8192-double ufunc buffers and 16 KiB of objects."""
-    return _THREADS * 8 * ((_BLOCK + 1) * n_train + 2 * 8192 + 2048)
+def _kernel_scratch_bytes(n_train: int, tasks: float = math.inf) -> int:
+    """Bytes that one kernel pass of `tasks` blocks against `n_train`
+    training rows holds besides its output: per thread of `_map_blocks`, a
+    (_BLOCK, n_train) buffer, a training column, numpy's two 8192-double
+    ufunc buffers and 16 KiB of objects."""
+    return min(_THREADS, tasks) * 8 * ((_BLOCK + 1) * n_train + 2 * 8192 + 2048)
 
 
 def _dual_sums(model: AdditiveGprModel, Y: np.ndarray, groups, start: float) -> np.ndarray:
@@ -226,8 +234,9 @@ def gram_matrix(Y: np.ndarray, length_scale: float) -> np.ndarray:
     Yt = np.ascontiguousarray(Y.T)
     K = np.zeros((M, M))
     def work(blocks):
+        scratch = np.empty(min(_BLOCK, M) * M)
         for r0, r1 in blocks:
-            buf = np.empty((r1 - r0, M - r0))
+            buf = scratch[:(r1 - r0) * (M - r0)].reshape(r1 - r0, M - r0)
             for y in Yt:
                 K[r0:r1, r0:] += _kernel(y[r0:r1], y[r0:], inv, buf)
             K[r1:, r0:r1] = K[r0:r1, r1:].T
@@ -235,8 +244,64 @@ def gram_matrix(Y: np.ndarray, length_scale: float) -> np.ndarray:
     return K
 
 
+def _diagonal_block(K: np.ndarray, r0: int, r1: int, block: np.ndarray) -> np.ndarray:
+    """K[r0:r1, r0:r1] with its upper triangle mirrored from its strict
+    lower one, in the scratch `block`; the diagonal is left as K has it."""
+    n = r1 - r0
+    square = block[:n * n].reshape(n, n)
+    np.copyto(square, K[r0:r1, r0:r1])
+    np.copyto(square, K[r0:r1, r0:r1].T, where=_UPPER[:n, :n])
+    return square
+
+
+def _symmetric_product(K: np.ndarray, diagonal: np.ndarray, v: np.ndarray,
+                       block: np.ndarray) -> np.ndarray:
+    """S @ v for the symmetric S with K's strict lower triangle and the
+    given diagonal, read without K's upper triangle or diagonal.  The row
+    blocks run in order, each as dgemv on its part left of the diagonal,
+    on that part's transpose and on its mirrored diagonal block; unlike
+    dsymv's, those bits do not depend on the BLAS thread count."""
+    M = K.shape[0]
+    out = np.zeros(M)
+    for r0 in range(0, M, _BLOCK):
+        r1 = min(r0 + _BLOCK, M)
+        left = K[r0:r1, :r0]
+        out[r0:r1] += left @ v[:r0]
+        out[:r0] += left.T @ v[r0:r1]
+        square = _diagonal_block(K, r0, r1, block)
+        square.reshape(-1)[:: r1 - r0 + 1] = diagonal[r0:r1]
+        out[r0:r1] += square @ v[r0:r1]
+    return out
+
+
+def _refill(K: np.ndarray, block: np.ndarray) -> None:
+    """Copy K's strict lower triangle onto its upper one, where a factor was."""
+    M = K.shape[0]
+    for r0 in range(0, M, _BLOCK):
+        r1 = min(r0 + _BLOCK, M)
+        K[r0:r1, r1:] = K[r1:, r0:r1].T
+        K[r0:r1, r0:r1] = _diagonal_block(K, r0, r1, block)
+
+
+def _solve_scratch_bytes(n_train: int) -> int:
+    """Bytes that `_solve` holds besides K and b: `_SOLVE_VECTORS` M-vectors
+    and one diagonal block."""
+    return 8 * (_SOLVE_VECTORS * n_train + min(_BLOCK, n_train) ** 2)
+
+
+def _fit_bytes(n_train: int, n_features: int) -> int:
+    """Bytes that a fit holds besides its features and targets: the Gram
+    matrix, the centred targets, and the larger of what builds the Gram
+    (the features' transpose and the kernel scratch) and what `_solve`
+    factors it with, which never coexist."""
+    M = n_train
+    build = 8 * M * n_features + _kernel_scratch_bytes(M, -(-M // _BLOCK))
+    return 8 * M * (M + 1) + max(build, _solve_scratch_bytes(M))
+
+
 def _solve(K: np.ndarray, b: np.ndarray, noise: float) -> tuple[np.ndarray, float]:
-    """(alpha, sigma) with (K + sigma * I) alpha = b, by Cholesky.
+    """(alpha, sigma) with (K + sigma * I) alpha = b, by a Cholesky
+    factorization in K's own memory; K is consumed.
 
     sigma starts at `noise` and rises by factors of 10 up to `MAX_JITTER`
     while factorization fails or the backward error eta = ||r|| / (||K||
@@ -245,28 +310,32 @@ def _solve(K: np.ndarray, b: np.ndarray, noise: float) -> tuple[np.ndarray, floa
     c * eps; beyond that an error reports the final jitter.  A stable solve
     has eta = O(eps) however ill-conditioned K is: fits of M = 1 to 3000
     rows measured at most 0.41 eps, so c = 8 keeps a margin of 20.  K's
-    entries are positive, so ||K|| is its largest column sum.  Each try
-    rewrites K's diagonal in place and factors a copy of K in one
-    Fortran-ordered (M, M) buffer that every try overwrites, so a fit holds
-    K and that buffer, 16 M^2 bytes, and no more: the copy is a memcpy of
-    K's transpose, which is K itself because `gram_matrix` makes K symmetric
-    to the bit.  K and b must be finite: no LAPACK call checks them.
+    entries are positive, so ||K|| is its largest column sum.
+
+    `gram_matrix` makes K symmetric to the bit, so K.T, the Fortran-order
+    view of K's buffer, is K.  Each try sets K's diagonal to the original
+    one, kept in an M-vector, plus sigma, and dpotrf puts the factor L in
+    that view's lower triangle, which is K's upper one; K's strict lower
+    triangle stays intact, and `_symmetric_product` reads r and the column
+    sums from it.  A failed try copies that triangle back over the factor.
+    So a fit holds K and `_solve_scratch_bytes`, no second M x M buffer,
+    and on return K's upper triangle holds the factor.  K and b must be
+    finite: no LAPACK call checks them.
     """
     M = K.shape[0]
     diagonal = K.diagonal().copy()
-    work = np.empty((M, M), order="F")
+    block = np.empty(min(_BLOCK, M) ** 2)
     sigma = noise
     while True:
-        K.flat[:: M + 1] = diagonal + sigma
-        work.T[...] = K
-        try:
-            factor = cho_factor(work, lower=True, overwrite_a=True, check_finite=False)
-        except LinAlgError:
-            pass
-        else:
-            alpha = cho_solve(factor, b, check_finite=False)
-            eta = np.abs(b - K @ alpha).max() / (
-                K.sum(axis=0).max() * np.abs(alpha).max() + np.abs(b).max())
+        shifted = diagonal + sigma
+        K.flat[:: M + 1] = shifted
+        factor, info = dpotrf(K.T, lower=1, clean=0, overwrite_a=1)
+        if info == 0:
+            alpha = dpotrs(factor, b, lower=1)[0]
+            residual = _symmetric_product(K, shifted, alpha, block)
+            residual -= b
+            norm_K = _symmetric_product(K, shifted, np.ones(M), block).max()
+            eta = np.abs(residual).max() / (norm_K * np.abs(alpha).max() + np.abs(b).max())
             if eta <= _BACKWARD_ERROR * np.finfo(np.float64).eps:
                 return alpha, sigma
         if sigma * 10.0 > MAX_JITTER * (1.0 + 1e-12):
@@ -275,6 +344,7 @@ def _solve(K: np.ndarray, b: np.ndarray, noise: float) -> tuple[np.ndarray, floa
                 f"(requested noise {noise:g})",
                 final_jitter=sigma,
             )
+        _refill(K, block)
         sigma *= 10.0
 
 

@@ -34,8 +34,8 @@ from .coupling import FeatureMap, build_feature_map, map_features
 from .data import Dataset, _atomic_open, _check_memory
 from .errors import (DatasetError, HdmrnetError, InvalidHyperparameterError,
                      ModelFormatError, ShapeError)
-from .gpr import (AdditiveGprModel, _check_length_scale, _check_noise, activation_sums,
-                  gpr_fit)
+from .gpr import (AdditiveGprModel, _check_length_scale, _check_noise, _fit_bytes,
+                  activation_sums, gpr_fit)
 from .sobol import _NBITS
 
 FORMAT_VERSION = 2
@@ -106,12 +106,14 @@ def _training_features(
     rebuilds it, so a loaded model's features are the fitted ones bit for
     bit.  Sizes whose features and map arrays would exceed physical memory
     are refused before anything is allocated; with `gram`, so are sizes
-    whose M x M Gram matrix and the M x M buffer that `gpr._solve` factors
-    it in, 16 M^2 bytes together, would not fit as well.
+    whose fit would not fit as well: the M x M Gram matrix, which
+    `gpr._solve` factors in place, 8 M^2 bytes, plus the O(M F) scratch of
+    building and solving it (`gpr._fit_bytes`).
     """
     M, D = X.shape
     coupled = neurons_per_term * math.comb(D, order) if 2 <= order <= D else 0
-    needed = 8 * M * (D + coupled) + 16 * order * coupled + (16 * M * M if gram else 0)
+    needed = (8 * M * (D + coupled) + 16 * order * coupled
+              + (_fit_bytes(M, D + coupled) if gram else 0))
     # Counts past the Sobol sequence are left to build_feature_map, which
     # refuses them before generating anything.
     if sobol_skip + coupled < 1 << _NBITS:

@@ -10,6 +10,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import hdmrnet.data
 from hdmrnet import (
     AdditiveGprModel,
     HdmrModel,
@@ -26,7 +27,7 @@ from hdmrnet import (
 )
 from hdmrnet import analysis
 from hdmrnet.analysis import SWEEP_COLUMNS
-from hdmrnet.errors import DatasetError, InvalidHyperparameterError, ShapeError
+from hdmrnet.errors import DatasetError, InvalidHyperparameterError, InvalidOrderError, ShapeError
 
 
 # ---------------------------------------------------------------------------
@@ -114,13 +115,16 @@ def test_sweep_is_deterministic_and_jobs_independent(tiny_sweep):
         assert a.status == b.status
 
 
-def test_sweep_records_failed_cells_without_aborting():
+def test_sweep_records_failed_cells_without_aborting(monkeypatch):
+    # Against 100 MB of memory the N = 10^6 cell's 3 * 10^6 features of 30
+    # rows are refused, while the N = 2 cell fits.
+    monkeypatch.setattr(hdmrnet.data, "_MEMORY_BYTES", 10**8)
     ds = synth("pairwise", 3, 60, seed=3)
-    result = sweep(ds, [2, 4], [2], 1, 30, 20, 0.3, 1e-6, 7)
-    by_d = {r.d: r for r in result.records}
-    assert by_d[2].status == "ok"
-    assert by_d[4].status == "error:InvalidOrderError"
-    assert math.isnan(by_d[4].test_rmse)
+    result = sweep(ds, [2], [2, 10**6], 1, 30, 20, 0.3, 1e-6, 7)
+    by_N = {r.N: r for r in result.records}
+    assert by_N[2].status == "ok"
+    assert by_N[10**6].status == "error:InvalidHyperparameterError"
+    assert math.isnan(by_N[10**6].test_rmse)
     assert [(d, N) for d, N, _ in result.summary()] == [(2, 2)]
 
 
@@ -198,6 +202,13 @@ def test_sweep_validation(monkeypatch):
             sweep(ds, [1], [2], 1, train_size, test_size, 0.3, 1e-6, 7)
     with pytest.raises(ValueError, match="sobol_skip must be >= 0"):
         sweep(ds, [1], [2], 1, 30, 20, 0.3, 1e-6, 7, sobol_skip=-3)
+    # as are a coupling order or neuron count that any one cell would refuse
+    for d_list in ([1, 4], [0, 2]):
+        with pytest.raises(InvalidOrderError, match=r"must be in \[1, 3\]"):
+            sweep(ds, d_list, [2], 1, 30, 20, 0.3, 1e-6, 7)
+    for N_list in ([-1], [2, -1]):
+        with pytest.raises(ValueError, match="neurons_per_term must be >= 0"):
+            sweep(ds, [1, 2], N_list, 1, 30, 20, 0.3, 1e-6, 7)
 
 
 # ---------------------------------------------------------------------------

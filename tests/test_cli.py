@@ -339,15 +339,17 @@ def test_bad_hyperparameter_exits_four_before_writing(workspace, tmp_path, capsy
     ("--l", "inf", 4, "length scale"), ("--noise", "nan", 4, "noise"),
     ("--train", "500", 3, "train_size must be in"), ("--test", "300", 3, "test_size must be in"),
     ("--sobol-skip", "-3", 2, "sobol_skip must be >= 0"),
+    ("--d", "1,4", 5, "coupling order must be in [1, 3], got 4"),
+    ("--n-per-term", "-1", 2, "neurons_per_term must be >= 0"),
 ])
 def test_sweep_refuses_bad_settings_before_writing(workspace, tmp_path, capsys,
                                                    flag, value, code, message):
     _, data, _ = workspace
     out_dir = tmp_path / "sweep"
-    settings = {"--l": "0.3", "--noise": "1e-6", "--train": "200", "--test": "100",
-                flag: value}
-    assert run("sweep", "--data", data, "--d", "1,2", "--n-per-term", "2", "--seed", "1",
-               "--out-dir", str(out_dir), *(x for kv in settings.items() for x in kv)) == code
+    settings = {"--d": "1,2", "--n-per-term": "2", "--l": "0.3", "--noise": "1e-6",
+                "--train": "200", "--test": "100", flag: value}
+    assert run("sweep", "--data", data, "--seed", "1", "--out-dir", str(out_dir),
+               *(x for kv in settings.items() for x in kv)) == code
     assert message in capsys.readouterr().err
     assert not out_dir.exists() or not any(out_dir.iterdir())
 
@@ -382,8 +384,8 @@ def test_fit_past_physical_memory_exits_four(workspace, tmp_path, monkeypatch, c
 
 def test_fit_whose_gram_would_not_fit_exits_four(workspace, tmp_path, monkeypatch, capsys):
     # 400 rows of 3 + 2 * 3 = 9 features: 28,800 bytes of features and
-    # 192 bytes of map arrays fit, the 2 * 8 * 400^2 bytes of the Gram
-    # matrix and its Cholesky copy do not.
+    # 192 bytes of map arrays fit, the 8 * 400^2 bytes of the Gram matrix
+    # do not.
     _, data, _ = workspace
     monkeypatch.setattr("hdmrnet.data._MEMORY_BYTES", 10**6)
     target = str(tmp_path / "gram.model")

@@ -5,11 +5,15 @@ independent oracles for the linear-algebra path.
 """
 
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
+from scipy.linalg.lapack import dpotrs
 
 from hdmrnet import (
     gpr,
@@ -279,21 +283,25 @@ def test_escalated_fit_solves_with_the_reported_noise_alone():
 
 def test_solve_above_the_backward_error_bound_escalates(monkeypatch):
     # A first solution off by a relative 1e-6 leaves a residual far above
-    # 8 eps of ||K|| ||alpha||, so the jitter rises once and the exact
-    # solve at 10x the noise is accepted.
+    # 8 eps of ||K|| ||alpha||, so the jitter rises once; the factor is
+    # copied back to K before the exact solve at 10x the noise is accepted,
+    # which therefore equals a fit at that noise bit for bit.
     solves = []
 
     def perturbed(factor, b, **kwargs):
-        alpha = cho_solve(factor, b, **kwargs)
+        alpha, info = dpotrs(factor, b, **kwargs)
         solves.append(alpha)
-        return alpha * (1.0 + 1e-6) if len(solves) == 1 else alpha
+        return (alpha * (1.0 + 1e-6) if len(solves) == 1 else alpha), info
 
-    monkeypatch.setattr(gpr, "cho_solve", perturbed)
     rng = np.random.default_rng(2)
     Y = rng.uniform(size=(25, 4))
-    model = gpr_fit(Y, np.sin(Y.sum(axis=1)), 0.8, 1e-6)
+    t = np.sin(Y.sum(axis=1))
+    expected = gpr_fit(Y, t, 0.8, 1e-5)
+    monkeypatch.setattr(gpr, "dpotrs", perturbed)
+    model = gpr_fit(Y, t, 0.8, 1e-6)
     assert len(solves) == 2
     assert model.effective_noise == 1e-6 * 10.0
+    assert model.alpha.tobytes() == expected.alpha.tobytes()
 
 
 def _reference_solve(K, b, noise):
@@ -322,23 +330,29 @@ def _reference_solve(K, b, noise):
     (gpr._BLOCK + 1, 4, 0.5, 1e-8, False), (300, 5, 0.5, 1e-6, False),
     (300, 2, 1.0, 1e-14, True),  # the escalating case of the test above
     (300, 2, 1.0, 1e-12, False),  # relative residual 1.3e-6, but eta 0.16 eps
+    (300, 2, 1.0, 1e-16, True),  # 3 failed factors refilled, the last block partial
 ])
 def test_solve_in_the_factor_buffer_matches_scipy_defaults_bit_for_bit(
         M, F, length_scale, noise, escalates):
     Y = np.random.default_rng(0).uniform(size=(M, F))
     b = np.sin(6.0 * Y).sum(axis=1)
     K = gram_matrix(Y, length_scale)
+    lower = np.tril(K, -1)
     expected, expected_sigma = _reference_solve(K.copy(), b, noise)
     alpha, sigma = gpr._solve(K, b, noise)
     assert (sigma, sigma > noise) == (expected_sigma, escalates)
     assert alpha.tobytes() == expected.tobytes()
+    # K is consumed, but only its upper triangle and diagonal.
+    assert np.tril(K, -1).tobytes() == lower.tobytes()
 
 
 @pytest.mark.parametrize("M, F, noise, escalates", [(600, 2, 1e-14, True), (600, 3, 1e-6, False)])
 def test_fit_peak_memory_is_the_counted_gram_and_factor_buffer(M, F, noise, escalates):
-    # The Gram guard of `model._training_features` counts 16 M^2 bytes for
-    # a fit: the Gram matrix and the factor buffer.  Anything else a fit
-    # allocates is O(M F), plus 64 KiB for the interpreter's own objects.
+    # The Gram guard of `model._training_features` counts `gpr._fit_bytes`
+    # for a fit: the Gram matrix, which `_solve` factors in place, the
+    # centred targets, and the larger of what builds the Gram and what
+    # solves it.  Besides that a fit holds 64 KiB of the interpreter's own
+    # objects; a second (M, M) array would not fit.
     rng = np.random.default_rng(0)
     Y = rng.uniform(size=(M, F))
     t = np.sin(6.0 * Y).sum(axis=1)
@@ -351,7 +365,58 @@ def test_fit_peak_memory_is_the_counted_gram_and_factor_buffer(M, F, noise, esca
     finally:
         tracemalloc.stop()
     assert model.jitter_escalated == escalates
-    assert peak <= 16 * M * M + 8 * M * (F + 16) + 2**16
+    assert peak <= gpr._fit_bytes(M, F) + 2**16
+
+
+# K, with NaN where a factor would be, and the products that `_solve`
+# checks a try with, printed as hex.
+_PRODUCTS = """
+import numpy as np
+from hdmrnet import gpr
+M = 500
+K = gpr.gram_matrix(np.random.default_rng(0).uniform(size=(M, 3)), 0.5)
+shifted = K.diagonal() + 1e-6
+K[np.triu_indices(M)] = np.nan
+block = np.empty(gpr._BLOCK ** 2)
+for v in (np.sin(0.37 * np.arange(M)), np.ones(M)):
+    print(gpr._symmetric_product(K, shifted, v, block).tobytes().hex())
+"""
+
+
+def test_solve_products_do_not_depend_on_the_blas_thread_count():
+    # The residual and column sums of `_solve` read K's strict lower
+    # triangle and the shifted diagonal alone, with dgemv in a fixed order:
+    # the same bytes on 1 and 2 BLAS threads, which dsymv does not give.
+    path = os.pathsep.join(filter(None, [os.path.dirname(os.path.dirname(gpr.__file__)),
+                                         os.environ.get("PYTHONPATH")]))
+    outputs = [subprocess.run([sys.executable, "-c", _PRODUCTS], check=True, capture_output=True,
+                              text=True, env={**os.environ, "PYTHONPATH": path,
+                                              "OPENBLAS_NUM_THREADS": str(threads)}).stdout
+               for threads in (1, 2)]
+    assert outputs[0] == outputs[1]
+    M = 500
+    K = gram_matrix(np.random.default_rng(0).uniform(size=(M, 3)), 0.5)
+    K.flat[:: M + 1] += 1e-6
+    for line, v in zip(outputs[0].split(), (np.sin(0.37 * np.arange(M)), np.ones(M))):
+        np.testing.assert_allclose(np.frombuffer(bytes.fromhex(line)), K @ v, rtol=1e-13)
+
+
+@pytest.mark.parametrize("M, noise", [(600, 1e-14), (600, 1e-6), (300, 1e-16), (gpr._BLOCK + 1, 1e-8)])
+def test_solve_peak_memory_is_its_counted_scratch(M, noise):
+    # Besides K and b, `_solve` holds its M-vectors and one diagonal block,
+    # plus 8 KiB for the interpreter's own objects, on every try.
+    Y = np.random.default_rng(0).uniform(size=(M, 2))
+    b = np.sin(6.0 * Y).sum(axis=1)
+    K = gram_matrix(Y, 1.0)
+    gpr._solve(K.copy(), b, noise)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        gpr._solve(K, b, noise)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= gpr._solve_scratch_bytes(M) + 2**13
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

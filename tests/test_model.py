@@ -4,11 +4,13 @@ import hashlib
 import json
 import logging
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import hdmrnet.data
+import hdmrnet.gpr
 import hdmrnet.model
 from hdmrnet import (
     Dataset,
@@ -546,25 +548,58 @@ def test_non_finite_points_are_refused(bad, where):
 
 def test_fit_past_physical_memory_is_refused(monkeypatch):
     # 80 rows of F = 3 + 4 * C(3, 2) = 15 features: 8 * 80 * 15 bytes of
-    # features plus 16 * 2 * 12 bytes of map arrays = 9984 bytes; a fit also
-    # needs 16 * 80^2 bytes for its Gram matrix and the Cholesky copy.
+    # features plus 16 * 2 * 12 bytes of map arrays = 9984 bytes; a fit
+    # also needs 8 * 80^2 bytes for its Gram matrix, factored in place,
+    # 8 * 80 for the centred targets, and to build the Gram the features'
+    # transpose and, on its one 80-row block, 8 * (129 * 80 + 18432) bytes
+    # of kernel scratch.
     monkeypatch.setattr(hdmrnet.data, "_MEMORY_BYTES", 9983)
     with pytest.raises(InvalidHyperparameterError, match="15 features of 80 rows"):
         _small_model()
-    monkeypatch.setattr(hdmrnet.data, "_MEMORY_BYTES", 9984 + 16 * 80**2)
+    needed = 9984 + 8 * 80 * (80 + 1) + 8 * 80 * 15 + 8 * (129 * 80 + 18432)
+    monkeypatch.setattr(hdmrnet.data, "_MEMORY_BYTES", needed - 1)
+    with pytest.raises(InvalidHyperparameterError, match="15 features of 80 rows and their Gram"):
+        _small_model()
+    monkeypatch.setattr(hdmrnet.data, "_MEMORY_BYTES", needed)
     model, _ = _small_model()
     assert model.n_features == 15
 
 
 def test_fit_guard_counts_the_gram_and_its_factor_copy(monkeypatch):
     # 200 rows of D = d = 1: 8 * 200 bytes of features, no map arrays, and
-    # 2 * 8 * 200^2 bytes for the Gram matrix and the copy cho_factor takes.
+    # on one thread 8 * 200^2 bytes for the Gram matrix, which `_solve`
+    # factors in place, 8 * 200 for the centred targets, and to build the
+    # Gram 8 * 200 for the features' transpose and 8 * (129 * 200 + 18432)
+    # of kernel scratch, more than the solve's 8 * (7 * 200 + 128^2) bytes.
     ds = synth("additive", 1, 200, seed=4)
-    monkeypatch.setattr(hdmrnet.data, "_MEMORY_BYTES", 641_599)
+    monkeypatch.setattr(hdmrnet.gpr, "_THREADS", 1)
+    monkeypatch.setattr(hdmrnet.data, "_MEMORY_BYTES", 678_655)
     with pytest.raises(InvalidHyperparameterError, match="1 features of 200 rows and their Gram"):
         hdmr_fit(ds, 1, 0, 0.3)
-    monkeypatch.setattr(hdmrnet.data, "_MEMORY_BYTES", 641_600)
+    monkeypatch.setattr(hdmrnet.data, "_MEMORY_BYTES", 678_656)
     assert hdmr_fit(ds, 1, 0, 0.3).gpr.n_train == 200
+
+
+@pytest.mark.parametrize("n, order, neurons, noise", [
+    (600, 2, 4, 1e-6), (300, 2, 4, 1e-16), (1000, 1, 0, 1e-6)])
+def test_fit_peak_memory_is_within_the_guard(monkeypatch, n, order, neurons, noise):
+    # The guard counts every array of a fit: the features, the map arrays,
+    # the one Gram matrix and the scratch that builds and solves it, on
+    # every jitter try (noise 1e-16 escalates three times).
+    counted = []
+    check = hdmrnet.model._check_memory
+    monkeypatch.setattr(hdmrnet.model, "_check_memory",
+                        lambda needed, what: (counted.append(needed), check(needed, what)))
+    ds = synth("pairwise", 3, n, seed=0)
+    hdmr_fit(ds, order, neurons, 1.0, noise)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        hdmr_fit(ds, order, neurons, 1.0, noise)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= counted[-1]
 
 
 def test_load_guard_counts_no_gram(tmp_path, monkeypatch):
