@@ -22,11 +22,10 @@ from dataclasses import astuple, dataclass, field, fields
 
 import numpy as np
 
-from .coupling import _check_count, _check_order
 from .data import Dataset, _check_memory, _split_sizes, _write_columns, split
 from .errors import DatasetError, HdmrnetError, InvalidHyperparameterError, ShapeError
 from .gpr import _check_length_scale, _check_noise, _dual_sums, _kernel_scratch_bytes
-from .model import HdmrModel, hdmr_fit, hdmr_predict, term_values
+from .model import HdmrModel, _check_fit_settings, hdmr_fit, hdmr_predict, term_values
 
 # Failures a sweep cell or a grid-search candidate records and moves past;
 # anything else is a bug and propagates.
@@ -148,21 +147,19 @@ def sweep(
     Repeat r uses split seed base_seed + r, shared across cells so that
     different (d, N) settings are compared on identical splits.  Failed
     cells are kept with status "error:<type>" and NaN metrics.  Up to
-    `jobs` cells run at once, on threads of this process.  A coupling
-    order, neuron count, length scale, noise, Sobol skip or split size that
-    `hdmr_fit` would refuse raises before any cell runs.
+    `jobs` cells run at once, on threads of this process.  Before any cell
+    runs, `split`, `gpr` and, for every (d, N), `model._check_fit_settings`
+    raise each refusal of a split or fit setting; memory is checked per cell.
     """
     if repeats < 1:
         raise ValueError(f"repeats must be >= 1, got {repeats}")
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
-    _check_count("sobol_skip", sobol_skip)
+    _split_sizes(dataset.n, train_size, test_size, base_seed)
     for d in d_list:
-        _check_order(dataset.dimension, d)
-    for N in N_list:
-        _check_count("neurons_per_term", N)
+        for N in N_list:
+            _check_fit_settings(train_size, dataset.dimension, d, N, sobol_skip)
     length_scale, noise = _check_length_scale(length_scale), _check_noise(noise)
-    _split_sizes(dataset.n, train_size, test_size)
     config = {
         "d_list": list(d_list),
         "N_list": list(N_list),
@@ -244,13 +241,16 @@ def grid_search_l(
 
     The inner split uses seed + 1 so it never coincides with the outer
     train/test split of the same seed.  Ties go to the larger (smoother)
-    candidate.  Candidates whose fit fails are scored as infinity.
+    candidate.  `model._check_fit_settings` and `gpr`'s noise check raise
+    before the first fit; a candidate whose fit fails scores infinity.
     """
     if not candidates:
         raise InvalidHyperparameterError("no length scale candidates given")
     val_size = max(1, int(round(_VAL_FRACTION * train.n)))
     if val_size >= train.n:
         raise DatasetError(f"{train.n} rows is too few for a validation split")
+    _check_fit_settings(train.n - val_size, train.dimension, order, neurons_per_term, 0)
+    _check_noise(noise)
     inner, val = split(train, train.n - val_size, seed + 1, val_size)
     results = []
     for l in sorted(candidates):

@@ -23,15 +23,9 @@ from . import __version__
 from .analysis import _scores, component_curves, sweep, write_sweep_csv
 from .data import (SYNTH_KINDS, _atomic_open, _chunks, _write_columns, load_csv, load_matrix,
                    save_csv, split, synth)
-from .errors import (
-    DatasetError,
-    IllConditionedGramError,
-    InvalidHyperparameterError,
-    InvalidOrderError,
-    ModelFormatError,
-    ShapeError,
-    UnsupportedDimensionError,
-)
+from .errors import (DatasetError, HdmrnetError, IllConditionedGramError,
+                     InvalidHyperparameterError, InvalidOrderError, ModelFormatError, ShapeError,
+                     UnsupportedDimensionError)
 from .model import hdmr_fit, hdmr_predict, load_model, save_model
 
 EXIT_OK = 0
@@ -39,6 +33,12 @@ EXIT_USAGE = 2
 EXIT_IO = 3
 EXIT_NUMERIC = 4
 EXIT_DIMENSION = 5
+
+# The exit code of each error, the first whose kinds match.
+_EXIT_CODES = [((DatasetError, ModelFormatError, OSError), EXIT_IO),
+               ((IllConditionedGramError, InvalidHyperparameterError), EXIT_NUMERIC),
+               ((ShapeError, InvalidOrderError, UnsupportedDimensionError), EXIT_DIMENSION),
+               (ValueError, EXIT_USAGE)]
 
 
 def _int_list(text: str) -> list[int]:
@@ -122,11 +122,11 @@ def _cmd_fit(args) -> int:
 
 def _cmd_predict(args) -> int:
     model = load_model(args.model)
-    X, _ = load_matrix(args.data)
+    X, columns = load_matrix(args.data)
     config = _config_echo(args, ["model", "data", "out"])
     comments = ["config: " + json.dumps(config, sort_keys=True)]
     names = [f"x{i + 1}" for i in range(model.dimension)] + ["prediction"]
-    if X.shape[0] == 0:  # no rows, so no column count to check
+    if not columns:  # no header and no rows, so no column count to check
         X = np.empty((0, model.dimension))
     save_csv(args.out, names, list(X.T) + [hdmr_predict(model, X)], comments)
     print(f"wrote {args.out} ({X.shape[0]} rows)")
@@ -156,19 +156,10 @@ def _cmd_eval(args) -> int:
 
 def _cmd_sweep(args) -> int:
     dataset = load_csv(args.data, target=args.target)
-    result = sweep(
-        dataset,
-        d_list=args.d,
-        N_list=args.n_per_term,
-        repeats=args.repeats,
-        train_size=args.train,
-        test_size=args.test,
-        length_scale=args.l,
-        noise=args.noise,
-        base_seed=args.seed,
-        jobs=args.jobs,
-        sobol_skip=args.sobol_skip,
-    )
+    result = sweep(dataset, d_list=args.d, N_list=args.n_per_term, repeats=args.repeats,
+                   train_size=args.train, test_size=args.test, length_scale=args.l,
+                   noise=args.noise, base_seed=args.seed, jobs=args.jobs,
+                   sobol_skip=args.sobol_skip)
     # jobs is scheduling only; leaving it out keeps artifacts identical
     # across worker counts.
     result.config = {
@@ -323,25 +314,15 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "train", None) is not None and args.command == "eval":
-        if args.seed is None:
-            parser.error("eval --train requires --seed")
+    if args.command == "eval" and args.train is not None and args.seed is None:
+        parser.error("eval --train requires --seed")
     if getattr(args, "test", None) is not None and args.train is None:
         parser.error(f"{args.command} --test requires --train")
     try:
         return args.func(args)
-    except (DatasetError, ModelFormatError, OSError) as exc:
+    except (HdmrnetError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except (IllConditionedGramError, InvalidHyperparameterError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
-    except (ShapeError, InvalidOrderError, UnsupportedDimensionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DIMENSION
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return next(code for kinds, code in _EXIT_CODES if isinstance(exc, kinds))
 
 
 if __name__ == "__main__":

@@ -132,4 +132,5 @@ def map_features(fmap: FeatureMap, X: np.ndarray) -> np.ndarray:
         term = X[:, fmap.indices[:, k]]
         term *= fmap.weights[:, k]
         Y[:, fmap.dimension :] += term
+        del term  # freed before the next gather, so one is alive at a time
     return Y

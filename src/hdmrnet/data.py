@@ -93,12 +93,8 @@ class Dataset:
 
     def fingerprint(self) -> dict:
         """Content hash plus shape info, for model provenance records."""
-        payload = json.dumps(
-            {"X": [[float(v) for v in row] for row in self.X],
-             "t": [float(v) for v in self.t]},
-            sort_keys=True,
-            separators=(",", ":"),
-        ).encode("utf-8")
+        payload = json.dumps({"X": self.X.tolist(), "t": self.t.tolist()},
+                             sort_keys=True, separators=(",", ":")).encode("utf-8")
         return {
             "rows": self.n,
             "columns": list(self.column_names),
@@ -281,8 +277,10 @@ def _format_cell(value) -> str:
     return repr(float(value))
 
 
-def _split_sizes(n: int, train_size: int, test_size: int | None) -> int:
-    """The test size that `split` takes from n rows, or a DatasetError."""
+def _split_sizes(n: int, train_size: int, test_size: int | None, seed: int) -> int:
+    """The test size that `split` takes from n rows with `seed`, or its refusal."""
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     if not 1 <= train_size < n:
         raise DatasetError(
             f"train_size must be in [1, {n - 1}] for {n} rows, got {train_size}"
@@ -307,7 +305,7 @@ def split(
     the remainder (or its first `test_size` rows) to testing.  Same seed,
     same dataset: same split, on any platform.
     """
-    test_size = _split_sizes(dataset.n, train_size, test_size)
+    test_size = _split_sizes(dataset.n, train_size, test_size, seed)
     order = np.random.Generator(np.random.PCG64(seed)).permutation(dataset.n)
     train, test = (
         Dataset(

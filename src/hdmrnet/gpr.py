@@ -191,12 +191,15 @@ def _map_blocks(n_items: int, work, step: int = _BLOCK) -> None:
                 task.result()
 
 
+# Scratch of ufuncs on strided operands: two 8192-double buffers, 16 KiB of objects.
+_UFUNC_BYTES = 8 * (2 * 8192 + 2048)
+
+
 def _kernel_scratch_bytes(n_train: int, tasks: float = math.inf) -> int:
     """Bytes that one kernel pass of `tasks` blocks against `n_train`
     training rows holds besides its output: per thread of `_map_blocks`, a
-    (_BLOCK, n_train) buffer, a training column, numpy's two 8192-double
-    ufunc buffers and 16 KiB of objects."""
-    return min(_THREADS, tasks) * 8 * ((_BLOCK + 1) * n_train + 2 * 8192 + 2048)
+    (_BLOCK, n_train) buffer, a training column and `_UFUNC_BYTES`."""
+    return min(_THREADS, tasks) * (8 * (_BLOCK + 1) * n_train + _UFUNC_BYTES)
 
 
 def _dual_sums(model: AdditiveGprModel, Y: np.ndarray, groups, start: float) -> np.ndarray:
@@ -291,12 +294,10 @@ def _solve_scratch_bytes(n_train: int) -> int:
 
 def _fit_bytes(n_train: int, n_features: int) -> int:
     """Bytes that a fit holds besides its features and targets: the Gram
-    matrix, the centred targets, and the larger of what builds the Gram
-    (the features' transpose and the kernel scratch) and what `_solve`
-    factors it with, which never coexist."""
+    matrix, the centred targets, and the features' transpose and kernel
+    scratch that build the Gram, more than `_solve_scratch_bytes`."""
     M = n_train
-    build = 8 * M * n_features + _kernel_scratch_bytes(M, -(-M // _BLOCK))
-    return 8 * M * (M + 1) + max(build, _solve_scratch_bytes(M))
+    return 8 * M * (M + 1 + n_features) + _kernel_scratch_bytes(M, -(-M // _BLOCK))
 
 
 def _solve(K: np.ndarray, b: np.ndarray, noise: float) -> tuple[np.ndarray, float]:

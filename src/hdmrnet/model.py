@@ -30,13 +30,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coupling import FeatureMap, build_feature_map, map_features
+from .coupling import FeatureMap, _check_count, _check_order, build_feature_map, map_features
 from .data import Dataset, _atomic_open, _check_memory
 from .errors import (DatasetError, HdmrnetError, InvalidHyperparameterError,
                      ModelFormatError, ShapeError)
-from .gpr import (AdditiveGprModel, _check_length_scale, _check_noise, _fit_bytes,
-                  activation_sums, gpr_fit)
-from .sobol import _NBITS
+from .gpr import (_UFUNC_BYTES, AdditiveGprModel, _check_length_scale, _check_noise,
+                  _fit_bytes, activation_sums, gpr_fit)
+from .sobol import _check_request
 
 FORMAT_VERSION = 2
 
@@ -69,7 +69,8 @@ def apply_scaler(scaler: Scaler, Y: np.ndarray) -> np.ndarray:
     span = scaler.maxs - scaler.mins
     constant = span == 0.0
     safe_span = np.where(constant, 1.0, span)
-    scaled = (Y - scaler.mins) / safe_span
+    scaled = Y - scaler.mins
+    scaled /= safe_span
     scaled[:, constant] = 0.5
     return scaled
 
@@ -97,28 +98,41 @@ class HdmrModel:
         return self.feature_map.n_features
 
 
-def _training_features(
-    X: np.ndarray, order: int, neurons_per_term: int, sobol_skip: int, gram: bool = False
-) -> tuple[FeatureMap, Scaler, np.ndarray]:
+def _check_fit_settings(M: int, D: int, order: int, neurons_per_term: int, sobol_skip: int,
+                        gram: bool = False) -> tuple[int, int]:
+    """The one owner of the refusals that a fit of M rows of D coordinates
+    makes from its settings alone, before anything is allocated: fewer than
+    2 rows, an order outside [1, D], a negative neuron count or Sobol skip,
+    a request past the Sobol sequence.  Returns F and the bytes of building
+    the features: the map arrays, the features, their scaled copy and its
+    ufunc scratch, or with `gram` instead of the last two the fit's Gram
+    matrix and the scratch of building and solving it (`gpr._fit_bytes`).
+    """
+    if M < 2:
+        raise DatasetError(f"training set needs at least 2 rows, got {M}")
+    _check_order(D, order)
+    _check_count("neurons_per_term", neurons_per_term)
+    _check_count("sobol_skip", sobol_skip)
+    coupled = neurons_per_term * math.comb(D, order) if order >= 2 else 0
+    _check_request(order, coupled, sobol_skip)
+    F = D + coupled
+    return F, 8 * M * F + 16 * order * coupled + (
+        _fit_bytes(M, F) if gram else 8 * M * F + _UFUNC_BYTES)
+
+
+def _training_features(X: np.ndarray, order: int, neurons_per_term: int, sobol_skip: int,
+                       gram: bool = False, held: int = 0) -> tuple[FeatureMap, Scaler, np.ndarray]:
     """Feature map, scaler and scaled training features of X.
 
     The one path by which `hdmr_fit` builds a model and `load_model`
     rebuilds it, so a loaded model's features are the fitted ones bit for
-    bit.  Sizes whose features and map arrays would exceed physical memory
-    are refused before anything is allocated; with `gram`, so are sizes
-    whose fit would not fit as well: the M x M Gram matrix, which
-    `gpr._solve` factors in place, 8 M^2 bytes, plus the O(M F) scratch of
-    building and solving it (`gpr._fit_bytes`).
+    bit.  Settings are refused by `_check_fit_settings`, and sizes past
+    physical memory, with the caller's `held` bytes, before any allocation.
     """
     M, D = X.shape
-    coupled = neurons_per_term * math.comb(D, order) if 2 <= order <= D else 0
-    needed = (8 * M * (D + coupled) + 16 * order * coupled
-              + (_fit_bytes(M, D + coupled) if gram else 0))
-    # Counts past the Sobol sequence are left to build_feature_map, which
-    # refuses them before generating anything.
-    if sobol_skip + coupled < 1 << _NBITS:
-        _check_memory(needed, f"{D + coupled} features of {M} rows"
-                              f"{' and their Gram matrix' if gram else ''}")
+    F, needed = _check_fit_settings(M, D, order, neurons_per_term, sobol_skip, gram)
+    _check_memory(needed + held, f"{F} features of {M} rows"
+                                 f"{' and their Gram matrix' if gram else ''}")
     fmap = build_feature_map(D, order, neurons_per_term, sobol_skip)
     Y = map_features(fmap, X)
     scaler = fit_scaler(Y)
@@ -140,8 +154,6 @@ def hdmr_fit(
     length_scale, noise, sobol_skip).  `split_seed` is provenance only and
     recorded in the model metadata.
     """
-    if train.n < 2:
-        raise DatasetError(f"training set needs at least 2 rows, got {train.n}")
     fmap, scaler, Y = _training_features(train.X, order, neurons_per_term, sobol_skip,
                                          gram=True)
     gpr = gpr_fit(Y, train.t, length_scale, noise)
@@ -203,18 +215,14 @@ def _canonical(document: dict) -> str:
     return json.dumps(document, sort_keys=True, separators=(",", ":"), allow_nan=False)
 
 
-def _floats(a: np.ndarray) -> list:
-    return [float(v) for v in np.asarray(a).ravel()]
-
-
 def save_model(model: HdmrModel, path: str) -> None:
     """Write the model file atomically; no partial file is ever left at `path`."""
     document = {
         "format_version": FORMAT_VERSION,
         "metadata": model.metadata,
-        "X": [_floats(row) for row in model.X],
+        "X": model.X.tolist(),
         "gpr": {
-            "alpha": _floats(model.gpr.alpha),
+            "alpha": model.gpr.alpha.tolist(),
             "effective_noise": model.gpr.effective_noise,
             "target_offset": model.gpr.target_offset,
         },
@@ -324,8 +332,12 @@ def load_model(path: str) -> HdmrModel:
             f"gpr: effective_noise {effective_noise} is below the requested noise {noise}"
         )
 
+    # Held while the features are built: the file's bytes and per row its
+    # D + 1 numbers (24-byte floats, list slots, array entries) and list.
+    held = len(raw) + 8 * X.shape[0] * (5 * dimension + 19)
     try:
-        fmap, scaler, Y = _training_features(X, order, neurons_per_term, sobol_skip)
+        fmap, scaler, Y = _training_features(X, order, neurons_per_term, sobol_skip,
+                                             held=held)
     except (HdmrnetError, ValueError) as exc:
         raise ModelFormatError(f"metadata: {exc}") from exc
     gpr = AdditiveGprModel(

@@ -117,13 +117,8 @@ def _direction_table(dimension: int) -> np.ndarray:
     return table
 
 
-def sobol_points(dimension: int, count: int, skip: int = 0) -> np.ndarray:
-    """Points skip+1 .. skip+count of the Sobol sequence, in [0, 1).
-
-    Pure: repeated calls with equal arguments return bit-identical
-    arrays, and the rows of a longer request are a prefix-extension of a
-    shorter one.
-    """
+def _check_request(dimension: int, count: int, skip: int) -> None:
+    """Refuse a request that `sobol_points` cannot serve."""
     if not 1 <= dimension <= MAX_DIMENSION:
         raise UnsupportedDimensionError(
             f"Sobol dimension must be in [1, {MAX_DIMENSION}], got {dimension}"
@@ -132,6 +127,16 @@ def sobol_points(dimension: int, count: int, skip: int = 0) -> np.ndarray:
         raise ValueError(f"skip and count must be non-negative, got {skip} and {count}")
     if 1 + skip + count > 1 << _NBITS:
         raise ValueError(f"sequence exhausted beyond 2**{_NBITS} - 1 points")
+
+
+def sobol_points(dimension: int, count: int, skip: int = 0) -> np.ndarray:
+    """Points skip+1 .. skip+count of the Sobol sequence, in [0, 1).
+
+    Pure: repeated calls with equal arguments return bit-identical
+    arrays, and the rows of a longer request are a prefix-extension of a
+    shorter one.
+    """
+    _check_request(dimension, count, skip)
     directions = _direction_table(dimension)
     # Gray-code identity: the integer state of point `skip` is the XOR of
     # V[:, b+1] over the set bits b of skip ^ (skip >> 1).

@@ -13,6 +13,7 @@ import pytest
 import hdmrnet.data
 from hdmrnet import (
     AdditiveGprModel,
+    Dataset,
     HdmrModel,
     build_feature_map,
     component_curves,
@@ -209,6 +210,13 @@ def test_sweep_validation(monkeypatch):
     for N_list in ([-1], [2, -1]):
         with pytest.raises(ValueError, match="neurons_per_term must be >= 0"):
             sweep(ds, [1, 2], N_list, 1, 30, 20, 0.3, 1e-6, 7)
+    # and a negative seed, a one-row training split and the Sobol limit
+    with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+        sweep(ds, [1], [2], 1, 30, 20, 0.3, 1e-6, -1)
+    with pytest.raises(DatasetError, match="at least 2 rows, got 1"):
+        sweep(ds, [1], [2], 1, 1, 20, 0.3, 1e-6, 7)
+    with pytest.raises(ValueError, match="sequence exhausted"):
+        sweep(ds, [1, 2], [2], 1, 30, 20, 0.3, 1e-6, 7, sobol_skip=2**32 - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -381,6 +389,31 @@ def test_grid_search_is_deterministic_and_skips_bad_candidates():
     best, results = grid_search_l(ds, 1, 0, [-1.0, 0.3], 1e-6, seed=5)
     assert best == 0.3
     assert dict(results)[-1.0] == float("inf")
+
+
+def test_grid_search_refuses_bad_settings_before_any_fit(monkeypatch):
+    ds = synth("additive", 3, 50, seed=15)
+    calls = []
+    real_fit = analysis.hdmr_fit
+
+    def recording_fit(train, order, neurons, length_scale, noise):
+        calls.append(length_scale)
+        return real_fit(train, order, neurons, length_scale, noise)
+
+    monkeypatch.setattr(analysis, "hdmr_fit", recording_fit)
+    for train, order, neurons, noise, error, message in [
+            (ds, 4, 0, 1e-6, InvalidOrderError, r"must be in \[1, 3\], got 4"),
+            (ds, 1, -1, 1e-6, ValueError, "neurons_per_term must be >= 0"),
+            (ds, 1, 0, math.nan, InvalidHyperparameterError, "noise"),
+            (Dataset(X=ds.X[:2], t=ds.t[:2]), 1, 0, 1e-6, DatasetError,
+             "at least 2 rows, got 1")]:
+        with pytest.raises(error, match=message):
+            grid_search_l(train, order, neurons, [0.3], noise, seed=1)
+    assert calls == []
+    # a bad length scale is still a candidate scored as infinity
+    best, results = grid_search_l(ds, 1, 0, [-1.0, 0.3], 1e-6, seed=1)
+    assert calls == [-1.0, 0.3]
+    assert best == 0.3 and dict(results)[-1.0] == math.inf
 
 
 def test_grid_search_validation():

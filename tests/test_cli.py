@@ -134,10 +134,13 @@ def test_predict_empty_input_succeeds(workspace, tmp_path):
 def test_predict_dimension_mismatch_exit_code(workspace, tmp_path, capsys):
     _, _, model = workspace
     points = str(tmp_path / "wide.csv")
-    open(points, "w").write("0.1,0.2,0.3,0.4\n")
-    assert run("predict", "--model", model, "--data", points,
-               "--out", str(tmp_path / "p.csv")) == 5
-    assert "error:" in capsys.readouterr().err
+    out = tmp_path / "p.csv"
+    # a header alone gives the points' width as well as a row does
+    for text in ["0.1,0.2,0.3,0.4\n", "a,b\n"]:
+        open(points, "w").write(text)
+        assert run("predict", "--model", model, "--data", points, "--out", str(out)) == 5
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_components_single_file(workspace, tmp_path):
@@ -341,17 +344,28 @@ def test_bad_hyperparameter_exits_four_before_writing(workspace, tmp_path, capsy
     ("--sobol-skip", "-3", 2, "sobol_skip must be >= 0"),
     ("--d", "1,4", 5, "coupling order must be in [1, 3], got 4"),
     ("--n-per-term", "-1", 2, "neurons_per_term must be >= 0"),
+    ("--seed", "-1", 2, "seed must be >= 0, got -1"),
+    ("--train", "1", 3, "training set needs at least 2 rows, got 1"),
+    ("--sobol-skip", "4294967295", 2, "sequence exhausted beyond 2**32 - 1 points"),
 ])
 def test_sweep_refuses_bad_settings_before_writing(workspace, tmp_path, capsys,
                                                    flag, value, code, message):
     _, data, _ = workspace
     out_dir = tmp_path / "sweep"
     settings = {"--d": "1,2", "--n-per-term": "2", "--l": "0.3", "--noise": "1e-6",
-                "--train": "200", "--test": "100", flag: value}
-    assert run("sweep", "--data", data, "--seed", "1", "--out-dir", str(out_dir),
+                "--train": "200", "--test": "100", "--seed": "1", flag: value}
+    assert run("sweep", "--data", data, "--out-dir", str(out_dir),
                *(x for kv in settings.items() for x in kv)) == code
-    assert message in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert message in err
     assert not out_dir.exists() or not any(out_dir.iterdir())
+    # fit, with the last order and neuron count of the lists, refuses alike
+    settings.update({key: settings[key].split(",")[-1] for key in ("--d", "--n-per-term")})
+    target = tmp_path / "x.model"
+    assert run("fit", "--data", data, "--out", str(target),
+               *(x for kv in settings.items() for x in kv)) == code
+    assert capsys.readouterr().err == err
+    assert not target.exists()
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-1"])

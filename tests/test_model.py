@@ -603,16 +603,44 @@ def test_fit_peak_memory_is_within_the_guard(monkeypatch, n, order, neurons, noi
 
 
 def test_load_guard_counts_no_gram(tmp_path, monkeypatch):
-    # The loader builds no Gram, so its bound is the features and map
-    # arrays alone: 9984 bytes for the 80-row model above.
+    # The loader builds no Gram.  It holds the mapped features and their
+    # scaled copy, 2 * 8 * 80 * 15 bytes for the 80-row model above, its
+    # 16 * 2 * 12 bytes of map arrays, the ufuncs' scratch, and the parsed
+    # document: the file's bytes plus 8 * (5 * 3 + 19) bytes per row.
     model, _ = _small_model()
     path = str(tmp_path / "small.json")
     save_model(model, path)
-    monkeypatch.setattr(hdmrnet.data, "_MEMORY_BYTES", 9983)
+    needed = (2 * 9600 + 384 + hdmrnet.gpr._UFUNC_BYTES
+              + os.path.getsize(path) + 8 * 80 * (5 * 3 + 19))
+    monkeypatch.setattr(hdmrnet.data, "_MEMORY_BYTES", needed - 1)
     with pytest.raises(ModelFormatError, match="15 features of 80 rows need"):
         load_model(path)
-    monkeypatch.setattr(hdmrnet.data, "_MEMORY_BYTES", 9984)
+    monkeypatch.setattr(hdmrnet.data, "_MEMORY_BYTES", needed)
     assert load_model(path).n_features == 15
+
+
+@pytest.mark.parametrize("n, D, order, neurons", [(1000, 6, 2, 20), (500, 3, 2, 4)])
+def test_load_peak_memory_is_within_the_guard(tmp_path, monkeypatch, n, D, order, neurons):
+    # The guard counts what a load holds while it builds the features: the
+    # parsed document, two feature arrays, the map arrays and the ufuncs'
+    # scratch.  With F = 306 and 15 features these set the peak; with
+    # fewer, reading and checking the file's text, which the guard follows,
+    # would.
+    counted = []
+    check = hdmrnet.model._check_memory
+    monkeypatch.setattr(hdmrnet.model, "_check_memory",
+                        lambda needed, what: (counted.append(needed), check(needed, what)))
+    path = str(tmp_path / "model.json")
+    save_model(hdmr_fit(synth("pairwise", D, n, seed=0), order, neurons, 1.0), path)
+    load_model(path)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        load_model(path)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= counted[-1]
 
 
 def _huge_map_file(tmp_path):
