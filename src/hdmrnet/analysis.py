@@ -241,14 +241,14 @@ def grid_search_l(
 
     The inner split uses seed + 1 so it never coincides with the outer
     train/test split of the same seed.  Ties go to the larger (smoother)
-    candidate.  `model._check_fit_settings` and `gpr`'s noise check raise
-    before the first fit; a candidate whose fit fails scores infinity.
+    candidate.  `data._split_sizes`, given the caller's seed,
+    `model._check_fit_settings` and `gpr`'s noise check raise before the
+    first fit; a candidate whose fit fails scores infinity.
     """
     if not candidates:
         raise InvalidHyperparameterError("no length scale candidates given")
     val_size = max(1, int(round(_VAL_FRACTION * train.n)))
-    if val_size >= train.n:
-        raise DatasetError(f"{train.n} rows is too few for a validation split")
+    _split_sizes(train.n, train.n - val_size, val_size, seed)
     _check_fit_settings(train.n - val_size, train.dimension, order, neurons_per_term, 0)
     _check_noise(noise)
     inner, val = split(train, train.n - val_size, seed + 1, val_size)
@@ -265,7 +265,5 @@ def grid_search_l(
         if score <= best_score:
             best_l, best_score = l, score
     if not np.isfinite(best_score):
-        raise InvalidHyperparameterError(
-            "no candidate length scale produced a stable fit"
-        )
+        raise InvalidHyperparameterError("no candidate length scale produced a stable fit")
     return best_l, results

@@ -11,7 +11,8 @@ The map is stored as two (F - D, d) arrays, the coordinate indices and the
 Sobol weights of each coupled row; it is a pure function of (D, d, N,
 sobol_skip).  `map_features` evaluates each coupled feature elementwise in
 a fixed order, so a row's features do not depend on the rest of the batch
-or on the BLAS thread count.
+or on the BLAS thread count.  Features are neuron-major (Fortran order), so
+the scaler and every kernel pass of `gpr` read each neuron's column in place.
 """
 
 from __future__ import annotations
@@ -126,7 +127,7 @@ def map_features(fmap: FeatureMap, X: np.ndarray) -> np.ndarray:
         raise ShapeError(
             f"X has {X.shape[1]} columns but the feature map expects {fmap.dimension}"
         )
-    Y = np.zeros((X.shape[0], fmap.n_features))
+    Y = np.zeros((X.shape[0], fmap.n_features), order="F")
     Y[:, : fmap.dimension] = X
     for k in range(fmap.order):
         term = X[:, fmap.indices[:, k]]

@@ -21,6 +21,7 @@ The Gram matrix and `_dual_sums`, the one exact evaluator of predictions,
 components, table nodes and coupling terms, share one kernel routine, run
 over fixed row blocks on every core of the affinity mask (no setting); fixed
 block edges and feature order make results independent of the thread count.
+Both read each training column in place (see :mod:`hdmrnet.coupling`).
 
 `compile_components` tabulates every component function as a Chebyshev
 interpolant on the padded interval `TABLE_INTERVAL`, checked against the
@@ -82,7 +83,7 @@ class AdditiveGprModel:
     equals `noise` unless jitter escalation was required.
     """
 
-    Ytrain: np.ndarray  # (M, F) training features
+    Ytrain: np.ndarray  # (M, F) training features, Fortran-ordered
     alpha: np.ndarray  # (M,) dual coefficients
     length_scale: float
     noise: float  # requested diagonal noise
@@ -191,15 +192,14 @@ def _map_blocks(n_items: int, work, step: int = _BLOCK) -> None:
                 task.result()
 
 
-# Scratch of ufuncs on strided operands: two 8192-double buffers, 16 KiB of objects.
+# Ufunc buffering scratch, on contiguous operands too: two 8192-double buffers, 16 KiB objects.
 _UFUNC_BYTES = 8 * (2 * 8192 + 2048)
 
 
 def _kernel_scratch_bytes(n_train: int, tasks: float = math.inf) -> int:
-    """Bytes that one kernel pass of `tasks` blocks against `n_train`
-    training rows holds besides its output: per thread of `_map_blocks`, a
-    (_BLOCK, n_train) buffer, a training column and `_UFUNC_BYTES`."""
-    return min(_THREADS, tasks) * (8 * (_BLOCK + 1) * n_train + _UFUNC_BYTES)
+    """Bytes that a kernel pass of `tasks` blocks against `n_train` rows holds
+    besides its output: per thread, a (_BLOCK, n_train) buffer and `_UFUNC_BYTES`."""
+    return min(_THREADS, tasks) * (8 * _BLOCK * n_train + _UFUNC_BYTES)
 
 
 def _dual_sums(model: AdditiveGprModel, Y: np.ndarray, groups, start: float) -> np.ndarray:
@@ -213,13 +213,13 @@ def _dual_sums(model: AdditiveGprModel, Y: np.ndarray, groups, start: float) -> 
     blocks = -(-len(Y) // _BLOCK)
     out = np.full((len(groups), len(Y)), start)
     def work(tasks):
-        buf, column = np.empty((min(_BLOCK, len(Y)), model.n_train)), np.empty(model.n_train)
+        buf = np.empty((min(_BLOCK, len(Y)), model.n_train))
         for task, _ in tasks:
             g, b = divmod(task, blocks)
             r0, r1 = b * _BLOCK, min(b * _BLOCK + _BLOCK, len(Y))
             for j in groups[g]:
-                column[:] = model.Ytrain[:, j]  # contiguous, with no (F, M) copy
-                out[g, r0:r1] += _kernel(Y[r0:r1, j], column, inv, buf[:r1 - r0]) @ model.alpha
+                out[g, r0:r1] += _kernel(Y[r0:r1, j], model.Ytrain[:, j], inv,
+                                         buf[:r1 - r0]) @ model.alpha
     _map_blocks(len(groups) * blocks, work, step=1)
     return out
 
@@ -234,7 +234,7 @@ def gram_matrix(Y: np.ndarray, length_scale: float) -> np.ndarray:
     Y = _check_features(Y)
     inv = 1.0 / (2.0 * length_scale**2)
     M = Y.shape[0]
-    Yt = np.ascontiguousarray(Y.T)
+    Yt = np.ascontiguousarray(Y.T)  # a view of Fortran-ordered features
     K = np.zeros((M, M))
     def work(blocks):
         scratch = np.empty(min(_BLOCK, M) * M)
@@ -294,8 +294,8 @@ def _solve_scratch_bytes(n_train: int) -> int:
 
 def _fit_bytes(n_train: int, n_features: int) -> int:
     """Bytes that a fit holds besides its features and targets: the Gram
-    matrix, the centred targets, and the features' transpose and kernel
-    scratch that build the Gram, more than `_solve_scratch_bytes`."""
+    matrix, the centred targets and the kernel scratch that build it, more
+    than `_solve_scratch_bytes`, then, once the Gram is freed, `Ytrain`'s copy."""
     M = n_train
     return 8 * M * (M + 1 + n_features) + _kernel_scratch_bytes(M, -(-M // _BLOCK))
 
@@ -377,7 +377,7 @@ def gpr_fit(
     else:
         alpha, sigma = _solve(gram_matrix(Y, length_scale), b, noise)
     return AdditiveGprModel(
-        Ytrain=Y.copy(),
+        Ytrain=Y.copy(order="F"),
         alpha=alpha,
         length_scale=length_scale,
         noise=noise,

@@ -105,8 +105,8 @@ def _check_fit_settings(M: int, D: int, order: int, neurons_per_term: int, sobol
     2 rows, an order outside [1, D], a negative neuron count or Sobol skip,
     a request past the Sobol sequence.  Returns F and the bytes of building
     the features: the map arrays, the features, their scaled copy and its
-    ufunc scratch, or with `gram` instead of the last two the fit's Gram
-    matrix and the scratch of building and solving it (`gpr._fit_bytes`).
+    ufunc scratch, or with `gram` instead of the last two what `gpr._fit_bytes`
+    counts: the Gram matrix, its build and solve scratch and `Ytrain`'s copy.
     """
     if M < 2:
         raise DatasetError(f"training set needs at least 2 rows, got {M}")

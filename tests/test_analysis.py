@@ -284,15 +284,15 @@ def test_component_curves_zero_for_constant_target():
 def test_component_curves_past_physical_memory_are_refused(monkeypatch):
     # F = 3 + 3 * 3 = 12 curves of 41 points, their grid, a spare column
     # and the 12 one-feature groups, 8 * (14 * 41 + 12) = 4688 bytes, plus
-    # one kernel thread's scratch against M = 60 rows, a block buffer, a
-    # training column, two ufunc buffers and the thread's own objects,
-    # 8 * (128 * 60 + 60 + 2 * 8192 + 2048) = 209,376 bytes
+    # one kernel thread's scratch against M = 60 rows, a block buffer, two
+    # ufunc buffers and the thread's own objects,
+    # 8 * (128 * 60 + 2 * 8192 + 2048) = 208,896 bytes
     model = hdmr_fit(synth("pairwise", 3, 60, seed=10), 2, 3, 0.3)
     monkeypatch.setattr("hdmrnet.gpr._THREADS", 1)
-    monkeypatch.setattr("hdmrnet.data._MEMORY_BYTES", 214_063)
+    monkeypatch.setattr("hdmrnet.data._MEMORY_BYTES", 213_583)
     with pytest.raises(InvalidHyperparameterError, match="12 curves of 41 points"):
         component_curves(model, grid_size=41)
-    monkeypatch.setattr("hdmrnet.data._MEMORY_BYTES", 214_064)
+    monkeypatch.setattr("hdmrnet.data._MEMORY_BYTES", 213_584)
     assert len(component_curves(model, grid_size=41)) == 12
 
 
@@ -406,9 +406,14 @@ def test_grid_search_refuses_bad_settings_before_any_fit(monkeypatch):
             (ds, 1, -1, 1e-6, ValueError, "neurons_per_term must be >= 0"),
             (ds, 1, 0, math.nan, InvalidHyperparameterError, "noise"),
             (Dataset(X=ds.X[:2], t=ds.t[:2]), 1, 0, 1e-6, DatasetError,
-             "at least 2 rows, got 1")]:
+             "at least 2 rows, got 1"),
+            (Dataset(X=ds.X[:1], t=ds.t[:1]), 1, 0, 1e-6, DatasetError,
+             r"train_size must be in \[1, 0\] for 1 rows")]:
         with pytest.raises(error, match=message):
             grid_search_l(train, order, neurons, [0.3], noise, seed=1)
+    for seed in (-5, -1):  # the caller's own seed, not the inner split's seed + 1
+        with pytest.raises(ValueError, match=f"seed must be >= 0, got {seed}$"):
+            grid_search_l(ds, 1, 0, [0.3], 1e-6, seed=seed)
     assert calls == []
     # a bad length scale is still a candidate scored as infinity
     best, results = grid_search_l(ds, 1, 0, [-1.0, 0.3], 1e-6, seed=1)

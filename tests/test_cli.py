@@ -386,6 +386,33 @@ def test_failed_fit_leaves_no_model_file(workspace, tmp_path):
     assert not os.path.exists(target + ".report.json")
 
 
+def test_fit_without_train_scores_all_rows_and_reports_no_table(workspace, tmp_path,
+                                                                 capsys):
+    # l = 0.03 needs 8 * ceil(1.25 / 0.03) + 1 = 337 table nodes, past 256.
+    _, data, _ = workspace
+    target = str(tmp_path / "all.model")
+    assert run("fit", "--data", data, "--d", "2", "--n-per-term", "2", "--l", "0.03",
+               "--seed", "1", "--out", target) == 0
+    assert "test rmse" not in capsys.readouterr().out
+    report = json.load(open(target + ".report.json"))
+    assert report["n_train"] == 400 and report["n_test"] == 0
+    assert report["test_rmse"] is None and report["test_corr"] is None
+    assert report["activation_table"] is None
+    assert report["train_rmse"] >= 0
+
+
+def test_fit_without_a_stable_solve_exits_four_writing_nothing(workspace, tmp_path,
+                                                               monkeypatch, capsys):
+    _, data, _ = workspace
+    monkeypatch.setattr("hdmrnet.gpr.dpotrf", lambda a, **kwargs: (a, 1))
+    target = str(tmp_path / "unstable.model")
+    assert run("fit", "--data", data, "--d", "2", "--n-per-term", "2", "--l", "0.3",
+               "--train", "200", "--seed", "7", "--out", target) == 4
+    assert "no backward-stable Cholesky solve even at jitter 0.01" in capsys.readouterr().err
+    assert not os.path.exists(target)
+    assert not os.path.exists(target + ".report.json")
+
+
 def test_fit_past_physical_memory_exits_four(workspace, tmp_path, monkeypatch, capsys):
     _, data, _ = workspace
     monkeypatch.setattr("hdmrnet.data._MEMORY_BYTES", 1000)

@@ -257,6 +257,16 @@ def test_ill_conditioned_error_carries_final_jitter():
     assert "no luck" in str(err)
 
 
+def test_indefinite_gram_is_refused_at_the_jitter_ceiling():
+    # [[0, 1], [1, 0]] has eigenvalues -1 and 1: no jitter up to 1e-2 makes
+    # it positive definite, so every try's factorization fails.
+    K = np.array([[0.0, 1.0], [1.0, 0.0]])
+    with pytest.raises(IllConditionedGramError,
+                       match=r"jitter 0\.01 \(requested noise 1e-06\)") as caught:
+        gpr._solve(K, np.array([1.0, -1.0]), 1e-6)
+    assert caught.value.final_jitter == gpr.MAX_JITTER
+
+
 def test_fit_is_deterministic():
     rng = np.random.default_rng(6)
     Y = rng.uniform(size=(30, 5))

@@ -22,6 +22,7 @@ from hdmrnet import (
     hdmr_fit,
     hdmr_predict,
     load_model,
+    map_features,
     save_model,
     synth,
     term_values,
@@ -343,6 +344,17 @@ def test_save_load_round_trip_is_bit_exact(tmp_path):
     )
 
 
+def test_features_are_stored_neuron_major(tmp_path):
+    # Every kernel pass reads a neuron's training values as one column, so
+    # the features are Fortran-ordered wherever they are made or rebuilt.
+    model, ds = _small_model()
+    path = str(tmp_path / "m.json")
+    save_model(model, path)
+    mapped = map_features(model.feature_map, ds.X)
+    for Y in (mapped, model.gpr.Ytrain, load_model(path).gpr.Ytrain):
+        assert Y.flags.f_contiguous and not Y.flags.c_contiguous
+
+
 def test_save_is_deterministic(tmp_path):
     model, _ = _small_model()
     a, b = str(tmp_path / "a.json"), str(tmp_path / "b.json")
@@ -470,6 +482,7 @@ def _short_x(doc):
 
 
 BAD_FIELDS = {
+    "version string": (lambda doc: doc.update(format_version="2"), "format_version: must be"),
     "dimension float": (_edit("metadata", "dimension", 3.0), "dimension"),
     "dimension bool": (_edit("metadata", "dimension", True), "dimension"),
     "dimension zero": (_edit("metadata", "dimension", 0), "dimension"),
@@ -550,13 +563,13 @@ def test_fit_past_physical_memory_is_refused(monkeypatch):
     # 80 rows of F = 3 + 4 * C(3, 2) = 15 features: 8 * 80 * 15 bytes of
     # features plus 16 * 2 * 12 bytes of map arrays = 9984 bytes; a fit
     # also needs 8 * 80^2 bytes for its Gram matrix, factored in place,
-    # 8 * 80 for the centred targets, and to build the Gram the features'
-    # transpose and, on its one 80-row block, 8 * (129 * 80 + 18432) bytes
-    # of kernel scratch.
+    # 8 * 80 for the centred targets, on its one 80-row block
+    # 8 * (128 * 80 + 18432) bytes of kernel scratch to build the Gram, and
+    # 8 * 80 * 15 for the copy of the features that the model keeps.
     monkeypatch.setattr(hdmrnet.data, "_MEMORY_BYTES", 9983)
     with pytest.raises(InvalidHyperparameterError, match="15 features of 80 rows"):
         _small_model()
-    needed = 9984 + 8 * 80 * (80 + 1) + 8 * 80 * 15 + 8 * (129 * 80 + 18432)
+    needed = 9984 + 8 * 80 * (80 + 1) + 8 * (128 * 80 + 18432) + 8 * 80 * 15
     monkeypatch.setattr(hdmrnet.data, "_MEMORY_BYTES", needed - 1)
     with pytest.raises(InvalidHyperparameterError, match="15 features of 80 rows and their Gram"):
         _small_model()
@@ -568,24 +581,27 @@ def test_fit_past_physical_memory_is_refused(monkeypatch):
 def test_fit_guard_counts_the_gram_and_its_factor_copy(monkeypatch):
     # 200 rows of D = d = 1: 8 * 200 bytes of features, no map arrays, and
     # on one thread 8 * 200^2 bytes for the Gram matrix, which `_solve`
-    # factors in place, 8 * 200 for the centred targets, and to build the
-    # Gram 8 * 200 for the features' transpose and 8 * (129 * 200 + 18432)
-    # of kernel scratch, more than the solve's 8 * (7 * 200 + 128^2) bytes.
+    # factors in place, 8 * 200 for the centred targets, 8 * (128 * 200 +
+    # 18432) of kernel scratch to build the Gram, more than the solve's
+    # 8 * (7 * 200 + 128^2) bytes, and 8 * 200 for the model's copy of the
+    # features.
     ds = synth("additive", 1, 200, seed=4)
     monkeypatch.setattr(hdmrnet.gpr, "_THREADS", 1)
-    monkeypatch.setattr(hdmrnet.data, "_MEMORY_BYTES", 678_655)
+    monkeypatch.setattr(hdmrnet.data, "_MEMORY_BYTES", 677_055)
     with pytest.raises(InvalidHyperparameterError, match="1 features of 200 rows and their Gram"):
         hdmr_fit(ds, 1, 0, 0.3)
-    monkeypatch.setattr(hdmrnet.data, "_MEMORY_BYTES", 678_656)
+    monkeypatch.setattr(hdmrnet.data, "_MEMORY_BYTES", 677_056)
     assert hdmr_fit(ds, 1, 0, 0.3).gpr.n_train == 200
 
 
 @pytest.mark.parametrize("n, order, neurons, noise", [
-    (600, 2, 4, 1e-6), (300, 2, 4, 1e-16), (1000, 1, 0, 1e-6)])
+    (600, 2, 4, 1e-6), (300, 2, 4, 1e-16), (1000, 1, 0, 1e-6), (50, 2, 1000, 1e-6)])
 def test_fit_peak_memory_is_within_the_guard(monkeypatch, n, order, neurons, noise):
     # The guard counts every array of a fit: the features, the map arrays,
     # the one Gram matrix and the scratch that builds and solves it, on
-    # every jitter try (noise 1e-16 escalates three times).
+    # every jitter try (noise 1e-16 escalates three times), and the model's
+    # copy of the features: with F = 3003 >> M = 50 the guard holds only
+    # because it counts that copy.
     counted = []
     check = hdmrnet.model._check_memory
     monkeypatch.setattr(hdmrnet.model, "_check_memory",
