@@ -16,6 +16,7 @@ records are written by the CSV writer of :mod:`hdmrnet.data`, one row per
 from __future__ import annotations
 
 import json
+import operator
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import astuple, dataclass, field, fields
@@ -160,19 +161,19 @@ def sweep(
         for N in N_list:
             _check_fit_settings(train_size, dataset.dimension, d, N, sobol_skip)
     length_scale, noise = _check_length_scale(length_scale), _check_noise(noise)
-    config = {
-        "d_list": list(d_list),
-        "N_list": list(N_list),
-        "repeats": repeats,
-        "train_size": train_size,
-        "test_size": test_size,
+    config = {  # integer-like settings stored as plain ints
+        "d_list": [operator.index(d) for d in d_list],
+        "N_list": [operator.index(N) for N in N_list],
+        "repeats": operator.index(repeats),
+        "train_size": operator.index(train_size),
+        "test_size": test_size if test_size is None else operator.index(test_size),
         "length_scale": length_scale,
         "noise": noise,
-        "base_seed": base_seed,
-        "sobol_skip": sobol_skip,
+        "base_seed": operator.index(base_seed),
+        "sobol_skip": operator.index(sobol_skip),
         "dataset": dataset.fingerprint(),
     }
-    cells = [(d, N, repeat) for d in d_list for N in N_list for repeat in range(repeats)]
+    cells = [(d, N, r) for d in config["d_list"] for N in config["N_list"] for r in range(repeats)]
     with ThreadPoolExecutor(max_workers=jobs) as pool:
         records = list(pool.map(lambda cell: _run_cell(dataset, config, *cell), cells))
     return SweepResult(records=records, config=config)

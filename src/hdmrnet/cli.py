@@ -1,9 +1,10 @@
 """Batch command-line front end.
 
-Subcommands: fit, predict, eval, sweep, components, synth.  Every output
-artifact embeds the run configuration (a `# config:` comment line in CSV
-files, a "config" key in JSON files), so an artifact can be reproduced
-from itself.  All randomness comes from explicit --seed flags.
+Subcommands: fit, predict, eval, sweep, components, synth.  CSV outputs and
+JSON reports embed the run configuration (a `# config:` line, a "config"
+key), so an artifact can be reproduced from itself; model files hold only
+what the data and the fit settings determine, not the run's paths.  All
+randomness comes from explicit --seed flags.
 
 Exit codes: 0 success, 2 usage, 3 file or data or model-format problems,
 4 numeric failures, 5 dimension or shape mismatches.
@@ -79,11 +80,6 @@ def _table_report(model) -> dict | None:
 
 def _cmd_fit(args) -> int:
     dataset = load_csv(args.data, target=args.target)
-    config = _config_echo(
-        args,
-        ["data", "target", "d", "n_per_term", "l", "noise", "train", "test",
-         "seed", "sobol_skip", "out"],
-    )
     if args.train is not None:
         train, test = split(dataset, args.train, args.seed, args.test)
     else:
@@ -94,9 +90,9 @@ def _cmd_fit(args) -> int:
         sobol_skip=args.sobol_skip, split_seed=args.seed,
     )
     fit_seconds = time.perf_counter() - started
-    model.metadata["config"] = config
     report = {
-        "config": config,
+        "config": _config_echo(args, ["data", "target", "d", "n_per_term", "l", "noise",
+                                      "train", "test", "seed", "sobol_skip", "out"]),
         "n_train": train.n,
         "n_test": test.n if test is not None else 0,
         "n_features": model.n_features,
@@ -110,13 +106,10 @@ def _cmd_fit(args) -> int:
     report["activation_table"] = _table_report(model)
     save_model(model, args.out)
     _write_report(args.out + ".report.json", report)
-    if report["test_rmse"] is None:
-        print(f"wrote {args.out} (train rmse {report['train_rmse']:.6g})")
-    else:
-        print(
-            f"wrote {args.out} (train rmse {report['train_rmse']:.6g}, "
-            f"test rmse {report['test_rmse']:.6g})"
-        )
+    scores = f"train rmse {report['train_rmse']:.6g}"
+    if test is not None:
+        scores += f", test rmse {report['test_rmse']:.6g}"
+    print(f"wrote {args.out} ({scores})")
     return EXIT_OK
 
 

@@ -68,22 +68,25 @@ class FeatureMap:
         return W
 
 
-def _check_order(dimension: int, order: int) -> None:
+def _check_order(dimension: int, order: int) -> int:
+    if not isinstance(order, (int, np.integer)):
+        raise InvalidOrderError(f"coupling order must be an integer, got {order!r}")
     if not 1 <= order <= dimension:
-        raise InvalidOrderError(
-            f"coupling order must be in [1, {dimension}], got {order}"
-        )
+        raise InvalidOrderError(f"coupling order must be in [1, {dimension}], got {order}")
+    return int(order)
 
 
-def _check_count(name: str, value: int) -> None:
+def _check_count(name: str, value: int) -> int:
+    if not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
     if value < 0:
         raise ValueError(f"{name} must be >= 0, got {value}")
+    return int(value)
 
 
 def enumerate_subsets(dimension: int, order: int) -> list[tuple[int, ...]]:
     """All C(D, d) strictly-increasing index subsets, lexicographic order."""
-    _check_order(dimension, order)
-    return list(combinations(range(dimension), order))
+    return list(combinations(range(dimension), _check_order(dimension, order)))
 
 
 def build_feature_map(
@@ -98,9 +101,10 @@ def build_feature_map(
     call across subsets, so no two rows repeat a weight pattern.  For
     order 1 no coupled rows are added and `neurons_per_term` is ignored.
     """
+    order = _check_order(dimension, order)
     subsets = enumerate_subsets(dimension, order)
-    _check_count("neurons_per_term", neurons_per_term)
-    _check_count("sobol_skip", sobol_skip)
+    neurons_per_term = _check_count("neurons_per_term", neurons_per_term)
+    sobol_skip = _check_count("sobol_skip", sobol_skip)
     per_subset = neurons_per_term if order >= 2 else 0
     weights = sobol_points(order, per_subset * len(subsets), sobol_skip)
     return FeatureMap(

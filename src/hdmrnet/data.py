@@ -21,7 +21,6 @@ cells only to word an error, and the writer formats columns of
 from __future__ import annotations
 
 import hashlib
-import json
 import math
 import os
 import uuid
@@ -92,14 +91,14 @@ class Dataset:
         return self.X.shape[1]
 
     def fingerprint(self) -> dict:
-        """Content hash plus shape info, for model provenance records."""
-        payload = json.dumps({"X": self.X.tolist(), "t": self.t.tolist()},
-                             sort_keys=True, separators=(",", ":")).encode("utf-8")
+        """Shape info plus the SHA-256 of X's, then t's, little-endian float64 bytes."""
+        digest = hashlib.sha256(np.ascontiguousarray(self.X, dtype="<f8"))
+        digest.update(np.ascontiguousarray(self.t, dtype="<f8"))
         return {
             "rows": self.n,
             "columns": list(self.column_names),
             "target": self.target_name,
-            "sha256": hashlib.sha256(payload).hexdigest(),
+            "sha256": digest.hexdigest(),
         }
 
 

@@ -11,14 +11,13 @@ tables and the exact kernel expansion; the exact rows of all the groups
 (the whole prediction, or every coupling term) are one call of the one
 exact evaluator, `gpr._dual_sums`, over a queue of (group, row block) tasks.
 
-Model files (format version 2) are JSON documents with a fixed top-level
-layout (format_version, metadata, X, gpr, checksum).  They store only what
-cannot be regenerated: the configuration in `metadata`, the raw training
-inputs `X`, and the dual coefficients with the noise actually used and the
-target offset in `gpr`.  Loading rebuilds the feature map, the scaler and
-the training features with the same code that fitted them, and every
-field is validated.  Floats are serialized as shortest round-trip
-decimals, so a save/load round trip reproduces predictions bit-exactly.
+A model file (format version 3) is a header line {checksum, format_version}
+then a canonical JSON body {metadata, X, gpr}, serialized once, whose SHA-256
+over its bytes as written is the checksum.  It holds only what the data and
+the fit settings determine.  Loading checks the checksum before it parses the
+body, rebuilds the feature map, the scaler and the training features with the
+code that fitted them, and validates every field.  Floats are shortest
+round-trip decimals, so a round trip reproduces predictions bit-exactly.
 """
 
 from __future__ import annotations
@@ -38,7 +37,7 @@ from .gpr import (_UFUNC_BYTES, AdditiveGprModel, _check_length_scale, _check_no
                   _fit_bytes, activation_sums, gpr_fit)
 from .sobol import _check_request
 
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 
 @dataclass
@@ -102,7 +101,7 @@ def _check_fit_settings(M: int, D: int, order: int, neurons_per_term: int, sobol
                         gram: bool = False) -> tuple[int, int]:
     """The one owner of the refusals that a fit of M rows of D coordinates
     makes from its settings alone, before anything is allocated: fewer than
-    2 rows, an order outside [1, D], a negative neuron count or Sobol skip,
+    2 rows, an order not an integer in [1, D], a count not an integer >= 0,
     a request past the Sobol sequence.  Returns F and the bytes of building
     the features: the map arrays, the features, their scaled copy and its
     ufunc scratch, or with `gram` instead of the last two what `gpr._fit_bytes`
@@ -110,9 +109,9 @@ def _check_fit_settings(M: int, D: int, order: int, neurons_per_term: int, sobol
     """
     if M < 2:
         raise DatasetError(f"training set needs at least 2 rows, got {M}")
-    _check_order(D, order)
-    _check_count("neurons_per_term", neurons_per_term)
-    _check_count("sobol_skip", sobol_skip)
+    order = _check_order(D, order)
+    neurons_per_term = _check_count("neurons_per_term", neurons_per_term)
+    sobol_skip = _check_count("sobol_skip", sobol_skip)
     coupled = neurons_per_term * math.comb(D, order) if order >= 2 else 0
     _check_request(order, coupled, sobol_skip)
     F = D + coupled
@@ -159,12 +158,12 @@ def hdmr_fit(
     gpr = gpr_fit(Y, train.t, length_scale, noise)
     metadata = {
         "dimension": train.dimension,
-        "order": order,
-        "neurons_per_term": neurons_per_term,
+        "order": fmap.order,
+        "neurons_per_term": fmap.neurons_per_term,
         "length_scale": float(length_scale),
         "noise": float(noise),
-        "sobol_skip": sobol_skip,
-        "split_seed": split_seed,
+        "sobol_skip": fmap.sobol_skip,
+        "split_seed": int(split_seed) if isinstance(split_seed, np.integer) else split_seed,
         "dataset_fingerprint": train.fingerprint(),
     }
     return HdmrModel(feature_map=fmap, scaler=scaler, gpr=gpr, metadata=metadata,
@@ -217,8 +216,7 @@ def _canonical(document: dict) -> str:
 
 def save_model(model: HdmrModel, path: str) -> None:
     """Write the model file atomically; no partial file is ever left at `path`."""
-    document = {
-        "format_version": FORMAT_VERSION,
+    body = _canonical({
         "metadata": model.metadata,
         "X": model.X.tolist(),
         "gpr": {
@@ -226,10 +224,11 @@ def save_model(model: HdmrModel, path: str) -> None:
             "effective_noise": model.gpr.effective_noise,
             "target_offset": model.gpr.target_offset,
         },
-    }
-    document["checksum"] = hashlib.sha256(_canonical(document).encode()).hexdigest()
+    })
+    checksum = hashlib.sha256(body.encode()).hexdigest()
     with _atomic_open(path) as fh:
-        fh.write(_canonical(document))
+        fh.write(_canonical({"checksum": checksum, "format_version": FORMAT_VERSION}) + "\n")
+        fh.write(body)
 
 
 def _require(mapping, key, section):
@@ -250,6 +249,7 @@ def _numbers(mapping, key: str, section: str, shape: tuple = ()) -> np.ndarray:
 
     Every leaf must be a finite JSON number (not a string, bool or null)
     and the nesting must be exactly `shape`, so ragged lists are refused.
+    Floats are parsed finite, so only an integer past the float range overflows.
     """
     value = _require(mapping, key, section)
 
@@ -261,35 +261,40 @@ def _numbers(mapping, key: str, section: str, shape: tuple = ()) -> np.ndarray:
 
     if fits(value, shape):
         try:
-            array = np.array(value, dtype=np.float64)
+            return np.array(value, dtype=np.float64)
         except OverflowError:
-            array = None
-        if array is not None and np.isfinite(array).all():
-            return array
+            pass
     layout = " x ".join("M" if n is None else str(n) for n in shape)
     expected = f"a list of {layout} finite numbers" if shape else "a finite number"
     raise ModelFormatError(f"{section}.{key}: must be {expected}, got {value!r:.80}")
 
 
-def _reject_literal(name: str):
-    raise ModelFormatError(f"document: non-finite number literal '{name}'")
+def _finite(text: str) -> float:
+    """The JSON number or constant `text` as a float, refused unless finite."""
+    if math.isfinite(value := float(text)):
+        return value
+    raise ModelFormatError(f"document: non-finite number literal '{text}'")
+
+
+def _parse(text: bytes, section: str) -> dict:
+    try:
+        value = json.loads(text, parse_constant=_finite, parse_float=_finite)
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise ModelFormatError(f"{section}: not valid JSON ({exc})") from exc
+    if not isinstance(value, dict):
+        raise ModelFormatError(f"{section}: top level must be an object")
+    return value
 
 
 def load_model(path: str) -> HdmrModel:
     """Read a model file, verifying structure, version, checksum and every field."""
     try:
         with open(path, "rb") as fh:
-            raw = fh.read()
+            head, body = fh.readline(), fh.read()
     except OSError as exc:
         raise ModelFormatError(f"cannot read model file: {exc}") from exc
-    try:
-        document = json.loads(raw, parse_constant=_reject_literal)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise ModelFormatError(f"document: not valid JSON ({exc})") from exc
-    if not isinstance(document, dict):
-        raise ModelFormatError("document: top level must be an object")
-
-    version = _require(document, "format_version", "document")
+    header = _parse(head, "header")
+    version = _require(header, "format_version", "header")
     if type(version) is not int:
         raise ModelFormatError("format_version: must be an integer")
     if version != FORMAT_VERSION:
@@ -297,15 +302,11 @@ def load_model(path: str) -> HdmrModel:
             f"format_version: file has version {version}, this build reads only "
             f"version {FORMAT_VERSION}; refit the model to write a version {FORMAT_VERSION} file"
         )
-
-    stored_checksum = _require(document, "checksum", "document")
-    unsigned = {k: v for k, v in document.items() if k != "checksum"}
-    try:
-        actual = hashlib.sha256(_canonical(unsigned).encode()).hexdigest()
-    except ValueError as exc:  # a number such as 1e999 overflows to inf
-        raise ModelFormatError(f"document: {exc}") from exc
-    if actual != stored_checksum:
+    if hashlib.sha256(body).hexdigest() != _require(header, "checksum", "header"):
         raise ModelFormatError("checksum: stored checksum does not match file contents")
+    document = _parse(body, "document")
+    size = len(head) + len(body)
+    del body  # before the features are built
 
     metadata = _require(document, "metadata", "document")
     dimension = _integer(metadata, "dimension", 1)
@@ -332,9 +333,9 @@ def load_model(path: str) -> HdmrModel:
             f"gpr: effective_noise {effective_noise} is below the requested noise {noise}"
         )
 
-    # Held while the features are built: the file's bytes and per row its
-    # D + 1 numbers (24-byte floats, list slots, array entries) and list.
-    held = len(raw) + 8 * X.shape[0] * (5 * dimension + 19)
+    # Held while it was parsed, the file's bytes; while the features are built,
+    # per row its D + 1 numbers (24-byte floats, list slots, array entries) and list.
+    held = size + 8 * X.shape[0] * (5 * dimension + 19)
     try:
         fmap, scaler, Y = _training_features(X, order, neurons_per_term, sobol_skip,
                                              held=held)

@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import os
+import shutil
 import tracemalloc
 
 import numpy as np
@@ -56,10 +57,23 @@ def test_fit_writes_model_and_report(workspace):
     table = report["activation_table"]
     assert table["nodes"] == 41  # 8 * ceil(1.25 / 0.3) + 1
     assert 0.0 <= table["max_deviation"] <= table["tolerance"]
-    doc = json.load(open(model))
-    assert doc["format_version"] == FORMAT_VERSION
-    assert set(doc) == {"format_version", "metadata", "X", "gpr", "checksum"}
-    assert doc["metadata"]["config"]["seed"] == 7
+    header, body = map(json.loads, open(model).read().split("\n", 1))
+    assert header["format_version"] == FORMAT_VERSION
+    assert set(body) == {"metadata", "X", "gpr"}
+    assert body["metadata"]["split_seed"] == 7
+    assert "config" not in body["metadata"]
+
+
+def test_fit_writes_the_same_model_file_from_any_directory(workspace, tmp_path, monkeypatch):
+    # The model file holds what the data and the settings determine, and
+    # not the run's paths, so a fit elsewhere writes the same bytes.
+    _, data, model = workspace
+    os.mkdir(tmp_path / "run")
+    shutil.copy(data, tmp_path / "pair.csv")
+    monkeypatch.chdir(tmp_path / "run")
+    assert run("fit", "--data", "../pair.csv", "--d", "2", "--n-per-term", "5",
+               "--l", "0.3", "--train", "200", "--seed", "7", "--out", "copy.model") == 0
+    assert open("copy.model", "rb").read() == open(model, "rb").read()
 
 
 def test_eval_reproduces_fit_report_bit_exactly(workspace, capsys):
@@ -305,14 +319,30 @@ def test_fit_on_one_row_exits_three_writing_nothing(tmp_path, capsys):
     assert not os.path.exists(target)
 
 
-def test_non_finite_literal_in_model_exits_three(workspace, tmp_path, capsys):
+def test_non_finite_literal_in_model_exits_three(workspace, tmp_path, capsys, resign):
     _, data, model = workspace
     broken = str(tmp_path / "nan.model")
-    raw = open(model).read()
-    open(broken, "w").write(raw.replace('"target_offset":', '"target_offset":NaN,"x":', 1))
+    shutil.copy(model, broken)
+    resign(broken, text=lambda body: body.replace('"target_offset":',
+                                                  '"target_offset":NaN,"x":', 1))
     assert run("predict", "--model", broken, "--data", data,
                "--out", str(tmp_path / "p.csv")) == 3
     assert "NaN" in capsys.readouterr().err
+
+
+def test_version_two_model_file_exits_three(workspace, tmp_path, capsys):
+    # The layout of earlier builds: one line, a document that holds its
+    # version and a checksum over itself without that field.
+    _, data, model = workspace
+    doc = dict(json.loads(open(model).read().split("\n", 1)[1]), format_version=2)
+    text = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    doc["checksum"] = hashlib.sha256(text.encode()).hexdigest()
+    old = str(tmp_path / "v2.model")
+    open(old, "w").write(json.dumps(doc, sort_keys=True, separators=(",", ":")))
+    assert run("predict", "--model", old, "--data", data,
+               "--out", str(tmp_path / "p.csv")) == 3
+    assert f"file has version 2, this build reads only version {FORMAT_VERSION}; refit the " \
+        f"model to write a version {FORMAT_VERSION} file" in capsys.readouterr().err
 
 
 def test_numeric_errors_exit_four(workspace, tmp_path, capsys):
@@ -452,15 +482,12 @@ def test_synth_and_components_past_physical_memory_exit_four(workspace, tmp_path
     assert not os.listdir(tmp_path)
 
 
-def test_model_past_physical_memory_exits_three(workspace, tmp_path, monkeypatch, capsys):
+def test_model_past_physical_memory_exits_three(workspace, tmp_path, monkeypatch, capsys,
+                                                resign):
     _, data, model = workspace
-    doc = json.load(open(model))
-    del doc["checksum"]
-    doc["metadata"]["neurons_per_term"] = 10_000_000
-    payload = json.dumps(doc, sort_keys=True, separators=(",", ":"))
-    doc["checksum"] = hashlib.sha256(payload.encode()).hexdigest()
     edited = str(tmp_path / "huge.model")
-    json.dump(doc, open(edited, "w"))
+    shutil.copy(model, edited)
+    resign(edited, lambda doc: doc["metadata"].update(neurons_per_term=10_000_000))
     monkeypatch.setattr("hdmrnet.data._MEMORY_BYTES", 8 * 2**30)
     assert run("predict", "--model", edited, "--data", data,
                "--out", str(tmp_path / "p.csv")) == 3

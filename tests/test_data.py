@@ -1,5 +1,6 @@
 """Dataset loading, splitting, and synthetic target tests."""
 
+import hashlib
 import math
 import os
 
@@ -221,6 +222,15 @@ def test_fingerprint_tracks_content():
     assert fp == ds.fingerprint()
     changed = Dataset(X=ds.X.copy(), t=ds.t + 1e-9, column_names=list(ds.column_names))
     assert changed.fingerprint()["sha256"] != fp["sha256"]
+    X = ds.X.copy()
+    X[3, 1] += 1e-9
+    changed = Dataset(X=X, t=ds.t.copy(), column_names=list(ds.column_names))
+    assert changed.fingerprint()["sha256"] != fp["sha256"]
+    # The float64 bytes of X row by row, then t, whatever the memory layout.
+    raw = ds.X.astype("<f8").tobytes() + ds.t.astype("<f8").tobytes()
+    assert fp["sha256"] == hashlib.sha256(raw).hexdigest()
+    fortran = Dataset(X=np.asfortranarray(ds.X), t=ds.t, column_names=list(ds.column_names))
+    assert fortran.fingerprint() == fp
 
 
 def test_split_is_a_deterministic_partition():

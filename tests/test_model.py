@@ -24,11 +24,13 @@ from hdmrnet import (
     load_model,
     map_features,
     save_model,
+    sweep,
     synth,
     term_values,
+    write_sweep_csv,
 )
-from hdmrnet.errors import (DatasetError, InvalidHyperparameterError, ModelFormatError,
-                            ShapeError)
+from hdmrnet.errors import (DatasetError, InvalidHyperparameterError, InvalidOrderError,
+                            ModelFormatError, ShapeError)
 from hdmrnet.model import FORMAT_VERSION
 
 
@@ -363,6 +365,49 @@ def test_save_is_deterministic(tmp_path):
     assert open(a, "rb").read() == open(b, "rb").read()
 
 
+def test_save_serialises_the_body_once_and_load_not_at_all(tmp_path, monkeypatch):
+    model, _ = _small_model()
+    path = str(tmp_path / "m.json")
+    dumped = []
+    dumps = json.dumps
+    monkeypatch.setattr(json, "dumps", lambda obj, **kw: (dumped.append(sorted(obj)),
+                                                          dumps(obj, **kw))[1])
+    save_model(model, path)
+    assert dumped == [["X", "gpr", "metadata"], ["checksum", "format_version"]]
+    dumped.clear()
+    load_model(path)
+    assert dumped == []
+
+
+@pytest.mark.parametrize("order, neurons, error", [
+    (np.int64(2), np.int64(3), None), (np.int32(2), np.uint8(3), None),
+    (2.0, 3, InvalidOrderError), (2, 2.5, ValueError)])
+def test_integer_like_settings_are_stored_as_plain_ints(tmp_path, order, neurons, error):
+    ds = synth("pairwise", 3, 60, seed=2)
+    records = str(tmp_path / "sweep.csv")
+    if error is not None:
+        with pytest.raises(error, match="must be an integer, got 2.[05]"):
+            hdmr_fit(ds, order, neurons, 0.4)
+        with pytest.raises(error, match="must be an integer, got 2.[05]"):
+            sweep(ds, [order], [neurons], 1, 40, None, 0.4, 1e-6, 0)
+        return
+    model = hdmr_fit(ds, order, neurons, 0.4, sobol_skip=np.int64(1), split_seed=np.int64(5))
+    save_model(model, str(tmp_path / "m.json"))
+    loaded = load_model(str(tmp_path / "m.json"))
+    settings = ["order", "neurons_per_term", "sobol_skip", "split_seed"]
+    assert [loaded.metadata[key] for key in settings] == [2, 3, 1, 5]
+    assert {type(model.metadata[key]) for key in settings} == {int}
+    result = sweep(ds, np.array([1, order]), np.array([neurons]), np.int64(1), np.int64(40),
+                   None, 0.4, 1e-6, np.int64(0), sobol_skip=np.int64(1))
+    write_sweep_csv(result, records)
+    lines = open(records).read().splitlines()
+    config = json.loads(lines[0][len("# config: "):])
+    assert (config["d_list"], config["N_list"], config["sobol_skip"]) == ([1, 2], [3], 1)
+    assert [line.split(",")[:4] for line in lines[2:]] == [["1", "3", "0", "0"],
+                                                           ["2", "3", "0", "0"]]
+    assert [line.split(",")[-1] for line in lines[2:]] == ["ok", "ok"]
+
+
 def test_checksum_detects_tampering(tmp_path):
     model, _ = _small_model()
     path = str(tmp_path / "m.json")
@@ -376,34 +421,20 @@ def test_checksum_detects_tampering(tmp_path):
         load_model(path)
 
 
-def test_missing_field_names_its_section(tmp_path):
+def test_missing_field_names_its_section(tmp_path, resign):
     model, _ = _small_model()
     path = str(tmp_path / "m.json")
     save_model(model, path)
-    doc = json.load(open(path))
-    del doc["gpr"]["alpha"]
-    del doc["checksum"]
-    import hashlib
-
-    payload = json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()
-    doc["checksum"] = hashlib.sha256(payload).hexdigest()
-    json.dump(doc, open(path, "w"), sort_keys=True, separators=(",", ":"))
+    resign(path, lambda doc: doc["gpr"].pop("alpha"))
     with pytest.raises(ModelFormatError, match="gpr"):
         load_model(path)
 
 
-def test_newer_format_version_is_refused(tmp_path):
+def test_newer_format_version_is_refused(tmp_path, resign):
     model, _ = _small_model()
     path = str(tmp_path / "m.json")
     save_model(model, path)
-    doc = json.load(open(path))
-    doc["format_version"] = FORMAT_VERSION + 1
-    del doc["checksum"]
-    import hashlib
-
-    payload = json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()
-    doc["checksum"] = hashlib.sha256(payload).hexdigest()
-    json.dump(doc, open(path, "w"), sort_keys=True, separators=(",", ":"))
+    resign(path, lambda doc: doc.update(format_version=FORMAT_VERSION + 1))
     with pytest.raises(ModelFormatError, match="version"):
         load_model(path)
 
@@ -439,33 +470,30 @@ def test_failed_save_leaves_no_partial_file(tmp_path):
 # ---------------------------------------------------------------------------
 
 
-def _saved_document(tmp_path):
+def _saved_file(tmp_path):
     model, _ = _small_model()
     path = str(tmp_path / "m.json")
     save_model(model, path)
-    doc = json.load(open(path))
-    del doc["checksum"]
-    return path, doc
-
-
-def _write_signed(path, doc, text=lambda raw: raw):
-    payload = json.dumps(doc, sort_keys=True, separators=(",", ":"))
-    doc = dict(doc, checksum=hashlib.sha256(payload.encode()).hexdigest())
-    open(path, "w").write(text(json.dumps(doc, sort_keys=True, separators=(",", ":"))))
+    return path
 
 
 def test_model_file_holds_only_config_inputs_and_alpha(tmp_path):
-    path, doc = _saved_document(tmp_path)
-    assert set(doc) == {"format_version", "metadata", "X", "gpr"}
+    # A header line signs the body's bytes as written; the body is one
+    # canonical JSON object.
+    head, body = open(_saved_file(tmp_path), "rb").read().split(b"\n", 1)
+    assert json.loads(head) == {"checksum": hashlib.sha256(body).hexdigest(),
+                                "format_version": FORMAT_VERSION}
+    doc = json.loads(body)
+    assert body.decode() == json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    assert set(doc) == {"metadata", "X", "gpr"}
     assert set(doc["gpr"]) == {"alpha", "effective_noise", "target_offset"}
     assert len(doc["X"]) == len(doc["gpr"]["alpha"]) == 80
     assert all(len(row) == 3 for row in doc["X"])
 
 
-def test_version_one_file_is_refused(tmp_path):
-    path, doc = _saved_document(tmp_path)
-    doc["format_version"] = 1
-    _write_signed(path, doc)
+def test_version_one_file_is_refused(tmp_path, resign):
+    path = _saved_file(tmp_path)
+    resign(path, lambda doc: doc.update(format_version=1))
     with pytest.raises(ModelFormatError, match="version 1.*refit"):
         load_model(path)
 
@@ -519,27 +547,30 @@ BAD_FIELDS = {
 
 
 @pytest.mark.parametrize("case", sorted(BAD_FIELDS))
-def test_bad_field_is_refused(tmp_path, case):
+def test_bad_field_is_refused(tmp_path, resign, case):
     edit, message = BAD_FIELDS[case]
-    path, doc = _saved_document(tmp_path)
-    edit(doc)
-    _write_signed(path, doc)
+    path = _saved_file(tmp_path)
+    resign(path, edit)
     with pytest.raises(ModelFormatError, match=message):
         load_model(path)
 
 
 @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e999"])
-@pytest.mark.parametrize("field", ["alpha", "target_offset", "X"])
-def test_non_finite_number_is_a_format_error(tmp_path, literal, field):
-    path, doc = _saved_document(tmp_path)
-    if field == "X":
-        doc["X"][4][1] = "HOLE"
-    elif field == "alpha":
-        doc["gpr"]["alpha"][4] = "HOLE"
-    else:
-        doc["gpr"]["target_offset"] = "HOLE"
-    _write_signed(path, doc, lambda raw: raw.replace('"HOLE"', literal))
-    with pytest.raises(ModelFormatError):
+@pytest.mark.parametrize("field", ["alpha", "target_offset", "X", "dataset_fingerprint"])
+def test_non_finite_number_is_a_format_error(tmp_path, resign, literal, field):
+    # Refused wherever it stands, in a field that the loader never reads too.
+    def hole(doc):
+        if field == "X":
+            doc["X"][4][1] = "HOLE"
+        elif field == "alpha":
+            doc["gpr"]["alpha"][4] = "HOLE"
+        elif field == "target_offset":
+            doc["gpr"]["target_offset"] = "HOLE"
+        else:
+            doc["metadata"]["dataset_fingerprint"]["rows"] = "HOLE"
+    path = _saved_file(tmp_path)
+    resign(path, hole, lambda body: body.replace('"HOLE"', literal))
+    with pytest.raises(ModelFormatError, match=f"non-finite number literal '{literal}'"):
         load_model(path)
 
 
@@ -635,13 +666,14 @@ def test_load_guard_counts_no_gram(tmp_path, monkeypatch):
     assert load_model(path).n_features == 15
 
 
-@pytest.mark.parametrize("n, D, order, neurons", [(1000, 6, 2, 20), (500, 3, 2, 4)])
+@pytest.mark.parametrize("n, D, order, neurons",
+                         [(1000, 6, 2, 20), (500, 3, 2, 4), (1000, 3, 1, 0)])
 def test_load_peak_memory_is_within_the_guard(tmp_path, monkeypatch, n, D, order, neurons):
     # The guard counts what a load holds while it builds the features: the
     # parsed document, two feature arrays, the map arrays and the ufuncs'
-    # scratch.  With F = 306 and 15 features these set the peak; with
-    # fewer, reading and checking the file's text, which the guard follows,
-    # would.
+    # scratch, and the file's bytes, held while it was hashed and parsed.
+    # With F = 306 and 15 features the features set the peak; with 3, the
+    # file's text does.
     counted = []
     check = hdmrnet.model._check_memory
     monkeypatch.setattr(hdmrnet.model, "_check_memory",
@@ -659,21 +691,18 @@ def test_load_peak_memory_is_within_the_guard(tmp_path, monkeypatch, n, D, order
     assert peak <= counted[-1]
 
 
-def _huge_map_file(tmp_path):
+def _huge_map_file(tmp_path, resign):
     """A valid D = 6, d = 3 model file edited to 10^7 neurons per term, with
     a recomputed checksum: 2 * 10^8 coupled features."""
     ds = synth("morse_like", 6, 30, seed=3)
     path = str(tmp_path / "huge.json")
     save_model(hdmr_fit(ds, 3, 1, 0.3), path)
-    doc = json.load(open(path))
-    del doc["checksum"]
-    doc["metadata"]["neurons_per_term"] = 10_000_000
-    _write_signed(path, doc)
+    resign(path, lambda doc: doc["metadata"].update(neurons_per_term=10_000_000))
     return path
 
 
-def test_load_past_physical_memory_is_refused_before_building(tmp_path, monkeypatch):
-    path = _huge_map_file(tmp_path)
+def test_load_past_physical_memory_is_refused_before_building(tmp_path, monkeypatch, resign):
+    path = _huge_map_file(tmp_path, resign)
     monkeypatch.setattr(hdmrnet.data, "_MEMORY_BYTES", 8 * 2**30)
     with pytest.raises(ModelFormatError, match="200000006 features of 30 rows.*physical memory"):
         load_model(path)
