@@ -25,6 +25,9 @@ import numpy as np
 from .errors import InvalidOrderError, ShapeError
 from .sobol import sobol_points
 
+# Coupled features per gather of `map_features`.
+_CHUNK = 128
+
 KIND_ORIGINAL = "original"
 KIND_COUPLED = "coupled"
 
@@ -123,6 +126,8 @@ def map_features(fmap: FeatureMap, X: np.ndarray) -> np.ndarray:
     Original rows copy their coordinate exactly.  Coupled feature D + k is
     X[:, i0] * w0 + X[:, i1] * w1 + ..., summed in that order by
     elementwise ufuncs, so each entry depends only on its own row of X.
+    The products are gathered `_CHUNK` features at a time, so besides Y
+    one (n, _CHUNK) temporary is alive.
     """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2:
@@ -133,9 +138,11 @@ def map_features(fmap: FeatureMap, X: np.ndarray) -> np.ndarray:
         )
     Y = np.zeros((X.shape[0], fmap.n_features), order="F")
     Y[:, : fmap.dimension] = X
-    for k in range(fmap.order):
-        term = X[:, fmap.indices[:, k]]
-        term *= fmap.weights[:, k]
-        Y[:, fmap.dimension :] += term
-        del term  # freed before the next gather, so one is alive at a time
+    for c0 in range(0, len(fmap.indices), _CHUNK):
+        rows = slice(c0, c0 + _CHUNK)
+        for k in range(fmap.order):
+            term = X[:, fmap.indices[rows, k]]
+            term *= fmap.weights[rows, k]
+            Y[:, fmap.dimension + c0 : fmap.dimension + c0 + _CHUNK] += term
+            del term  # freed before the next gather, so one is alive at a time
     return Y

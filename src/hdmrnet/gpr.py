@@ -17,11 +17,29 @@ is at most 8 eps; sigma, the requested noise, rises tenfold while the
 factorization or that check fails.  No hyperparameter is optimized.  All
 arithmetic is float64.
 
-The Gram matrix and `_dual_sums`, the one exact evaluator of predictions,
-components, table nodes and coupling terms, share one kernel routine, run
-over fixed row blocks on every core of the affinity mask (no setting); fixed
-block edges and feature order make results independent of the thread count.
-Both read each training column in place (see :mod:`hdmrnet.coupling`).
+`_dual_sums`, the one exact evaluator of predictions, components, table
+nodes and coupling terms, runs one kernel routine over fixed row blocks on
+every core of the affinity mask (no setting); fixed block edges and feature
+order make results independent of the thread count.  It reads each training
+column in place (see :mod:`hdmrnet.coupling`).
+
+`gram_matrix` takes one of two routes.  Training features are scaled into
+[0, 1], and on that interval one low-rank factor of the 1-D kernel serves
+every feature: k(u, v) ~= g(u) . g(v), with g(u) = R^T T(2u - 1), T the
+Chebyshev polynomials of degree 0..n and R (n + 1, r) from the kernel's 2-D
+Chebyshev coefficients (`_kernel_factor`, built once per length scale, with
+n = 10 + ceil(5 / l)).  Its error eps_1 = max |k - g . g| is measured on a
+256 x 256 grid of [0, 1]^2, not bounded: between the grid points it can be
+larger (a 2001 x 2001 grid read up to 1.2 eps_1).  The factor is taken
+while eps_1 <= 1e-14 and n <= 40, which holds for l >= 1/6, where eps_1 is
+below 4e-15, the size of the product's own rounding; then K = sum_j G_j^T
+G_j, each G_j = [g(y_mj)]_m of one feature, is accumulated by `dsyrk` over
+panels of a fixed number of features, and each entry differs from the exact
+one by about F eps_1 at most, plus `dsyrk`'s rounding.
+Smaller l, and features outside [0, 1], take the exact loop: the kernel
+routine over the upper triangle's row blocks.  `dsyrk` and the products that
+form G_j, one per 128-row block and small enough that OpenBLAS runs each on
+one thread, give the same bits on any number of BLAS threads.
 
 `compile_components` tabulates every component function as a Chebyshev
 interpolant on the padded interval `TABLE_INTERVAL`, checked against the
@@ -42,6 +60,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.blas import dsyrk
 from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .errors import (DatasetError, IllConditionedGramError, InvalidHyperparameterError,
@@ -62,6 +81,17 @@ _BLOCK = 128
 _UPPER = np.triu(np.ones((_BLOCK, _BLOCK), dtype=bool), 1)
 _THREADS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
+
+# The factor route of `gram_matrix`: the largest accepted eps_1, the highest
+# Chebyshev degree (a block's product, at most 41^2 * 128 multiply-adds, is
+# under the 4 * 65536 from which OpenBLAS threads a dgemm), the rows of
+# one G panel, the points per side of the grid that measures eps_1, and
+# the grid rows per block of that measurement.
+_FACTOR_BOUND = 1e-14
+_MAX_DEGREE = 40
+_PANEL = 128
+_GRID = 256
+_GRID_BLOCK = 8
 
 # Scaled-feature interval that an activation table covers, the most nodes a
 # table may have, and its accepted deviation per unit of sum |alpha|.
@@ -224,16 +254,132 @@ def _dual_sums(model: AdditiveGprModel, Y: np.ndarray, groups, start: float) -> 
     return out
 
 
+def _factor_degree(length_scale: float) -> int:
+    """Chebyshev degree n of `_kernel_factor` at this length scale."""
+    return 10 + math.ceil(5.0 / length_scale)
+
+
+@dataclass(frozen=True)
+class _KernelFactor:
+    """k(u, v) ~= g(u) . g(v) for u, v in [0, 1], with g(u) = Rt @ T(2u - 1)
+    and T(x) the Chebyshev polynomials of degree 0..n at x; `error` is
+    eps_1, the largest |k - g . g| on a grid of `_GRID` points per side."""
+
+    Rt: np.ndarray  # (r, n + 1), R transposed
+    error: float
+
+    @property
+    def degree(self) -> int:
+        return self.Rt.shape[1] - 1
+
+    @property
+    def rank(self) -> int:
+        return self.Rt.shape[0]
+
+    @property
+    def panel(self) -> int:
+        """Features per G panel: fixed for a length scale, since K's bits
+        depend on the panel width."""
+        return _PANEL // self.rank
+
+
+@functools.lru_cache(maxsize=32)
+def _kernel_factor(length_scale: float) -> _KernelFactor:
+    """The 1-D kernel's factor on [0, 1], built once per length scale.
+
+    The kernel at the n + 1 Chebyshev points u_i = (1 + cos(pi i / n)) / 2
+    gives its 2-D Chebyshev coefficients A = C K C^T, C the DCT of
+    `compile_components`.  Of A = V diag(w) V^T, the pairs with w > 1e-16
+    max w make R = V_r diag(w_r)^(1/2), so k(u, v) ~= T(u)^T R R^T T(v).
+    At l = 0.3, n = 27 and r = 17.  Every product here is too small for
+    OpenBLAS to thread, so R does not depend on the thread count.  The
+    error is measured on a `_GRID` x `_GRID` grid of [0, 1]^2, `_GRID_BLOCK`
+    rows at a time; `_factor_scratch_bytes` counts what this holds.
+    """
+    n = _factor_degree(length_scale)
+    inv = 1.0 / (2.0 * length_scale**2)
+    nodes = 0.5 + 0.5 * np.cos(np.pi * np.arange(n + 1) / n)
+    dct = _dct(n)
+    dct[[0, -1]] *= 0.5
+    w, V = np.linalg.eigh(dct @ _kernel(nodes, nodes, inv, np.empty((n + 1, n + 1))) @ dct.T)
+    keep = w > 1e-16 * w[-1]
+    Rt = np.ascontiguousarray((V[:, keep] * np.sqrt(w[keep])).T)
+    Rt.flags.writeable = False  # shared by every caller of the cache
+    grid = np.linspace(0.0, 1.0, _GRID)
+    g = _factor_rows(Rt, grid, np.empty((n + 1, _GRID)), np.empty((Rt.shape[0], _GRID)))
+    k, gg = np.empty((_GRID_BLOCK, _GRID)), np.empty((_GRID_BLOCK, _GRID))
+    error = 0.0
+    for i0 in range(0, _GRID, _GRID_BLOCK):
+        _kernel(grid[i0:i0 + _GRID_BLOCK], grid, inv, k)
+        k -= np.matmul(g[:, i0:i0 + _GRID_BLOCK].T, g, out=gg)
+        error = max(error, float(np.abs(k, out=k).max()))
+    return _KernelFactor(Rt, error)
+
+
+def _factor_rows(Rt: np.ndarray, y: np.ndarray, T: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Fill `out` (r, len(y)) with g(y_i) = Rt @ T(2 y_i - 1) for each entry
+    of y, and return it; T (n + 1, len(y)) is the buffer that the Chebyshev
+    recurrence fills.  The product runs once per fixed block of `_BLOCK`
+    entries, each too small for OpenBLAS to thread, so the bits do not
+    depend on the BLAS thread count."""
+    T[0] = 1.0
+    np.multiply(y, 2.0, out=T[1])
+    T[1] -= 1.0
+    x2 = T[1] + T[1]
+    for k in range(1, T.shape[0] - 1):
+        np.multiply(x2, T[k], out=T[k + 1])
+        T[k + 1] -= T[k - 1]
+    for i0 in range(0, len(y), _BLOCK):
+        np.matmul(Rt, T[:, i0:i0 + _BLOCK], out=out[:, i0:i0 + _BLOCK])
+    return out
+
+
+def _factor_route(Y: np.ndarray, length_scale: float) -> _KernelFactor | None:
+    """The factor that `gram_matrix` builds Y's Gram from, or None for the
+    exact loop; the route and its reason are logged."""
+    n = _factor_degree(length_scale)
+    if n > _MAX_DEGREE:
+        _log.debug("Gram: exact route, l = %g is too small for the factor (degree %d > %d)",
+                   length_scale, n, _MAX_DEGREE)
+    elif Y.size == 0 or not 0.0 <= Y.min() <= Y.max() <= 1.0:
+        _log.debug("Gram: exact route, features not all in [0, 1]")
+    elif (factor := _kernel_factor(length_scale)).error > _FACTOR_BOUND:
+        _log.debug("Gram: exact route, l = %g is too small for the factor (eps_1 = %.3g > %g)",
+                   length_scale, factor.error, _FACTOR_BOUND)
+    else:
+        _log.debug("Gram: factor route, n = %d, r = %d, eps_1 = %.3g, %d panels",
+                   n, factor.rank, factor.error, -(-Y.shape[1] // factor.panel))
+        return factor
+    return None
+
+
 def gram_matrix(Y: np.ndarray, length_scale: float) -> np.ndarray:
     """Symmetric (M, M) Gram matrix of the additive kernel.
 
-    Diagonal entries equal the feature count.  Only the upper triangle is
-    computed; the lower is its mirror, so symmetry holds to the bit.
+    Diagonal entries equal the feature count.  Only one triangle is
+    computed; the other is its mirror, so symmetry holds to the bit.  On
+    the factor route (see the module doc) K accumulates by `dsyrk` into one
+    Fortran-ordered buffer, one panel of G_j at a time, and the C-ordered
+    view of that buffer is returned; otherwise the exact loop fills K.
     """
     length_scale = _check_length_scale(length_scale)
     Y = _check_features(Y)
+    M, F = Y.shape
+    factor = _factor_route(Y, length_scale)
+    if factor is not None:
+        G = np.empty((min(factor.panel, F), factor.rank, M))
+        T = np.empty((factor.degree + 1, M))
+        K = np.zeros((M, M), order="F")
+        for j0 in range(0, F, factor.panel):
+            panel = G[:min(factor.panel, F - j0)]
+            for g, j in zip(panel, range(j0, F)):
+                _factor_rows(factor.Rt, Y[:, j], T, g)
+            K = dsyrk(1.0, panel.reshape(-1, M).T, beta=1.0, c=K, lower=0, overwrite_c=1)
+        K = K.T
+        _refill(K, np.empty(min(_BLOCK, M) ** 2))
+        K.flat[:: M + 1] = F
+        return K
     inv = 1.0 / (2.0 * length_scale**2)
-    M = Y.shape[0]
     Yt = np.ascontiguousarray(Y.T)  # a view of Fortran-ordered features
     K = np.zeros((M, M))
     def work(blocks):
@@ -278,7 +424,8 @@ def _symmetric_product(K: np.ndarray, diagonal: np.ndarray, v: np.ndarray,
 
 
 def _refill(K: np.ndarray, block: np.ndarray) -> None:
-    """Copy K's strict lower triangle onto its upper one, where a factor was."""
+    """Copy K's strict lower triangle onto its upper one: where a failed
+    Cholesky factor was, or what `dsyrk` left unset."""
     M = K.shape[0]
     for r0 in range(0, M, _BLOCK):
         r1 = min(r0 + _BLOCK, M)
@@ -292,12 +439,32 @@ def _solve_scratch_bytes(n_train: int) -> int:
     return 8 * (_SOLVE_VECTORS * n_train + min(_BLOCK, n_train) ** 2)
 
 
-def _fit_bytes(n_train: int, n_features: int) -> int:
-    """Bytes that a fit holds besides its features and targets: the Gram
-    matrix, the centred targets and the kernel scratch that build it, more
-    than `_solve_scratch_bytes`, then, once the Gram is freed, `Ytrain`'s copy."""
+def _factor_scratch_bytes(n_train: int, n_features: int, length_scale: float) -> int:
+    """Bytes that the factor route of `gram_matrix` holds besides K, at a
+    length scale of degree n <= `_MAX_DEGREE`: the larger of the build's
+    and the factor's.  The build holds a G panel of at most `_PANEL`
+    M-vectors (fewer for few features), the (n + 1, M) Chebyshev buffer and
+    2x, the block that mirrors K and the cached factor.  Before K exists, the
+    first Gram at a length scale builds that factor from five (n + 1, n + 1)
+    matrices and measures its error with two (n + 1, `_GRID`) buffers, the
+    grid and 2x, two (`_GRID_BLOCK`, `_GRID`) blocks and the ufuncs' scratch."""
+    M, n = n_train, _factor_degree(length_scale)
+    build = M * (min(_PANEL, n_features * (n + 1)) + n + 2) + min(_BLOCK, M) ** 2 + (n + 1) ** 2
+    check = (2 * (n + 1) + 2 + 2 * _GRID_BLOCK) * _GRID + 5 * (n + 1) ** 2
+    return max(8 * build, 8 * check + _UFUNC_BYTES)
+
+
+def _fit_bytes(n_train: int, n_features: int, length_scale: float) -> int:
+    """Bytes that `_gpr_fit` holds besides its features and targets at a
+    valid length scale: the Gram matrix, the centred targets and the larger
+    of the two Gram routes' scratch, which is more than
+    `_solve_scratch_bytes`.  The factor route is counted only at the length
+    scales that may take it; the exact route, at any."""
     M = n_train
-    return 8 * M * (M + 1 + n_features) + _kernel_scratch_bytes(M, -(-M // _BLOCK))
+    scratch = _kernel_scratch_bytes(M, -(-M // _BLOCK))
+    if _factor_degree(length_scale) <= _MAX_DEGREE:
+        scratch = max(scratch, _factor_scratch_bytes(M, n_features, length_scale))
+    return 8 * M * (M + 1) + scratch
 
 
 def _solve(K: np.ndarray, b: np.ndarray, noise: float) -> tuple[np.ndarray, float]:
@@ -359,7 +526,19 @@ def gpr_fit(
     which is stored as the offset.  Zero-variance targets get alpha = 0
     and build no Gram matrix.  Non-finite features, or targets whose
     deviations from their mean are not all finite (a mean that overflows
-    included), are refused with `DatasetError` before any Gram is built."""
+    included), are refused with `DatasetError` before any Gram is built.
+    The model keeps a Fortran-ordered copy of Y, made once the Gram is freed.
+    """
+    model = _gpr_fit(Y, t, length_scale, noise)
+    model.Ytrain = model.Ytrain.copy(order="F")
+    return model
+
+
+def _gpr_fit(Y: np.ndarray, t: np.ndarray, length_scale: float,
+             noise: float) -> AdditiveGprModel:
+    """`gpr_fit` without the copy: the model's `Ytrain` is Y itself, as
+    `np.asarray` gives it.  `hdmr_fit` hands over the Fortran-ordered
+    features that it built for the fit alone."""
     length_scale = _check_length_scale(length_scale)
     noise = _check_noise(noise)
     Y = _check_features(Y)
@@ -377,7 +556,7 @@ def gpr_fit(
     else:
         alpha, sigma = _solve(gram_matrix(Y, length_scale), b, noise)
     return AdditiveGprModel(
-        Ytrain=Y.copy(order="F"),
+        Ytrain=Y,
         alpha=alpha,
         length_scale=length_scale,
         noise=noise,
@@ -458,6 +637,17 @@ def _clenshaw(coefficients: np.ndarray, x: np.ndarray) -> np.ndarray:
     return tmp
 
 
+def _dct(n: int) -> np.ndarray:
+    """(n + 1, n + 1) matrix of (2 / n) cos(pi i k / n) with its first and
+    last columns halved: applied to values at the points cos(pi i / n), it
+    gives their interpolant's Chebyshev coefficients, once the first and
+    last of those are halved too."""
+    k = np.arange(n + 1)
+    cosines = np.cos(np.pi * (np.outer(k, k) % (2 * n)) / n) * (2.0 / n)
+    cosines[:, [0, -1]] *= 0.5
+    return cosines
+
+
 def compile_components(model: AdditiveGprModel) -> ActivationTable | None:
     """One checked Chebyshev table per component function, or None.
 
@@ -486,11 +676,9 @@ def compile_components(model: AdditiveGprModel) -> ActivationTable | None:
                         np.arange(model.n_features)[:, None], 0.0).T
     # a_k = (2 / n) sum_i w_i v_i cos(pi i k / n), with w_i = 1/2 at the
     # two end nodes and 1 elsewhere, and a_0, a_n halved as well.
-    k = np.arange(n + 1)
-    cosines = np.cos(np.pi * (np.outer(k, k) % (2 * n)) / n) * (2.0 / n)
-    cosines[:, [0, -1]] *= 0.5
+    cosines = _dct(n)
     coefficients = np.zeros((n + 1, model.n_features))
-    for i in k:
+    for i in range(n + 1):
         coefficients += cosines[:, i, None] * values[2 * i]
     coefficients[[0, -1]] *= 0.5
     between = np.broadcast_to(x[1::2, None], (n, model.n_features))

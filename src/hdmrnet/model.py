@@ -29,12 +29,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coupling import FeatureMap, _check_count, _check_order, build_feature_map, map_features
+from .coupling import (_CHUNK, FeatureMap, _check_count, _check_order, build_feature_map,
+                       map_features)
 from .data import Dataset, _atomic_open, _check_memory
 from .errors import (DatasetError, HdmrnetError, InvalidHyperparameterError,
                      ModelFormatError, ShapeError)
 from .gpr import (_UFUNC_BYTES, AdditiveGprModel, _check_length_scale, _check_noise,
-                  _fit_bytes, activation_sums, gpr_fit)
+                  _fit_bytes, _gpr_fit, activation_sums)
 from .sobol import _check_request
 
 FORMAT_VERSION = 3
@@ -65,13 +66,18 @@ def apply_scaler(scaler: Scaler, Y: np.ndarray) -> np.ndarray:
         raise ShapeError(
             f"Y must have {scaler.mins.shape[0]} columns, got shape {Y.shape}"
         )
+    return _scale(scaler, Y.copy(order="K"))
+
+
+def _scale(scaler: Scaler, Y: np.ndarray) -> np.ndarray:
+    """Y, float64 with the scaler's columns, mapped by the scaler in place
+    and returned."""
     span = scaler.maxs - scaler.mins
     constant = span == 0.0
-    safe_span = np.where(constant, 1.0, span)
-    scaled = Y - scaler.mins
-    scaled /= safe_span
-    scaled[:, constant] = 0.5
-    return scaled
+    Y -= scaler.mins
+    Y /= np.where(constant, 1.0, span)
+    Y[:, constant] = 0.5
+    return Y
 
 
 @dataclass
@@ -98,14 +104,16 @@ class HdmrModel:
 
 
 def _check_fit_settings(M: int, D: int, order: int, neurons_per_term: int, sobol_skip: int,
-                        gram: bool = False) -> tuple[int, int]:
+                        length_scale: float | None = None) -> tuple[int, int]:
     """The one owner of the refusals that a fit of M rows of D coordinates
     makes from its settings alone, before anything is allocated: fewer than
     2 rows, an order not an integer in [1, D], a count not an integer >= 0,
-    a request past the Sobol sequence.  Returns F and the bytes of building
-    the features: the map arrays, the features, their scaled copy and its
-    ufunc scratch, or with `gram` instead of the last two what `gpr._fit_bytes`
-    counts: the Gram matrix, its build and solve scratch and `Ytrain`'s copy.
+    a request past the Sobol sequence, and a length scale that `gpr` refuses.
+    Returns F and the bytes of building the features: the map arrays, the
+    features, which are scaled in place, one gather of `map_features` and
+    the ufuncs' scratch, or, given the length scale of a fit, instead of
+    that scratch what `gpr._fit_bytes` counts at it: the Gram matrix and
+    its build and solve scratch.  A fit keeps the features as `Ytrain`.
     """
     if M < 2:
         raise DatasetError(f"training set needs at least 2 rows, got {M}")
@@ -115,12 +123,16 @@ def _check_fit_settings(M: int, D: int, order: int, neurons_per_term: int, sobol
     coupled = neurons_per_term * math.comb(D, order) if order >= 2 else 0
     _check_request(order, coupled, sobol_skip)
     F = D + coupled
-    return F, 8 * M * F + 16 * order * coupled + (
-        _fit_bytes(M, F) if gram else 8 * M * F + _UFUNC_BYTES)
+    if length_scale is None:
+        scratch = _UFUNC_BYTES
+    else:
+        scratch = _fit_bytes(M, F, _check_length_scale(length_scale))
+    return F, 8 * M * (F + min(_CHUNK, coupled)) + 16 * order * coupled + scratch
 
 
 def _training_features(X: np.ndarray, order: int, neurons_per_term: int, sobol_skip: int,
-                       gram: bool = False, held: int = 0) -> tuple[FeatureMap, Scaler, np.ndarray]:
+                       length_scale: float | None = None,
+                       held: int = 0) -> tuple[FeatureMap, Scaler, np.ndarray]:
     """Feature map, scaler and scaled training features of X.
 
     The one path by which `hdmr_fit` builds a model and `load_model`
@@ -129,13 +141,13 @@ def _training_features(X: np.ndarray, order: int, neurons_per_term: int, sobol_s
     physical memory, with the caller's `held` bytes, before any allocation.
     """
     M, D = X.shape
-    F, needed = _check_fit_settings(M, D, order, neurons_per_term, sobol_skip, gram)
-    _check_memory(needed + held, f"{F} features of {M} rows"
-                                 f"{' and their Gram matrix' if gram else ''}")
+    F, needed = _check_fit_settings(M, D, order, neurons_per_term, sobol_skip, length_scale)
+    gram = "" if length_scale is None else " and their Gram matrix"
+    _check_memory(needed + held, f"{F} features of {M} rows{gram}")
     fmap = build_feature_map(D, order, neurons_per_term, sobol_skip)
     Y = map_features(fmap, X)
     scaler = fit_scaler(Y)
-    return fmap, scaler, apply_scaler(scaler, Y)
+    return fmap, scaler, _scale(scaler, Y)
 
 
 def hdmr_fit(
@@ -154,8 +166,8 @@ def hdmr_fit(
     recorded in the model metadata.
     """
     fmap, scaler, Y = _training_features(train.X, order, neurons_per_term, sobol_skip,
-                                         gram=True)
-    gpr = gpr_fit(Y, train.t, length_scale, noise)
+                                         length_scale)
+    gpr = _gpr_fit(Y, train.t, length_scale, noise)
     metadata = {
         "dimension": train.dimension,
         "order": fmap.order,
@@ -177,7 +189,7 @@ def _features(model: HdmrModel, X: np.ndarray) -> np.ndarray:
         raise ShapeError(f"X must be (n, {model.dimension}), got shape {X.shape}")
     if not np.isfinite(X).all():
         raise DatasetError("X contains non-finite values")
-    return apply_scaler(model.scaler, map_features(model.feature_map, X))
+    return _scale(model.scaler, map_features(model.feature_map, X))
 
 
 def hdmr_predict(model: HdmrModel, X: np.ndarray) -> np.ndarray:

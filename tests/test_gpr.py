@@ -367,6 +367,7 @@ def test_fit_peak_memory_is_the_counted_gram_and_factor_buffer(M, F, noise, esca
     Y = rng.uniform(size=(M, F))
     t = np.sin(6.0 * Y).sum(axis=1)
     gpr_fit(Y, t, 1.0, noise)  # first LAPACK call outside the trace
+    gpr._kernel_factor.cache_clear()  # the traced fit checks the factor's bound
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
@@ -375,7 +376,7 @@ def test_fit_peak_memory_is_the_counted_gram_and_factor_buffer(M, F, noise, esca
     finally:
         tracemalloc.stop()
     assert model.jitter_escalated == escalates
-    assert peak <= gpr._fit_bytes(M, F) + 2**16
+    assert peak <= gpr._fit_bytes(M, F, 1.0) + 2**16
 
 
 # K, with NaN where a factor would be, and the products that `_solve`
@@ -444,3 +445,120 @@ def test_non_finite_fit_inputs_are_refused_before_any_gram(monkeypatch, bad):
     with pytest.raises(DatasetError, match="targets"):  # the mean overflows
         gpr_fit(Y, np.full(20, 1e308) * np.where(t > 10, 1.0, 0.9), 0.5)
     assert calls == []
+
+
+def _exact_gram(Y, length_scale):
+    """The exact loop's Gram, vectorized: each entry adds its features'
+    kernel values in order, with the kernel routine's operations."""
+    K = np.zeros((Y.shape[0], Y.shape[0]))
+    for y in Y.T:
+        d = np.subtract.outer(y, y)
+        K += np.exp(d * d * -(1.0 / (2.0 * length_scale**2)))
+    return K
+
+
+@pytest.mark.parametrize("M", [1, gpr._BLOCK, gpr._BLOCK + 1])
+@pytest.mark.parametrize("length_scale", [0.2, 0.3, 0.6, 1.0, 3.0])
+def test_factor_gram_is_within_its_bound(length_scale, M, caplog):
+    # F is not a multiple of the panel width, so the last of the two panels
+    # is ragged; the features span [0, 1], both ends included.
+    factor = gpr._kernel_factor(length_scale)
+    assert factor.error <= gpr._FACTOR_BOUND
+    F = factor.panel + 3
+    Y = np.random.default_rng(M).uniform(size=(M, F))
+    Y[0, :2] = [0.0, 1.0]
+    with caplog.at_level("DEBUG", logger="hdmrnet"):
+        K = gram_matrix(Y, length_scale)
+    assert (f"factor route, n = {factor.degree}, r = {factor.rank}, "
+            f"eps_1 = {factor.error:.3g}, 2 panels") in caplog.text
+    assert K.flags.c_contiguous and np.array_equal(K, K.T)
+    assert np.array_equal(np.diag(K), np.full(M, float(F)))
+    bound = F * factor.error + 64 * F * np.finfo(np.float64).eps
+    assert np.abs(K - _exact_gram(Y, length_scale)).max() <= bound
+    for i, j in [(0, M - 1), (M // 2, M // 3)]:
+        assert abs(K[i, j] - kernel_additive(Y[i], Y[j], length_scale)) <= bound
+
+
+@pytest.mark.parametrize("length_scale, entry, reason", [
+    (0.05, 0.5, "l = 0.05 is too small for the factor (degree 110 > 40)"),
+    (0.15, 0.5, "l = 0.15 is too small for the factor (degree 44 > 40)"),
+    (0.3, 1.0 + 1e-9, "features not all in [0, 1]"),
+    (0.3, -1e-300, "features not all in [0, 1]"),
+])
+def test_gram_falls_back_to_the_exact_loop(length_scale, entry, reason, caplog):
+    Y = np.random.default_rng(3).uniform(size=(gpr._BLOCK + 7, 20))
+    Y[5, 3] = entry
+    with caplog.at_level("DEBUG", logger="hdmrnet"):
+        K = gram_matrix(Y, length_scale)
+    assert f"Gram: exact route, {reason}" in caplog.text
+    assert K.tobytes() == _exact_gram(Y, length_scale).tobytes()
+
+
+def test_gram_falls_back_when_the_factor_misses_its_bound(monkeypatch, caplog):
+    Y = np.random.default_rng(4).uniform(size=(50, 6))
+    monkeypatch.setattr(gpr, "_FACTOR_BOUND", 1e-16)
+    with caplog.at_level("DEBUG", logger="hdmrnet"):
+        K = gram_matrix(Y, 0.3)
+    assert "Gram: exact route, l = 0.3 is too small for the factor (eps_1 = " in caplog.text
+    assert K.tobytes() == _exact_gram(Y, 0.3).tobytes()
+
+
+@pytest.mark.parametrize("M, F, length_scale", [(200, 1, 0.3), (80, 15, 0.3), (300, 40, 1.0),
+                                                (300, 40, 0.05)])
+def test_first_gram_at_a_length_scale_is_within_the_counted_scratch(M, F, length_scale):
+    # The first Gram at a length scale builds its factor and checks its
+    # bound; K and either route's scratch fit in what `_fit_bytes` counts
+    # besides the centred targets, plus 8 KiB of the interpreter's objects.
+    # The features are Fortran-ordered, as a fit's are: the exact loop
+    # reads C-ordered ones through one transposed copy.
+    Y = np.asfortranarray(np.random.default_rng(0).uniform(size=(M, F)))
+    gram_matrix(Y[:2], 0.5)  # first BLAS calls outside the trace
+    gpr._kernel_factor.cache_clear()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        gram_matrix(Y, length_scale)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= gpr._fit_bytes(M, F, length_scale) - 8 * M + 2**13
+
+
+def test_fit_bytes_count_the_larger_route(monkeypatch):
+    # Few rows: the factor route's one-time check dominates, at the length
+    # scales that may take that route; many rows on two threads: the exact
+    # route's per-thread block buffers.
+    monkeypatch.setattr(gpr, "_THREADS", 2)
+    factor = gpr._factor_scratch_bytes(20, 1, 0.3)
+    assert factor > gpr._kernel_scratch_bytes(20, 1)
+    assert gpr._fit_bytes(20, 1, 0.3) == 8 * 20 * 21 + factor
+    for length_scale in (0.15, 0.05):
+        assert gpr._fit_bytes(20, 1, length_scale) == (8 * 20 * 21
+                                                       + gpr._kernel_scratch_bytes(20, 1))
+    assert gpr._fit_bytes(3000, 4, 0.3) == 8 * 3000 * 3001 + gpr._kernel_scratch_bytes(3000)
+
+
+# A factor-route Gram of three panels at a row count where one dgemm over
+# all rows gives different bits on 1 and 2 BLAS threads, and the model file
+# of a fit below 128 rows, where dpotrf does not vary either; as SHA-256.
+_FACTOR_BITS = """
+import hashlib, os, sys, tempfile
+import numpy as np
+from hdmrnet import gpr, hdmr_fit, save_model, synth
+F = 2 * gpr._kernel_factor(0.3).panel + 3
+K = gpr.gram_matrix(np.random.default_rng(0).uniform(size=(2300, F)), 0.3)
+path = os.path.join(tempfile.mkdtemp(dir=sys.argv[1]), "model")
+save_model(hdmr_fit(synth("pairwise", 3, 100, seed=1), 2, 5, 0.3), path)
+print(hashlib.sha256(K.tobytes()).hexdigest(), hashlib.sha256(open(path, "rb").read()).hexdigest())
+"""
+
+
+def test_factor_gram_and_small_fit_do_not_depend_on_the_blas_thread_count(tmp_path):
+    path = os.pathsep.join(filter(None, [os.path.dirname(os.path.dirname(gpr.__file__)),
+                                         os.environ.get("PYTHONPATH")]))
+    outputs = [subprocess.run([sys.executable, "-c", _FACTOR_BITS, str(tmp_path)], check=True,
+                              capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": path,
+                                   "OPENBLAS_NUM_THREADS": str(threads)}).stdout
+               for threads in (1, 2)]
+    assert outputs[0] == outputs[1]

@@ -592,15 +592,21 @@ def test_non_finite_points_are_refused(bad, where):
 
 def test_fit_past_physical_memory_is_refused(monkeypatch):
     # 80 rows of F = 3 + 4 * C(3, 2) = 15 features: 8 * 80 * 15 bytes of
-    # features plus 16 * 2 * 12 bytes of map arrays = 9984 bytes; a fit
-    # also needs 8 * 80^2 bytes for its Gram matrix, factored in place,
-    # 8 * 80 for the centred targets, on its one 80-row block
-    # 8 * (128 * 80 + 18432) bytes of kernel scratch to build the Gram, and
-    # 8 * 80 * 15 for the copy of the features that the model keeps.
-    monkeypatch.setattr(hdmrnet.data, "_MEMORY_BYTES", 9983)
+    # features, which the model keeps, 8 * 80 * 12 for the one gather of
+    # the 12 coupled features and 16 * 2 * 12 bytes of map arrays = 17,664
+    # bytes; a fit also needs 8 * 80^2 bytes for its Gram matrix, factored
+    # in place, 8 * 80 for the centred targets, and at l = 0.3 (degree
+    # n = 27) the factor route's scratch, more than the exact route's
+    # 8 * (128 * 80 + 18432) bytes on its one 80-row block: the one bound
+    # check per length scale, with two (28, 256) buffers, the grid and 2x,
+    # two (8, 256) blocks, five 28 x 28 matrices and the ufuncs' scratch,
+    # which is more than the build's G panel, Chebyshev buffer and
+    # mirroring block.
+    monkeypatch.setattr(hdmrnet.data, "_MEMORY_BYTES", 17_663)
     with pytest.raises(InvalidHyperparameterError, match="15 features of 80 rows"):
         _small_model()
-    needed = 9984 + 8 * 80 * (80 + 1) + 8 * (128 * 80 + 18432) + 8 * 80 * 15
+    needed = (17_664 + 8 * 80 * (80 + 1) + 8 * ((2 * 28 + 2 + 2 * 8) * 256 + 5 * 28**2)
+              + hdmrnet.gpr._UFUNC_BYTES)
     monkeypatch.setattr(hdmrnet.data, "_MEMORY_BYTES", needed - 1)
     with pytest.raises(InvalidHyperparameterError, match="15 features of 80 rows and their Gram"):
         _small_model()
@@ -610,54 +616,62 @@ def test_fit_past_physical_memory_is_refused(monkeypatch):
 
 
 def test_fit_guard_counts_the_gram_and_its_factor_copy(monkeypatch):
-    # 200 rows of D = d = 1: 8 * 200 bytes of features, no map arrays, and
-    # on one thread 8 * 200^2 bytes for the Gram matrix, which `_solve`
-    # factors in place, 8 * 200 for the centred targets, 8 * (128 * 200 +
-    # 18432) of kernel scratch to build the Gram, more than the solve's
-    # 8 * (7 * 200 + 128^2) bytes, and 8 * 200 for the model's copy of the
-    # features.
+    # 200 rows of D = d = 1: 8 * 200 bytes of features, which the model
+    # keeps, no map arrays, and on one thread 8 * 200^2 bytes for the Gram
+    # matrix, which `_solve` factors in place, 8 * 200 for the centred
+    # targets, and the larger Gram route's scratch, more than the solve's
+    # 8 * (7 * 200 + 128^2) bytes: the exact route's 8 * (128 * 200 +
+    # 18432) = 352,256 bytes, more than the factor route's 330,368 at
+    # l = 0.3, its one bound check per length scale.
     ds = synth("additive", 1, 200, seed=4)
     monkeypatch.setattr(hdmrnet.gpr, "_THREADS", 1)
-    monkeypatch.setattr(hdmrnet.data, "_MEMORY_BYTES", 677_055)
+    monkeypatch.setattr(hdmrnet.data, "_MEMORY_BYTES", 675_455)
     with pytest.raises(InvalidHyperparameterError, match="1 features of 200 rows and their Gram"):
         hdmr_fit(ds, 1, 0, 0.3)
-    monkeypatch.setattr(hdmrnet.data, "_MEMORY_BYTES", 677_056)
+    monkeypatch.setattr(hdmrnet.data, "_MEMORY_BYTES", 675_456)
     assert hdmr_fit(ds, 1, 0, 0.3).gpr.n_train == 200
 
 
 @pytest.mark.parametrize("n, order, neurons, noise", [
     (600, 2, 4, 1e-6), (300, 2, 4, 1e-16), (1000, 1, 0, 1e-6), (50, 2, 1000, 1e-6)])
 def test_fit_peak_memory_is_within_the_guard(monkeypatch, n, order, neurons, noise):
-    # The guard counts every array of a fit: the features, the map arrays,
-    # the one Gram matrix and the scratch that builds and solves it, on
-    # every jitter try (noise 1e-16 escalates three times), and the model's
-    # copy of the features: with F = 3003 >> M = 50 the guard holds only
-    # because it counts that copy.
-    counted = []
+    # The guard counts every array of a fit: the features, which the model
+    # keeps, the map arrays and one gather, the one Gram matrix and the
+    # scratch that builds and solves it, on every jitter try (noise 1e-16
+    # escalates three times), and the one-time bound check of the kernel
+    # factor at l = 1, whose cache is cleared.  With F = 3003 >> M = 50 the
+    # features set the peak, and the model keeps them without a copy.
+    counted, built = [], []
     check = hdmrnet.model._check_memory
     monkeypatch.setattr(hdmrnet.model, "_check_memory",
                         lambda needed, what: (counted.append(needed), check(needed, what)))
+    features = hdmrnet.model._training_features
+    monkeypatch.setattr(hdmrnet.model, "_training_features",
+                        lambda *args: built.append(features(*args)) or built[-1])
     ds = synth("pairwise", 3, n, seed=0)
     hdmr_fit(ds, order, neurons, 1.0, noise)
+    hdmrnet.gpr._kernel_factor.cache_clear()
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        hdmr_fit(ds, order, neurons, 1.0, noise)
+        model = hdmr_fit(ds, order, neurons, 1.0, noise)
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
     assert peak <= counted[-1]
+    assert model.gpr.Ytrain is built[-1][2]
 
 
 def test_load_guard_counts_no_gram(tmp_path, monkeypatch):
-    # The loader builds no Gram.  It holds the mapped features and their
-    # scaled copy, 2 * 8 * 80 * 15 bytes for the 80-row model above, its
-    # 16 * 2 * 12 bytes of map arrays, the ufuncs' scratch, and the parsed
-    # document: the file's bytes plus 8 * (5 * 3 + 19) bytes per row.
+    # The loader builds no Gram.  It holds the features, scaled in place,
+    # 8 * 80 * 15 bytes for the 80-row model above, one gather of its 12
+    # coupled features, 8 * 80 * 12 bytes, its 16 * 2 * 12 bytes of map
+    # arrays, the ufuncs' scratch, and the parsed document: the file's
+    # bytes plus 8 * (5 * 3 + 19) bytes per row.
     model, _ = _small_model()
     path = str(tmp_path / "small.json")
     save_model(model, path)
-    needed = (2 * 9600 + 384 + hdmrnet.gpr._UFUNC_BYTES
+    needed = (9600 + 7680 + 384 + hdmrnet.gpr._UFUNC_BYTES
               + os.path.getsize(path) + 8 * 80 * (5 * 3 + 19))
     monkeypatch.setattr(hdmrnet.data, "_MEMORY_BYTES", needed - 1)
     with pytest.raises(ModelFormatError, match="15 features of 80 rows need"):
