@@ -22,7 +22,8 @@ class InvalidHyperparameterError(HdmrnetError):
 
 
 class IllConditionedGramError(HdmrnetError):
-    """No backward-stable Cholesky solve of the Gram even at the maximum jitter level."""
+    """No backward-stable Cholesky solve of the Gram, or of its low-rank form,
+    even at the maximum jitter level."""
 
     def __init__(self, message: str, final_jitter: float):
         super().__init__(message)

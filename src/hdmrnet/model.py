@@ -112,8 +112,9 @@ def _check_fit_settings(M: int, D: int, order: int, neurons_per_term: int, sobol
     Returns F and the bytes of building the features: the map arrays, the
     features, which are scaled in place, one gather of `map_features` and
     the ufuncs' scratch, or, given the length scale of a fit, instead of
-    that scratch what `gpr._fit_bytes` counts at it: the Gram matrix and
-    its build and solve scratch.  A fit keeps the features as `Ytrain`.
+    that scratch what `gpr._fit_bytes` counts at it: the matrices of the
+    route that `gpr._route` picks, and their build and solve scratch.  A
+    fit keeps the features as `Ytrain`.
     """
     if M < 2:
         raise DatasetError(f"training set needs at least 2 rows, got {M}")

@@ -454,14 +454,14 @@ def test_fit_past_physical_memory_exits_four(workspace, tmp_path, monkeypatch, c
 
 
 def test_fit_whose_gram_would_not_fit_exits_four(workspace, tmp_path, monkeypatch, capsys):
-    # 400 rows of 3 + 2 * 3 = 9 features: 28,800 bytes of features and
-    # 192 bytes of map arrays fit, the 8 * 400^2 bytes of the Gram matrix
-    # do not.
+    # 400 rows of 3 + 2 * 3 = 9 features at l = 0.05, which takes the Gram
+    # route: 28,800 bytes of features and 192 bytes of map arrays fit, the
+    # 8 * 400^2 bytes of the Gram matrix do not.
     _, data, _ = workspace
     monkeypatch.setattr("hdmrnet.data._MEMORY_BYTES", 10**6)
     target = str(tmp_path / "gram.model")
     assert run("fit", "--data", data, "--d", "2", "--n-per-term", "2",
-               "--l", "0.3", "--seed", "1", "--out", target) == 4
+               "--l", "0.05", "--seed", "1", "--out", target) == 4
     assert "Gram matrix" in capsys.readouterr().err
     assert not os.path.exists(target)
 

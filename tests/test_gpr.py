@@ -6,6 +6,7 @@ independent oracles for the linear-algebra path.
 
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -178,15 +179,17 @@ def test_near_interpolation_at_small_noise():
 
 def test_constant_target_short_circuits(monkeypatch):
     calls = []
-    monkeypatch.setattr(gpr, "gram_matrix", lambda *args: calls.append(args))
-    Y = np.random.default_rng(4).uniform(size=(10, 2))
-    model = gpr_fit(Y, np.full(10, 3.25), 0.5, 1e-7)
-    assert calls == []  # no Gram is built for a zero-variance target
-    assert np.array_equal(model.alpha, np.zeros(10))
-    assert model.effective_noise == model.noise == 1e-7
-    assert model.target_offset == 3.25
-    assert np.array_equal(gpr_predict(model, Y), np.full(10, 3.25))
-    assert np.array_equal(gpr_component(model, 0, [0.1, 0.9]), np.zeros(2))
+    for name in ("_route", "_gram", "_factor_matrix", "_solve", "_low_rank_solve"):
+        monkeypatch.setattr(gpr, name, lambda *args, name=name: calls.append(name))
+    for M in (10, 300):  # the Gram route's size and the low-rank route's
+        Y = np.random.default_rng(4).uniform(size=(M, 2))
+        model = gpr_fit(Y, np.full(M, 3.25), 0.5, 1e-7)
+        assert calls == []  # nothing is built or solved for a zero-variance target
+        assert np.array_equal(model.alpha, np.zeros(M))
+        assert model.effective_noise == model.noise == 1e-7
+        assert model.target_offset == 3.25
+        assert np.array_equal(gpr_predict(model, Y), np.full(M, 3.25))
+        assert np.array_equal(gpr_component(model, 0, [0.1, 0.9]), np.zeros(2))
 
 
 def test_singular_gram_still_fits():
@@ -356,12 +359,15 @@ def test_solve_in_the_factor_buffer_matches_scipy_defaults_bit_for_bit(
     assert np.tril(K, -1).tobytes() == lower.tobytes()
 
 
-@pytest.mark.parametrize("M, F, noise, escalates", [(600, 2, 1e-14, True), (600, 3, 1e-6, False)])
+@pytest.mark.parametrize("M, F, noise, escalates", [
+    (600, 2, 1e-14, True), (600, 3, 1e-6, False), (600, 60, 1e-6, False), (600, 60, 1e-14, True)])
 def test_fit_peak_memory_is_the_counted_gram_and_factor_buffer(M, F, noise, escalates):
     # The Gram guard of `model._training_features` counts `gpr._fit_bytes`
-    # for a fit: the Gram matrix, which `_solve` factors in place, the
-    # centred targets, and the larger of what builds the Gram and what
-    # solves it.  Besides that a fit holds 64 KiB of the interpreter's own
+    # for a fit.  At l = 1, r = 10: with F = 60, F r >= M, and it counts the
+    # Gram matrix, which `_solve` factors in place, the centred targets, and
+    # the larger of what builds the Gram and what solves it; with F = 2 or
+    # 3, F r < M, and it counts B^T, C = B^T B and the low-rank solve's
+    # vectors.  Besides that a fit holds 64 KiB of the interpreter's own
     # objects; a second (M, M) array would not fit.
     rng = np.random.default_rng(0)
     Y = rng.uniform(size=(M, F))
@@ -507,8 +513,8 @@ def test_gram_falls_back_when_the_factor_misses_its_bound(monkeypatch, caplog):
                                                 (300, 40, 0.05)])
 def test_first_gram_at_a_length_scale_is_within_the_counted_scratch(M, F, length_scale):
     # The first Gram at a length scale builds its factor and checks its
-    # bound; K and either route's scratch fit in what `_fit_bytes` counts
-    # besides the centred targets, plus 8 KiB of the interpreter's objects.
+    # bound; K and either route's scratch fit in what `_gram_bytes` counts
+    # for the route's factor, plus 8 KiB of the interpreter's objects.
     # The features are Fortran-ordered, as a fit's are: the exact loop
     # reads C-ordered ones through one transposed copy.
     Y = np.asfortranarray(np.random.default_rng(0).uniform(size=(M, F)))
@@ -521,39 +527,60 @@ def test_first_gram_at_a_length_scale_is_within_the_counted_scratch(M, F, length
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert peak <= gpr._fit_bytes(M, F, length_scale) - 8 * M + 2**13
+    assert peak <= gpr._gram_bytes(M, F, gpr._route(M, F, length_scale)[0]) + 2**13
 
 
-def test_fit_bytes_count_the_larger_route(monkeypatch):
-    # Few rows: the factor route's one-time check dominates, at the length
-    # scales that may take that route; many rows on two threads: the exact
-    # route's per-thread block buffers.
+def test_fit_bytes_count_the_route_taken(monkeypatch):
+    # At l = 0.3, r = 17: one feature of 20 rows is low-rank (F r = 17 < 20)
+    # and counts B^T, C and the solve's vectors, or the factor's one-time
+    # check, which is larger here; two features are a factor-route Gram
+    # (F r = 34 >= 20), whose one-time check dominates its build.  Smaller l
+    # takes the exact route, whose per-thread block buffers are counted on
+    # two threads.  A tall fit counts no M x M Gram at all.
     monkeypatch.setattr(gpr, "_THREADS", 2)
-    factor = gpr._factor_scratch_bytes(20, 1, 0.3)
-    assert factor > gpr._kernel_scratch_bytes(20, 1)
-    assert gpr._fit_bytes(20, 1, 0.3) == 8 * 20 * 21 + factor
+    factor = gpr._kernel_factor(0.3)
+    assert gpr._route(20, 1, 0.3) == (factor, True, "")
+    assert gpr._fit_bytes(20, 1, 0.3) == 8 * 20 + gpr._low_rank_bytes(20, 1, factor)
+    assert gpr._low_rank_bytes(20, 1, factor) == gpr._check_scratch_bytes(factor.degree)
+    assert gpr._route(20, 2, 0.3) == (factor, False, "")
+    assert gpr._fit_bytes(20, 2, 0.3) == 8 * 20 * 21 + gpr._check_scratch_bytes(factor.degree)
     for length_scale in (0.15, 0.05):
+        assert gpr._route(20, 1, length_scale)[:2] == (None, False)
         assert gpr._fit_bytes(20, 1, length_scale) == (8 * 20 * 21
                                                        + gpr._kernel_scratch_bytes(20, 1))
-    assert gpr._fit_bytes(3000, 4, 0.3) == 8 * 3000 * 3001 + gpr._kernel_scratch_bytes(3000)
+    FR, M = 4 * factor.rank, 3000
+    build = M * (factor.degree + 2)  # the Chebyshev buffer, more than C and the vectors
+    assert gpr._fit_bytes(M, 4, 0.3) == 8 * (M + FR * M + build + (factor.degree + 1) ** 2) \
+        + gpr._UFUNC_BYTES
+    assert gpr._fit_bytes(M, 4, 0.3) < 8 * M * M / 10
 
 
 # A factor-route Gram of three panels at a row count where one dgemm over
-# all rows gives different bits on 1 and 2 BLAS threads, and the model file
-# of a fit below 128 rows, where dpotrf does not vary either; as SHA-256.
+# all rows gives different bits on 1 and 2 BLAS threads; the model file of a
+# Gram-route fit below 128 rows, where dpotrf does not vary either; and that
+# of a low-rank fit of 2000 rows with F r = 51 < 128, whose dpotrf is on C;
+# as SHA-256.
 _FACTOR_BITS = """
 import hashlib, os, sys, tempfile
 import numpy as np
 from hdmrnet import gpr, hdmr_fit, save_model, synth
 F = 2 * gpr._kernel_factor(0.3).panel + 3
 K = gpr.gram_matrix(np.random.default_rng(0).uniform(size=(2300, F)), 0.3)
-path = os.path.join(tempfile.mkdtemp(dir=sys.argv[1]), "model")
-save_model(hdmr_fit(synth("pairwise", 3, 100, seed=1), 2, 5, 0.3), path)
-print(hashlib.sha256(K.tobytes()).hexdigest(), hashlib.sha256(open(path, "rb").read()).hexdigest())
+digests = [hashlib.sha256(K.tobytes()).hexdigest()]
+for n, order, neurons in [(100, 2, 5), (2000, 1, 0)]:
+    path = os.path.join(tempfile.mkdtemp(dir=sys.argv[1]), "model")
+    save_model(hdmr_fit(synth("pairwise", 3, n, seed=1), order, neurons, 0.3), path)
+    digests.append(hashlib.sha256(open(path, "rb").read()).hexdigest())
+print(*digests)
 """
 
 
 def test_factor_gram_and_small_fit_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # The first fit (F = 18) takes the Gram route, the second (F = 3) the
+    # low-rank one.
+    r = gpr._kernel_factor(0.3).rank
+    assert (gpr._route(100, 18, 0.3)[1], gpr._route(2000, 3, 0.3)[1]) == (False, True)
+    assert 3 * r < gpr._BLOCK
     path = os.pathsep.join(filter(None, [os.path.dirname(os.path.dirname(gpr.__file__)),
                                          os.environ.get("PYTHONPATH")]))
     outputs = [subprocess.run([sys.executable, "-c", _FACTOR_BITS, str(tmp_path)], check=True,
@@ -561,4 +588,92 @@ def test_factor_gram_and_small_fit_do_not_depend_on_the_blas_thread_count(tmp_pa
                               env={**os.environ, "PYTHONPATH": path,
                                    "OPENBLAS_NUM_THREADS": str(threads)}).stdout
                for threads in (1, 2)]
+    assert len(outputs[0].split()) == 3
     assert outputs[0] == outputs[1]
+
+
+def _gram_route_model(Y, t, length_scale, noise):
+    """The model that the Gram route fits, whatever route `gpr_fit` takes."""
+    b = t - np.mean(t)
+    alpha, sigma = gpr._solve(gram_matrix(Y, length_scale), b, noise)
+    return gpr.AdditiveGprModel(np.asfortranarray(Y), alpha, length_scale, noise, sigma,
+                                float(np.mean(t)))
+
+
+def test_low_rank_and_gram_routes_agree(caplog):
+    # F r = 340 < M = 1000 at l = 0.3.  Both routes accept at the noise
+    # asked for; their predictions differed by at most 1.2e-11 (targets up to
+    # 11), under a tolerance of 1e-10.  They solve for B B^T and for the
+    # Gram, which differ by about F eps_1, each to a backward error of 8 eps.
+    rng = np.random.default_rng(1020)
+    Y = rng.uniform(size=(1000, 20))
+    t = np.sin(6.0 * Y).sum(axis=1)
+    with caplog.at_level("DEBUG", logger="hdmrnet"):
+        low = gpr_fit(Y, t, 0.3)
+    assert "solve: low-rank route, F r = 340 < M = 1000, " in caplog.text
+    assert "Gram:" not in caplog.text
+    gram = _gram_route_model(Y, t, 0.3, 1e-6)
+    assert low.effective_noise == gram.effective_noise == 1e-6
+    Ystar = rng.uniform(size=(500, 20))
+    assert np.abs(gpr_predict(low, Ystar) - gpr_predict(gram, Ystar)).max() <= 1e-10
+    assert np.abs(gpr_predict(low, Y) - gpr_predict(gram, Y)).max() <= 1e-10
+
+
+def test_low_rank_fit_escalates_a_tiny_noise_as_the_gram_route_does(monkeypatch, caplog):
+    # At noise 1e-14 no try is accepted on either route (F r = 68 < M = 3000);
+    # each try starts from C and the noise alone, so a refit at the
+    # reported noise gives the same alpha bit for bit.
+    rng = np.random.default_rng(5)
+    Y = rng.uniform(size=(3000, 4))
+    t = np.sin(6.0 * Y).sum(axis=1)
+    with caplog.at_level("DEBUG", logger="hdmrnet"):
+        model = gpr_fit(Y, t, 0.3, 1e-14)
+    assert "solve: low-rank route, F r = 68 < M = 3000, " in caplog.text
+    assert model.jitter_escalated
+    assert _gram_route_model(Y, t, 0.3, 1e-14).jitter_escalated
+    again = gpr_fit(Y, t, 0.3, model.effective_noise)
+    assert not again.jitter_escalated
+    assert again.alpha.tobytes() == model.alpha.tobytes()
+    # No factorization of C succeeds: the error reports the final jitter.
+    monkeypatch.setattr(gpr, "dpotrf", lambda a, **kwargs: (a, 1))
+    with pytest.raises(IllConditionedGramError,
+                       match=r"jitter 0\.01 \(requested noise 1e-06\)") as caught:
+        gpr_fit(Y, t, 0.3)
+    assert caught.value.final_jitter == gpr.MAX_JITTER
+
+
+def test_low_rank_refinement_that_hits_its_cap_fails_the_try(monkeypatch, caplog):
+    # The Woodbury solution at noise 1e-6 needs one refinement step here;
+    # with no step allowed, that try and those at 1e-5 to 1e-2, which also
+    # need one, fail, and the fit is refused at the jitter ceiling.
+    rng = np.random.default_rng(6)
+    Y = rng.uniform(size=(3000, 4))
+    t = np.sin(6.0 * Y).sum(axis=1)
+    with caplog.at_level("DEBUG", logger="hdmrnet"):
+        model = gpr_fit(Y, t, 0.3)
+    assert not model.jitter_escalated
+    assert "low-rank route, F r = 68 < M = 3000, 1 refinement steps" in caplog.text
+    tries, dpotrf = [], gpr.dpotrf
+    monkeypatch.setattr(gpr, "dpotrf", lambda a, **kwargs: tries.append(1) or dpotrf(a, **kwargs))
+    monkeypatch.setattr(gpr, "_REFINE_STEPS", 0)
+    with pytest.raises(IllConditionedGramError) as caught:
+        gpr_fit(Y, t, 0.3)
+    assert caught.value.final_jitter == gpr.MAX_JITTER
+    assert len(tries) == 5
+
+
+def test_solve_route_is_logged(caplog):
+    # One line per fit names the route, F r against M, the refinement steps,
+    # eta and sigma; at l = 0.05 there is no factor.
+    Y = np.random.default_rng(8).uniform(size=(200, 3))
+    t = np.sin(6.0 * Y).sum(axis=1)
+    expected = [(0.3, r"low-rank route, F r = 51 < M = 200, \d refinement steps"),
+                (0.3, r"Gram route, F r = 255 >= M = 200, 0 refinement steps"),
+                (0.05, r"Gram route, exact loop, M = 200, 0 refinement steps")]
+    for (length_scale, route), F in zip(expected, (3, 15, 3)):
+        caplog.clear()
+        with caplog.at_level("DEBUG", logger="hdmrnet"):
+            gpr_fit(np.resize(Y, (200, F)), t, length_scale)
+        lines = [r.getMessage() for r in caplog.records if r.getMessage().startswith("solve:")]
+        assert len(lines) == 1
+        assert re.fullmatch(rf"solve: {route}, eta = [0-9.e+-]+ eps at sigma = 1e-06", lines[0])

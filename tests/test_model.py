@@ -616,20 +616,51 @@ def test_fit_past_physical_memory_is_refused(monkeypatch):
 
 
 def test_fit_guard_counts_the_gram_and_its_factor_copy(monkeypatch):
-    # 200 rows of D = d = 1: 8 * 200 bytes of features, which the model
-    # keeps, no map arrays, and on one thread 8 * 200^2 bytes for the Gram
-    # matrix, which `_solve` factors in place, 8 * 200 for the centred
-    # targets, and the larger Gram route's scratch, more than the solve's
-    # 8 * (7 * 200 + 128^2) bytes: the exact route's 8 * (128 * 200 +
-    # 18432) = 352,256 bytes, more than the factor route's 330,368 at
-    # l = 0.3, its one bound check per length scale.
+    # 200 rows of D = d = 1 at l = 0.15, below the factor's range, so the
+    # fit builds its Gram by the exact loop: 8 * 200 bytes of features,
+    # which the model keeps, no map arrays, and on one thread 8 * 200^2
+    # bytes for the Gram matrix, which `_solve` factors in place, 8 * 200
+    # for the centred targets, and the exact route's scratch, more than the
+    # solve's 8 * (7 * 200 + 128^2) bytes: 8 * (128 * 200 + 18432) =
+    # 352,256 bytes.
     ds = synth("additive", 1, 200, seed=4)
     monkeypatch.setattr(hdmrnet.gpr, "_THREADS", 1)
     monkeypatch.setattr(hdmrnet.data, "_MEMORY_BYTES", 675_455)
     with pytest.raises(InvalidHyperparameterError, match="1 features of 200 rows and their Gram"):
-        hdmr_fit(ds, 1, 0, 0.3)
+        hdmr_fit(ds, 1, 0, 0.15)
     monkeypatch.setattr(hdmrnet.data, "_MEMORY_BYTES", 675_456)
+    assert hdmr_fit(ds, 1, 0, 0.15).gpr.n_train == 200
+
+
+def test_tall_fit_guard_counts_no_gram(monkeypatch):
+    # The same 200 rows at l = 0.3 (r = 17) take the low-rank route: F r =
+    # 17 < M, so the guard counts B^T and C = B^T B, not a 200 x 200 Gram
+    # and its build, and accepts the fit under a limit that the Gram route
+    # would exceed.  Here the factor's one-time check, at n = 27, is the
+    # largest part: 8 * ((2 * 28 + 2 + 2 * 8) * 256 + 5 * 28^2) + the
+    # ufuncs' 147,456 = 330,368 bytes, besides 8 * 200 of features and
+    # 8 * 200 of centred targets.
+    ds = synth("additive", 1, 200, seed=4)
+    counted = []
+    check = hdmrnet.model._check_memory
+    monkeypatch.setattr(hdmrnet.model, "_check_memory",
+                        lambda needed, what: (counted.append(needed), check(needed, what)))
+    monkeypatch.setattr(hdmrnet.data, "_MEMORY_BYTES", 333_567)
+    with pytest.raises(InvalidHyperparameterError, match="1 features of 200 rows"):
+        hdmr_fit(ds, 1, 0, 0.3)
+    monkeypatch.setattr(hdmrnet.data, "_MEMORY_BYTES", 333_568)
     assert hdmr_fit(ds, 1, 0, 0.3).gpr.n_train == 200
+    gram = 8 * 400 + hdmrnet.gpr._gram_bytes(200, 1, hdmrnet.gpr._kernel_factor(0.3))
+    assert counted == [333_568, 333_568] and gram == 333_568 + 8 * 200**2
+    hdmrnet.gpr._kernel_factor.cache_clear()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        hdmr_fit(ds, 1, 0, 0.3)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= counted[-1]
 
 
 @pytest.mark.parametrize("n, order, neurons, noise", [
