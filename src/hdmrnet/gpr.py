@@ -39,10 +39,12 @@ on a 256 x 256 grid of [0, 1]^2, not bounded: between the grid points it
 can be larger (a 2001 x 2001 grid read up to 1.2 eps_1).  The factor is
 taken while eps_1 <= 1e-14 and n <= 40, which holds for l >= 1/6, where
 eps_1 is below 4e-15, the size of the product's own rounding.  Then B =
-[G_1^T ... G_F^T], each G_j = [g(y_mj)]_m of one feature, and K = sum_j
-G_j^T G_j is accumulated by `dsyrk` over panels of a fixed number of
-features; each entry differs from the exact one by about F eps_1 at most,
-plus `dsyrk`'s rounding.  Smaller l, and features outside [0, 1], take the
+[G_1^T ... G_F^T], each G_j = [g(y_mj)]_m of one feature, and
+`_factor_matrix` is the one fill of G_j: of all F at once on the low-rank
+route, of one panel of a fixed number of features at a time for the Gram,
+whose K = sum_j G_j^T G_j `dsyrk` accumulates panel by panel; each entry
+differs from the exact one by about F eps_1 at most, plus `dsyrk`'s
+rounding.  Smaller l, and features outside [0, 1], take the
 exact loop: the kernel routine over the upper triangle's row blocks, and
 the Gram route.  `dsyrk`, `dgemv`, and the products that form G_j, one per
 128-row block and small enough that OpenBLAS runs each on one thread, give
@@ -308,7 +310,7 @@ def _kernel_factor(length_scale: float) -> _KernelFactor:
     At l = 0.3, n = 27 and r = 17.  Every product here is too small for
     OpenBLAS to thread, so R does not depend on the thread count.  The
     error is measured on a `_GRID` x `_GRID` grid of [0, 1]^2, `_GRID_BLOCK`
-    rows at a time; `_factor_scratch_bytes` counts what this holds.
+    rows at a time; `_check_scratch_bytes` counts what this holds.
     """
     n = _factor_degree(length_scale)
     inv = 1.0 / (2.0 * length_scale**2)
@@ -379,36 +381,28 @@ def _route(n_train: int, n_features: int, length_scale: float,
 
 
 def gram_matrix(Y: np.ndarray, length_scale: float) -> np.ndarray:
-    """Symmetric (M, M) Gram matrix of the additive kernel.
+    """Symmetric (M, M) Gram matrix of the additive kernel, built on the
+    route that `_route` picks, which is logged.
 
     Diagonal entries equal the feature count.  Only one triangle is
     computed; the other is its mirror, so symmetry holds to the bit.  On
     the factor route (see the module doc) K accumulates by `dsyrk` into one
-    Fortran-ordered buffer, one panel of G_j at a time, and the C-ordered
-    view of that buffer is returned; otherwise the exact loop fills K.
+    Fortran-ordered buffer, one panel of G_j from `_factor_matrix` at a
+    time, and the C-ordered view of that buffer is returned; otherwise the
+    exact loop fills K.
     """
     length_scale = _check_length_scale(length_scale)
     Y = _check_features(Y)
-    factor, _, why = _route(*Y.shape, length_scale, _in_unit_interval(Y))
-    return _gram(Y, length_scale, factor, why)
-
-
-def _gram(Y: np.ndarray, length_scale: float, factor: _KernelFactor | None,
-          why: str) -> np.ndarray:
-    """`gram_matrix` of checked features on the route that `_route` chose,
-    which is logged."""
     M, F = Y.shape
+    factor, _, why = _route(M, F, length_scale, _in_unit_interval(Y))
     if factor is not None:
         _log.debug("Gram: factor route, n = %d, r = %d, eps_1 = %.3g, %d panels",
                    factor.degree, factor.rank, factor.error, -(-F // factor.panel))
         G = np.empty((min(factor.panel, F), factor.rank, M))
-        T = np.empty((factor.degree + 1, M))
         K = np.zeros((M, M), order="F")
         for j0 in range(0, F, factor.panel):
-            panel = G[:min(factor.panel, F - j0)]
-            for g, j in zip(panel, range(j0, F)):
-                _factor_rows(factor.Rt, Y[:, j], T, g)
-            K = dsyrk(1.0, panel.reshape(-1, M).T, beta=1.0, c=K, lower=0, overwrite_c=1)
+            panel = _factor_matrix(Y[:, j0:j0 + factor.panel], factor, G)
+            K = dsyrk(1.0, panel.T, beta=1.0, c=K, lower=0, overwrite_c=1)
         K = K.T
         _refill(K, np.empty(min(_BLOCK, M) ** 2))
         K.flat[:: M + 1] = F
@@ -428,16 +422,16 @@ def _gram(Y: np.ndarray, length_scale: float, factor: _KernelFactor | None,
     return K
 
 
-def _factor_matrix(Y: np.ndarray, factor: _KernelFactor) -> np.ndarray:
-    """B^T, the (F r, M) matrix whose rows j r to j r + r - 1 hold g of
-    feature j at the M rows, so that K ~= B B^T; each G_j has the bits of
-    the Gram route's."""
-    M, F = Y.shape
-    Bt = np.empty((F, factor.rank, M))
+def _factor_matrix(Y: np.ndarray, factor: _KernelFactor, out: np.ndarray) -> np.ndarray:
+    """Fill out[:k], for Y's k columns, with G_j = [g(Y[m, j])]_m (r, M)
+    of each column j, through one (n + 1, M) Chebyshev buffer, and return
+    the (k r, M) view of out[:k]: B^T for all F features, or one panel of
+    it.  The one fill of G_j, for the Gram and the low-rank route alike."""
+    M, k = Y.shape
     T = np.empty((factor.degree + 1, M))
-    for j in range(F):
-        _factor_rows(factor.Rt, Y[:, j], T, Bt[j])
-    return Bt.reshape(-1, M)
+    for j in range(k):
+        _factor_rows(factor.Rt, Y[:, j], T, out[j])
+    return out[:k].reshape(-1, M)
 
 
 def _diagonal_block(K: np.ndarray, r0: int, r1: int, block: np.ndarray) -> np.ndarray:
@@ -495,18 +489,6 @@ def _check_scratch_bytes(degree: int) -> int:
     return 8 * ((2 * (n + 1) + 2 + 2 * _GRID_BLOCK) * _GRID + 5 * (n + 1) ** 2) + _UFUNC_BYTES
 
 
-def _factor_scratch_bytes(n_train: int, n_features: int, factor: _KernelFactor) -> int:
-    """Bytes that the factor route of `gram_matrix` holds besides K: the
-    larger of the build's and of the factor's own first build, which comes
-    before K exists.  The build holds a G panel of min(panel, F) features,
-    the (n + 1, M) Chebyshev buffer and 2x, the block that mirrors K and
-    the cached factor."""
-    M, n = n_train, factor.degree
-    build = (M * (min(factor.panel, n_features) * factor.rank + n + 2)
-             + min(_BLOCK, M) ** 2 + (n + 1) ** 2)
-    return max(8 * build, _check_scratch_bytes(n))
-
-
 def _low_rank_bytes(n_train: int, n_features: int, factor: _KernelFactor) -> int:
     """Bytes that the low-rank route of `_gpr_fit` holds besides b: B^T,
     and while it fills, the (n + 1, M) Chebyshev buffer and 2x, then C, its
@@ -522,11 +504,18 @@ def _low_rank_bytes(n_train: int, n_features: int, factor: _KernelFactor) -> int
 
 def _gram_bytes(n_train: int, n_features: int, factor: _KernelFactor | None) -> int:
     """Bytes of a Gram matrix and of its build's scratch on the factor route,
-    or on the exact one for no factor; more than `_solve_scratch_bytes`."""
+    or on the exact one for no factor; more than `_solve_scratch_bytes`.
+    The factor route's scratch is the larger of the build's and of the
+    factor's own first build, which comes before K exists.  The build holds
+    a G panel of min(panel, F) features, the (n + 1, M) Chebyshev buffer
+    and 2x, the block that mirrors K and the cached factor."""
     M = n_train
     if factor is None:
         return 8 * M * M + _kernel_scratch_bytes(M, -(-M // _BLOCK))
-    return 8 * M * M + _factor_scratch_bytes(M, n_features, factor)
+    n = factor.degree
+    build = (M * (min(factor.panel, n_features) * factor.rank + n + 2)
+             + min(_BLOCK, M) ** 2 + (n + 1) ** 2)
+    return 8 * M * M + max(8 * build, _check_scratch_bytes(n))
 
 
 def _fit_bytes(n_train: int, n_features: int, length_scale: float) -> int:
@@ -573,12 +562,14 @@ def _solve(K: np.ndarray, b: np.ndarray, noise: float,
     factorization in K's own memory; K is consumed.
 
     sigma escalates as `_escalate` says while factorization fails or the
-    backward error eta = ||r|| / (||K|| ||alpha|| + ||b||) of r = b - (K +
-    sigma I) alpha, in the infinity norm (Higham, Accuracy and Stability of
-    Numerical Algorithms, 7.1), exceeds c * eps.  A stable solve has eta =
-    O(eps) however ill-conditioned K is: fits of M = 1 to 3000 rows
-    measured at most 0.41 eps, so c = 8 keeps a margin of 20.  K's entries
-    are positive, so ||K|| is its largest column sum.
+    backward error eta = ||r|| / (||K + sigma I|| ||alpha|| + ||b||) of r =
+    b - (K + sigma I) alpha, in the infinity norm (Higham, Accuracy and
+    Stability of Numerical Algorithms, 7.1), exceeds c * eps.  A stable
+    solve has eta = O(eps) however ill-conditioned K is: fits of M = 1 to
+    3000 rows measured at most 0.41 eps, so c = 8 keeps a margin of 20.
+    K's entries are positive, so ||K|| is its largest column sum, taken
+    once before the first try, and ||K + sigma I|| = ||K|| + sigma, the
+    rule of `_low_rank_solve` too.
 
     `gram_matrix` makes K symmetric to the bit, so K.T, the Fortran-order
     view of K's buffer, is K.  Each try sets K's diagonal to the original
@@ -593,6 +584,7 @@ def _solve(K: np.ndarray, b: np.ndarray, noise: float,
     M = K.shape[0]
     diagonal = K.diagonal().copy()
     block = np.empty(min(_BLOCK, M) ** 2)
+    norm_K = _symmetric_product(K, diagonal, np.ones(M), block).max()
     def attempt(sigma):
         shifted = diagonal + sigma
         K.flat[:: M + 1] = shifted
@@ -601,8 +593,7 @@ def _solve(K: np.ndarray, b: np.ndarray, noise: float,
             alpha = dpotrs(factor, b, lower=1)[0]
             residual = _symmetric_product(K, shifted, alpha, block)
             residual -= b
-            norm = _symmetric_product(K, shifted, np.ones(M), block).max()
-            eta = _backward_error(residual, norm, alpha, b)
+            eta = _backward_error(residual, norm_K + sigma, alpha, b)
             if eta <= _BACKWARD_ERROR * _EPS:
                 return alpha, 0, eta
         _refill(K, block)
@@ -703,13 +694,14 @@ def _gpr_fit(Y: np.ndarray, t: np.ndarray, length_scale: float,
     if np.linalg.norm(b) == 0.0:
         alpha, sigma = np.zeros(M), noise
     else:
-        factor, low_rank, why = _route(M, F, length_scale, _in_unit_interval(Y))
+        factor, low_rank, _ = _route(M, F, length_scale, _in_unit_interval(Y))
         if low_rank:
-            alpha, sigma = _low_rank_solve(_factor_matrix(Y, factor), b, noise,
+            Bt = _factor_matrix(Y, factor, np.empty((F, factor.rank, M)))
+            alpha, sigma = _low_rank_solve(Bt, b, noise,
                                            f"low-rank route, F r = {F * factor.rank} < M = {M}")
         else:
             sides = f"F r = {F * factor.rank} >= M = {M}" if factor else f"exact loop, M = {M}"
-            alpha, sigma = _solve(_gram(Y, length_scale, factor, why), b, noise,
+            alpha, sigma = _solve(gram_matrix(Y, length_scale), b, noise,
                                   f"Gram route, {sides}")
     return AdditiveGprModel(
         Ytrain=Y,

@@ -179,7 +179,7 @@ def test_near_interpolation_at_small_noise():
 
 def test_constant_target_short_circuits(monkeypatch):
     calls = []
-    for name in ("_route", "_gram", "_factor_matrix", "_solve", "_low_rank_solve"):
+    for name in ("_route", "gram_matrix", "_factor_matrix", "_solve", "_low_rank_solve"):
         monkeypatch.setattr(gpr, name, lambda *args, name=name: calls.append(name))
     for M in (10, 300):  # the Gram route's size and the low-rank route's
         Y = np.random.default_rng(4).uniform(size=(M, 2))
@@ -617,6 +617,40 @@ def test_low_rank_and_gram_routes_agree(caplog):
     Ystar = rng.uniform(size=(500, 20))
     assert np.abs(gpr_predict(low, Ystar) - gpr_predict(gram, Ystar)).max() <= 1e-10
     assert np.abs(gpr_predict(low, Y) - gpr_predict(gram, Y)).max() <= 1e-10
+
+
+def test_panel_fill_has_the_bits_of_the_full_width_fill():
+    # `_factor_matrix` is the one fill of G_j: a ragged panel of features
+    # P to P + 3, filled into a reused (P, r, M) buffer as the Gram route
+    # does, and a full one have the bits of the matching rows of the
+    # low-rank route's B^T, so both routes see the same B.
+    factor = gpr._kernel_factor(0.3)
+    P, r, M = factor.panel, factor.rank, gpr._BLOCK + 5
+    Y = np.asfortranarray(np.random.default_rng(11).uniform(size=(M, 2 * P + 1)))
+    Bt = gpr._factor_matrix(Y, factor, np.empty((Y.shape[1], r, M)))
+    assert Bt.shape == (Y.shape[1] * r, M)
+    G = np.full((P, r, M), np.nan)
+    for j0, k in [(P, 3), (0, P)]:
+        panel = gpr._factor_matrix(Y[:, j0:j0 + k], factor, G)
+        assert panel.shape == (k * r, M) and np.shares_memory(panel, G)
+        assert panel.tobytes() == Bt[j0 * r:(j0 + k) * r].tobytes()
+
+
+def test_gram_route_fit_builds_through_gram_matrix_once(monkeypatch):
+    # A Gram-route fit, factor or exact, calls the public `gram_matrix` once,
+    # so a wrapper of that name sees it; a low-rank fit calls it never.
+    calls = []
+    build = gpr.gram_matrix
+    monkeypatch.setattr(gpr, "gram_matrix",
+                        lambda Y, length_scale: calls.append(Y.shape) or build(Y, length_scale))
+    Y = np.random.default_rng(12).uniform(size=(200, 15))
+    t = np.sin(6.0 * Y).sum(axis=1)
+    for F, length_scale, expected in [(15, 0.3, [(200, 15)]),  # F r = 255 >= M
+                                      (3, 0.05, [(200, 3)]),  # exact loop
+                                      (3, 0.3, [])]:  # F r = 51 < M
+        calls.clear()
+        gpr_fit(Y[:, :F], t, length_scale)
+        assert calls == expected
 
 
 def test_low_rank_fit_escalates_a_tiny_noise_as_the_gram_route_does(monkeypatch, caplog):
