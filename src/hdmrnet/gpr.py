@@ -18,10 +18,11 @@ Gram matrix K by Cholesky in K's own memory.  With F r < M, K ~= B B^T for
 the (M, F r) matrix B of the kernel factor, and `_low_rank_solve` factors
 the smaller (F r, F r) matrix C = B^T B instead: alpha = (b - B (C +
 sigma I)^-1 B^T b) / sigma (Woodbury), refined with its residual, and no
-M x M matrix is built.  Both accept a try when its backward error is at
-most 8 eps; sigma, the requested noise, rises tenfold while the
-factorization or that check fails.  The model is the same dual one on
-both routes.  No hyperparameter is optimized.  All arithmetic is float64.
+M x M matrix is built.  Both factor in `_escalate`, the one Cholesky
+loop, which accepts a try when its backward error is at most 8 eps;
+sigma, the requested noise, rises tenfold while the factorization or that
+check fails.  The model is the same dual one on both routes.  No
+hyperparameter is optimized.  All arithmetic is float64.
 
 `_dual_sums`, the one exact evaluator of predictions, components, table
 nodes and coupling terms, runs one kernel routine over fixed row blocks on
@@ -77,12 +78,13 @@ from .errors import (DatasetError, IllConditionedGramError, InvalidHyperparamete
                      ShapeError)
 
 # Jitter escalation ceiling (fits needing more are refused), and the c of
-# `_solve`'s acceptance rule: backward error at most c * eps.
+# `_escalate`'s acceptance rule: backward error at most c * eps.
 MAX_JITTER = 1e-2
 _BACKWARD_ERROR = 8.0
 _EPS = float(np.finfo(np.float64).eps)
-# M-vectors that `_solve` holds at most: the diagonal, the shifted diagonal,
-# alpha, the residual, a vector of ones, and a product and its temporary.
+# M-vectors that `_solve`, with its `_escalate` loop, holds at most: the
+# diagonal, the shifted diagonal, alpha, the residual, a vector of ones, and
+# a product and its temporary.
 _SOLVE_VECTORS = 7
 # Refinement steps of a `_low_rank_solve` try, and the vectors of each size
 # (M and F r) that it holds at most: alpha, the residual, a correction and
@@ -364,7 +366,7 @@ def _route(n_train: int, n_features: int, length_scale: float,
     `factor` is the kernel factor that the fit is built from, or None for
     the exact loop, whose reason `why` gives.  `low_rank` is F r < M: then
     `_low_rank_solve` factors the (F r, F r) matrix B^T B and no M x M Gram
-    is built.  The one owner of the route: `_gpr_fit` takes it, `gram_matrix`
+    is built.  The one owner of the route: `gpr_fit` takes it, `gram_matrix`
     its Gram part, and `_fit_bytes` counts it.
     """
     n = _factor_degree(length_scale)
@@ -490,7 +492,7 @@ def _check_scratch_bytes(degree: int) -> int:
 
 
 def _low_rank_bytes(n_train: int, n_features: int, factor: _KernelFactor) -> int:
-    """Bytes that the low-rank route of `_gpr_fit` holds besides b: B^T,
+    """Bytes that the low-rank route of `gpr_fit` holds besides b: B^T,
     and while it fills, the (n + 1, M) Chebyshev buffer and 2x, then C, its
     diagonal block and `_LOW_RANK_VECTORS` vectors of each size, plus the
     cached factor and the ufuncs' scratch; or the factor's first build, if
@@ -519,7 +521,7 @@ def _gram_bytes(n_train: int, n_features: int, factor: _KernelFactor | None) -> 
 
 
 def _fit_bytes(n_train: int, n_features: int, length_scale: float) -> int:
-    """Bytes that `_gpr_fit` holds besides its features and targets at a
+    """Bytes that `gpr_fit` holds besides its features and targets at a
     valid length scale, for features in [0, 1] as `hdmr_fit`'s scaled ones
     are: the centred targets and what the route of `_route` holds, B^T and
     C on the low-rank route, else the Gram matrix and its scratch."""
@@ -529,14 +531,45 @@ def _fit_bytes(n_train: int, n_features: int, length_scale: float) -> int:
     return 8 * n_train + _gram_bytes(n_train, n_features, factor)
 
 
-def _escalate(noise: float, attempt, route: str) -> tuple[np.ndarray, float]:
-    """(alpha, sigma) of the first accepted `attempt(sigma)`, with sigma
-    starting at `noise` and rising by factors of 10 up to `MAX_JITTER`;
-    beyond that an error reports the final jitter.  An attempt returns
-    None, or (alpha, refinement steps, eta) once eta <= c eps.  The accepted
-    try is logged with the route's name."""
+def _escalate(A: np.ndarray, noise: float, solve, route: str,
+              block: np.ndarray) -> tuple[np.ndarray, float]:
+    """(alpha, sigma) of the first accepted Cholesky solve with A + sigma I,
+    sigma starting at `noise` and rising by factors of 10 up to
+    `MAX_JITTER`; beyond that an error reports the final jitter.  The one
+    factorization of both routes: A is K on the Gram route and C = B^T B
+    on the low-rank one, and A is consumed.
+
+    A is C-ordered and symmetric to the bit, so A.T, the Fortran-order view
+    of its buffer, is A.  Each try sets A's diagonal to the original one,
+    kept in a vector, plus sigma, and dpotrf puts the factor L in that
+    view's lower triangle, which is A's upper one; A's strict lower
+    triangle stays intact, and a failed try copies it back over the factor
+    through the scratch `block`.  So a fit holds no second copy of A, and
+    on return A's upper triangle holds the factor.  A must be finite: no
+    LAPACK call checks it.
+
+    `solve(factor, sigma, shifted)`, given the factor and the shifted
+    diagonal, returns (alpha, refinement steps, eta), with eta = ||r|| /
+    (||K + sigma I|| ||alpha|| + ||b||) the backward error of r = b - (K +
+    sigma I) alpha for the route's Gram K (B B^T on the low-rank route), in
+    the infinity norm (Higham, Accuracy and Stability of Numerical
+    Algorithms, 7.1).  A try is accepted when eta <= c eps.  A stable solve
+    has eta = O(eps) however ill-conditioned K is: fits of M = 1 to 3000
+    rows measured at most 0.41 eps, so c = 8 keeps a margin of 20.  The
+    accepted try is logged with the route's name.
+    """
+    n = A.shape[0]
+    diagonal = A.diagonal().copy()
     sigma = noise
-    while (accepted := attempt(sigma)) is None:
+    while True:
+        shifted = diagonal + sigma
+        A.flat[:: n + 1] = shifted
+        factor, info = dpotrf(A.T, lower=1, clean=0, overwrite_a=1)
+        if info == 0:
+            alpha, steps, eta = solve(factor, sigma, shifted)
+            if eta <= _BACKWARD_ERROR * _EPS:
+                break
+        _refill(A, block)
         if sigma * 10.0 > MAX_JITTER * (1.0 + 1e-12):
             raise IllConditionedGramError(
                 f"Gram matrix has no backward-stable Cholesky solve even at jitter {sigma:g} "
@@ -544,7 +577,6 @@ def _escalate(noise: float, attempt, route: str) -> tuple[np.ndarray, float]:
                 final_jitter=sigma,
             )
         sigma *= 10.0
-    alpha, steps, eta = accepted
     _log.debug("solve: %s, %d refinement steps, eta = %.3g eps at sigma = %g",
                route, steps, eta / _EPS, sigma)
     return alpha, sigma
@@ -558,84 +590,55 @@ def _backward_error(residual: np.ndarray, norm: float, alpha: np.ndarray,
 
 def _solve(K: np.ndarray, b: np.ndarray, noise: float,
            route: str = "Gram route") -> tuple[np.ndarray, float]:
-    """(alpha, sigma) with (K + sigma * I) alpha = b, by a Cholesky
-    factorization in K's own memory; K is consumed.
+    """(alpha, sigma) with (K + sigma * I) alpha = b, by `_escalate` in K's
+    own memory; K is consumed.
 
-    sigma escalates as `_escalate` says while factorization fails or the
-    backward error eta = ||r|| / (||K + sigma I|| ||alpha|| + ||b||) of r =
-    b - (K + sigma I) alpha, in the infinity norm (Higham, Accuracy and
-    Stability of Numerical Algorithms, 7.1), exceeds c * eps.  A stable
-    solve has eta = O(eps) however ill-conditioned K is: fits of M = 1 to
-    3000 rows measured at most 0.41 eps, so c = 8 keeps a margin of 20.
+    `gram_matrix` makes K symmetric to the bit.  `_symmetric_product` reads
+    the residual and the column sums from K's intact strict lower triangle.
     K's entries are positive, so ||K|| is its largest column sum, taken
     once before the first try, and ||K + sigma I|| = ||K|| + sigma, the
-    rule of `_low_rank_solve` too.
-
-    `gram_matrix` makes K symmetric to the bit, so K.T, the Fortran-order
-    view of K's buffer, is K.  Each try sets K's diagonal to the original
-    one, kept in an M-vector, plus sigma, and dpotrf puts the factor L in
-    that view's lower triangle, which is K's upper one; K's strict lower
-    triangle stays intact, and `_symmetric_product` reads r and the column
-    sums from it.  A failed try copies that triangle back over the factor.
-    So a fit holds K and `_solve_scratch_bytes`, no second M x M buffer,
-    and on return K's upper triangle holds the factor.  K and b must be
-    finite: no LAPACK call checks them.
+    rule of `_low_rank_solve` too.  So a fit holds K and
+    `_solve_scratch_bytes`, no second M x M buffer.
     """
-    M = K.shape[0]
-    diagonal = K.diagonal().copy()
-    block = np.empty(min(_BLOCK, M) ** 2)
-    norm_K = _symmetric_product(K, diagonal, np.ones(M), block).max()
-    def attempt(sigma):
-        shifted = diagonal + sigma
-        K.flat[:: M + 1] = shifted
-        factor, info = dpotrf(K.T, lower=1, clean=0, overwrite_a=1)
-        if info == 0:
-            alpha = dpotrs(factor, b, lower=1)[0]
-            residual = _symmetric_product(K, shifted, alpha, block)
-            residual -= b
-            eta = _backward_error(residual, norm_K + sigma, alpha, b)
-            if eta <= _BACKWARD_ERROR * _EPS:
-                return alpha, 0, eta
-        _refill(K, block)
-        return None
-    return _escalate(noise, attempt, route)
+    block = np.empty(min(_BLOCK, K.shape[0]) ** 2)
+    norm_K = _symmetric_product(K, K.diagonal(), np.ones(K.shape[0]), block).max()
+    def solve(factor, sigma, shifted):
+        alpha = dpotrs(factor, b, lower=1)[0]
+        residual = _symmetric_product(K, shifted, alpha, block)
+        residual -= b
+        return alpha, 0, _backward_error(residual, norm_K + sigma, alpha, b)
+    return _escalate(K, noise, solve, route, block)
 
 
 def _low_rank_solve(Bt: np.ndarray, b: np.ndarray, noise: float,
                     route: str) -> tuple[np.ndarray, float]:
     """(alpha, sigma) with (B B^T + sigma * I) alpha = b, for Bt = B^T
     with F r < M rows, through the (F r, F r) matrix C = B^T B: the dual
-    solution of `_solve` on K = B B^T, escalated as `_escalate` says and
-    accepted by the same rule, eta <= c eps with ||K|| = max B (B^T 1) +
-    sigma.
+    solution of `_solve` on K = B B^T, by `_escalate` on C, with ||K|| =
+    max B (B^T 1).
 
-    Each try factors C + sigma I by dpotrf and takes, by Woodbury, alpha =
-    (b - B (C + sigma I)^-1 B^T b) / sigma.  The division by sigma magnifies
-    the rounding of that difference, so alpha is refined, alpha += the same
-    formula on r = b - B (B^T alpha) - sigma alpha, at most `_REFINE_STEPS`
-    times; a try still above c eps then fails.  At the default noise 1e-6,
-    fits of 60 to 3000 rows accepted after at most 2 steps.  A step gains
-    while sigma is well above eps ||K||, so at a smaller noise this route
-    escalates one or two decades further than `_solve` (noise 1e-14 on 300
-    to 3000 rows: sigma 1e-12 to 1e-10, against 1e-13 to 1e-12).  C comes
-    from `dsyrk` in its upper triangle, which each try copies to the lower
-    one that dpotrf overwrites.  Every product is a scipy `dgemv`, `dsyrk`
-    or LAPACK call, since numpy's own OpenBLAS pool would spin against
-    scipy's.
+    Each try takes, by Woodbury, alpha = (b - B (C + sigma I)^-1 B^T b) /
+    sigma.  The division by sigma magnifies the rounding of that
+    difference, so alpha is refined, alpha += the same formula on r = b - B
+    (B^T alpha) - sigma alpha, at most `_REFINE_STEPS` times; a try still
+    above c eps then fails.  At the default noise 1e-6, fits of 60 to 3000
+    rows accepted after at most 2 steps.  A step gains while sigma is well
+    above eps ||K||, so at a smaller noise this route escalates one or two
+    decades further than `_solve` (noise 1e-14 on 300 to 3000 rows: sigma
+    1e-12 to 1e-10, against 1e-13 to 1e-12).  `dsyrk` fills the upper
+    triangle of a Fortran-ordered C, the lower one of the C-ordered view
+    that `_escalate` takes, which is mirrored once before the first try.
+    Every product is a scipy `dgemv`, `dsyrk` or LAPACK call, since numpy's
+    own OpenBLAS pool would spin against scipy's.
     """
     FR, M = Bt.shape
     B = Bt.T  # Fortran-ordered (M, F r)
-    C = dsyrk(1.0, B, trans=1, lower=0)
-    diagonal = C.diagonal().copy()
+    C = dsyrk(1.0, B, trans=1, lower=0).T
     block = np.empty(min(_BLOCK, FR) ** 2)
+    _refill(C, block)
     Btb = dgemv(1.0, B, b, trans=1)
     norm_K = dgemv(1.0, B, dgemv(1.0, B, np.ones(M), trans=1)).max()
-    def attempt(sigma):
-        _refill(C.T, block)
-        C.flat[:: FR + 1] = diagonal + sigma
-        factor, info = dpotrf(C, lower=1, clean=0, overwrite_a=1)
-        if info != 0:
-            return None
+    def solve(factor, sigma, shifted):
         def woodbury(v, Btv):  # (B B^T + sigma I)^-1 v, given B^T v
             w = dgemv(-1.0, B, dpotrs(factor, Btv, lower=1)[0], beta=1.0, y=v)
             w /= sigma
@@ -645,39 +648,26 @@ def _low_rank_solve(Bt: np.ndarray, b: np.ndarray, noise: float,
             residual = dgemv(-1.0, B, dgemv(1.0, B, alpha, trans=1), beta=1.0,
                              y=b - sigma * alpha, overwrite_y=1)
             eta = _backward_error(residual, norm_K + sigma, alpha, b)
-            if eta <= _BACKWARD_ERROR * _EPS:
+            if eta <= _BACKWARD_ERROR * _EPS or step == _REFINE_STEPS:
                 return alpha, step, eta
-            if step < _REFINE_STEPS:
-                alpha += woodbury(residual, dgemv(1.0, B, residual, trans=1))
-        return None
-    return _escalate(noise, attempt, route)
+            alpha += woodbury(residual, dgemv(1.0, B, residual, trans=1))
+    return _escalate(C, noise, solve, route, block)
 
 
-def gpr_fit(
-    Y: np.ndarray,
-    t: np.ndarray,
-    length_scale: float,
-    noise: float = 1e-6,
-) -> AdditiveGprModel:
+def gpr_fit(Y: np.ndarray, t: np.ndarray, length_scale: float,
+            noise: float = 1e-6) -> AdditiveGprModel:
     """Fit the additive GPR: alpha of (K + sigma I) alpha = t - mean(t),
-    whose mean is stored as the offset, on the route that `_route` picks
-    (see the module doc).  Zero-variance targets get alpha = 0 and build
-    nothing.  Non-finite features, or targets whose deviations from their
-    mean are not all finite (a mean that overflows included), are refused
-    with `DatasetError` before anything is built.  The model keeps a
-    Fortran-ordered copy of Y, made once the solve's buffers are freed.
+    whose mean is stored as the offset.  The route is decided once by
+    `_route` (see the module doc): with F r < M, `_low_rank_solve` on B^T;
+    else `_solve` on the Gram.  Zero-variance targets get alpha = 0 and
+    build nothing.  Non-finite features, or targets whose deviations from
+    their mean are not all finite (a mean that overflows included), are
+    refused with `DatasetError` before anything is built.
+
+    The model's `Ytrain` is Y itself when Y is a Fortran-ordered float64
+    array, as `hdmr_fit`'s features are; any other Y is copied into
+    Fortran order once the solve's buffers are freed.
     """
-    model = _gpr_fit(Y, t, length_scale, noise)
-    model.Ytrain = model.Ytrain.copy(order="F")
-    return model
-
-
-def _gpr_fit(Y: np.ndarray, t: np.ndarray, length_scale: float,
-             noise: float) -> AdditiveGprModel:
-    """`gpr_fit` without the copy: the model's `Ytrain` is Y itself, as
-    `np.asarray` gives it.  `hdmr_fit` hands over the Fortran-ordered
-    features that it built for the fit alone.  The route is decided once:
-    with F r < M, `_low_rank_solve` on B^T; else `_solve` on the Gram."""
     length_scale = _check_length_scale(length_scale)
     noise = _check_noise(noise)
     Y = _check_features(Y)
@@ -695,22 +685,16 @@ def _gpr_fit(Y: np.ndarray, t: np.ndarray, length_scale: float,
         alpha, sigma = np.zeros(M), noise
     else:
         factor, low_rank, _ = _route(M, F, length_scale, _in_unit_interval(Y))
-        if low_rank:
-            Bt = _factor_matrix(Y, factor, np.empty((F, factor.rank, M)))
-            alpha, sigma = _low_rank_solve(Bt, b, noise,
-                                           f"low-rank route, F r = {F * factor.rank} < M = {M}")
+        if low_rank:  # B^T, like K below, is freed before Y's copy
+            alpha, sigma = _low_rank_solve(
+                _factor_matrix(Y, factor, np.empty((F, factor.rank, M))), b, noise,
+                f"low-rank route, F r = {F * factor.rank} < M = {M}")
         else:
             sides = f"F r = {F * factor.rank} >= M = {M}" if factor else f"exact loop, M = {M}"
             alpha, sigma = _solve(gram_matrix(Y, length_scale), b, noise,
                                   f"Gram route, {sides}")
-    return AdditiveGprModel(
-        Ytrain=Y,
-        alpha=alpha,
-        length_scale=length_scale,
-        noise=noise,
-        effective_noise=sigma,
-        target_offset=offset,
-    )
+    return AdditiveGprModel(Ytrain=np.asfortranarray(Y), alpha=alpha, length_scale=length_scale,
+                            noise=noise, effective_noise=sigma, target_offset=offset)
 
 
 def gpr_predict(model: AdditiveGprModel, Ystar: np.ndarray) -> np.ndarray:

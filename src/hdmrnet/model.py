@@ -35,7 +35,7 @@ from .data import Dataset, _atomic_open, _check_memory
 from .errors import (DatasetError, HdmrnetError, InvalidHyperparameterError,
                      ModelFormatError, ShapeError)
 from .gpr import (_UFUNC_BYTES, AdditiveGprModel, _check_length_scale, _check_noise,
-                  _fit_bytes, _gpr_fit, activation_sums)
+                  _fit_bytes, activation_sums, gpr_fit)
 from .sobol import _check_request
 
 FORMAT_VERSION = 3
@@ -71,11 +71,12 @@ def apply_scaler(scaler: Scaler, Y: np.ndarray) -> np.ndarray:
 
 def _scale(scaler: Scaler, Y: np.ndarray) -> np.ndarray:
     """Y, float64 with the scaler's columns, mapped by the scaler in place
-    and returned."""
-    span = scaler.maxs - scaler.mins
-    constant = span == 0.0
-    Y -= scaler.mins
-    Y /= np.where(constant, 1.0, span)
+    and returned; a range or value that overflows gives inf or NaN, silently."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        span = scaler.maxs - scaler.mins
+        constant = span == 0.0
+        Y -= scaler.mins
+        Y /= np.where(constant, 1.0, span)
     Y[:, constant] = 0.5
     return Y
 
@@ -139,7 +140,8 @@ def _training_features(X: np.ndarray, order: int, neurons_per_term: int, sobol_s
     The one path by which `hdmr_fit` builds a model and `load_model`
     rebuilds it, so a loaded model's features are the fitted ones bit for
     bit.  Settings are refused by `_check_fit_settings`, and sizes past
-    physical memory, with the caller's `held` bytes, before any allocation.
+    physical memory, with the caller's `held` bytes, before any allocation;
+    features whose range overflows the scaler, with `DatasetError`.
     """
     M, D = X.shape
     F, needed = _check_fit_settings(M, D, order, neurons_per_term, sobol_skip, length_scale)
@@ -148,7 +150,10 @@ def _training_features(X: np.ndarray, order: int, neurons_per_term: int, sobol_s
     fmap = build_feature_map(D, order, neurons_per_term, sobol_skip)
     Y = map_features(fmap, X)
     scaler = fit_scaler(Y)
-    return fmap, scaler, _scale(scaler, Y)
+    # Scaled values are NaN, inf or >= 0, so a column's max is finite only if all of it is.
+    if not np.isfinite(_scale(scaler, Y).max(axis=0)).all():
+        raise DatasetError("scaled training features are not all finite: an input range overflows")
+    return fmap, scaler, Y
 
 
 def hdmr_fit(
@@ -168,7 +173,7 @@ def hdmr_fit(
     """
     fmap, scaler, Y = _training_features(train.X, order, neurons_per_term, sobol_skip,
                                          length_scale)
-    gpr = _gpr_fit(Y, train.t, length_scale, noise)
+    gpr = gpr_fit(Y, train.t, length_scale, noise)
     metadata = {
         "dimension": train.dimension,
         "order": fmap.order,
@@ -354,6 +359,12 @@ def load_model(path: str) -> HdmrModel:
                                              held=held)
     except (HdmrnetError, ValueError) as exc:
         raise ModelFormatError(f"metadata: {exc}") from exc
+    # Kernel values are at most 1, so this bounds every prediction.
+    with np.errstate(over="ignore"):
+        bound = abs(target_offset) + Y.shape[1] * np.abs(alpha).sum()
+    if not math.isfinite(bound):
+        raise ModelFormatError("gpr: the prediction bound |target_offset| + F sum |alpha| "
+                               "is not finite")
     gpr = AdditiveGprModel(
         Ytrain=Y,
         alpha=alpha,

@@ -653,6 +653,41 @@ def test_gram_route_fit_builds_through_gram_matrix_once(monkeypatch):
         assert calls == expected
 
 
+@pytest.mark.parametrize("F, length_scale", [(3, 0.3), (15, 0.3), (3, 0.05)],
+                         ids=["low-rank", "factor Gram", "exact Gram"])
+def test_fit_keeps_fortran_float64_features_and_copies_others(F, length_scale):
+    # A Fortran-ordered float64 Y is the model's Ytrain itself; any other Y
+    # gives an equal Fortran-ordered copy, with the same alpha.
+    rng = np.random.default_rng(13)
+    Y = rng.uniform(size=(200, F))
+    t = np.sin(6.0 * Y).sum(axis=1)
+    kept = np.asfortranarray(Y)
+    model = gpr_fit(kept, t, length_scale)
+    assert model.Ytrain is kept
+    for other in (Y, Y.tolist(), np.asfortranarray(np.repeat(Y, 2, axis=0))[::2]):
+        copied = gpr_fit(other, t, length_scale)
+        assert copied.Ytrain is not other and copied.Ytrain.flags.f_contiguous
+        assert np.array_equal(copied.Ytrain, Y)
+        assert copied.alpha.tobytes() == model.alpha.tobytes()
+
+
+def test_hdmr_fit_calls_the_public_gpr_fit_once_on_every_route(monkeypatch):
+    # `hdmr_fit` reaches the solve through `hdmrnet.model.gpr_fit` alone, so
+    # a wrapper of that name sees every fit, and its features are kept.
+    calls = []
+    fit = gpr.gpr_fit
+    monkeypatch.setattr("hdmrnet.model.gpr_fit",
+                        lambda Y, *args: calls.append(Y) or fit(Y, *args))
+    train = synth("pairwise", 3, 200, seed=3)
+    for neurons, length_scale, route in [(2, 0.3, True),  # F r = 153 < M
+                                         (20, 0.3, False),  # F r = 1071 >= M
+                                         (2, 0.05, False)]:  # exact loop
+        calls.clear()
+        model = hdmr_fit(train, 2, neurons, length_scale)
+        assert gpr._route(200, model.n_features, length_scale)[1] == route
+        assert len(calls) == 1 and model.gpr.Ytrain is calls[0]
+
+
 def test_low_rank_fit_escalates_a_tiny_noise_as_the_gram_route_does(monkeypatch, caplog):
     # At noise 1e-14 no try is accepted on either route (F r = 68 < M = 3000);
     # each try starts from C and the noise alone, so a refit at the

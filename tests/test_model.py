@@ -543,6 +543,11 @@ BAD_FIELDS = {
     "alpha short": (lambda doc: doc["gpr"]["alpha"].pop(), "alpha"),
     "alpha holds null": (lambda doc: doc["gpr"]["alpha"].__setitem__(3, None), "alpha"),
     "alpha huge integer": (lambda doc: doc["gpr"]["alpha"].__setitem__(3, 10**400), "alpha"),
+    "X range overflows the scaler": (lambda doc: (doc["X"][0].__setitem__(0, 1.7e308),
+                                                  doc["X"][1].__setitem__(0, -1.7e308)),
+                                     "training features are not all finite"),
+    "alpha bound overflows": (lambda doc: doc["gpr"].update(alpha=[1e308] * len(doc["X"])),
+                              "prediction bound .* is not finite"),
 }
 
 
@@ -588,6 +593,17 @@ def test_non_finite_points_are_refused(bad, where):
     for evaluate in (hdmr_predict, term_values):
         with pytest.raises(DatasetError, match="non-finite"):
             evaluate(model, X)
+
+
+@pytest.mark.parametrize("order", [1, 2])
+def test_fit_whose_feature_range_overflows_is_refused(order):
+    # max - min of the first coordinate is past the float range: a
+    # DatasetError, with no RuntimeWarning from the scaler first.
+    ds = synth("pairwise", 3, 40, seed=1)
+    X = ds.X.copy()
+    X[0, 0], X[1, 0] = 1.7e308, -1.7e308
+    with pytest.raises(DatasetError, match="training features are not all finite"):
+        hdmr_fit(Dataset(X, ds.t), order, 2, 0.3)
 
 
 def test_fit_past_physical_memory_is_refused(monkeypatch):
