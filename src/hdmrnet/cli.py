@@ -74,7 +74,7 @@ def _table_report(model) -> dict | None:
     table = model.gpr.activation_table
     if table is None:
         return None
-    return {"nodes": table.nodes, "max_deviation": table.max_deviation,
+    return {"nodes": table.nodes, "terms": table.terms, "max_deviation": table.max_deviation,
             "tolerance": table.tolerance}
 
 
@@ -153,12 +153,10 @@ def _cmd_sweep(args) -> int:
                    train_size=args.train, test_size=args.test, length_scale=args.l,
                    noise=args.noise, base_seed=args.seed, jobs=args.jobs,
                    sobol_skip=args.sobol_skip)
-    # jobs is scheduling only; leaving it out keeps artifacts identical
-    # across worker counts.
-    result.config = {
-        **_config_echo(args, ["data", "target", "out_dir"]),
-        **result.config,
-    }
+    # Neither jobs, which is scheduling only, nor the paths appear (the
+    # dataset's fingerprint names the data): the outputs are the same for
+    # any worker count and from any directory.
+    result.config = {**_config_echo(args, ["target"]), **result.config}
     os.makedirs(args.out_dir, exist_ok=True)
     records_path = os.path.join(args.out_dir, "sweep.csv")
     summary_path = os.path.join(args.out_dir, "summary.csv")

@@ -142,7 +142,8 @@ def map_features(fmap: FeatureMap, X: np.ndarray) -> np.ndarray:
         rows = slice(c0, c0 + _CHUNK)
         for k in range(fmap.order):
             term = X[:, fmap.indices[rows, k]]
-            term *= fmap.weights[rows, k]
-            Y[:, fmap.dimension + c0 : fmap.dimension + c0 + _CHUNK] += term
+            with np.errstate(over="ignore"):  # inf, which a fit's scaler check refuses
+                term *= fmap.weights[rows, k]
+                Y[:, fmap.dimension + c0 : fmap.dimension + c0 + _CHUNK] += term
             del term  # freed before the next gather, so one is alive at a time
     return Y

@@ -54,9 +54,10 @@ rows, so a low-rank fit with F r < 128 is independent of the thread count.
 
 `compile_components` tabulates every component function as a Chebyshev
 interpolant on the padded interval `TABLE_INTERVAL`, checked against the
-exact components, so that a forward pass costs O(nodes) per feature instead
-of O(M).  `activation_sums` evaluates the activations of predictions and
-coupling terms alike: through the table where it applies, else exactly.
+exact components and chopped to what that check allows, so that a forward
+pass costs O(terms) per feature instead of O(M).  `activation_sums`
+evaluates the activations of predictions and coupling terms alike: through
+the table where it applies, in row blocks sized by rows x F, else exactly.
 """
 
 from __future__ import annotations
@@ -112,10 +113,12 @@ _GRID = 256
 _GRID_BLOCK = 8
 
 # Scaled-feature interval that an activation table covers, the most nodes a
-# table may have, and its accepted deviation per unit of sum |alpha|.
+# table may have, its accepted deviation per unit of sum |alpha|, and the
+# entries (rows x F) that a forward block of `activation_sums` spans.
 TABLE_INTERVAL = (-0.25, 1.25)
 _MAX_NODES = 256
 _TABLE_TOLERANCE = 1e-12
+_FORWARD_ENTRIES = 2**15
 _CENTER = 0.5 * (TABLE_INTERVAL[0] + TABLE_INTERVAL[1])
 _HALF_WIDTH = 0.5 * (TABLE_INTERVAL[1] - TABLE_INTERVAL[0])
 
@@ -737,18 +740,20 @@ class ActivationTable:
     """Chebyshev interpolants of every component function on `TABLE_INTERVAL`.
 
     Column j of `coefficients` holds the coefficients of f_j in the
-    Chebyshev polynomials T_k(x), x = (u - 0.5) / 0.75.  `max_deviation`
-    is sum_j max |table_j - f_j| over the points halfway (in angle) between
-    the nodes; `compile_components` accepts a table only while it is at
-    most `tolerance` = 1e-12 * sum_m |alpha_m|.
+    Chebyshev polynomials T_k(x), x = (u - 0.5) / 0.75: the first `terms`
+    of the interpolant through `nodes` points.  `max_deviation` is sum_j
+    max |table_j - f_j| over the points halfway (in angle) between the
+    nodes, measured on the kept terms; `compile_components` accepts a
+    table only while it is at most `tolerance` = 1e-12 * sum_m |alpha_m|.
     """
 
-    coefficients: np.ndarray  # (nodes, F)
+    coefficients: np.ndarray  # (terms, F)
     max_deviation: float
     tolerance: float
+    nodes: int
 
     @property
-    def nodes(self) -> int:
+    def terms(self) -> int:
         return self.coefficients.shape[0]
 
 
@@ -793,6 +798,11 @@ def compile_components(model: AdditiveGprModel) -> ActivationTable | None:
     features, must be at most tau = 1e-12 * sum_m |alpha_m| (about 100
     times the exact path's own rounding); a table that fails the check, or
     one that would need more than `_MAX_NODES` nodes, is not built.
+    The accepted table then drops its longest tail of coefficients k >= K
+    >= 1 whose sum_k sum_j |c_kj| is at most (tau - deviation) / 2 (Aurentz
+    and Trefethen, "Chopping a Chebyshev series", ACM TOMS 43, 2017): as
+    |T_k| <= 1, that bounds the change everywhere on the interval, not only
+    at the checked points.  The deviation is measured again on what is kept.
     """
     n = max(16, 8 * math.ceil(1.25 / model.length_scale))
     tolerance = _TABLE_TOLERANCE * float(np.abs(model.alpha).sum())
@@ -814,23 +824,32 @@ def compile_components(model: AdditiveGprModel) -> ActivationTable | None:
         coefficients += cosines[:, i, None] * values[2 * i]
     coefficients[[0, -1]] *= 0.5
     between = np.broadcast_to(x[1::2, None], (n, model.n_features))
-    deviation = float(np.abs(_clenshaw(coefficients, between) - values[1::2])
-                      .max(axis=0).sum())
+    def deviation_of(table):
+        return float(np.abs(_clenshaw(table, between) - values[1::2]).max(axis=0).sum())
+    deviation = deviation_of(coefficients)
     if not deviation <= tolerance:
         _log.debug("activation table refused: %d nodes deviate by %.3g, above %.3g",
                    n + 1, deviation, tolerance)
         return None
-    _log.debug("activation table built: %d nodes, deviation %.3g, tolerance %.3g",
-               n + 1, deviation, tolerance)
-    return ActivationTable(coefficients, deviation, tolerance)
+    tails = np.cumsum(np.abs(coefficients[:0:-1]).sum(axis=1))[::-1]  # k >= 1 .. k >= n
+    terms = 1 + int(np.count_nonzero(tails > 0.5 * (tolerance - deviation)))
+    coefficients = coefficients[:terms]
+    deviation = deviation_of(coefficients)
+    _log.debug("activation table built: %d nodes, %d terms, deviation %.3g, tolerance %.3g",
+               n + 1, terms, deviation, tolerance)
+    return ActivationTable(coefficients, deviation, tolerance, n + 1)
 
 
 def activation_sums(model: AdditiveGprModel, Y: np.ndarray, groups, start: float) -> np.ndarray:
     """(len(groups), n) array of start + sum_{j in group} f_j(Y[r, j]), each
-    group a sequence of feature indices added in order over the fixed
-    row blocks.  Rows whose features all lie in `TABLE_INTERVAL` read the
-    activation table; every other row, and every row of a model without a
-    table, takes one exact `_dual_sums` call for all groups.
+    group a sequence of feature indices added in order.  Rows whose
+    features all lie in `TABLE_INTERVAL` read the activation table; every
+    other row, and every row of a model without a table, takes one exact
+    `_dual_sums` call for all groups.  Table blocks are `_BLOCK`-row
+    multiples of about `_FORWARD_ENTRIES` entries (8192 rows at F = 4, 128
+    at F = 306), enough work per numpy call to amortize its overhead and
+    the GIL; the values are elementwise, so block edges and thread count
+    cannot reach them.
     """
     table = model.activation_table
     if table is None:
@@ -847,7 +866,7 @@ def activation_sums(model: AdditiveGprModel, Y: np.ndarray, groups, start: float
             for acc, js in zip(out[:, r0:r1], groups):
                 for j in js:
                     acc += values[:, j]
-    _map_blocks(Y.shape[0], work)
+    _map_blocks(Y.shape[0], work, max(_BLOCK, _FORWARD_ENTRIES // Y.shape[1] // _BLOCK * _BLOCK))
     rows = np.flatnonzero(~inside)
     if rows.size:
         out[:, rows] = _dual_sums(model, Y[rows], groups, start)

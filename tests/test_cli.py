@@ -56,6 +56,7 @@ def test_fit_writes_model_and_report(workspace):
     assert report["test_corr"] > 0.99
     table = report["activation_table"]
     assert table["nodes"] == 41  # 8 * ceil(1.25 / 0.3) + 1
+    assert 1 <= table["terms"] < table["nodes"]  # chopped to what the tolerance needs
     assert 0.0 <= table["max_deviation"] <= table["tolerance"]
     header, body = map(json.loads, open(model).read().split("\n", 1))
     assert header["format_version"] == FORMAT_VERSION
@@ -191,7 +192,7 @@ def test_sweep_artifacts_and_determinism(workspace, tmp_path):
     assert run(*argv, "--out-dir", out_b, "--jobs", "2") == 0
 
     def strip_wall(path):
-        # drop the config comment (echoes --out-dir) and blank the timing cell
+        # drop the config comment (compared below) and blank the timing cell
         lines = open(path).read().splitlines()
         idx = lines[1].split(",").index("wall_s")
         body = []
@@ -210,12 +211,34 @@ def test_sweep_artifacts_and_determinism(workspace, tmp_path):
     config_b = json.loads(
         open(os.path.join(out_b, "sweep.csv")).readline()[len("# config: ") :]
     )
-    config_a["out_dir"] = config_b["out_dir"] = "_"
-    assert config_a == config_b  # --jobs never appears in the echo
+    assert config_a == config_b  # neither --jobs nor --out-dir appears in the echo
     summary_a = open(os.path.join(out_a, "summary.csv")).read().splitlines()[1:]
     summary_b = open(os.path.join(out_b, "summary.csv")).read().splitlines()[1:]
     assert summary_a == summary_b
     assert summary_a[0] == "d,N,best_test_rmse"
+
+
+def test_sweep_writes_the_same_outputs_from_any_directory(workspace, tmp_path, monkeypatch):
+    # The config line names the dataset by its fingerprint, not by the
+    # --data or --out-dir paths, so a sweep elsewhere writes the same bytes.
+    _, data, _ = workspace
+    argv = ["--d", "1,2", "--n-per-term", "2", "--repeats", "2", "--train", "150",
+            "--test", "100", "--l", "0.3", "--seed", "5"]
+    assert run("sweep", "--data", data, *argv, "--out-dir", str(tmp_path / "first")) == 0
+    os.mkdir(tmp_path / "run")
+    shutil.copy(data, tmp_path / "run" / "copy.csv")
+    monkeypatch.chdir(tmp_path / "run")
+    assert run("sweep", "--data", "copy.csv", *argv, "--out-dir", "second") == 0
+    outputs = []
+    for out in (tmp_path / "first", tmp_path / "run" / "second"):
+        lines = (out / "sweep.csv").read_text().splitlines()
+        wall = lines[1].split(",").index("wall_s")
+        records = [line.split(",") for line in lines]
+        outputs.append(([line for line in lines if line.startswith("#")],
+                        [row[:wall] + row[wall + 1:] for row in records[1:]],
+                        (out / "summary.csv").read_bytes()))
+    assert outputs[0] == outputs[1]
+    assert "copy.csv" not in outputs[1][0][0] and "second" not in outputs[1][0][0]
 
 
 def test_model_files_are_bit_identical_across_runs(workspace, tmp_path):

@@ -5,6 +5,7 @@ import json
 import logging
 import os
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -210,13 +211,10 @@ def test_compiled_predict_is_within_tolerance_of_exact(length_scale):
         assert np.abs(values - grouped).max() <= table.tolerance
 
 
-@pytest.mark.parametrize("threads", [1, 2, 5])  # 5: more threads than cores share the queue
-@pytest.mark.parametrize("length_scale", [0.3, 0.1])  # 81 points in one block; 209 in two
-def test_table_coefficients_are_the_dct_of_gpr_component_values(monkeypatch, length_scale,
-                                                                threads):
-    model = hdmr_fit(synth("morse_like", 4, 300, seed=3), 2, 3, length_scale).gpr
-    monkeypatch.setattr(gpr, "_THREADS", 1)
-    n = max(16, 8 * int(np.ceil(1.25 / length_scale)))
+def _full_table(model):
+    """The unchopped DCT coefficients of `gpr_component`'s values at the n + 1
+    nodes, and their summed deviation from those values between the nodes."""
+    n = max(16, 8 * int(np.ceil(1.25 / model.length_scale)))
     x = np.cos(np.pi * np.arange(2 * n + 1) / (2 * n))
     values = np.column_stack([gpr_component(model, j, gpr._CENTER + gpr._HALF_WIDTH * x)
                               for j in range(model.n_features)])
@@ -227,9 +225,38 @@ def test_table_coefficients_are_the_dct_of_gpr_component_values(monkeypatch, len
     for i in k:
         reference += cosines[:, i, None] * values[2 * i]
     reference[[0, -1]] *= 0.5
+    between = np.broadcast_to(x[1::2, None], (n, model.n_features))
+    deviation = np.abs(gpr._clenshaw(reference, between) - values[1::2]).max(axis=0).sum()
+    return reference, deviation
+
+
+@pytest.mark.parametrize("threads", [1, 2, 5])  # 5: more threads than cores share the queue
+@pytest.mark.parametrize("length_scale", [0.3, 0.1])  # 81 points in one block; 209 in two
+def test_table_coefficients_are_the_dct_of_gpr_component_values(monkeypatch, length_scale,
+                                                                threads):
+    model = hdmr_fit(synth("morse_like", 4, 300, seed=3), 2, 3, length_scale).gpr
+    monkeypatch.setattr(gpr, "_THREADS", 1)
+    reference, _ = _full_table(model)
     monkeypatch.setattr(gpr, "_THREADS", threads)
     table = gpr.compile_components(model)
-    assert table.coefficients.tobytes() == reference.tobytes()
+    assert table.coefficients.tobytes() == reference[:table.terms].tobytes()
+
+
+@pytest.mark.parametrize("length_scale", [0.1, 0.3, 1.0])
+def test_table_drops_the_longest_tail_within_half_the_slack(length_scale):
+    ds = synth("morse_like", 4, 300, seed=3)
+    model = hdmr_fit(ds, 2, 5, length_scale)
+    reference, deviation = _full_table(model.gpr)
+    table = model.gpr.activation_table
+    assert table.nodes == len(reference) and 1 <= table.terms < table.nodes
+    slack = 0.5 * (table.tolerance - deviation)
+    # sums taken in another order than the table's, hence the 1e-12 margins
+    assert np.abs(reference[table.terms:]).sum() <= slack * (1 + 1e-12)
+    assert np.abs(reference[table.terms - 1:]).sum() > slack * (1 - 1e-12)
+    assert table.max_deviation <= table.tolerance
+    X = np.random.default_rng(4).uniform(size=(500, 4))
+    Y = hdmrnet.model._features(model, X)
+    assert np.abs(hdmr_predict(model, X) - gpr_predict(model.gpr, Y)).max() <= table.tolerance
 
 
 @pytest.mark.parametrize("length_scale", [0.3, 0.1])
@@ -316,6 +343,24 @@ def test_row_alone_equals_row_in_batch():
     batch = hdmr_predict(model, X)
     for r in (0, 127, 128, 255, 299):
         assert hdmr_predict(model, X[r:r + 1])[0] == batch[r]
+
+
+def test_forward_bits_do_not_depend_on_block_size_or_threads(monkeypatch):
+    model, _ = _small_model(n=200)
+    F = model.n_features
+    assert F == 15 and gpr._FORWARD_ENTRIES // F // gpr._BLOCK == 17  # 2176-row blocks
+    X = np.random.default_rng(11).uniform(size=(4000, 3))  # two blocks, the last ragged
+    X[[5, 2200, 3999], 1] = [1.8, -0.9, 2.5]  # scaled x2 outside [-0.25, 1.25]
+    assert model.gpr.activation_table is not None
+    outputs = set()
+    for entries in (gpr._FORWARD_ENTRIES, 1):  # 1: blocks of _BLOCK rows, 32 of them
+        monkeypatch.setattr(gpr, "_FORWARD_ENTRIES", entries)
+        for threads in (1, 2, 5):
+            monkeypatch.setattr(gpr, "_THREADS", threads)
+            terms = term_values(model, X)
+            outputs.add(hdmr_predict(model, X).tobytes()
+                        + b"".join(terms[key].tobytes() for key in sorted(terms)))
+    assert len(outputs) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -604,6 +649,20 @@ def test_fit_whose_feature_range_overflows_is_refused(order):
     X[0, 0], X[1, 0] = 1.7e308, -1.7e308
     with pytest.raises(DatasetError, match="training features are not all finite"):
         hdmr_fit(Dataset(X, ds.t), order, 2, 0.3)
+
+
+@pytest.mark.parametrize("order", [2, 3])
+def test_fit_whose_coupled_sum_overflows_is_refused_without_a_warning(order):
+    # Every coordinate is finite, but w0 x0 + w1 x1 (+ w2 x2) of one row
+    # overflows to inf in the feature map; the scaler check refuses that.
+    ds = synth("pairwise", 3, 40, seed=1)
+    X = ds.X.copy()
+    X[0] = 1.79e308
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(DatasetError, match="training features are not all finite"):
+            hdmr_fit(Dataset(X, ds.t), order, 2, 0.3)
+    assert caught == []
 
 
 def test_fit_past_physical_memory_is_refused(monkeypatch):
