@@ -19,16 +19,11 @@ the (M, F r) matrix B of the kernel factor, and `_low_rank_solve` factors
 the smaller (F r, F r) matrix C = B^T B instead: alpha = (b - B (C +
 sigma I)^-1 B^T b) / sigma (Woodbury), refined with its residual, and no
 M x M matrix is built.  Both factor in `_escalate`, the one Cholesky
-loop, which accepts a try when its backward error is at most 8 eps;
-sigma, the requested noise, rises tenfold while the factorization or that
-check fails.  The model is the same dual one on both routes.  No
-hyperparameter is optimized.  All arithmetic is float64.
-
-`_dual_sums`, the one exact evaluator of predictions, components, table
-nodes and coupling terms, runs one kernel routine over fixed row blocks on
-every core of the affinity mask (no setting); fixed block edges and feature
-order make results independent of the thread count.  It reads each training
-column in place (see :mod:`hdmrnet.coupling`).
+loop, which accepts a try when its backward error is at most 8 eps and
+its prediction bound is finite; sigma, the requested noise, rises tenfold
+while the factorization or those checks fail.  The model is the same dual
+one on both routes.  No hyperparameter is optimized.  All arithmetic is
+float64.
 
 The Gram, and B, take one of two routes.  Training features are scaled
 into [0, 1], and on that interval one low-rank factor of the 1-D kernel
@@ -83,15 +78,8 @@ from .errors import (DatasetError, IllConditionedGramError, InvalidHyperparamete
 MAX_JITTER = 1e-2
 _BACKWARD_ERROR = 8.0
 _EPS = float(np.finfo(np.float64).eps)
-# M-vectors that `_solve`, with its `_escalate` loop, holds at most: the
-# diagonal, the shifted diagonal, alpha, the residual, a vector of ones, and
-# a product and its temporary.
-_SOLVE_VECTORS = 7
-# Refinement steps of a `_low_rank_solve` try, and the vectors of each size
-# (M and F r) that it holds at most: alpha, the residual, a correction and
-# two temporaries.
+# Refinement steps of a `_low_rank_solve` try.
 _REFINE_STEPS = 5
-_LOW_RANK_VECTORS = 5
 
 # Rows per block of the kernel routine and of `_solve`'s products, the
 # strict upper triangle of such a block, and threads that kernel blocks
@@ -247,10 +235,10 @@ def _map_blocks(n_items: int, work, step: int = _BLOCK) -> None:
 _UFUNC_BYTES = 8 * (2 * 8192 + 2048)
 
 
-def _kernel_scratch_bytes(n_train: int, tasks: float = math.inf) -> int:
-    """Bytes that a kernel pass of `tasks` blocks against `n_train` rows holds
-    besides its output: per thread, a (_BLOCK, n_train) buffer and `_UFUNC_BYTES`."""
-    return min(_THREADS, tasks) * (8 * _BLOCK * n_train + _UFUNC_BYTES)
+def _kernel_scratch_bytes(n_train: int) -> int:
+    """Bytes that a kernel pass against `n_train` rows holds besides its
+    output: per thread, a (_BLOCK, n_train) buffer and `_UFUNC_BYTES`."""
+    return _THREADS * (8 * _BLOCK * n_train + _UFUNC_BYTES)
 
 
 def _dual_sums(model: AdditiveGprModel, Y: np.ndarray, groups, start: float) -> np.ndarray:
@@ -315,7 +303,7 @@ def _kernel_factor(length_scale: float) -> _KernelFactor:
     At l = 0.3, n = 27 and r = 17.  Every product here is too small for
     OpenBLAS to thread, so R does not depend on the thread count.  The
     error is measured on a `_GRID` x `_GRID` grid of [0, 1]^2, `_GRID_BLOCK`
-    rows at a time; `_check_scratch_bytes` counts what this holds.
+    rows at a time, within `_fit_bytes`'s headroom.
     """
     n = _factor_degree(length_scale)
     inv = 1.0 / (2.0 * length_scale**2)
@@ -479,63 +467,33 @@ def _refill(K: np.ndarray, block: np.ndarray) -> None:
         K[r0:r1, r0:r1] = _diagonal_block(K, r0, r1, block)
 
 
-def _solve_scratch_bytes(n_train: int) -> int:
-    """Bytes that `_solve` holds besides K and b: `_SOLVE_VECTORS` M-vectors
-    and one diagonal block."""
-    return 8 * (_SOLVE_VECTORS * n_train + min(_BLOCK, n_train) ** 2)
-
-
-def _check_scratch_bytes(degree: int) -> int:
-    """Bytes that `_kernel_factor` holds while it builds a factor of this
-    degree n: five (n + 1, n + 1) matrices, then, to measure its error, two
-    (n + 1, `_GRID`) buffers, the grid and 2x, two (`_GRID_BLOCK`, `_GRID`)
-    blocks and the ufuncs' scratch."""
-    n = degree
-    return 8 * ((2 * (n + 1) + 2 + 2 * _GRID_BLOCK) * _GRID + 5 * (n + 1) ** 2) + _UFUNC_BYTES
-
-
-def _low_rank_bytes(n_train: int, n_features: int, factor: _KernelFactor) -> int:
-    """Bytes that the low-rank route of `gpr_fit` holds besides b: B^T,
-    and while it fills, the (n + 1, M) Chebyshev buffer and 2x, then C, its
-    diagonal block and `_LOW_RANK_VECTORS` vectors of each size, plus the
-    cached factor and the ufuncs' scratch; or the factor's first build, if
-    that is larger."""
-    M, n, FR = n_train, factor.degree, n_features * factor.rank
-    build = M * (n + 2)
-    solve = FR * FR + min(_BLOCK, FR) ** 2 + _LOW_RANK_VECTORS * (M + FR)
-    return max(8 * (FR * M + max(build, solve) + (n + 1) ** 2) + _UFUNC_BYTES,
-               _check_scratch_bytes(n))
-
-
-def _gram_bytes(n_train: int, n_features: int, factor: _KernelFactor | None) -> int:
-    """Bytes of a Gram matrix and of its build's scratch on the factor route,
-    or on the exact one for no factor; more than `_solve_scratch_bytes`.
-    The factor route's scratch is the larger of the build's and of the
-    factor's own first build, which comes before K exists.  The build holds
-    a G panel of min(panel, F) features, the (n + 1, M) Chebyshev buffer
-    and 2x, the block that mirrors K and the cached factor."""
-    M = n_train
-    if factor is None:
-        return 8 * M * M + _kernel_scratch_bytes(M, -(-M // _BLOCK))
-    n = factor.degree
-    build = (M * (min(factor.panel, n_features) * factor.rank + n + 2)
-             + min(_BLOCK, M) ** 2 + (n + 1) ** 2)
-    return 8 * M * M + max(8 * build, _check_scratch_bytes(n))
+# `_fit_bytes`'s headroom: the factor's one-time check (at most 419,496 bytes,
+# at n = 40), the 128 x 128 blocks, the cached factor and numpy's scratch.
+_HEADROOM = 2**20
 
 
 def _fit_bytes(n_train: int, n_features: int, length_scale: float) -> int:
-    """Bytes that `gpr_fit` holds besides its features and targets at a
-    valid length scale, for features in [0, 1] as `hdmr_fit`'s scaled ones
-    are: the centred targets and what the route of `_route` holds, B^T and
-    C on the low-rank route, else the Gram matrix and its scratch."""
-    factor, low_rank, _ = _route(n_train, n_features, length_scale)
-    if low_rank:
-        return 8 * n_train + _low_rank_bytes(n_train, n_features, factor)
-    return 8 * n_train + _gram_bytes(n_train, n_features, factor)
+    """Bytes that `gpr_fit` holds besides its features and targets, for
+    features in [0, 1] as `hdmr_fit`'s are, by the dominant terms of the
+    route that `_route` picks: B^T and C; or the Gram with a G panel or the
+    exact loop's blocks.  Then M-vectors, the centred targets plus the
+    solve's seven or the factor's n + 2 that fill G_j (more, and freed
+    first), and `_HEADROOM`."""
+    M = n_train
+    factor, low_rank, _ = _route(M, n_features, length_scale)
+    vectors = 8 * M * (8 if factor is None else factor.degree + 3)
+    if factor is None:
+        matrices = 8 * M * M + _kernel_scratch_bytes(M)
+    elif low_rank:
+        FR = n_features * factor.rank
+        matrices = 8 * FR * (M + FR)
+    else:
+        matrices = 8 * M * (M + _PANEL)
+    return matrices + vectors + _HEADROOM
 
 
-def _escalate(A: np.ndarray, noise: float, solve, route: str,
-              block: np.ndarray) -> tuple[np.ndarray, float]:
+def _escalate(A: np.ndarray, noise: float, solve, route: str, block: np.ndarray,
+              bound) -> tuple[np.ndarray, float]:
     """(alpha, sigma) of the first accepted Cholesky solve with A + sigma I,
     sigma starting at `noise` and rising by factors of 10 up to
     `MAX_JITTER`; beyond that an error reports the final jitter.  The one
@@ -558,8 +516,10 @@ def _escalate(A: np.ndarray, noise: float, solve, route: str,
     the infinity norm (Higham, Accuracy and Stability of Numerical
     Algorithms, 7.1).  A try is accepted when eta <= c eps.  A stable solve
     has eta = O(eps) however ill-conditioned K is: fits of M = 1 to 3000
-    rows measured at most 0.41 eps, so c = 8 keeps a margin of 20.  The
-    accepted try is logged with the route's name.
+    rows measured at most 0.41 eps, so c = 8 keeps a margin of 20.  A try
+    runs with overflow ignored, and also fails unless `bound(alpha)`, the
+    model's `_prediction_bound`, is finite.  The accepted try is logged
+    with the route's name.
     """
     n = A.shape[0]
     diagonal = A.diagonal().copy()
@@ -569,8 +529,9 @@ def _escalate(A: np.ndarray, noise: float, solve, route: str,
         A.flat[:: n + 1] = shifted
         factor, info = dpotrf(A.T, lower=1, clean=0, overwrite_a=1)
         if info == 0:
-            alpha, steps, eta = solve(factor, sigma, shifted)
-            if eta <= _BACKWARD_ERROR * _EPS:
+            with np.errstate(over="ignore", invalid="ignore"):
+                alpha, steps, eta = solve(factor, sigma, shifted)
+            if eta <= _BACKWARD_ERROR * _EPS and math.isfinite(bound(alpha)):
                 break
         _refill(A, block)
         if sigma * 10.0 > MAX_JITTER * (1.0 + 1e-12):
@@ -587,21 +548,30 @@ def _escalate(A: np.ndarray, noise: float, solve, route: str,
 
 def _backward_error(residual: np.ndarray, norm: float, alpha: np.ndarray,
                     b: np.ndarray) -> float:
-    """eta = ||r|| / (||A|| ||alpha|| + ||b||) in the infinity norm."""
-    return np.abs(residual).max() / (norm * np.abs(alpha).max() + np.abs(b).max())
+    """eta = ||r|| / (||A|| ||alpha|| + ||b||) in the infinity norm, or inf
+    if that denominator overflows, where r would read a false 0."""
+    scale = norm * np.abs(alpha).max() + np.abs(b).max()
+    return np.abs(residual).max() / scale if scale < math.inf else math.inf
 
 
-def _solve(K: np.ndarray, b: np.ndarray, noise: float,
-           route: str = "Gram route") -> tuple[np.ndarray, float]:
+def _prediction_bound(offset: float, n_features: int, alpha: np.ndarray) -> float:
+    """|offset| + F sum |alpha|, or inf if it overflows: kernel values are at
+    most 1, so it bounds every prediction; a fit and `load_model` need it finite."""
+    with np.errstate(over="ignore"):
+        return float(abs(offset) + n_features * np.abs(alpha).sum())
+
+
+def _solve(K: np.ndarray, b: np.ndarray, noise: float, route: str = "Gram route",
+           bound=lambda alpha: 0.0) -> tuple[np.ndarray, float]:
     """(alpha, sigma) with (K + sigma * I) alpha = b, by `_escalate` in K's
-    own memory; K is consumed.
+    own memory, with `bound` its check of alpha; K is consumed.
 
     `gram_matrix` makes K symmetric to the bit.  `_symmetric_product` reads
     the residual and the column sums from K's intact strict lower triangle.
     K's entries are positive, so ||K|| is its largest column sum, taken
     once before the first try, and ||K + sigma I|| = ||K|| + sigma, the
-    rule of `_low_rank_solve` too.  So a fit holds K and
-    `_solve_scratch_bytes`, no second M x M buffer.
+    rule of `_low_rank_solve` too.  So a fit holds K, seven M-vectors and
+    one diagonal block, no second M x M buffer.
     """
     block = np.empty(min(_BLOCK, K.shape[0]) ** 2)
     norm_K = _symmetric_product(K, K.diagonal(), np.ones(K.shape[0]), block).max()
@@ -610,11 +580,11 @@ def _solve(K: np.ndarray, b: np.ndarray, noise: float,
         residual = _symmetric_product(K, shifted, alpha, block)
         residual -= b
         return alpha, 0, _backward_error(residual, norm_K + sigma, alpha, b)
-    return _escalate(K, noise, solve, route, block)
+    return _escalate(K, noise, solve, route, block, bound)
 
 
-def _low_rank_solve(Bt: np.ndarray, b: np.ndarray, noise: float,
-                    route: str) -> tuple[np.ndarray, float]:
+def _low_rank_solve(Bt: np.ndarray, b: np.ndarray, noise: float, route: str,
+                    bound) -> tuple[np.ndarray, float]:
     """(alpha, sigma) with (B B^T + sigma * I) alpha = b, for Bt = B^T
     with F r < M rows, through the (F r, F r) matrix C = B^T B: the dual
     solution of `_solve` on K = B B^T, by `_escalate` on C, with ||K|| =
@@ -654,7 +624,7 @@ def _low_rank_solve(Bt: np.ndarray, b: np.ndarray, noise: float,
             if eta <= _BACKWARD_ERROR * _EPS or step == _REFINE_STEPS:
                 return alpha, step, eta
             alpha += woodbury(residual, dgemv(1.0, B, residual, trans=1))
-    return _escalate(C, noise, solve, route, block)
+    return _escalate(C, noise, solve, route, block, bound)
 
 
 def gpr_fit(Y: np.ndarray, t: np.ndarray, length_scale: float,
@@ -688,14 +658,15 @@ def gpr_fit(Y: np.ndarray, t: np.ndarray, length_scale: float,
         alpha, sigma = np.zeros(M), noise
     else:
         factor, low_rank, _ = _route(M, F, length_scale, _in_unit_interval(Y))
+        bound = functools.partial(_prediction_bound, offset, F)
         if low_rank:  # B^T, like K below, is freed before Y's copy
             alpha, sigma = _low_rank_solve(
                 _factor_matrix(Y, factor, np.empty((F, factor.rank, M))), b, noise,
-                f"low-rank route, F r = {F * factor.rank} < M = {M}")
+                f"low-rank route, F r = {F * factor.rank} < M = {M}", bound)
         else:
             sides = f"F r = {F * factor.rank} >= M = {M}" if factor else f"exact loop, M = {M}"
             alpha, sigma = _solve(gram_matrix(Y, length_scale), b, noise,
-                                  f"Gram route, {sides}")
+                                  f"Gram route, {sides}", bound)
     return AdditiveGprModel(Ytrain=np.asfortranarray(Y), alpha=alpha, length_scale=length_scale,
                             noise=noise, effective_noise=sigma, target_offset=offset)
 

@@ -35,7 +35,7 @@ from .data import Dataset, _atomic_open, _check_memory
 from .errors import (DatasetError, HdmrnetError, InvalidHyperparameterError,
                      ModelFormatError, ShapeError)
 from .gpr import (_UFUNC_BYTES, AdditiveGprModel, _check_length_scale, _check_noise,
-                  _fit_bytes, activation_sums, gpr_fit)
+                  _fit_bytes, _prediction_bound, activation_sums, gpr_fit)
 from .sobol import _check_request
 
 FORMAT_VERSION = 3
@@ -113,9 +113,9 @@ def _check_fit_settings(M: int, D: int, order: int, neurons_per_term: int, sobol
     Returns F and the bytes of building the features: the map arrays, the
     features, which are scaled in place, one gather of `map_features` and
     the ufuncs' scratch, or, given the length scale of a fit, instead of
-    that scratch what `gpr._fit_bytes` counts at it: the matrices of the
-    route that `gpr._route` picks, and their build and solve scratch.  A
-    fit keeps the features as `Ytrain`.
+    that scratch what `gpr._fit_bytes` counts at it: the dominant matrices
+    and M-vectors of its route, and one headroom.  A fit keeps the features
+    as `Ytrain`.
     """
     if M < 2:
         raise DatasetError(f"training set needs at least 2 rows, got {M}")
@@ -125,10 +125,8 @@ def _check_fit_settings(M: int, D: int, order: int, neurons_per_term: int, sobol
     coupled = neurons_per_term * math.comb(D, order) if order >= 2 else 0
     _check_request(order, coupled, sobol_skip)
     F = D + coupled
-    if length_scale is None:
-        scratch = _UFUNC_BYTES
-    else:
-        scratch = _fit_bytes(M, F, _check_length_scale(length_scale))
+    scratch = (_UFUNC_BYTES if length_scale is None
+               else _fit_bytes(M, F, _check_length_scale(length_scale)))
     return F, 8 * M * (F + min(_CHUNK, coupled)) + 16 * order * coupled + scratch
 
 
@@ -359,18 +357,9 @@ def load_model(path: str) -> HdmrModel:
                                              held=held)
     except (HdmrnetError, ValueError) as exc:
         raise ModelFormatError(f"metadata: {exc}") from exc
-    # Kernel values are at most 1, so this bounds every prediction.
-    with np.errstate(over="ignore"):
-        bound = abs(target_offset) + Y.shape[1] * np.abs(alpha).sum()
-    if not math.isfinite(bound):
+    if not math.isfinite(_prediction_bound(target_offset, Y.shape[1], alpha)):
         raise ModelFormatError("gpr: the prediction bound |target_offset| + F sum |alpha| "
                                "is not finite")
-    gpr = AdditiveGprModel(
-        Ytrain=Y,
-        alpha=alpha,
-        length_scale=length_scale,
-        noise=noise,
-        effective_noise=effective_noise,
-        target_offset=target_offset,
-    )
+    gpr = AdditiveGprModel(Ytrain=Y, alpha=alpha, length_scale=length_scale, noise=noise,
+                           effective_noise=effective_noise, target_offset=target_offset)
     return HdmrModel(feature_map=fmap, scaler=scaler, gpr=gpr, metadata=metadata, X=X)

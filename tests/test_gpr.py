@@ -317,6 +317,27 @@ def test_solve_above_the_backward_error_bound_escalates(monkeypatch):
     assert model.alpha.tobytes() == expected.alpha.tobytes()
 
 
+@pytest.mark.parametrize("M, F, length_scale", [(25, 4, 0.8), (300, 2, 1.0)])
+def test_try_whose_prediction_bound_overflows_escalates(monkeypatch, M, F, length_scale):
+    # A try whose |offset| + F sum |alpha| is not finite fails like one
+    # above the backward-error bound, on the Gram route (F r >= M) and the
+    # low-rank one: here the first try, so the fit equals one at 10x the
+    # noise bit for bit.
+    rng = np.random.default_rng(2)
+    Y = rng.uniform(size=(M, F))
+    t = np.sin(Y.sum(axis=1))
+    expected = gpr_fit(Y, t, length_scale, 1e-6 * 10.0)
+    bounds = []
+    def bound(offset, n_features, alpha):
+        bounds.append(n_features)
+        return math.inf if len(bounds) == 1 else 0.0
+    monkeypatch.setattr(gpr, "_prediction_bound", bound)
+    model = gpr_fit(Y, t, length_scale, 1e-6)
+    assert bounds == [F, F]
+    assert model.effective_noise == 1e-6 * 10.0
+    assert model.alpha.tobytes() == expected.alpha.tobytes()
+
+
 def _reference_solve(K, b, noise):
     """`gpr._solve` written with scipy's defaults: a fresh K + sigma * I per
     try, factored with the finiteness checks on, and accepted when the
@@ -359,30 +380,38 @@ def test_solve_in_the_factor_buffer_matches_scipy_defaults_bit_for_bit(
     assert np.tril(K, -1).tobytes() == lower.tobytes()
 
 
-@pytest.mark.parametrize("M, F, noise, escalates", [
-    (600, 2, 1e-14, True), (600, 3, 1e-6, False), (600, 60, 1e-6, False), (600, 60, 1e-14, True)])
-def test_fit_peak_memory_is_the_counted_gram_and_factor_buffer(M, F, noise, escalates):
+@pytest.mark.parametrize("M, F, length_scale, noise, escalates", [
+    (600, 2, 1.0, 1e-14, True), (600, 3, 1.0, 1e-6, False), (600, 60, 1.0, 1e-6, False),
+    (600, 60, 1.0, 1e-14, True), (600, 2, 0.17, 1e-6, False), (600, 60, 0.17, 1e-6, False),
+    (600, 3, 0.1, 1e-6, False)], ids=[
+    "600-2-1e-14-True", "600-3-1e-06-False", "600-60-1e-06-False", "600-60-1e-14-True",
+    "600-2-0.17-low-rank", "600-60-0.17-factor-gram", "600-3-0.1-exact-loop"])
+def test_fit_peak_memory_is_the_counted_gram_and_factor_buffer(monkeypatch, M, F, length_scale,
+                                                               noise, escalates):
     # The Gram guard of `model._training_features` counts `gpr._fit_bytes`
     # for a fit.  At l = 1, r = 10: with F = 60, F r >= M, and it counts the
-    # Gram matrix, which `_solve` factors in place, the centred targets, and
-    # the larger of what builds the Gram and what solves it; with F = 2 or
-    # 3, F r < M, and it counts B^T, C = B^T B and the low-rank solve's
-    # vectors.  Besides that a fit holds 64 KiB of the interpreter's own
-    # objects; a second (M, M) array would not fit.
+    # Gram matrix, which `_solve` factors in place, and a G panel; with F =
+    # 2 or 3, F r < M, and it counts B^T and C = B^T B; on both, M-vectors
+    # and one headroom.  Just above l = 1/6, at l = 0.17, the factor has
+    # its highest degree, n = 40: the most M-vectors fill G_j, and its
+    # one-time check is the largest.  At l = 0.1 the exact loop runs on two
+    # threads, each with its block buffer.  Besides that a fit holds 64 KiB
+    # of the interpreter's own objects; a second (M, M) array would not fit.
+    monkeypatch.setattr(gpr, "_THREADS", 2)
     rng = np.random.default_rng(0)
     Y = rng.uniform(size=(M, F))
     t = np.sin(6.0 * Y).sum(axis=1)
-    gpr_fit(Y, t, 1.0, noise)  # first LAPACK call outside the trace
+    gpr_fit(Y, t, length_scale, noise)  # first LAPACK call outside the trace
     gpr._kernel_factor.cache_clear()  # the traced fit checks the factor's bound
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        model = gpr_fit(Y, t, 1.0, noise)
+        model = gpr_fit(Y, t, length_scale, noise)
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
     assert model.jitter_escalated == escalates
-    assert peak <= gpr._fit_bytes(M, F, 1.0) + 2**16
+    assert peak <= gpr._fit_bytes(M, F, length_scale) + 2**16
 
 
 # K, with NaN where a factor would be, and the products that `_solve`
@@ -421,7 +450,11 @@ def test_solve_products_do_not_depend_on_the_blas_thread_count():
 @pytest.mark.parametrize("M, noise", [(600, 1e-14), (600, 1e-6), (300, 1e-16), (gpr._BLOCK + 1, 1e-8)])
 def test_solve_peak_memory_is_its_counted_scratch(M, noise):
     # Besides K and b, `_solve` holds its M-vectors and one diagonal block,
-    # plus 8 KiB for the interpreter's own objects, on every try.
+    # plus 8 KiB for the interpreter's own objects, on every try: within
+    # what `_fit_bytes` counts for an exact-loop fit besides its Gram and
+    # the Gram's build, its M-vectors and headroom, 1.09 MB at M = 600.  A
+    # second 600 x 600 array, 2.88 MB, would not fit.
+    bound = gpr._fit_bytes(M, 2, 0.05) - 8 * M * M - gpr._kernel_scratch_bytes(M)
     Y = np.random.default_rng(0).uniform(size=(M, 2))
     b = np.sin(6.0 * Y).sum(axis=1)
     K = gram_matrix(Y, 1.0)
@@ -433,7 +466,7 @@ def test_solve_peak_memory_is_its_counted_scratch(M, noise):
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert peak <= gpr._solve_scratch_bytes(M) + 2**13
+    assert peak <= bound + 2**13
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -513,10 +546,12 @@ def test_gram_falls_back_when_the_factor_misses_its_bound(monkeypatch, caplog):
                                                 (300, 40, 0.05)])
 def test_first_gram_at_a_length_scale_is_within_the_counted_scratch(M, F, length_scale):
     # The first Gram at a length scale builds its factor and checks its
-    # bound; K and either route's scratch fit in what `_gram_bytes` counts
-    # for the route's factor, plus 8 KiB of the interpreter's objects.
-    # The features are Fortran-ordered, as a fit's are: the exact loop
-    # reads C-ordered ones through one transposed copy.
+    # bound; K and either route's scratch fit in what `_fit_bytes` counts
+    # for a fit of that size, plus 8 KiB of the interpreter's objects.  At
+    # 200 rows of one feature such a fit takes the low-rank route, whose
+    # count still covers the Gram.  The features are Fortran-ordered, as a
+    # fit's are: the exact loop reads C-ordered ones through one transposed
+    # copy.
     Y = np.asfortranarray(np.random.default_rng(0).uniform(size=(M, F)))
     gram_matrix(Y[:2], 0.5)  # first BLAS calls outside the trace
     gpr._kernel_factor.cache_clear()
@@ -527,31 +562,31 @@ def test_first_gram_at_a_length_scale_is_within_the_counted_scratch(M, F, length
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert peak <= gpr._gram_bytes(M, F, gpr._route(M, F, length_scale)[0]) + 2**13
+    assert peak <= gpr._fit_bytes(M, F, length_scale) + 2**13
 
 
 def test_fit_bytes_count_the_route_taken(monkeypatch):
-    # At l = 0.3, r = 17: one feature of 20 rows is low-rank (F r = 17 < 20)
-    # and counts B^T, C and the solve's vectors, or the factor's one-time
-    # check, which is larger here; two features are a factor-route Gram
-    # (F r = 34 >= 20), whose one-time check dominates its build.  Smaller l
-    # takes the exact route, whose per-thread block buffers are counted on
-    # two threads.  A tall fit counts no M x M Gram at all.
+    # At l = 0.3, n = 27 and r = 17: one feature of 20 rows is low-rank
+    # (F r = 17 < 20) and counts B^T and C; two features are a factor-route
+    # Gram (F r = 34 >= 20) and count K and a G panel of 128 M-vectors; on
+    # both, the n + 2 M-vectors of the Chebyshev fill and the centred
+    # targets.  Smaller l takes the exact loop: K, the per-thread block
+    # buffers on two threads, and the targets and the solve's seven
+    # M-vectors.  Every route adds the one headroom.  A tall fit counts no
+    # M x M Gram at all.
     monkeypatch.setattr(gpr, "_THREADS", 2)
-    factor = gpr._kernel_factor(0.3)
+    factor, headroom = gpr._kernel_factor(0.3), gpr._HEADROOM
+    assert (factor.degree, factor.rank) == (27, 17)
     assert gpr._route(20, 1, 0.3) == (factor, True, "")
-    assert gpr._fit_bytes(20, 1, 0.3) == 8 * 20 + gpr._low_rank_bytes(20, 1, factor)
-    assert gpr._low_rank_bytes(20, 1, factor) == gpr._check_scratch_bytes(factor.degree)
+    assert gpr._fit_bytes(20, 1, 0.3) == 8 * 17 * (20 + 17) + 8 * 20 * 30 + headroom
     assert gpr._route(20, 2, 0.3) == (factor, False, "")
-    assert gpr._fit_bytes(20, 2, 0.3) == 8 * 20 * 21 + gpr._check_scratch_bytes(factor.degree)
+    assert gpr._fit_bytes(20, 2, 0.3) == 8 * 20 * (20 + 128) + 8 * 20 * 30 + headroom
     for length_scale in (0.15, 0.05):
         assert gpr._route(20, 1, length_scale)[:2] == (None, False)
-        assert gpr._fit_bytes(20, 1, length_scale) == (8 * 20 * 21
-                                                       + gpr._kernel_scratch_bytes(20, 1))
-    FR, M = 4 * factor.rank, 3000
-    build = M * (factor.degree + 2)  # the Chebyshev buffer, more than C and the vectors
-    assert gpr._fit_bytes(M, 4, 0.3) == 8 * (M + FR * M + build + (factor.degree + 1) ** 2) \
-        + gpr._UFUNC_BYTES
+        assert gpr._fit_bytes(20, 1, length_scale) == (8 * 20 * (20 + 8) + headroom
+                                                       + 2 * (8 * 128 * 20 + gpr._UFUNC_BYTES))
+    M = 3000
+    assert gpr._fit_bytes(M, 4, 0.3) == 8 * 68 * (M + 68) + 8 * M * 30 + headroom
     assert gpr._fit_bytes(M, 4, 0.3) < 8 * M * M / 10
 
 

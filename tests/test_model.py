@@ -605,6 +605,33 @@ def test_bad_field_is_refused(tmp_path, resign, case):
         load_model(path)
 
 
+def test_tiny_noise_fit_escalates_to_a_model_that_loads(tmp_path, monkeypatch):
+    # At noise 1e-300 the low-rank route (F r = 10 < M = 1500) fails its
+    # tries up to about sigma = 1e-12, with no RuntimeWarning, which tier-1
+    # makes an error: alpha overflows, or a max |alpha| near 1e306 swamps
+    # the backward error's residual while F sum |alpha|, the prediction
+    # bound that the loader checks, overflows.  The saved model loads and
+    # predicts as the fit does.
+    ds = synth("additive", 1, 1500, seed=1)
+    model = hdmr_fit(ds, 1, 0, 1.0, 1e-300)
+    assert 1e-300 < model.gpr.effective_noise <= 1e-10
+    predicted = hdmr_predict(model, ds.X)
+    assert np.sqrt(np.mean((predicted - ds.t) ** 2)) < 1e-2
+    path = str(tmp_path / "tiny.json")
+    save_model(model, path)
+    assert hdmr_predict(load_model(path), ds.X).tobytes() == predicted.tobytes()
+    # The bound refuses none of the tries that fits at larger noise accept:
+    # sigma and alpha keep their bits.
+    for noise, escalates in [(1e-6, False), (1e-14, True)]:
+        fit = hdmr_fit(ds, 1, 0, 1.0, noise)
+        with monkeypatch.context() as patch:
+            patch.setattr(hdmrnet.gpr, "_prediction_bound", lambda *args: 0.0)
+            unchecked = hdmr_fit(ds, 1, 0, 1.0, noise)
+        assert fit.gpr.jitter_escalated == escalates
+        assert fit.gpr.effective_noise == unchecked.gpr.effective_noise
+        assert fit.gpr.alpha.tobytes() == unchecked.gpr.alpha.tobytes()
+
+
 @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e999"])
 @pytest.mark.parametrize("field", ["alpha", "target_offset", "X", "dataset_fingerprint"])
 def test_non_finite_number_is_a_format_error(tmp_path, resign, literal, field):
@@ -669,19 +696,16 @@ def test_fit_past_physical_memory_is_refused(monkeypatch):
     # 80 rows of F = 3 + 4 * C(3, 2) = 15 features: 8 * 80 * 15 bytes of
     # features, which the model keeps, 8 * 80 * 12 for the one gather of
     # the 12 coupled features and 16 * 2 * 12 bytes of map arrays = 17,664
-    # bytes; a fit also needs 8 * 80^2 bytes for its Gram matrix, factored
-    # in place, 8 * 80 for the centred targets, and at l = 0.3 (degree
-    # n = 27) the factor route's scratch, more than the exact route's
-    # 8 * (128 * 80 + 18432) bytes on its one 80-row block: the one bound
-    # check per length scale, with two (28, 256) buffers, the grid and 2x,
-    # two (8, 256) blocks, five 28 x 28 matrices and the ufuncs' scratch,
-    # which is more than the build's G panel, Chebyshev buffer and
-    # mirroring block.
+    # bytes.  At l = 0.3 (n = 27, r = 17) the fit takes the factor Gram
+    # route (F r = 255 >= 80), and also needs 8 * 80^2 bytes for its Gram
+    # matrix, factored in place, 8 * 80 * 128 for a G panel, 8 * 80 * 30
+    # for the n + 2 M-vectors of the Chebyshev fill and the centred
+    # targets, and the 1 MiB headroom: 1,200,896 bytes.
     monkeypatch.setattr(hdmrnet.data, "_MEMORY_BYTES", 17_663)
     with pytest.raises(InvalidHyperparameterError, match="15 features of 80 rows"):
         _small_model()
-    needed = (17_664 + 8 * 80 * (80 + 1) + 8 * ((2 * 28 + 2 + 2 * 8) * 256 + 5 * 28**2)
-              + hdmrnet.gpr._UFUNC_BYTES)
+    needed = 17_664 + 8 * 80 * (80 + 128 + 30) + 2**20
+    assert needed == 1_218_560
     monkeypatch.setattr(hdmrnet.data, "_MEMORY_BYTES", needed - 1)
     with pytest.raises(InvalidHyperparameterError, match="15 features of 80 rows and their Gram"):
         _small_model()
@@ -694,39 +718,42 @@ def test_fit_guard_counts_the_gram_and_its_factor_copy(monkeypatch):
     # 200 rows of D = d = 1 at l = 0.15, below the factor's range, so the
     # fit builds its Gram by the exact loop: 8 * 200 bytes of features,
     # which the model keeps, no map arrays, and on one thread 8 * 200^2
-    # bytes for the Gram matrix, which `_solve` factors in place, 8 * 200
-    # for the centred targets, and the exact route's scratch, more than the
-    # solve's 8 * (7 * 200 + 128^2) bytes: 8 * (128 * 200 + 18432) =
-    # 352,256 bytes.
+    # bytes for the Gram matrix, which `_solve` factors in place, the
+    # exact loop's block buffer and ufunc scratch, 8 * (128 * 200 + 18432)
+    # = 352,256 bytes, 8 * 200 * 8 for the centred targets and the solve's
+    # seven M-vectors, and the 1 MiB headroom.
     ds = synth("additive", 1, 200, seed=4)
     monkeypatch.setattr(hdmrnet.gpr, "_THREADS", 1)
-    monkeypatch.setattr(hdmrnet.data, "_MEMORY_BYTES", 675_455)
+    needed = 8 * 200 + 8 * 200 * (200 + 8) + 352_256 + 2**20
+    assert needed == 1_735_232
+    monkeypatch.setattr(hdmrnet.data, "_MEMORY_BYTES", needed - 1)
     with pytest.raises(InvalidHyperparameterError, match="1 features of 200 rows and their Gram"):
         hdmr_fit(ds, 1, 0, 0.15)
-    monkeypatch.setattr(hdmrnet.data, "_MEMORY_BYTES", 675_456)
+    monkeypatch.setattr(hdmrnet.data, "_MEMORY_BYTES", needed)
     assert hdmr_fit(ds, 1, 0, 0.15).gpr.n_train == 200
 
 
 def test_tall_fit_guard_counts_no_gram(monkeypatch):
-    # The same 200 rows at l = 0.3 (r = 17) take the low-rank route: F r =
-    # 17 < M, so the guard counts B^T and C = B^T B, not a 200 x 200 Gram
-    # and its build, and accepts the fit under a limit that the Gram route
-    # would exceed.  Here the factor's one-time check, at n = 27, is the
-    # largest part: 8 * ((2 * 28 + 2 + 2 * 8) * 256 + 5 * 28^2) + the
-    # ufuncs' 147,456 = 330,368 bytes, besides 8 * 200 of features and
-    # 8 * 200 of centred targets.
+    # The same 200 rows at l = 0.3 (n = 27, r = 17) take the low-rank
+    # route: F r = 17 < M, so the guard counts B^T and C = B^T B, 8 * 17 *
+    # (200 + 17) bytes, not a 200 x 200 Gram and its G panel, and accepts
+    # the fit under a limit that the Gram alone, with the headroom, would
+    # exceed.  Besides, it counts 8 * 200 of features, 8 * 200 * 30 for
+    # the n + 2 M-vectors of the Chebyshev fill and the centred targets,
+    # and the 1 MiB headroom.
     ds = synth("additive", 1, 200, seed=4)
     counted = []
     check = hdmrnet.model._check_memory
     monkeypatch.setattr(hdmrnet.model, "_check_memory",
                         lambda needed, what: (counted.append(needed), check(needed, what)))
-    monkeypatch.setattr(hdmrnet.data, "_MEMORY_BYTES", 333_567)
+    needed = 8 * 200 + 8 * 17 * (200 + 17) + 8 * 200 * 30 + 2**20
+    assert needed == 1_127_688 < 8 * 200**2 + 2**20
+    monkeypatch.setattr(hdmrnet.data, "_MEMORY_BYTES", needed - 1)
     with pytest.raises(InvalidHyperparameterError, match="1 features of 200 rows"):
         hdmr_fit(ds, 1, 0, 0.3)
-    monkeypatch.setattr(hdmrnet.data, "_MEMORY_BYTES", 333_568)
+    monkeypatch.setattr(hdmrnet.data, "_MEMORY_BYTES", needed)
     assert hdmr_fit(ds, 1, 0, 0.3).gpr.n_train == 200
-    gram = 8 * 400 + hdmrnet.gpr._gram_bytes(200, 1, hdmrnet.gpr._kernel_factor(0.3))
-    assert counted == [333_568, 333_568] and gram == 333_568 + 8 * 200**2
+    assert counted == [needed, needed]
     hdmrnet.gpr._kernel_factor.cache_clear()
     tracemalloc.start()
     try:
