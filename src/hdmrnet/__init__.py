@@ -51,8 +51,6 @@ from .gpr import (
     gpr_fit,
     gpr_predict,
     gram_matrix,
-    kernel_1d,
-    kernel_additive,
 )
 from .model import (
     HdmrModel,
@@ -99,8 +97,6 @@ __all__ = [
     "hdmr_fit",
     "hdmr_predict",
     "importance",
-    "kernel_1d",
-    "kernel_additive",
     "load_csv",
     "load_matrix",
     "load_model",

@@ -6,16 +6,12 @@ cells run on `jobs` threads of the calling process, and each fit's kernel
 already uses every core; the thread count only changes scheduling, so CSV
 outputs are bit-identical across runs and across `jobs` settings except
 for the wall_s column.
-
-`_scores` is the one place that turns a model and a dataset into RMSE and
-correlation, for sweep cells and for the `fit` and `eval` commands.  Sweep
-records are written by the CSV writer of :mod:`hdmrnet.data`, one row per
-`SweepRecord`, its fields in order.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import operator
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -42,8 +38,14 @@ def rmse(predicted: np.ndarray, actual: np.ndarray) -> float:
         raise ShapeError(
             f"need equal non-empty 1-D arrays, got {predicted.shape} and {actual.shape}"
         )
-    diff = predicted - actual
-    return float(np.sqrt(np.mean(diff * diff)))
+    with np.errstate(over="ignore"):
+        diff = predicted - actual
+        score = float(np.sqrt(np.mean(diff * diff)))
+    scale = float(max(np.abs(predicted).max(), np.abs(actual).max()))
+    if score == math.inf and scale < math.inf:  # an overflow: rescale to magnitudes <= 1
+        diff = predicted / scale - actual / scale
+        score = scale * float(np.sqrt(np.mean(diff * diff)))
+    return score
 
 
 def pearson_corr(predicted: np.ndarray, actual: np.ndarray) -> float:
@@ -53,13 +55,24 @@ def pearson_corr(predicted: np.ndarray, actual: np.ndarray) -> float:
         raise ShapeError(
             f"need equal 1-D arrays with >= 2 entries, got {predicted.shape} and {actual.shape}"
         )
-    va = predicted - predicted.mean()
-    vb = actual - actual.mean()
+    with np.errstate(over="ignore", invalid="ignore"):
+        corr = _correlation(predicted, actual)
+        if math.isnan(corr):  # an overflow, or non-finite inputs: rescale
+            corr = _correlation(predicted / np.abs(predicted).max(),
+                                actual / np.abs(actual).max())
+    return corr
+
+
+def _correlation(a: np.ndarray, b: np.ndarray) -> float:
+    """Pearson correlation of a and b, or NaN where the product of their
+    deviations' norms is not finite."""
+    va = a - a.mean()
+    vb = b - b.mean()
     na = float(np.sqrt(va @ va))
     nb = float(np.sqrt(vb @ vb))
     if na == 0.0 or nb == 0.0:
         raise DatasetError("correlation undefined: an input has zero variance")
-    return float((va @ vb) / (na * nb))
+    return float((va @ vb) / (na * nb)) if na * nb < math.inf else math.nan
 
 
 @dataclass
@@ -98,8 +111,9 @@ class SweepResult:
 
 
 def _scores(model: HdmrModel, dataset: Dataset) -> tuple[float, float | None]:
-    """RMSE and Pearson correlation of the model's predictions on `dataset`;
-    the correlation is None where it is undefined, as for a constant target."""
+    """RMSE and Pearson correlation of the model's predictions on `dataset`,
+    for sweep cells and the `fit` and `eval` commands alike; the correlation
+    is None where it is undefined, as for a constant target."""
     predicted = hdmr_predict(model, dataset.X)
     try:
         corr = pearson_corr(predicted, dataset.t)

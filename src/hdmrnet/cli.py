@@ -2,12 +2,9 @@
 
 Subcommands: fit, predict, eval, sweep, components, synth.  CSV outputs and
 JSON reports embed the run configuration (a `# config:` line, a "config"
-key), so an artifact can be reproduced from itself; model files hold only
-what the data and the fit settings determine, not the run's paths.  All
-randomness comes from explicit --seed flags.
-
-Exit codes: 0 success, 2 usage, 3 file or data or model-format problems,
-4 numeric failures, 5 dimension or shape mismatches.
+key), so an artifact can be reproduced from itself; model files do not
+(see :mod:`hdmrnet.model`).  All randomness comes from explicit --seed
+flags.  `_EXIT_CODES` gives each error its exit code.
 """
 
 from __future__ import annotations

@@ -9,10 +9,9 @@ rows, so F = D + N * C(D, d) for d >= 2 and F = D for d = 1.
 
 The map is stored as two (F - D, d) arrays, the coordinate indices and the
 Sobol weights of each coupled row; it is a pure function of (D, d, N,
-sobol_skip).  `map_features` evaluates each coupled feature elementwise in
-a fixed order, so a row's features do not depend on the rest of the batch
-or on the BLAS thread count.  Features are neuron-major (Fortran order), so
-the scaler and every kernel pass of `gpr` read each neuron's column in place.
+sobol_skip).  `map_features` returns features neuron-major (Fortran
+order), so the scaler and every kernel pass of `gpr` read each neuron's
+column in place.
 """
 
 from __future__ import annotations

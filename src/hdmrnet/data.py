@@ -1,21 +1,10 @@
 """Datasets: CSV I/O, deterministic splits, and synthetic test functions.
 
-CSV conventions
----------------
-Lines starting with '#' and blank lines are skipped.  A header row is
-detected by attempting to parse the first remaining row as floats; if any
-cell fails, the row is treated as column names.  Headerless files get
-synthesized names x1..x{K-1} plus "target" for the last column (x1..xK in
-a points-only file).  Error messages cite physical (1-based) line numbers
-of the file, counting comments and blanks.
-
-One reader, `_read_matrix`, serves both `load_csv` and `load_matrix`, and
-one writer, `_write_columns`, serves `save_csv`, the sweep records of
-:mod:`hdmrnet.analysis` and the component curves; every file is written
-atomically.  Both work a row or a column at a time, not a cell at a time:
-the reader parses each row with one `map(float, ...)`, going back to the
-cells only to word an error, and the writer formats columns of
-`_CHUNK_ROWS` rows.
+One reader, `_read_matrix`, which states the CSV conventions, serves both
+`load_csv` and `load_matrix`, and one writer, `_write_columns`, serves
+`save_csv`, the sweep records of :mod:`hdmrnet.analysis` and the component
+curves; every file is written atomically.  Both work a row or a column at
+a time, not a cell at a time.
 """
 
 from __future__ import annotations
@@ -105,14 +94,15 @@ class Dataset:
 def _read_matrix(path: str, with_target: bool) -> tuple[np.ndarray, list[str]]:
     """The one CSV reader: (values, column names) of the file's data rows.
 
-    The first non-comment row is a header when any of its cells is not a
-    number.  Every row must have as many cells as the first; cells must be
-    finite numbers.  With `with_target`, the file needs a data row and at
-    least 2 columns, and a headerless file's last column is "target".  The
-    file is read in one pass, each row parsed by one `map(float, ...)` and
-    checked by one finiteness pass; errors come in file order.  The file
-    must be UTF-8 text, a leading byte-order mark skipped; a byte that is
-    not is refused with its line.
+    The first row that is not blank or a '#' comment is a header when any of
+    its cells is not a number.  Every row must have as many cells as the
+    first; cells must be finite numbers.  With `with_target`, the file needs
+    a data row and at least 2 columns, and a headerless file's last column
+    is "target".  The file is read in one pass, each row parsed by one
+    `map(float, ...)` and checked by one finiteness pass; errors come in
+    file order and cite physical (1-based) line numbers, comments and blanks
+    counted.  The file must be UTF-8 text, a leading byte-order mark
+    skipped; a byte that is not is refused with its line.
     """
     header, names, flat, n_rows = None, None, [], 0
     try:

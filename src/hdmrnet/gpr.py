@@ -11,48 +11,16 @@ and the full mean is f0 + sum_j f_j(y_j).  Those component functions are
 the per-neuron activation functions of the network assembled in
 :mod:`hdmrnet.model`.
 
-Training solves (K + sigma * I) alpha = t - mean(t) for the dual
-coefficients alpha, on one of two routes that `_route` picks from M, F and
-l (see below).  With F r >= M, or without the factor, `_solve` factors the
-Gram matrix K by Cholesky in K's own memory.  With F r < M, K ~= B B^T for
-the (M, F r) matrix B of the kernel factor, and `_low_rank_solve` factors
-the smaller (F r, F r) matrix C = B^T B instead: alpha = (b - B (C +
-sigma I)^-1 B^T b) / sigma (Woodbury), refined with its residual, and no
-M x M matrix is built.  Both factor in `_escalate`, the one Cholesky
-loop, which accepts a try when its backward error is at most 8 eps and
-its prediction bound is finite; sigma, the requested noise, rises tenfold
-while the factorization or those checks fail.  The model is the same dual
-one on both routes.  No hyperparameter is optimized.  All arithmetic is
-float64.
-
-The Gram, and B, take one of two routes.  Training features are scaled
-into [0, 1], and on that interval one low-rank factor of the 1-D kernel
-serves every feature: k(u, v) ~= g(u) . g(v), with g(u) = R^T T(2u - 1), T
-the Chebyshev polynomials of degree 0..n and R (n + 1, r) from the kernel's
-2-D Chebyshev coefficients (`_kernel_factor`, built once per length scale,
-with n = 10 + ceil(5 / l)).  Its error eps_1 = max |k - g . g| is measured
-on a 256 x 256 grid of [0, 1]^2, not bounded: between the grid points it
-can be larger (a 2001 x 2001 grid read up to 1.2 eps_1).  The factor is
-taken while eps_1 <= 1e-14 and n <= 40, which holds for l >= 1/6, where
-eps_1 is below 4e-15, the size of the product's own rounding.  Then B =
-[G_1^T ... G_F^T], each G_j = [g(y_mj)]_m of one feature, and
-`_factor_matrix` is the one fill of G_j: of all F at once on the low-rank
-route, of one panel of a fixed number of features at a time for the Gram,
-whose K = sum_j G_j^T G_j `dsyrk` accumulates panel by panel; each entry
-differs from the exact one by about F eps_1 at most, plus `dsyrk`'s
-rounding.  Smaller l, and features outside [0, 1], take the
-exact loop: the kernel routine over the upper triangle's row blocks, and
-the Gram route.  `dsyrk`, `dgemv`, and the products that form G_j, one per
-128-row block and small enough that OpenBLAS runs each on one thread, give
-the same bits on any number of BLAS threads; `dpotrf` does too below 128
-rows, so a low-rank fit with F r < 128 is independent of the thread count.
-
-`compile_components` tabulates every component function as a Chebyshev
-interpolant on the padded interval `TABLE_INTERVAL`, checked against the
-exact components and chopped to what that check allows, so that a forward
-pass costs O(terms) per feature instead of O(M).  `activation_sums`
-evaluates the activations of predictions and coupling terms alike: through
-the table where it applies, in row blocks sized by rows x F, else exactly.
+`gpr_fit` solves (K + sigma * I) alpha = t - mean(t) for the dual
+coefficients alpha once; no hyperparameter is optimized, and all
+arithmetic is float64.  Where each decision lives: `_route` picks how K is
+built and solved; `_kernel_factor` builds the low-rank factor of the 1-D
+kernel on [0, 1], and `_factor_matrix` fills its G_j; `gram_matrix` builds
+K; `_solve` and `_low_rank_solve` are the two solve routes, and
+`_escalate` their one Cholesky loop, which accepts a try or raises sigma.
+`compile_components` tabulates the component functions, and
+`activation_sums` evaluates them for predictions and coupling terms alike.
+README.md tells the same story with its measurements.
 """
 
 from __future__ import annotations
@@ -89,11 +57,12 @@ _UPPER = np.triu(np.ones((_BLOCK, _BLOCK), dtype=bool), 1)
 _THREADS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
 
-# The factor route of `gram_matrix`: the largest accepted eps_1, the highest
-# Chebyshev degree (a block's product, at most 41^2 * 128 multiply-adds, is
-# under the 4 * 65536 from which OpenBLAS threads a dgemm), the rows of
-# one G panel, the points per side of the grid that measures eps_1, and
-# the grid rows per block of that measurement.
+# The factor route of `gram_matrix`: the largest accepted eps_1 (at l >= 1/6,
+# where both bounds hold, eps_1 is below 4e-15, the product's own rounding),
+# the highest Chebyshev degree (a block's product, at most 41^2 * 128
+# multiply-adds, is under the 4 * 65536 from which OpenBLAS threads a
+# dgemm), the rows of one G panel, the points per side of the grid that
+# measures eps_1, and the grid rows per block of that measurement.
 _FACTOR_BOUND = 1e-14
 _MAX_DEGREE = 40
 _PANEL = 128
@@ -180,25 +149,6 @@ def _check_features(Y) -> np.ndarray:
     return Y
 
 
-def kernel_1d(a, b, length_scale: float):
-    """One-dimensional squared-exponential kernel exp(-(a-b)^2 / (2 l^2)).
-
-    Accepts scalars or broadcastable arrays; symmetric, values in (0, 1].
-    """
-    length_scale = _check_length_scale(length_scale)
-    d = np.subtract(a, b)
-    return np.exp(-(d * d) / (2.0 * length_scale**2))
-
-
-def kernel_additive(ya: np.ndarray, yb: np.ndarray, length_scale: float) -> float:
-    """Additive kernel: sum over features of the one-dimensional kernels."""
-    ya = np.asarray(ya, dtype=np.float64)
-    yb = np.asarray(yb, dtype=np.float64)
-    if ya.shape != yb.shape or ya.ndim != 1:
-        raise ShapeError(f"feature vectors must be equal-length 1-D, got {ya.shape} and {yb.shape}")
-    return float(np.sum(kernel_1d(ya, yb, length_scale)))
-
-
 def _kernel(a: np.ndarray, b: np.ndarray, inv: float, out: np.ndarray) -> np.ndarray:
     """Fill `out` in place with exp(-(a[i] - b[j])^2 * inv) and return it."""
     np.subtract.outer(a, b, out=out)
@@ -272,7 +222,8 @@ def _factor_degree(length_scale: float) -> int:
 class _KernelFactor:
     """k(u, v) ~= g(u) . g(v) for u, v in [0, 1], with g(u) = Rt @ T(2u - 1)
     and T(x) the Chebyshev polynomials of degree 0..n at x; `error` is
-    eps_1, the largest |k - g . g| on a grid of `_GRID` points per side."""
+    eps_1, the largest |k - g . g| on a grid of `_GRID` points per side, a
+    measurement and not a bound."""
 
     Rt: np.ndarray  # (r, n + 1), R transposed
     error: float
@@ -300,9 +251,8 @@ def _kernel_factor(length_scale: float) -> _KernelFactor:
     gives its 2-D Chebyshev coefficients A = C K C^T, C the DCT of
     `compile_components`.  Of A = V diag(w) V^T, the pairs with w > 1e-16
     max w make R = V_r diag(w_r)^(1/2), so k(u, v) ~= T(u)^T R R^T T(v).
-    At l = 0.3, n = 27 and r = 17.  Every product here is too small for
-    OpenBLAS to thread, so R does not depend on the thread count.  The
-    error is measured on a `_GRID` x `_GRID` grid of [0, 1]^2, `_GRID_BLOCK`
+    Every product here is too small for OpenBLAS to thread, so R does not
+    depend on the thread count.  The error is measured `_GRID_BLOCK` grid
     rows at a time, within `_fit_bytes`'s headroom.
     """
     n = _factor_degree(length_scale)
@@ -355,10 +305,10 @@ def _route(n_train: int, n_features: int, length_scale: float,
     in [0, 1], as `hdmr_fit`'s scaled ones do: (factor, low_rank, why).
 
     `factor` is the kernel factor that the fit is built from, or None for
-    the exact loop, whose reason `why` gives.  `low_rank` is F r < M: then
-    `_low_rank_solve` factors the (F r, F r) matrix B^T B and no M x M Gram
-    is built.  The one owner of the route: `gpr_fit` takes it, `gram_matrix`
-    its Gram part, and `_fit_bytes` counts it.
+    the exact loop, whose reason `why` gives.  `low_rank` is F r < M, where
+    `_low_rank_solve` builds no M x M Gram.  The one owner of the route:
+    `gpr_fit` takes it, `gram_matrix` its Gram part, and `_fit_bytes`
+    counts it.
     """
     n = _factor_degree(length_scale)
     if n > _MAX_DEGREE:
@@ -379,10 +329,12 @@ def gram_matrix(Y: np.ndarray, length_scale: float) -> np.ndarray:
 
     Diagonal entries equal the feature count.  Only one triangle is
     computed; the other is its mirror, so symmetry holds to the bit.  On
-    the factor route (see the module doc) K accumulates by `dsyrk` into one
+    the factor route K = sum_j G_j^T G_j accumulates by `dsyrk` into one
     Fortran-ordered buffer, one panel of G_j from `_factor_matrix` at a
-    time, and the C-ordered view of that buffer is returned; otherwise the
-    exact loop fills K.
+    time, and the C-ordered view of that buffer is returned; each entry
+    differs from the exact one by about F eps_1 at most, plus `dsyrk`'s
+    rounding.  Otherwise the exact loop fills K, one row block of the upper
+    triangle at a time.
     """
     length_scale = _check_length_scale(length_scale)
     Y = _check_features(Y)
@@ -397,7 +349,7 @@ def gram_matrix(Y: np.ndarray, length_scale: float) -> np.ndarray:
             panel = _factor_matrix(Y[:, j0:j0 + factor.panel], factor, G)
             K = dsyrk(1.0, panel.T, beta=1.0, c=K, lower=0, overwrite_c=1)
         K = K.T
-        _refill(K, np.empty(min(_BLOCK, M) ** 2))
+        _refill(K)
         K.flat[:: M + 1] = F
         return K
     _log.debug("Gram: exact route, %s", why)
@@ -427,18 +379,7 @@ def _factor_matrix(Y: np.ndarray, factor: _KernelFactor, out: np.ndarray) -> np.
     return out[:k].reshape(-1, M)
 
 
-def _diagonal_block(K: np.ndarray, r0: int, r1: int, block: np.ndarray) -> np.ndarray:
-    """K[r0:r1, r0:r1] with its upper triangle mirrored from its strict
-    lower one, in the scratch `block`; the diagonal is left as K has it."""
-    n = r1 - r0
-    square = block[:n * n].reshape(n, n)
-    np.copyto(square, K[r0:r1, r0:r1])
-    np.copyto(square, K[r0:r1, r0:r1].T, where=_UPPER[:n, :n])
-    return square
-
-
-def _symmetric_product(K: np.ndarray, diagonal: np.ndarray, v: np.ndarray,
-                       block: np.ndarray) -> np.ndarray:
+def _symmetric_product(K: np.ndarray, diagonal: np.ndarray, v: np.ndarray) -> np.ndarray:
     """S @ v for the symmetric S with K's strict lower triangle and the
     given diagonal, read without K's upper triangle or diagonal.  The row
     blocks run in order, each as dgemv on its part left of the diagonal,
@@ -451,24 +392,27 @@ def _symmetric_product(K: np.ndarray, diagonal: np.ndarray, v: np.ndarray,
         left = K[r0:r1, :r0]
         out[r0:r1] += left @ v[:r0]
         out[:r0] += left.T @ v[r0:r1]
-        square = _diagonal_block(K, r0, r1, block)
-        square.reshape(-1)[:: r1 - r0 + 1] = diagonal[r0:r1]
+        square = K[r0:r1, r0:r1]
+        np.copyto(square, square.T, where=_UPPER[:r1 - r0, :r1 - r0])
+        square.flat[:: r1 - r0 + 1] = diagonal[r0:r1]
         out[r0:r1] += square @ v[r0:r1]
     return out
 
 
-def _refill(K: np.ndarray, block: np.ndarray) -> None:
+def _refill(K: np.ndarray) -> None:
     """Copy K's strict lower triangle onto its upper one: where a failed
     Cholesky factor was, or what `dsyrk` left unset."""
     M = K.shape[0]
     for r0 in range(0, M, _BLOCK):
         r1 = min(r0 + _BLOCK, M)
         K[r0:r1, r1:] = K[r1:, r0:r1].T
-        K[r0:r1, r0:r1] = _diagonal_block(K, r0, r1, block)
+        square = K[r0:r1, r0:r1]
+        np.copyto(square, square.T, where=_UPPER[:r1 - r0, :r1 - r0])
 
 
 # `_fit_bytes`'s headroom: the factor's one-time check (at most 419,496 bytes,
-# at n = 40), the 128 x 128 blocks, the cached factor and numpy's scratch.
+# at n = 40), the 128 x 128 block that numpy buffers to mirror a diagonal
+# block in place, the cached factor and numpy's scratch.
 _HEADROOM = 2**20
 
 
@@ -492,7 +436,7 @@ def _fit_bytes(n_train: int, n_features: int, length_scale: float) -> int:
     return matrices + vectors + _HEADROOM
 
 
-def _escalate(A: np.ndarray, noise: float, solve, route: str, block: np.ndarray,
+def _escalate(A: np.ndarray, noise: float, solve, route: str,
               bound) -> tuple[np.ndarray, float]:
     """(alpha, sigma) of the first accepted Cholesky solve with A + sigma I,
     sigma starting at `noise` and rising by factors of 10 up to
@@ -504,10 +448,11 @@ def _escalate(A: np.ndarray, noise: float, solve, route: str, block: np.ndarray,
     of its buffer, is A.  Each try sets A's diagonal to the original one,
     kept in a vector, plus sigma, and dpotrf puts the factor L in that
     view's lower triangle, which is A's upper one; A's strict lower
-    triangle stays intact, and a failed try copies it back over the factor
-    through the scratch `block`.  So a fit holds no second copy of A, and
-    on return A's upper triangle holds the factor.  A must be finite: no
-    LAPACK call checks it.
+    triangle stays intact, and a failed try copies it back over the factor.
+    So a fit holds no second copy of A.  A must be finite: no LAPACK call
+    checks it.  dpotrf's bits depend on the BLAS thread count from 128 rows
+    on, so only a low-rank fit with F r < 128 does not; its other BLAS
+    calls, `dsyrk`, `dgemv` and `dpotrs`, never do.
 
     `solve(factor, sigma, shifted)`, given the factor and the shifted
     diagonal, returns (alpha, refinement steps, eta), with eta = ||r|| /
@@ -533,7 +478,7 @@ def _escalate(A: np.ndarray, noise: float, solve, route: str, block: np.ndarray,
                 alpha, steps, eta = solve(factor, sigma, shifted)
             if eta <= _BACKWARD_ERROR * _EPS and math.isfinite(bound(alpha)):
                 break
-        _refill(A, block)
+        _refill(A)
         if sigma * 10.0 > MAX_JITTER * (1.0 + 1e-12):
             raise IllConditionedGramError(
                 f"Gram matrix has no backward-stable Cholesky solve even at jitter {sigma:g} "
@@ -570,17 +515,18 @@ def _solve(K: np.ndarray, b: np.ndarray, noise: float, route: str = "Gram route"
     the residual and the column sums from K's intact strict lower triangle.
     K's entries are positive, so ||K|| is its largest column sum, taken
     once before the first try, and ||K + sigma I|| = ||K|| + sigma, the
-    rule of `_low_rank_solve` too.  So a fit holds K, seven M-vectors and
-    one diagonal block, no second M x M buffer.
+    rule of `_low_rank_solve` too.  Each product mirrors K's diagonal
+    blocks in place, after `dpotrs` has read the factor.  So a fit holds K,
+    seven M-vectors and numpy's buffer of one diagonal block, no second M x
+    M buffer.
     """
-    block = np.empty(min(_BLOCK, K.shape[0]) ** 2)
-    norm_K = _symmetric_product(K, K.diagonal(), np.ones(K.shape[0]), block).max()
+    norm_K = _symmetric_product(K, K.diagonal(), np.ones(K.shape[0])).max()
     def solve(factor, sigma, shifted):
         alpha = dpotrs(factor, b, lower=1)[0]
-        residual = _symmetric_product(K, shifted, alpha, block)
+        residual = _symmetric_product(K, shifted, alpha)
         residual -= b
         return alpha, 0, _backward_error(residual, norm_K + sigma, alpha, b)
-    return _escalate(K, noise, solve, route, block, bound)
+    return _escalate(K, noise, solve, route, bound)
 
 
 def _low_rank_solve(Bt: np.ndarray, b: np.ndarray, noise: float, route: str,
@@ -594,21 +540,18 @@ def _low_rank_solve(Bt: np.ndarray, b: np.ndarray, noise: float, route: str,
     sigma.  The division by sigma magnifies the rounding of that
     difference, so alpha is refined, alpha += the same formula on r = b - B
     (B^T alpha) - sigma alpha, at most `_REFINE_STEPS` times; a try still
-    above c eps then fails.  At the default noise 1e-6, fits of 60 to 3000
-    rows accepted after at most 2 steps.  A step gains while sigma is well
-    above eps ||K||, so at a smaller noise this route escalates one or two
-    decades further than `_solve` (noise 1e-14 on 300 to 3000 rows: sigma
-    1e-12 to 1e-10, against 1e-13 to 1e-12).  `dsyrk` fills the upper
-    triangle of a Fortran-ordered C, the lower one of the C-ordered view
-    that `_escalate` takes, which is mirrored once before the first try.
-    Every product is a scipy `dgemv`, `dsyrk` or LAPACK call, since numpy's
-    own OpenBLAS pool would spin against scipy's.
+    above c eps then fails.  A step gains while sigma is well above eps
+    ||K||, so at a small noise this route escalates one or two decades
+    further than `_solve`.  `dsyrk` fills the upper triangle of a
+    Fortran-ordered C, the lower one of the C-ordered view that `_escalate`
+    takes, which is mirrored once before the first try.  Every product is a
+    scipy `dgemv`, `dsyrk` or LAPACK call, since numpy's own OpenBLAS pool
+    would spin against scipy's.
     """
     FR, M = Bt.shape
     B = Bt.T  # Fortran-ordered (M, F r)
     C = dsyrk(1.0, B, trans=1, lower=0).T
-    block = np.empty(min(_BLOCK, FR) ** 2)
-    _refill(C, block)
+    _refill(C)
     Btb = dgemv(1.0, B, b, trans=1)
     norm_K = dgemv(1.0, B, dgemv(1.0, B, np.ones(M), trans=1)).max()
     def solve(factor, sigma, shifted):
@@ -624,18 +567,18 @@ def _low_rank_solve(Bt: np.ndarray, b: np.ndarray, noise: float, route: str,
             if eta <= _BACKWARD_ERROR * _EPS or step == _REFINE_STEPS:
                 return alpha, step, eta
             alpha += woodbury(residual, dgemv(1.0, B, residual, trans=1))
-    return _escalate(C, noise, solve, route, block, bound)
+    return _escalate(C, noise, solve, route, bound)
 
 
 def gpr_fit(Y: np.ndarray, t: np.ndarray, length_scale: float,
             noise: float = 1e-6) -> AdditiveGprModel:
     """Fit the additive GPR: alpha of (K + sigma I) alpha = t - mean(t),
     whose mean is stored as the offset.  The route is decided once by
-    `_route` (see the module doc): with F r < M, `_low_rank_solve` on B^T;
-    else `_solve` on the Gram.  Zero-variance targets get alpha = 0 and
-    build nothing.  Non-finite features, or targets whose deviations from
-    their mean are not all finite (a mean that overflows included), are
-    refused with `DatasetError` before anything is built.
+    `_route`: with F r < M, `_low_rank_solve` on B^T; else `_solve` on the
+    Gram.  Zero-variance targets get alpha = 0 and build nothing.
+    Non-finite features, or targets whose deviations from their mean are
+    not all finite (a mean that overflows included), are refused with
+    `DatasetError` before anything is built.
 
     The model's `Ytrain` is Y itself when Y is a Fortran-ordered float64
     array, as `hdmr_fit`'s features are; any other Y is copied into
@@ -654,7 +597,7 @@ def gpr_fit(Y: np.ndarray, t: np.ndarray, length_scale: float,
         b = t - offset
     if not np.isfinite(b).all():
         raise DatasetError("targets minus their mean are not all finite")
-    if np.linalg.norm(b) == 0.0:
+    if not b.any():
         alpha, sigma = np.zeros(M), noise
     else:
         factor, low_rank, _ = _route(M, F, length_scale, _in_unit_interval(Y))
@@ -689,11 +632,10 @@ def gpr_predict(model: AdditiveGprModel, Ystar: np.ndarray) -> np.ndarray:
 
 
 def gpr_component(model: AdditiveGprModel, feature_index: int, u) -> np.ndarray:
-    """Component function f_j evaluated on the grid `u`.
+    """Component function f_j (see the module doc) evaluated on the grid `u`.
 
-    f_j(u) = sum_m alpha[m] * k1(u, Ytrain[m, j]); summing components over
-    all features and adding the offset reproduces `gpr_predict` exactly up
-    to summation order.
+    Summing components over all features and adding the offset reproduces
+    `gpr_predict` exactly up to summation order.
     """
     if not 0 <= feature_index < model.n_features:
         raise IndexError(
@@ -708,14 +650,12 @@ def gpr_component(model: AdditiveGprModel, feature_index: int, u) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ActivationTable:
-    """Chebyshev interpolants of every component function on `TABLE_INTERVAL`.
+    """Chebyshev interpolants of every component function on `TABLE_INTERVAL`,
+    built and checked by `compile_components`.
 
     Column j of `coefficients` holds the coefficients of f_j in the
     Chebyshev polynomials T_k(x), x = (u - 0.5) / 0.75: the first `terms`
-    of the interpolant through `nodes` points.  `max_deviation` is sum_j
-    max |table_j - f_j| over the points halfway (in angle) between the
-    nodes, measured on the kept terms; `compile_components` accepts a
-    table only while it is at most `tolerance` = 1e-12 * sum_m |alpha_m|.
+    of the interpolant through `nodes` points.
     """
 
     coefficients: np.ndarray  # (terms, F)
@@ -787,8 +727,6 @@ def compile_components(model: AdditiveGprModel) -> ActivationTable | None:
     u = _CENTER + _HALF_WIDTH * x
     values = _dual_sums(model, np.broadcast_to(u[:, None], (u.size, model.n_features)),
                         np.arange(model.n_features)[:, None], 0.0).T
-    # a_k = (2 / n) sum_i w_i v_i cos(pi i k / n), with w_i = 1/2 at the
-    # two end nodes and 1 elsewhere, and a_0, a_n halved as well.
     cosines = _dct(n)
     coefficients = np.zeros((n + 1, model.n_features))
     for i in range(n + 1):
@@ -817,10 +755,9 @@ def activation_sums(model: AdditiveGprModel, Y: np.ndarray, groups, start: float
     features all lie in `TABLE_INTERVAL` read the activation table; every
     other row, and every row of a model without a table, takes one exact
     `_dual_sums` call for all groups.  Table blocks are `_BLOCK`-row
-    multiples of about `_FORWARD_ENTRIES` entries (8192 rows at F = 4, 128
-    at F = 306), enough work per numpy call to amortize its overhead and
-    the GIL; the values are elementwise, so block edges and thread count
-    cannot reach them.
+    multiples of about `_FORWARD_ENTRIES` entries, enough work per numpy
+    call to amortize its overhead and the GIL; the values are elementwise,
+    so block edges and thread count cannot reach them.
     """
     table = model.activation_table
     if table is None:

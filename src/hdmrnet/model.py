@@ -4,20 +4,13 @@ A fitted model evaluates as a single-hidden-layer network whose hidden
 weights are the rule-based sparse rows of the feature map and whose
 neuron activation functions are the per-feature component functions of
 the additive GPR.  The prediction therefore decomposes exactly into
-per-coupling-term contributions plus a constant offset.  `hdmr_predict`
+per-coupling-term contributions plus a constant offset; `hdmr_predict`
 and `term_values` both evaluate the activations with
-`gpr.activation_sums`, which decides between the GPR's checked Chebyshev
-tables and the exact kernel expansion; the exact rows of all the groups
-(the whole prediction, or every coupling term) are one call of the one
-exact evaluator, `gpr._dual_sums`, over a queue of (group, row block) tasks.
+`gpr.activation_sums`.
 
-A model file (format version 3) is a header line {checksum, format_version}
-then a canonical JSON body {metadata, X, gpr}, serialized once, whose SHA-256
-over its bytes as written is the checksum.  It holds only what the data and
-the fit settings determine.  Loading checks the checksum before it parses the
-body, rebuilds the feature map, the scaler and the training features with the
-code that fitted them, and validates every field.  Floats are shortest
-round-trip decimals, so a round trip reproduces predictions bit-exactly.
+`save_model` writes the model file that README.md's "File formats"
+describes: only what the data and the fit settings determine.
+`load_model` rebuilds the rest with the code that fitted it.
 """
 
 from __future__ import annotations
@@ -113,9 +106,8 @@ def _check_fit_settings(M: int, D: int, order: int, neurons_per_term: int, sobol
     Returns F and the bytes of building the features: the map arrays, the
     features, which are scaled in place, one gather of `map_features` and
     the ufuncs' scratch, or, given the length scale of a fit, instead of
-    that scratch what `gpr._fit_bytes` counts at it: the dominant matrices
-    and M-vectors of its route, and one headroom.  A fit keeps the features
-    as `Ytrain`.
+    that scratch what `gpr._fit_bytes` counts at it.  A fit keeps the
+    features as `Ytrain`.
     """
     if M < 2:
         raise DatasetError(f"training set needs at least 2 rows, got {M}")

@@ -16,7 +16,7 @@ import hdmrnet.cli
 import hdmrnet.data
 from hdmrnet.cli import main
 from hdmrnet.data import SYNTH_KINDS, synth
-from hdmrnet.model import FORMAT_VERSION, hdmr_fit
+from hdmrnet.model import FORMAT_VERSION, hdmr_fit, hdmr_predict, load_model
 
 
 def run(*argv):
@@ -119,6 +119,32 @@ def test_constant_target_fits_and_sweeps_with_null_correlation(tmp_path, capsys)
         cells = dict(zip(header, line.split(",")))
         assert cells["status"] == "ok"
         assert cells["train_corr"] == cells["test_corr"] == "nan"
+
+
+def test_huge_targets_fit_and_score_without_warnings(tmp_path):
+    # Targets near 1e198 are finite, but their squares are not: the fit is
+    # sound, and the scores rescale where the plain sums overflow.  Tier-1
+    # turns any RuntimeWarning into an error.
+    line = str(tmp_path / "line.csv")
+    assert run("synth", "--kind", "additive", "--dim", "1", "--n", "1500", "--seed", "1",
+               "--out", line) == 0
+    dataset = hdmrnet.data.load_csv(line)
+    huge = str(tmp_path / "huge.csv")
+    hdmrnet.data.save_csv(huge, ["x1", "target"], [dataset.X[:, 0], dataset.t * 1e200])
+    model = str(tmp_path / "huge.model")
+    assert run("fit", "--data", huge, "--d", "1", "--n-per-term", "0", "--l", "1.0",
+               "--seed", "1", "--out", model) == 0
+    def refuse(constant):
+        raise ValueError(f"not JSON: {constant}")
+    with open(model + ".report.json", encoding="utf-8") as fh:
+        report = json.load(fh, parse_constant=refuse)
+    t = hdmrnet.data.load_csv(huge).t
+    predicted = hdmr_predict(load_model(model), dataset.X)
+    expected_rmse = 1e200 * hdmrnet.analysis.rmse(predicted / 1e200, t / 1e200)
+    expected_corr = hdmrnet.analysis.pearson_corr(predicted / 1e200, t / 1e200)
+    assert report["train_rmse"] == pytest.approx(expected_rmse, rel=1e-12)
+    assert report["train_corr"] == pytest.approx(expected_corr, rel=1e-12)
+    assert report["train_corr"] > 0.9999
 
 
 def test_predict_round_trip(workspace, tmp_path):
@@ -266,10 +292,11 @@ def test_usage_errors_exit_two(workspace):
         with pytest.raises(SystemExit) as info:  # --test without --train
             run(*argv, "--data", data, "--test", "50", "--seed", "1")
         assert info.value.code == 2
-    with pytest.raises(SystemExit) as info:
-        run("sweep", "--data", data, "--d", "1,x", "--n-per-term", "2",
-            "--train", "10", "--l", "0.3", "--seed", "1", "--out-dir", "/tmp/s")
-    assert info.value.code == 2
+    for orders in ("1,x", ","):  # a cell that is not an integer; no integers at all
+        with pytest.raises(SystemExit) as info:
+            run("sweep", "--data", data, "--d", orders, "--n-per-term", "2",
+                "--train", "10", "--l", "0.3", "--seed", "1", "--out-dir", "/tmp/s")
+        assert info.value.code == 2
 
 
 def test_order_exceeding_dimension_exit_code(workspace, tmp_path, capsys):
@@ -288,6 +315,11 @@ def test_data_errors_exit_three(workspace, tmp_path, capsys):
     assert run("fit", "--data", str(tmp_path / "absent.csv"), "--d", "1",
                "--n-per-term", "0", "--l", "0.3", "--seed", "1",
                "--out", str(tmp_path / "x.model")) == 3
+    narrow = str(tmp_path / "narrow.csv")
+    open(narrow, "w").write("a,E\n0.1,0.2,0.3\n")
+    assert run("fit", "--data", narrow, "--d", "1", "--n-per-term", "0", "--l", "0.3",
+               "--seed", "1", "--out", str(tmp_path / "x.model")) == 3
+    assert "header has 2 names for 3 columns" in capsys.readouterr().err
     broken = str(tmp_path / "broken.model")
     open(broken, "w").write("{}")
     assert run("predict", "--model", broken, "--data", data,

@@ -181,6 +181,9 @@ def test_load_csv_structural_errors(tmp_path):
     open(path, "w").write("a,a\n1,2\n")
     with pytest.raises(DatasetError, match="duplicate"):
         load_csv(path)
+    open(path, "w").write("a,E\n1,2,3\n")
+    with pytest.raises(DatasetError, match="header has 2 names for 3 columns"):
+        load_csv(path)
     open(path, "w").write("a,E\n1,2\n")
     with pytest.raises(DatasetError, match="no column named 'Q'"):
         load_csv(path, target="Q")
@@ -213,6 +216,8 @@ def test_dataset_validation():
         Dataset(X=np.zeros((2, 2)), t=np.array([1.0, np.inf]))
     with pytest.raises(DatasetError):
         Dataset(X=np.zeros((2, 2)), t=np.zeros(2), column_names=["a"])
+    with pytest.raises(DatasetError, match="X must be 2-D"):
+        Dataset(X=np.zeros(3), t=np.zeros(3))
 
 
 def test_fingerprint_tracks_content():
@@ -280,6 +285,9 @@ def test_failed_save_csv_leaves_no_partial_file(tmp_path):
         save_csv(str(target), ["a"], [[1.0, 2.0, None]], ["config: {}"])
     assert target.read_text() == "previous contents\n"
     assert list(tmp_path.iterdir()) == [target]
+    with pytest.raises(ValueError, match="1 names for 2 columns"):
+        save_csv(str(target), ["a"], [[1.0], [2.0]])
+    assert target.read_text() == "previous contents\n"
     with pytest.raises(OSError):
         save_csv(str(tmp_path / "missing_dir" / "out.csv"), ["a"], [[1.0]])
     assert list(tmp_path.iterdir()) == [target]

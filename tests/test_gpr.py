@@ -24,8 +24,6 @@ from hdmrnet import (
     gram_matrix,
     hdmr_fit,
     hdmr_predict,
-    kernel_1d,
-    kernel_additive,
     save_model,
     synth,
     term_values,
@@ -38,21 +36,41 @@ from hdmrnet.errors import (
 )
 
 
+def _kernel_1d(a, b, length_scale: float):
+    """One-dimensional squared-exponential kernel exp(-(a-b)^2 / (2 l^2)),
+    the Gram tests' oracle.
+
+    Accepts scalars or broadcastable arrays; symmetric, values in (0, 1].
+    """
+    length_scale = gpr._check_length_scale(length_scale)
+    d = np.subtract(a, b)
+    return np.exp(-(d * d) / (2.0 * length_scale**2))
+
+
+def _kernel_additive(ya, yb, length_scale: float) -> float:
+    """Additive kernel: sum over features of the one-dimensional kernels."""
+    ya = np.asarray(ya, dtype=np.float64)
+    yb = np.asarray(yb, dtype=np.float64)
+    if ya.shape != yb.shape or ya.ndim != 1:
+        raise ShapeError(f"feature vectors must be equal-length 1-D, got {ya.shape} and {yb.shape}")
+    return float(np.sum(_kernel_1d(ya, yb, length_scale)))
+
+
 def test_kernel_1d_known_values():
-    assert kernel_1d(0.3, 0.3, 0.7) == 1.0
+    assert _kernel_1d(0.3, 0.3, 0.7) == 1.0
     # distance 1, length scale 1: exp(-1/2)
-    assert kernel_1d(0.0, 1.0, 1.0) == pytest.approx(0.6065306597126334, rel=1e-15)
-    assert kernel_1d(2.0, 0.0, 1.0) == pytest.approx(math.exp(-2.0), rel=1e-15)
-    assert kernel_1d(0.25, 0.75, 0.5) == kernel_1d(0.75, 0.25, 0.5)
+    assert _kernel_1d(0.0, 1.0, 1.0) == pytest.approx(0.6065306597126334, rel=1e-15)
+    assert _kernel_1d(2.0, 0.0, 1.0) == pytest.approx(math.exp(-2.0), rel=1e-15)
+    assert _kernel_1d(0.25, 0.75, 0.5) == _kernel_1d(0.75, 0.25, 0.5)
 
 
 def test_kernel_additive_matches_feature_sum():
     rng = np.random.default_rng(0)
     ya, yb = rng.uniform(size=7), rng.uniform(size=7)
-    expected = sum(kernel_1d(a, b, 0.4) for a, b in zip(ya, yb))
-    assert kernel_additive(ya, yb, 0.4) == pytest.approx(expected, rel=1e-15)
+    expected = sum(_kernel_1d(a, b, 0.4) for a, b in zip(ya, yb))
+    assert _kernel_additive(ya, yb, 0.4) == pytest.approx(expected, rel=1e-15)
     with pytest.raises(ShapeError):
-        kernel_additive(ya, yb[:3], 0.4)
+        _kernel_additive(ya, yb[:3], 0.4)
 
 
 def test_gram_matrix_properties():
@@ -79,7 +97,7 @@ def test_gram_matrix_ragged_block_sizes(M):
     assert np.array_equal(np.diag(K), np.full(M, 5.0))
     for i in range(M):
         for j in range(i, M):
-            assert K[i, j] == pytest.approx(kernel_additive(Y[i], Y[j], 0.45), rel=1e-14)
+            assert K[i, j] == pytest.approx(_kernel_additive(Y[i], Y[j], 0.45), rel=1e-14)
 
 
 def test_results_do_not_depend_on_thread_count(monkeypatch, tmp_path):
@@ -145,7 +163,7 @@ def test_predict_matches_naive_kernel_expansion():
     tol = float(np.abs(model.alpha).sum()) * 1e-14
     for r in (0, 123, 255, 256, 299):
         expected = model.target_offset + sum(
-            model.alpha[m] * kernel_additive(Ystar[r], Y[m], 0.8) for m in range(25)
+            model.alpha[m] * _kernel_additive(Ystar[r], Y[m], 0.8) for m in range(25)
         )
         assert mean[r] == pytest.approx(expected, abs=tol)
 
@@ -223,8 +241,7 @@ def test_length_scale_without_a_finite_kernel_exponent_is_refused(length_scale):
     # inf (l^2 is subnormal).
     Y = np.random.default_rng(5).uniform(size=(5, 2))
     for call in (lambda: gpr_fit(Y, np.arange(5.0), length_scale),
-                 lambda: gram_matrix(Y, length_scale),
-                 lambda: kernel_1d(0.0, 1.0, length_scale)):
+                 lambda: gram_matrix(Y, length_scale)):
         with pytest.raises(InvalidHyperparameterError, match="length scale"):
             call()
 
@@ -423,9 +440,8 @@ M = 500
 K = gpr.gram_matrix(np.random.default_rng(0).uniform(size=(M, 3)), 0.5)
 shifted = K.diagonal() + 1e-6
 K[np.triu_indices(M)] = np.nan
-block = np.empty(gpr._BLOCK ** 2)
 for v in (np.sin(0.37 * np.arange(M)), np.ones(M)):
-    print(gpr._symmetric_product(K, shifted, v, block).tobytes().hex())
+    print(gpr._symmetric_product(K, shifted, v).tobytes().hex())
 """
 
 
@@ -515,7 +531,7 @@ def test_factor_gram_is_within_its_bound(length_scale, M, caplog):
     bound = F * factor.error + 64 * F * np.finfo(np.float64).eps
     assert np.abs(K - _exact_gram(Y, length_scale)).max() <= bound
     for i, j in [(0, M - 1), (M // 2, M // 3)]:
-        assert abs(K[i, j] - kernel_additive(Y[i], Y[j], length_scale)) <= bound
+        assert abs(K[i, j] - _kernel_additive(Y[i], Y[j], length_scale)) <= bound
 
 
 @pytest.mark.parametrize("length_scale, entry, reason", [
