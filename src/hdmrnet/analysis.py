@@ -42,7 +42,8 @@ def rmse(predicted: np.ndarray, actual: np.ndarray) -> float:
         diff = predicted - actual
         score = float(np.sqrt(np.mean(diff * diff)))
     scale = float(max(np.abs(predicted).max(), np.abs(actual).max()))
-    if score == math.inf and scale < math.inf:  # an overflow: rescale to magnitudes <= 1
+    # Squares that overflow, or underflow below 1e-300: rescale to magnitudes <= 1.
+    if not 1e-150 < score < math.inf and 0.0 < scale < math.inf:
         diff = predicted / scale - actual / scale
         score = scale * float(np.sqrt(np.mean(diff * diff)))
     return score
@@ -57,7 +58,7 @@ def pearson_corr(predicted: np.ndarray, actual: np.ndarray) -> float:
         )
     with np.errstate(over="ignore", invalid="ignore"):
         corr = _correlation(predicted, actual)
-        if math.isnan(corr):  # an overflow, or non-finite inputs: rescale
+        if math.isnan(corr):  # an overflow or underflow, or non-finite inputs: rescale
             corr = _correlation(predicted / np.abs(predicted).max(),
                                 actual / np.abs(actual).max())
     return corr
@@ -65,14 +66,15 @@ def pearson_corr(predicted: np.ndarray, actual: np.ndarray) -> float:
 
 def _correlation(a: np.ndarray, b: np.ndarray) -> float:
     """Pearson correlation of a and b, or NaN where the product of their
-    deviations' norms is not finite."""
+    deviations' norms underflows to 0 or is not finite; a constant input,
+    whose deviations are all 0, is refused."""
     va = a - a.mean()
     vb = b - b.mean()
+    if not (va.any() and vb.any()):
+        raise DatasetError("correlation undefined: an input has zero variance")
     na = float(np.sqrt(va @ va))
     nb = float(np.sqrt(vb @ vb))
-    if na == 0.0 or nb == 0.0:
-        raise DatasetError("correlation undefined: an input has zero variance")
-    return float((va @ vb) / (na * nb)) if na * nb < math.inf else math.nan
+    return float((va @ vb) / (na * nb)) if 0.0 < na * nb < math.inf else math.nan
 
 
 @dataclass

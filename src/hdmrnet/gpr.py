@@ -21,6 +21,12 @@ K; `_solve` and `_low_rank_solve` are the two solve routes, and
 `compile_components` tabulates the component functions, and
 `activation_sums` evaluates them for predictions and coupling terms alike.
 README.md tells the same story with its measurements.
+
+scipy is imported inside the four routines that call its BLAS and LAPACK
+(`gram_matrix`'s factor branch, `_escalate`, `_solve`, `_low_rank_solve`),
+not here: `scipy.linalg` took about 0.3 s of a 0.5 s `import hdmrnet.cli`
+on a 2-core x86_64 machine, and only a fit's solve needs it.  So importing
+the package loads numpy only.
 """
 
 from __future__ import annotations
@@ -35,8 +41,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.blas import dgemv, dsyrk
-from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .errors import (DatasetError, IllConditionedGramError, InvalidHyperparameterError,
                      ShapeError)
@@ -341,6 +345,7 @@ def gram_matrix(Y: np.ndarray, length_scale: float) -> np.ndarray:
     M, F = Y.shape
     factor, _, why = _route(M, F, length_scale, _in_unit_interval(Y))
     if factor is not None:
+        from scipy.linalg.blas import dsyrk
         _log.debug("Gram: factor route, n = %d, r = %d, eps_1 = %.3g, %d panels",
                    factor.degree, factor.rank, factor.error, -(-F // factor.panel))
         G = np.empty((min(factor.panel, F), factor.rank, M))
@@ -466,6 +471,7 @@ def _escalate(A: np.ndarray, noise: float, solve, route: str,
     model's `_prediction_bound`, is finite.  The accepted try is logged
     with the route's name.
     """
+    from scipy.linalg.lapack import dpotrf
     n = A.shape[0]
     diagonal = A.diagonal().copy()
     sigma = noise
@@ -520,6 +526,7 @@ def _solve(K: np.ndarray, b: np.ndarray, noise: float, route: str = "Gram route"
     seven M-vectors and numpy's buffer of one diagonal block, no second M x
     M buffer.
     """
+    from scipy.linalg.lapack import dpotrs
     norm_K = _symmetric_product(K, K.diagonal(), np.ones(K.shape[0])).max()
     def solve(factor, sigma, shifted):
         alpha = dpotrs(factor, b, lower=1)[0]
@@ -548,6 +555,8 @@ def _low_rank_solve(Bt: np.ndarray, b: np.ndarray, noise: float, route: str,
     scipy `dgemv`, `dsyrk` or LAPACK call, since numpy's own OpenBLAS pool
     would spin against scipy's.
     """
+    from scipy.linalg.blas import dgemv, dsyrk
+    from scipy.linalg.lapack import dpotrs
     FR, M = Bt.shape
     B = Bt.T  # Fortran-ordered (M, F r)
     C = dsyrk(1.0, B, trans=1, lower=0).T

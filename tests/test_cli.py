@@ -6,6 +6,8 @@ import io
 import json
 import os
 import shutil
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -147,6 +149,24 @@ def test_huge_targets_fit_and_score_without_warnings(tmp_path):
     assert report["train_corr"] > 0.9999
 
 
+def test_tiny_targets_score_as_their_rescaled_fit_does(tmp_path):
+    # Targets near 1e-202 are not 0, but their squared deviations underflow:
+    # the scores rescale, as they do where the squares overflow, and are
+    # neither 0 nor a "zero variance" null.
+    line = str(tmp_path / "line.csv")
+    assert run("synth", "--kind", "additive", "--dim", "1", "--n", "1500", "--seed", "1",
+               "--out", line) == 0
+    dataset = hdmrnet.data.load_csv(line)
+    tiny = str(tmp_path / "tiny.csv")
+    hdmrnet.data.save_csv(tiny, ["x1", "target"], [dataset.X[:, 0], dataset.t * 1e-200])
+    model = str(tmp_path / "tiny.model")
+    assert run("fit", "--data", tiny, "--d", "1", "--n-per-term", "0", "--l", "1.0",
+               "--seed", "1", "--out", model) == 0
+    report = json.load(open(model + ".report.json", encoding="utf-8"))
+    assert report["train_rmse"] == pytest.approx(4.0344923215031994e-203, rel=1e-12)
+    assert report["train_corr"] == pytest.approx(0.9999839026419972, rel=1e-12)
+
+
 def test_predict_round_trip(workspace, tmp_path):
     root, data, model = workspace
     points = str(tmp_path / "pts.csv")
@@ -265,6 +285,91 @@ def test_sweep_writes_the_same_outputs_from_any_directory(workspace, tmp_path, m
                         (out / "summary.csv").read_bytes()))
     assert outputs[0] == outputs[1]
     assert "copy.csv" not in outputs[1][0][0] and "second" not in outputs[1][0][0]
+
+
+# Import `hdmrnet.cli` from this checkout, print whether that imported
+# scipy, then run each argv of the JSON list argv[1] through `main`; with
+# argv[2] "block", scipy cannot be imported at all.
+_COLD = """
+import json, sys
+if sys.argv[2] == "block":
+    sys.modules["scipy"] = None
+from hdmrnet.cli import main
+print(sys.modules.get("scipy") is not None, flush=True)
+for argv in json.loads(sys.argv[1]):
+    if main(argv) != 0:
+        sys.exit(f"hdmrnet {' '.join(argv)} failed")
+"""
+
+
+def _cold(commands: list[list[str]], block: bool = False) -> bool:
+    """Run `commands` through `_COLD` in a fresh interpreter; whether
+    importing the package imported scipy."""
+    path = os.pathsep.join(filter(None, [os.path.dirname(os.path.dirname(hdmrnet.cli.__file__)),
+                                         os.environ.get("PYTHONPATH")]))
+    result = subprocess.run([sys.executable, "-c", _COLD, json.dumps(commands),
+                             "block" if block else "load"],
+                            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
+    assert result.returncode == 0, result.stderr
+    return result.stdout.split()[0] == "True"
+
+
+def _body(path) -> list[str]:
+    return [line for line in open(path, encoding="utf-8") if not line.startswith("#")]
+
+
+def test_commands_without_a_fit_run_without_scipy(workspace, tmp_path):
+    # `import hdmrnet` loads numpy only: scipy is imported at a fit's first
+    # solve.  So synth, predict, eval and components run where scipy cannot
+    # be imported, and write what they write in this process, which has it.
+    assert not _cold([])
+    _, data, model = workspace
+    points = str(tmp_path / "points.csv")
+    np.savetxt(points, np.random.default_rng(3).uniform(size=(50, 3)), delimiter=",")
+    def commands(out):
+        os.mkdir(out)
+        return [["synth", "--kind", "morse_like", "--dim", "4", "--n", "60", "--seed", "2",
+                 "--out", os.path.join(out, "synth.csv")],
+                ["predict", "--model", model, "--data", points,
+                 "--out", os.path.join(out, "preds.csv")],
+                ["eval", "--model", model, "--data", data, "--train", "200", "--seed", "7",
+                 "--out", os.path.join(out, "eval.json")],
+                ["components", "--model", model, "--grid", "21",
+                 "--out", os.path.join(out, "curves.csv")]]
+    cold, warm = str(tmp_path / "cold"), str(tmp_path / "warm")
+    _cold(commands(cold), block=True)
+    for argv in commands(warm):
+        assert run(*argv) == 0
+    for name in ("synth.csv", "preds.csv", "curves.csv"):
+        assert _body(os.path.join(cold, name)) == _body(os.path.join(warm, name))
+    reports = [json.load(open(os.path.join(out, "eval.json"))) for out in (cold, warm)]
+    for report in reports:
+        del report["config"]  # it echoes the --out path
+    assert reports[0] == reports[1]
+
+
+def test_cold_sweep_imports_scipy_on_two_threads_at_once(tmp_path):
+    # The first cells of a cold `--jobs 2` sweep import scipy at once, on
+    # the low-rank route (d = 1, F r = 51 < M = 100) and the Gram route
+    # (d = 2, F r = 153 >= M): the import lock makes both wait for one
+    # import, so the outputs equal a one-job run's here.  Every factored
+    # matrix has fewer than 128 rows, where dpotrf's bits do not depend on
+    # the BLAS thread count.
+    data = str(tmp_path / "pair.csv")
+    assert run("synth", "--kind", "pairwise", "--dim", "3", "--n", "150", "--seed", "1",
+               "--out", data) == 0
+    argv = ["sweep", "--data", data, "--d", "1,2", "--n-per-term", "2", "--l", "0.3",
+            "--train", "100", "--seed", "7", "--repeats", "1"]
+    assert not _cold([argv + ["--jobs", "2", "--out-dir", str(tmp_path / "cold")]])
+    assert run(*argv, "--jobs", "1", "--out-dir", str(tmp_path / "warm")) == 0
+    outputs = []
+    for out in (tmp_path / "cold", tmp_path / "warm"):
+        rows = [line.split(",") for line in (out / "sweep.csv").read_text().splitlines()]
+        wall, status = rows[1].index("wall_s"), rows[1].index("status")
+        assert [row[status] for row in rows[2:]] == ["ok", "ok"]
+        outputs.append(([row[:wall] + row[wall + 1:] for row in rows[1:]],
+                        (out / "summary.csv").read_bytes()))
+    assert outputs[0] == outputs[1]
 
 
 def test_model_files_are_bit_identical_across_runs(workspace, tmp_path):
@@ -489,7 +594,7 @@ def test_fit_without_train_scores_all_rows_and_reports_no_table(workspace, tmp_p
 def test_fit_without_a_stable_solve_exits_four_writing_nothing(workspace, tmp_path,
                                                                monkeypatch, capsys):
     _, data, _ = workspace
-    monkeypatch.setattr("hdmrnet.gpr.dpotrf", lambda a, **kwargs: (a, 1))
+    monkeypatch.setattr("scipy.linalg.lapack.dpotrf", lambda a, **kwargs: (a, 1))
     target = str(tmp_path / "unstable.model")
     assert run("fit", "--data", data, "--d", "2", "--n-per-term", "2", "--l", "0.3",
                "--train", "200", "--seed", "7", "--out", target) == 4

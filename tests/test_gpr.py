@@ -13,7 +13,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.linalg import LinAlgError, cho_factor, cho_solve
+from scipy.linalg import LinAlgError, cho_factor, cho_solve, lapack
 from scipy.linalg.lapack import dpotrs
 
 from hdmrnet import (
@@ -327,7 +327,7 @@ def test_solve_above_the_backward_error_bound_escalates(monkeypatch):
     Y = rng.uniform(size=(25, 4))
     t = np.sin(Y.sum(axis=1))
     expected = gpr_fit(Y, t, 0.8, 1e-5)
-    monkeypatch.setattr(gpr, "dpotrs", perturbed)
+    monkeypatch.setattr(lapack, "dpotrs", perturbed)
     model = gpr_fit(Y, t, 0.8, 1e-6)
     assert len(solves) == 2
     assert model.effective_noise == 1e-6 * 10.0
@@ -755,7 +755,7 @@ def test_low_rank_fit_escalates_a_tiny_noise_as_the_gram_route_does(monkeypatch,
     assert not again.jitter_escalated
     assert again.alpha.tobytes() == model.alpha.tobytes()
     # No factorization of C succeeds: the error reports the final jitter.
-    monkeypatch.setattr(gpr, "dpotrf", lambda a, **kwargs: (a, 1))
+    monkeypatch.setattr(lapack, "dpotrf", lambda a, **kwargs: (a, 1))
     with pytest.raises(IllConditionedGramError,
                        match=r"jitter 0\.01 \(requested noise 1e-06\)") as caught:
         gpr_fit(Y, t, 0.3)
@@ -773,8 +773,8 @@ def test_low_rank_refinement_that_hits_its_cap_fails_the_try(monkeypatch, caplog
         model = gpr_fit(Y, t, 0.3)
     assert not model.jitter_escalated
     assert "low-rank route, F r = 68 < M = 3000, 1 refinement steps" in caplog.text
-    tries, dpotrf = [], gpr.dpotrf
-    monkeypatch.setattr(gpr, "dpotrf", lambda a, **kwargs: tries.append(1) or dpotrf(a, **kwargs))
+    tries, dpotrf = [], lapack.dpotrf
+    monkeypatch.setattr(lapack, "dpotrf", lambda a, **kwargs: tries.append(1) or dpotrf(a, **kwargs))
     monkeypatch.setattr(gpr, "_REFINE_STEPS", 0)
     with pytest.raises(IllConditionedGramError) as caught:
         gpr_fit(Y, t, 0.3)
