@@ -225,7 +225,6 @@ class ComponentCurve:
 
     feature_index: int
     subset: tuple[int, ...]
-    kind: str
     grid: np.ndarray
     values: np.ndarray
 
@@ -241,8 +240,7 @@ def component_curves(model: HdmrModel, grid_size: int = 201) -> list[ComponentCu
     grid = np.linspace(0.0, 1.0, grid_size)
     values = _dual_sums(model.gpr, np.broadcast_to(grid[:, None], (grid_size, F)),
                         np.arange(F)[:, None], 0.0)
-    return [ComponentCurve(j, model.feature_map.subset(j), model.feature_map.kind(j), grid,
-                           values[j]) for j in range(F)]
+    return [ComponentCurve(j, model.feature_map.subset(j), grid, values[j]) for j in range(F)]
 
 
 def grid_search_l(

@@ -49,10 +49,9 @@ def _int_list(text: str) -> list[int]:
     return values
 
 
-def _config_echo(args: argparse.Namespace, keys: list[str]) -> dict:
-    config = {"command": args.command, "version": __version__}
-    for key in keys:
-        config[key] = getattr(args, key.replace("-", "_"))
+def _config_echo(args: argparse.Namespace) -> dict:
+    config = {key: value for key, value in vars(args).items() if key != "func"}
+    config["version"] = __version__
     return config
 
 
@@ -88,8 +87,7 @@ def _cmd_fit(args) -> int:
     )
     fit_seconds = time.perf_counter() - started
     report = {
-        "config": _config_echo(args, ["data", "target", "d", "n_per_term", "l", "noise",
-                                      "train", "test", "seed", "sobol_skip", "out"]),
+        "config": _config_echo(args),
         "n_train": train.n,
         "n_test": test.n if test is not None else 0,
         "n_features": model.n_features,
@@ -113,7 +111,7 @@ def _cmd_fit(args) -> int:
 def _cmd_predict(args) -> int:
     model = load_model(args.model)
     X, columns = load_matrix(args.data)
-    config = _config_echo(args, ["model", "data", "out"])
+    config = _config_echo(args)
     comments = ["config: " + json.dumps(config, sort_keys=True)]
     names = [f"x{i + 1}" for i in range(model.dimension)] + ["prediction"]
     if not columns:  # no header and no rows, so no column count to check
@@ -126,10 +124,7 @@ def _cmd_predict(args) -> int:
 def _cmd_eval(args) -> int:
     model = load_model(args.model)
     dataset = load_csv(args.data, target=args.target)
-    config = _config_echo(
-        args, ["model", "data", "target", "train", "test", "seed", "out"]
-    )
-    report = {"config": config}
+    report = {"config": _config_echo(args)}
     if args.train is not None:
         train, test = split(dataset, args.train, args.seed, args.test)
         report["n_train"] = train.n
@@ -153,7 +148,8 @@ def _cmd_sweep(args) -> int:
     # Neither jobs, which is scheduling only, nor the paths appear (the
     # dataset's fingerprint names the data): the outputs are the same for
     # any worker count and from any directory.
-    result.config = {**_config_echo(args, ["target"]), **result.config}
+    result.config = {"command": args.command, "version": __version__, "target": args.target,
+                     **result.config}
     os.makedirs(args.out_dir, exist_ok=True)
     records_path = os.path.join(args.out_dir, "sweep.csv")
     summary_path = os.path.join(args.out_dir, "summary.csv")
@@ -173,7 +169,7 @@ def _cmd_sweep(args) -> int:
 
 def _term_label(curve) -> str:
     base = "*".join(f"x{i + 1}" for i in curve.subset)
-    if curve.kind == "original":
+    if len(curve.subset) == 1:
         return base
     return f"{base}#{curve.feature_index}"
 
@@ -181,7 +177,7 @@ def _term_label(curve) -> str:
 def _cmd_components(args) -> int:
     model = load_model(args.model)
     curves = component_curves(model, args.grid)
-    config = _config_echo(args, ["model", "grid", "out"])
+    config = _config_echo(args)
     comments = ["config: " + json.dumps(config, sort_keys=True)]
     labelled = [(_term_label(curve), curve) for curve in curves]
     if args.out.endswith(("/", os.sep)) or os.path.isdir(args.out):
@@ -205,7 +201,7 @@ def _cmd_components(args) -> int:
 
 def _cmd_synth(args) -> int:
     dataset = synth(args.kind, args.dim, args.n, args.seed, args.noise_std)
-    config = _config_echo(args, ["kind", "dim", "n", "seed", "noise_std", "out"])
+    config = _config_echo(args)
     save_csv(
         args.out,
         dataset.column_names + [dataset.target_name],

@@ -27,9 +27,6 @@ from .sobol import sobol_points
 # Coupled features per gather of `map_features`.
 _CHUNK = 128
 
-KIND_ORIGINAL = "original"
-KIND_COUPLED = "coupled"
-
 
 @dataclass
 class FeatureMap:
@@ -57,17 +54,6 @@ class FeatureMap:
         if j < self.dimension:
             return (j,)
         return tuple(int(i) for i in self.indices[j - self.dimension])
-
-    def kind(self, j: int) -> str:
-        return KIND_ORIGINAL if j < self.dimension else KIND_COUPLED
-
-    def weight_matrix(self) -> np.ndarray:
-        """Dense (F, D) weight matrix W, built from the arrays on each call."""
-        W = np.zeros((self.n_features, self.dimension))
-        W[: self.dimension] = np.eye(self.dimension)
-        rows = np.arange(self.dimension, self.n_features)[:, None]
-        W[rows, self.indices] = self.weights
-        return W
 
 
 def _check_order(dimension: int, order: int) -> int:

@@ -35,6 +35,7 @@ import functools
 import itertools
 import logging
 import math
+import operator
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -110,10 +111,6 @@ class AdditiveGprModel:
     def n_features(self) -> int:
         return self.Ytrain.shape[1]
 
-    @property
-    def jitter_escalated(self) -> bool:
-        return self.effective_noise != self.noise
-
     @functools.cached_property
     def activation_table(self) -> ActivationTable | None:
         """`compile_components` of this model, built on first use and never stored."""
@@ -153,11 +150,11 @@ def _check_features(Y) -> np.ndarray:
     return Y
 
 
-def _kernel(a: np.ndarray, b: np.ndarray, inv: float, out: np.ndarray) -> np.ndarray:
-    """Fill `out` in place with exp(-(a[i] - b[j])^2 * inv) and return it."""
+def _kernel(a: np.ndarray, b: np.ndarray, length_scale: float, out: np.ndarray) -> np.ndarray:
+    """Fill `out` in place with exp(-(a[i] - b[j])^2 / (2 l^2)) and return it."""
     np.subtract.outer(a, b, out=out)
     np.multiply(out, out, out=out)
-    np.multiply(out, -inv, out=out)
+    np.multiply(out, -1.0 / (2.0 * length_scale**2), out=out)
     return np.exp(out, out=out)
 
 
@@ -202,7 +199,6 @@ def _dual_sums(model: AdditiveGprModel, Y: np.ndarray, groups, start: float) -> 
     with one block buffer, and add a group's features in order, so a
     value does not depend on the thread count or the other groups and rows.
     """
-    inv = 1.0 / (2.0 * model.length_scale**2)
     blocks = -(-len(Y) // _BLOCK)
     out = np.full((len(groups), len(Y)), start)
     def work(tasks):
@@ -211,7 +207,7 @@ def _dual_sums(model: AdditiveGprModel, Y: np.ndarray, groups, start: float) -> 
             g, b = divmod(task, blocks)
             r0, r1 = b * _BLOCK, min(b * _BLOCK + _BLOCK, len(Y))
             for j in groups[g]:
-                out[g, r0:r1] += _kernel(Y[r0:r1, j], model.Ytrain[:, j], inv,
+                out[g, r0:r1] += _kernel(Y[r0:r1, j], model.Ytrain[:, j], model.length_scale,
                                          buf[:r1 - r0]) @ model.alpha
     _map_blocks(len(groups) * blocks, work, step=1)
     return out
@@ -260,11 +256,10 @@ def _kernel_factor(length_scale: float) -> _KernelFactor:
     rows at a time, within `_fit_bytes`'s headroom.
     """
     n = _factor_degree(length_scale)
-    inv = 1.0 / (2.0 * length_scale**2)
     nodes = 0.5 + 0.5 * np.cos(np.pi * np.arange(n + 1) / n)
     dct = _dct(n)
     dct[[0, -1]] *= 0.5
-    w, V = np.linalg.eigh(dct @ _kernel(nodes, nodes, inv, np.empty((n + 1, n + 1))) @ dct.T)
+    w, V = np.linalg.eigh(dct @ _kernel(nodes, nodes, length_scale, np.empty((n + 1,) * 2)) @ dct.T)
     keep = w > 1e-16 * w[-1]
     Rt = np.ascontiguousarray((V[:, keep] * np.sqrt(w[keep])).T)
     Rt.flags.writeable = False  # shared by every caller of the cache
@@ -273,7 +268,7 @@ def _kernel_factor(length_scale: float) -> _KernelFactor:
     k, gg = np.empty((_GRID_BLOCK, _GRID)), np.empty((_GRID_BLOCK, _GRID))
     error = 0.0
     for i0 in range(0, _GRID, _GRID_BLOCK):
-        _kernel(grid[i0:i0 + _GRID_BLOCK], grid, inv, k)
+        _kernel(grid[i0:i0 + _GRID_BLOCK], grid, length_scale, k)
         k -= np.matmul(g[:, i0:i0 + _GRID_BLOCK].T, g, out=gg)
         error = max(error, float(np.abs(k, out=k).max()))
     return _KernelFactor(Rt, error)
@@ -358,7 +353,6 @@ def gram_matrix(Y: np.ndarray, length_scale: float) -> np.ndarray:
         K.flat[:: M + 1] = F
         return K
     _log.debug("Gram: exact route, %s", why)
-    inv = 1.0 / (2.0 * length_scale**2)
     Yt = np.ascontiguousarray(Y.T)  # a view of Fortran-ordered features
     K = np.zeros((M, M))
     def work(blocks):
@@ -366,7 +360,7 @@ def gram_matrix(Y: np.ndarray, length_scale: float) -> np.ndarray:
         for r0, r1 in blocks:
             buf = scratch[:(r1 - r0) * (M - r0)].reshape(r1 - r0, M - r0)
             for y in Yt:
-                K[r0:r1, r0:] += _kernel(y[r0:r1], y[r0:], inv, buf)
+                K[r0:r1, r0:] += _kernel(y[r0:r1], y[r0:], length_scale, buf)
             K[r1:, r0:r1] = K[r0:r1, r1:].T
     _map_blocks(M, work)
     return K
@@ -637,6 +631,8 @@ def gpr_predict(model: AdditiveGprModel, Ystar: np.ndarray) -> np.ndarray:
         raise ShapeError(
             f"Ystar must be (n, {model.n_features}), got shape {Ystar.shape}"
         )
+    if not np.isfinite(Ystar).all():
+        raise DatasetError("Ystar contains non-finite values")
     return _dual_sums(model, Ystar, [range(model.n_features)], model.target_offset)[0]
 
 
@@ -646,15 +642,18 @@ def gpr_component(model: AdditiveGprModel, feature_index: int, u) -> np.ndarray:
     Summing components over all features and adding the offset reproduces
     `gpr_predict` exactly up to summation order.
     """
-    if not 0 <= feature_index < model.n_features:
+    index = operator.index(feature_index)  # TypeError for a non-integer, as in indexing
+    if isinstance(feature_index, bool) or not 0 <= index < model.n_features:
         raise IndexError(
             f"feature index {feature_index} out of range [0, {model.n_features})"
         )
     u = np.atleast_1d(np.asarray(u, dtype=np.float64))
     if u.ndim != 1:
         raise ShapeError(f"u must be a scalar or 1-D, got shape {u.shape}")
+    if not np.isfinite(u).all():
+        raise DatasetError("u contains non-finite values")
     return _dual_sums(model, np.broadcast_to(u[:, None], (u.size, model.n_features)),
-                      [[feature_index]], 0.0)[0]
+                      [[index]], 0.0)[0]
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,8 @@ FIT_REGISTRY: list[tuple[str, float, float, bool]] = []
 def _register(label: str, model, train_X, train_t) -> float:
     train_rmse = hn.rmse(hn.hdmr_predict(model, train_X), train_t)
     FIT_REGISTRY.append(
-        (label, train_rmse, float(np.std(train_t)), model.gpr.jitter_escalated)
+        (label, train_rmse, float(np.std(train_t)),
+         model.gpr.effective_noise != model.gpr.noise)
     )
     return train_rmse
 

@@ -49,6 +49,36 @@ def test_synth_writes_config_echo(workspace):
     assert len(lines) == 2 + 400
 
 
+def test_config_echo_holds_every_argument(workspace, tmp_path):
+    # The echo is each command's parsed arguments (without the handler)
+    # plus the version, so a flag added later cannot be left out of it.
+    _, data, model = workspace
+    out = str(tmp_path / "out")
+    points = str(tmp_path / "points.csv")
+    hdmrnet.data.save_csv(points, ["x1", "x2", "x3"], [np.full(2, 0.5)] * 3)
+    commands = [
+        (["fit", "--data", data, "--d", "2", "--n-per-term", "3", "--l", "0.3",
+          "--train", "100", "--test", "50", "--seed", "4", "--out", out], out + ".report.json"),
+        (["predict", "--model", model, "--data", points, "--out", out], out),
+        (["eval", "--model", model, "--data", data, "--train", "200", "--seed", "7",
+          "--out", out], out),
+        (["components", "--model", model, "--grid", "5", "--out", out], out),
+        (["synth", "--kind", "additive", "--dim", "2", "--n", "10", "--seed", "3",
+          "--noise-std", "0.1", "--out", out], out),
+    ]
+    for argv, echo_path in commands:
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert run(*argv) == 0
+        text = open(echo_path).read()
+        if text.startswith("# config: "):  # a CSV output
+            echo = json.loads(text.splitlines()[0][len("# config: "):])
+        else:  # a JSON report
+            echo = json.loads(text)["config"]
+        expected = vars(hdmrnet.cli.build_parser().parse_args(argv))
+        del expected["func"]
+        assert echo == {**expected, "version": hdmrnet.__version__}, argv[0]
+
+
 def test_fit_writes_model_and_report(workspace):
     root, _, model = workspace
     report = json.load(open(model + ".report.json"))

@@ -8,8 +8,16 @@ import numpy as np
 import pytest
 
 from hdmrnet import build_feature_map, enumerate_subsets, map_features, sobol_points
-from hdmrnet.coupling import KIND_COUPLED, KIND_ORIGINAL
 from hdmrnet.errors import InvalidOrderError, ShapeError
+
+
+def _weight_matrix(fmap):
+    """Dense (F, D) weight matrix W of the map: the oracle of `map_features`."""
+    W = np.zeros((fmap.n_features, fmap.dimension))
+    W[: fmap.dimension] = np.eye(fmap.dimension)
+    rows = np.arange(fmap.dimension, fmap.n_features)[:, None]
+    W[rows, fmap.indices] = fmap.weights
+    return W
 
 
 def test_enumerate_subsets_matches_combinations():
@@ -27,9 +35,9 @@ def test_enumerate_subsets_order_validation(order):
 def test_order_one_is_identity():
     fmap = build_feature_map(5, 1, 99)
     assert fmap.n_features == 5
-    assert np.array_equal(fmap.weight_matrix(), np.eye(5))
+    assert np.array_equal(_weight_matrix(fmap), np.eye(5))
     assert fmap.indices.shape == fmap.weights.shape == (0, 1)
-    assert [fmap.kind(j) for j in range(5)] == [KIND_ORIGINAL] * 5
+    assert [len(fmap.subset(j)) for j in range(5)] == [1] * 5
     assert [fmap.subset(j) for j in range(5)] == [(i,) for i in range(5)]
 
 
@@ -46,12 +54,12 @@ def test_coupled_rows_consume_one_shared_stream():
     # one call, starting after the never-used sequence index 0
     stream_points = sobol_points(d, N * len(subsets))
     assert np.array_equal(fmap.weights, stream_points)
-    W = fmap.weight_matrix()
+    W = _weight_matrix(fmap)
     for k in range(N * len(subsets)):
         subset = subsets[k // N]
         assert tuple(fmap.indices[k]) == subset
         assert fmap.subset(D + k) == subset
-        assert fmap.kind(D + k) == KIND_COUPLED
+        assert len(fmap.subset(D + k)) == d
         dense = np.zeros(D)
         dense[list(subset)] = stream_points[k]
         assert np.array_equal(W[D + k], dense)
@@ -59,7 +67,7 @@ def test_coupled_rows_consume_one_shared_stream():
 
 def test_sparsity_pattern():
     fmap = build_feature_map(5, 3, 6)
-    W = fmap.weight_matrix()
+    W = _weight_matrix(fmap)
     assert fmap.indices.shape == fmap.weights.shape == (6 * 10, 3)
     for j in range(5, fmap.n_features):
         nonzero = tuple(np.nonzero(W[j])[0])
@@ -72,10 +80,10 @@ def test_sobol_skip_shifts_the_stream():
     shifted = build_feature_map(4, 2, 3, sobol_skip=5)
     flat_base = sobol_points(2, 3 * 6 + 5)[5:]
     assert np.array_equal(shifted.weights, flat_base)
-    W = shifted.weight_matrix()
+    W = _weight_matrix(shifted)
     for k in range(3 * 6):
         assert np.array_equal(W[4 + k, list(shifted.subset(4 + k))], flat_base[k])
-    assert not np.array_equal(base.weight_matrix(), shifted.weight_matrix())
+    assert not np.array_equal(_weight_matrix(base), _weight_matrix(shifted))
 
 
 def test_map_features_is_the_linear_map():
@@ -86,7 +94,7 @@ def test_map_features_is_the_linear_map():
     assert Y.shape == (20, fmap.n_features)
     # original coordinates pass through bit-exactly
     assert np.array_equal(Y[:, :4], X)
-    W = fmap.weight_matrix()
+    W = _weight_matrix(fmap)
     expected = np.array([[row @ w for w in W] for row in X])
     assert np.allclose(Y, expected, rtol=0, atol=1e-14)
 
@@ -102,7 +110,7 @@ def test_map_features_is_independent_of_the_batch(D, d, N):
         assert np.array_equal(Y[:k], map_features(fmap, X[:k]))
     assert np.array_equal(Y[1234:1237], map_features(fmap, X[1234:1237]))
     assert np.array_equal(Y[:, :D], X)
-    assert np.abs(Y - X @ fmap.weight_matrix().T).max() <= 1e-15
+    assert np.abs(Y - X @ _weight_matrix(fmap).T).max() <= 1e-15
 
 
 def test_map_features_shape_validation():
@@ -125,4 +133,4 @@ def test_zero_neurons_gives_bare_identity():
 def test_construction_is_deterministic():
     a = build_feature_map(5, 2, 8, sobol_skip=2)
     b = build_feature_map(5, 2, 8, sobol_skip=2)
-    assert np.array_equal(a.weight_matrix(), b.weight_matrix())
+    assert np.array_equal(_weight_matrix(a), _weight_matrix(b))

@@ -148,7 +148,7 @@ def test_two_point_fit_matches_closed_form():
     assert model.target_offset == pytest.approx(1.5, rel=1e-15)
     assert model.alpha == pytest.approx([-a, a], rel=1e-10)
     assert model.effective_noise == noise
-    assert not model.jitter_escalated
+    assert model.effective_noise == model.noise
 
 
 def test_predict_matches_naive_kernel_expansion():
@@ -271,6 +271,30 @@ def test_shape_validation():
     assert gpr_component(model, 0, np.zeros(0)).shape == (0,)
 
 
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_non_finite_points_are_refused(bad):
+    # An infinite point would read as the target offset, a NaN as NaN.
+    model = gpr_fit(np.random.default_rng(5).uniform(size=(5, 2)), np.arange(5.0), 0.5)
+    Ystar = np.full((2, 2), 0.5)
+    Ystar[1, 0] = bad
+    with pytest.raises(DatasetError, match="non-finite"):
+        gpr_predict(model, Ystar)
+    with pytest.raises(DatasetError, match="non-finite"):
+        gpr_component(model, 0, [0.5, bad])
+
+
+def test_feature_index_must_be_an_integer():
+    model = gpr_fit(np.random.default_rng(5).uniform(size=(5, 2)), np.arange(5.0), 0.5)
+    for index in (True, False):  # an int subclass, but numpy would read it as a mask
+        with pytest.raises(IndexError, match="out of range"):
+            gpr_component(model, index, [0.5])
+    for index in (1.5, 1.0, "1", np.True_):  # refused as Python's own indexing refuses them
+        with pytest.raises(TypeError):
+            gpr_component(model, index, [0.5])
+    assert np.array_equal(gpr_component(model, np.int64(1), [0.2, 0.7]),
+                          gpr_component(model, 1, [0.2, 0.7]))
+
+
 def test_ill_conditioned_error_carries_final_jitter():
     err = IllConditionedGramError("no luck", final_jitter=1e-2)
     assert err.final_jitter == 1e-2
@@ -305,9 +329,9 @@ def test_escalated_fit_solves_with_the_reported_noise_alone():
     Y = rng.uniform(size=(300, 2))
     t = np.sin(6.0 * Y).sum(axis=1)
     model = gpr_fit(Y, t, 1.0, 1e-14)
-    assert model.jitter_escalated
+    assert model.effective_noise != model.noise
     again = gpr_fit(Y, t, 1.0, model.effective_noise)
-    assert not again.jitter_escalated
+    assert again.effective_noise == again.noise
     assert np.array_equal(again.alpha, model.alpha)
 
 
@@ -427,7 +451,7 @@ def test_fit_peak_memory_is_the_counted_gram_and_factor_buffer(monkeypatch, M, F
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert model.jitter_escalated == escalates
+    assert (model.effective_noise != model.noise) == escalates
     assert peak <= gpr._fit_bytes(M, F, length_scale) + 2**16
 
 
@@ -749,10 +773,11 @@ def test_low_rank_fit_escalates_a_tiny_noise_as_the_gram_route_does(monkeypatch,
     with caplog.at_level("DEBUG", logger="hdmrnet"):
         model = gpr_fit(Y, t, 0.3, 1e-14)
     assert "solve: low-rank route, F r = 68 < M = 3000, " in caplog.text
-    assert model.jitter_escalated
-    assert _gram_route_model(Y, t, 0.3, 1e-14).jitter_escalated
+    assert model.effective_noise != model.noise
+    gram_route = _gram_route_model(Y, t, 0.3, 1e-14)
+    assert gram_route.effective_noise != gram_route.noise
     again = gpr_fit(Y, t, 0.3, model.effective_noise)
-    assert not again.jitter_escalated
+    assert again.effective_noise == again.noise
     assert again.alpha.tobytes() == model.alpha.tobytes()
     # No factorization of C succeeds: the error reports the final jitter.
     monkeypatch.setattr(lapack, "dpotrf", lambda a, **kwargs: (a, 1))
@@ -771,7 +796,7 @@ def test_low_rank_refinement_that_hits_its_cap_fails_the_try(monkeypatch, caplog
     t = np.sin(6.0 * Y).sum(axis=1)
     with caplog.at_level("DEBUG", logger="hdmrnet"):
         model = gpr_fit(Y, t, 0.3)
-    assert not model.jitter_escalated
+    assert model.effective_noise == model.noise
     assert "low-rank route, F r = 68 < M = 3000, 1 refinement steps" in caplog.text
     tries, dpotrf = [], lapack.dpotrf
     monkeypatch.setattr(lapack, "dpotrf", lambda a, **kwargs: tries.append(1) or dpotrf(a, **kwargs))
