@@ -19,8 +19,10 @@ kernel on [0, 1], and `_factor_matrix` fills its G_j; `gram_matrix` builds
 K; `_solve` and `_low_rank_solve` are the two solve routes, and
 `_escalate` their one Cholesky loop, which accepts a try or raises sigma.
 `compile_components` tabulates the component functions, and
-`activation_sums` evaluates them for predictions and coupling terms alike.
-README.md tells the same story with its measurements.
+`activation_sums` evaluates them for predictions and coupling terms alike,
+taking the features of each block of rows from a callback: a prediction
+holds its points, its output and a fixed block per thread, never n x F
+features.  README.md tells the same story with its measurements.
 
 scipy is imported inside the four routines that call its BLAS and LAPACK
 (`gram_matrix`'s factor branch, `_escalate`, `_solve`, `_low_rank_solve`),
@@ -197,18 +199,21 @@ def _dual_sums(model: AdditiveGprModel, Y: np.ndarray, groups, start: float) -> 
     k(Y[r, j], Ytrain[m, j]), each group a sequence of feature indices.
     The threads share one queue of (group, row block) tasks, each thread
     with one block buffer, and add a group's features in order, so a
-    value does not depend on the thread count or the other groups and rows.
+    value does not depend on the thread count, the other groups or the rows
+    outside its `_BLOCK`-row block; within a block, the product's BLAS call
+    may give a row other bits at another place or block size.
     """
     blocks = -(-len(Y) // _BLOCK)
     out = np.full((len(groups), len(Y)), start)
     def work(tasks):
         buf = np.empty((min(_BLOCK, len(Y)), model.n_train))
-        for task, _ in tasks:
-            g, b = divmod(task, blocks)
-            r0, r1 = b * _BLOCK, min(b * _BLOCK + _BLOCK, len(Y))
-            for j in groups[g]:
-                out[g, r0:r1] += _kernel(Y[r0:r1, j], model.Ytrain[:, j], model.length_scale,
-                                         buf[:r1 - r0]) @ model.alpha
+        with np.errstate(over="ignore"):  # per thread; a huge y: (y - Y)^2 = inf, k = 0
+            for task, _ in tasks:
+                g, b = divmod(task, blocks)
+                r0, r1 = b * _BLOCK, min(b * _BLOCK + _BLOCK, len(Y))
+                for j in groups[g]:
+                    out[g, r0:r1] += _kernel(Y[r0:r1, j], model.Ytrain[:, j],
+                                             model.length_scale, buf[:r1 - r0]) @ model.alpha
     _map_blocks(len(groups) * blocks, work, step=1)
     return out
 
@@ -757,33 +762,49 @@ def compile_components(model: AdditiveGprModel) -> ActivationTable | None:
     return ActivationTable(coefficients, deviation, tolerance, n + 1)
 
 
-def activation_sums(model: AdditiveGprModel, Y: np.ndarray, groups, start: float) -> np.ndarray:
-    """(len(groups), n) array of start + sum_{j in group} f_j(Y[r, j]), each
-    group a sequence of feature indices added in order.  Rows whose
-    features all lie in `TABLE_INTERVAL` read the activation table; every
-    other row, and every row of a model without a table, takes one exact
-    `_dual_sums` call for all groups.  Table blocks are `_BLOCK`-row
-    multiples of about `_FORWARD_ENTRIES` entries, enough work per numpy
-    call to amortize its overhead and the GIL; the values are elementwise,
-    so block edges and thread count cannot reach them.
+def activation_sums(model: AdditiveGprModel, features, n: int, groups,
+                    start: float) -> np.ndarray:
+    """(len(groups), n) array of start + sum_{j in group} f_j(y_rj), each
+    group a sequence of feature indices added in order, where features(rows)
+    gives the (k, F) scaled features y of the k rows that `rows` (a slice or
+    an index array) selects.  Rows whose features all lie in
+    `TABLE_INTERVAL` read the activation table; every other row, and every
+    row of a model without a table, takes the exact `_dual_sums`.  Table
+    blocks are `_BLOCK`-row multiples of about `_FORWARD_ENTRIES` entries,
+    enough work per numpy call to amortize its overhead and the GIL; each
+    thread maps its own block's rows, and the values are elementwise, so
+    block edges, thread count and the other rows cannot reach them.  The
+    exact rows go in chunks of one such block per thread, each chunk
+    starting on a multiple of `_BLOCK` of those rows: `_dual_sums` forms the
+    same blocks, and bits, as one call over all of them, so an exact row's
+    bits depend on its place among the exact rows of the call.  Besides its
+    output a call holds the features of one block per thread, never of all
+    n rows.  A feature that overflows to +-inf adds 0, the kernel's limit,
+    without a warning.
     """
     table = model.activation_table
+    out = np.full((len(groups), n), start)
+    step = max(_BLOCK, _FORWARD_ENTRIES // model.n_features // _BLOCK * _BLOCK)
     if table is None:
-        return _dual_sums(model, Y, groups, start)
-    out = np.full((len(groups), Y.shape[0]), start)
-    inside = np.empty(Y.shape[0], dtype=bool)
-    def work(blocks):
-        for r0, r1 in blocks:
-            x = Y[r0:r1] - _CENTER
-            x /= _HALF_WIDTH
-            inside[r0:r1] = ((x >= -1.0) & (x <= 1.0)).all(axis=1)
-            np.clip(x, -1.0, 1.0, out=x)  # keeps the fallback rows finite
-            values = _clenshaw(table.coefficients, x)
-            for acc, js in zip(out[:, r0:r1], groups):
-                for j in js:
-                    acc += values[:, j]
-    _map_blocks(Y.shape[0], work, max(_BLOCK, _FORWARD_ENTRIES // Y.shape[1] // _BLOCK * _BLOCK))
-    rows = np.flatnonzero(~inside)
-    if rows.size:
-        out[:, rows] = _dual_sums(model, Y[rows], groups, start)
+        rows = range(n)
+    else:
+        outside = np.zeros(n, dtype=bool)
+        def work(blocks):
+            for r0, r1 in blocks:
+                x = features(slice(r0, r1))
+                x -= _CENTER
+                with np.errstate(over="ignore"):  # in this thread; an overflow falls back
+                    x /= _HALF_WIDTH
+                outside[r0:r1] = ~((x >= -1.0) & (x <= 1.0)).all(axis=1)
+                np.clip(x, -1.0, 1.0, out=x)  # keeps the fallback rows finite
+                values = _clenshaw(table.coefficients, x)
+                for acc, js in zip(out[:, r0:r1], groups):
+                    for j in js:
+                        acc += values[:, j]
+        _map_blocks(n, work, step)
+        rows = np.flatnonzero(outside)
+    chunk = _THREADS * step
+    for c0 in range(0, len(rows), chunk):
+        part = rows[c0:c0 + chunk]
+        out[:, part] = _dual_sums(model, features(part), groups, start)
     return out

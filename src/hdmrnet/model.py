@@ -179,13 +179,20 @@ def hdmr_fit(
 
 
 def _features(model: HdmrModel, X: np.ndarray) -> np.ndarray:
-    """Scaled features of the rows of X, which must be finite (n, D) points."""
+    """Scaled features of the rows of X, float64 (n, D) points."""
+    return _scale(model.scaler, map_features(model.feature_map, X))
+
+
+def _activation_sums(model: HdmrModel, X: np.ndarray, groups, start: float) -> np.ndarray:
+    """`activation_sums` at the rows of X, which must be finite (n, D)
+    points; each block maps its own rows, so no (n, F) features are built."""
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != model.dimension:
         raise ShapeError(f"X must be (n, {model.dimension}), got shape {X.shape}")
     if not np.isfinite(X).all():
         raise DatasetError("X contains non-finite values")
-    return _scale(model.scaler, map_features(model.feature_map, X))
+    return activation_sums(model.gpr, lambda rows: _features(model, X[rows]), len(X), groups,
+                           start)
 
 
 def hdmr_predict(model: HdmrModel, X: np.ndarray) -> np.ndarray:
@@ -193,10 +200,11 @@ def hdmr_predict(model: HdmrModel, X: np.ndarray) -> np.ndarray:
 
     Through `activation_sums`: within tau = 1e-12 * sum |alpha| of the exact
     `gpr_predict` on the rows that read the activation table, and bit-equal
-    to it on the rows and models that take the exact path.
+    to `gpr_predict` of the stacked rows that take the exact path (all of
+    them on a model without a table).  Besides X and the output, it holds a
+    fixed block of features per thread, never n x F.
     """
-    Y = _features(model, X)
-    return activation_sums(model.gpr, Y, [range(Y.shape[1])], model.gpr.target_offset)[0]
+    return _activation_sums(model, X, [range(model.n_features)], model.gpr.target_offset)[0]
 
 
 def term_values(model: HdmrModel, X: np.ndarray) -> dict[tuple[int, ...], np.ndarray]:
@@ -204,13 +212,13 @@ def term_values(model: HdmrModel, X: np.ndarray) -> dict[tuple[int, ...], np.nda
 
     Keys are coordinate subsets: the D singletons of the original rows
     plus, for order >= 2, the C(D, d) coupled subsets.  Values sum (with
-    the GPR offset) to `hdmr_predict` up to summation order.
+    the GPR offset) to `hdmr_predict` up to summation order.  Like
+    `hdmr_predict`, it holds X, the output and a fixed block per thread.
     """
-    Y = _features(model, X)
     groups: dict[tuple[int, ...], list[int]] = {}
     for j in range(model.n_features):
         groups.setdefault(model.feature_map.subset(j), []).append(j)
-    return dict(zip(groups, activation_sums(model.gpr, Y, list(groups.values()), 0.0)))
+    return dict(zip(groups, _activation_sums(model, X, list(groups.values()), 0.0)))
 
 
 # ---------------------------------------------------------------------------

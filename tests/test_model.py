@@ -345,22 +345,130 @@ def test_row_alone_equals_row_in_batch():
         assert hdmr_predict(model, X[r:r + 1])[0] == batch[r]
 
 
+def _terms_bytes(terms):
+    return b"".join(terms[key].tobytes() for key in sorted(terms))
+
+
 def test_forward_bits_do_not_depend_on_block_size_or_threads(monkeypatch):
-    model, _ = _small_model(n=200)
-    F = model.n_features
-    assert F == 15 and gpr._FORWARD_ENTRIES // F // gpr._BLOCK == 17  # 2176-row blocks
+    # At l = 0.02 the model has no table and every row takes the exact path,
+    # in chunks of one forward block per thread.
     X = np.random.default_rng(11).uniform(size=(4000, 3))  # two blocks, the last ragged
     X[[5, 2200, 3999], 1] = [1.8, -0.9, 2.5]  # scaled x2 outside [-0.25, 1.25]
-    assert model.gpr.activation_table is not None
-    outputs = set()
-    for entries in (gpr._FORWARD_ENTRIES, 1):  # 1: blocks of _BLOCK rows, 32 of them
-        monkeypatch.setattr(gpr, "_FORWARD_ENTRIES", entries)
-        for threads in (1, 2, 5):
-            monkeypatch.setattr(gpr, "_THREADS", threads)
-            terms = term_values(model, X)
-            outputs.add(hdmr_predict(model, X).tobytes()
-                        + b"".join(terms[key].tobytes() for key in sorted(terms)))
-    assert len(outputs) == 1
+    for length_scale in (0.3, 0.02):
+        model, _ = _small_model(n=200, length_scale=length_scale)
+        F = model.n_features
+        assert F == 15 and gpr._FORWARD_ENTRIES // F // gpr._BLOCK == 17  # 2176-row blocks
+        assert (model.gpr.activation_table is None) == (length_scale == 0.02)
+        outputs = set()
+        for entries in (gpr._FORWARD_ENTRIES, 1):  # 1: blocks of _BLOCK rows, 32 of them
+            monkeypatch.setattr(gpr, "_FORWARD_ENTRIES", entries)
+            for threads in (1, 2, 5):
+                monkeypatch.setattr(gpr, "_THREADS", threads)
+                outputs.add(hdmr_predict(model, X).tobytes() + _terms_bytes(term_values(model, X)))
+        monkeypatch.undo()
+        assert len(outputs) == 1
+
+
+def test_table_rows_of_a_batch_equal_its_pieces():
+    model, _ = _small_model(n=200)
+    X = np.random.default_rng(12).uniform(size=(4000, 3))
+    Y = hdmrnet.model._features(model, X)
+    assert ((Y >= -0.25) & (Y <= 1.25)).all()  # every row reads the table
+    pieces = np.split(np.arange(4000), [1, 127, 129, 2177])  # 2176-row forward blocks
+    assert hdmr_predict(model, X).tobytes() == b"".join(
+        hdmr_predict(model, X[rows]).tobytes() for rows in pieces)
+    batch = term_values(model, X)
+    parts = [term_values(model, X[rows]) for rows in pieces]
+    assert _terms_bytes(batch) == _terms_bytes(
+        {key: np.concatenate([part[key] for part in parts]) for key in batch})
+
+
+@pytest.mark.parametrize("length_scale", [0.3, 0.02])  # 0.02: no table, every row exact
+@pytest.mark.parametrize("threads, entries", [(1, 1), (3, 1), (2, 2**15)])
+def test_exact_rows_are_one_dual_sums_call_over_all_of_them(monkeypatch, length_scale,
+                                                            threads, entries):
+    # The exact rows go in chunks of `_THREADS` forward blocks (128-row
+    # blocks at entries = 1, so 128 and 384 rows): each row has the bits of
+    # one `_dual_sums` call on the stacked features of all of them.
+    model, _ = _small_model(n=200, length_scale=length_scale)
+    monkeypatch.setattr(gpr, "_THREADS", threads)
+    monkeypatch.setattr(gpr, "_FORWARD_ENTRIES", entries)
+    X = np.random.default_rng(13).uniform(-0.6, 1.6, size=(1500, 3))
+    Y = hdmrnet.model._features(model, X)
+    if model.gpr.activation_table is None:
+        rows = np.arange(len(X))
+    else:
+        rows = np.flatnonzero(((Y < -0.25) | (Y > 1.25)).any(axis=1))
+    assert 900 < len(rows) <= 1500
+    groups = {}
+    for j in range(model.n_features):
+        groups.setdefault(model.feature_map.subset(j), []).append(j)
+    predicted = gpr._dual_sums(model.gpr, Y[rows], [range(model.n_features)],
+                               model.gpr.target_offset)[0]
+    assert hdmr_predict(model, X)[rows].tobytes() == predicted.tobytes()
+    terms = gpr._dual_sums(model.gpr, Y[rows], list(groups.values()), 0.0)
+    assert _terms_bytes({key: values[rows] for key, values in term_values(model, X).items()}) \
+        == _terms_bytes(dict(zip(groups, terms)))
+
+
+def test_huge_finite_points_give_the_kernel_limit_without_a_warning():
+    # Features of these rows overflow in the map, the scaler or the square
+    # of the kernel; each such feature adds exp(-inf) = 0, and no
+    # RuntimeWarning is raised (tier-1 turns every one into an error).
+    # Each row alone has the bits of its components added in feature order.
+    model = hdmr_fit(synth("pairwise", 3, 150, seed=1), 2, 2, 0.3)
+    X = np.array([[1.7e308] * 3, [1.7e308, -1.7e308, 0.5], [1e300, 0.5, 0.5]])
+    predicted = hdmr_predict(model, X)
+    with np.errstate(over="ignore"):
+        Y = hdmrnet.model._features(model, X)
+    for r, y in enumerate(Y):
+        expected = model.gpr.target_offset
+        for j, u in enumerate(y):
+            expected += gpr_component(model.gpr, j, u)[0] if np.isfinite(u) else 0.0
+        assert hdmr_predict(model, X[r:r + 1])[0] == expected
+    assert np.allclose(predicted, [0.70765, 1.02706, 1.15146], rtol=1e-5, atol=0)
+    total = sum(term_values(model, X).values()) + model.gpr.target_offset
+    assert np.abs(total - predicted).max() <= 1e-12
+
+
+def _peak_growth(evaluate, model, rows, low=0.0, high=1.0):
+    """Growth per row of the tracemalloc peak of evaluate(model, X) between
+    the two counts of rows, X allocated and the table built before tracing."""
+    model.gpr.activation_table
+    peaks = []
+    for n in rows:
+        X = np.random.default_rng(14).uniform(low, high, size=(n, model.dimension))
+        tracemalloc.start()
+        try:
+            evaluate(model, X)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    return (peaks[1] - peaks[0]) / (rows[1] - rows[0])
+
+
+def test_prediction_holds_no_feature_array_of_all_rows():
+    # F = 306 features are 2448 bytes a row; a prediction adds 8 bytes a row
+    # of output and 1 of the rows' table flags, term_values 8 a group.
+    model = hdmr_fit(synth("morse_like", 6, 100, seed=1), 2, 20, 0.3)
+    assert model.n_features == 306 and model.gpr.activation_table is not None
+    groups = 6 + 15
+    assert _peak_growth(hdmr_predict, model, (5000, 50000)) <= 16
+    assert _peak_growth(term_values, model, (5000, 50000)) <= 8 * (groups + 2)
+
+
+@pytest.mark.parametrize("length_scale", [0.3, 0.02])  # 0.02: no table, every row exact
+def test_exact_rows_hold_no_feature_array_of_all_rows(monkeypatch, length_scale):
+    # Fallback-heavy points, or a model without a table: the exact rows'
+    # indices add at most 8 bytes a row; F = 15 features would add 120.
+    # 128-row forward blocks keep the per-thread part small against 2000 rows.
+    monkeypatch.setattr(gpr, "_FORWARD_ENTRIES", 1)
+    model, _ = _small_model(length_scale=length_scale)
+    assert (model.gpr.activation_table is None) == (length_scale == 0.02)
+    groups = 3 + 3
+    for evaluate, count in ((hdmr_predict, 1), (term_values, groups)):
+        growth = _peak_growth(evaluate, model, (2000, 20000), -0.6, 1.6)
+        assert growth <= 8 * (count + 2)
 
 
 # ---------------------------------------------------------------------------
