@@ -780,10 +780,12 @@ def activation_sums(model: AdditiveGprModel, features, n: int, groups,
     bits depend on its place among the exact rows of the call.  Besides its
     output a call holds the features of one block per thread, never of all
     n rows.  A feature that overflows to +-inf adds 0, the kernel's limit,
-    without a warning.
+    without a warning.  A call on 0 rows builds no table.
     """
-    table = model.activation_table
     out = np.full((len(groups), n), start)
+    if n == 0:
+        return out
+    table = model.activation_table
     step = max(_BLOCK, _FORWARD_ENTRIES // model.n_features // _BLOCK * _BLOCK)
     if table is None:
         rows = range(n)

@@ -9,12 +9,14 @@ and `term_values` both evaluate the activations with
 `gpr.activation_sums`.
 
 `save_model` writes the model file that README.md's "File formats"
-describes: only what the data and the fit settings determine.
+describes: only what the data and the fit settings determine, with the
+training inputs and the dual coefficients as base64 float64 bytes.
 `load_model` rebuilds the rest with the code that fitted it.
 """
 
 from __future__ import annotations
 
+import base64
 import hashlib
 import json
 import math
@@ -31,7 +33,7 @@ from .gpr import (_UFUNC_BYTES, AdditiveGprModel, _check_length_scale, _check_no
                   _fit_bytes, _prediction_bound, activation_sums, gpr_fit)
 from .sobol import _check_request
 
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 
 
 @dataclass
@@ -230,13 +232,22 @@ def _canonical(document: dict) -> str:
     return json.dumps(document, sort_keys=True, separators=(",", ":"), allow_nan=False)
 
 
+def _encode(values: np.ndarray) -> str:
+    """Standard padded base64 of the little-endian float64 bytes of `values`, row-major."""
+    return base64.b64encode(np.ascontiguousarray(values, "<f8")).decode("ascii")
+
+
 def save_model(model: HdmrModel, path: str) -> None:
-    """Write the model file atomically; no partial file is ever left at `path`."""
+    """Write the model file atomically; no partial file is ever left at `path`.
+
+    `X` and `gpr.alpha` are written as the base64 of their float64 bytes,
+    every other field as JSON, so nothing is rounded.
+    """
     body = _canonical({
         "metadata": model.metadata,
-        "X": model.X.tolist(),
+        "X": _encode(model.X),
         "gpr": {
-            "alpha": model.gpr.alpha.tolist(),
+            "alpha": _encode(model.gpr.alpha),
             "effective_noise": model.gpr.effective_noise,
             "target_offset": model.gpr.target_offset,
         },
@@ -260,29 +271,38 @@ def _integer(metadata: dict, key: str, low: int) -> int:
     return value
 
 
-def _numbers(mapping, key: str, section: str, shape: tuple = ()) -> np.ndarray:
-    """Field `key` as a float64 array of `shape` (None matches any length).
-
-    Every leaf must be a finite JSON number (not a string, bool or null)
-    and the nesting must be exactly `shape`, so ragged lists are refused.
-    Floats are parsed finite, so only an integer past the float range overflows.
-    """
+def _number(mapping, key: str, section: str) -> float:
+    """Field `key` as a float; it must be a finite JSON number (not a string,
+    bool or null).  Floats are parsed finite, so only an integer past the
+    float range overflows."""
     value = _require(mapping, key, section)
-
-    def fits(v, dims) -> bool:
-        if not dims:
-            return type(v) in (int, float)
-        return (isinstance(v, list) and dims[0] in (None, len(v))
-                and all(fits(item, dims[1:]) for item in v))
-
-    if fits(value, shape):
+    if type(value) in (int, float):
         try:
-            return np.array(value, dtype=np.float64)
+            return float(value)
         except OverflowError:
             pass
-    layout = " x ".join("M" if n is None else str(n) for n in shape)
-    expected = f"a list of {layout} finite numbers" if shape else "a finite number"
-    raise ModelFormatError(f"{section}.{key}: must be {expected}, got {value!r:.80}")
+    raise ModelFormatError(f"{section}.{key}: must be a finite number, got {value!r:.80}")
+
+
+def _floats(mapping, key: str, section: str, shape: tuple) -> np.ndarray:
+    """Field `key`, the base64 text of finite little-endian float64 values,
+    as a float64 array of `shape` (a leading None matches any row count).
+
+    The text must be standard padded base64 and its bytes whole rows.
+    """
+    try:
+        raw = base64.b64decode(_require(mapping, key, section), validate=True)
+    except (TypeError, ValueError) as exc:  # not a str, not ASCII, or a binascii.Error
+        raise ModelFormatError(f"{section}.{key}: must be base64 text ({exc})") from exc
+    row = 8 * math.prod(shape[1:])
+    if len(raw) % row or shape[0] not in (None, len(raw) // row):
+        layout = " x ".join("M" if n is None else str(n) for n in shape)
+        raise ModelFormatError(f"{section}.{key}: must be {layout} float64 values, "
+                               f"got {len(raw)} bytes")
+    values = np.frombuffer(raw, "<f8").astype(np.float64).reshape((-1,) + shape[1:])
+    if not np.isfinite(values).all():
+        raise ModelFormatError(f"{section}.{key}: holds a non-finite value")
+    return values
 
 
 def _finite(text: str) -> float:
@@ -303,7 +323,12 @@ def _parse(text: bytes, section: str) -> dict:
 
 
 def load_model(path: str) -> HdmrModel:
-    """Read a model file, verifying structure, version, checksum and every field."""
+    """Read a model file, verifying structure, version, checksum and every field.
+
+    `X` must decode to at least 2 rows of `metadata.dimension` finite
+    float64 values and `gpr.alpha` to one per row; any other payload, and a
+    file of another format version, is a `ModelFormatError`.
+    """
     try:
         with open(path, "rb") as fh:
             head, body = fh.readline(), fh.read()
@@ -329,32 +354,32 @@ def load_model(path: str) -> HdmrModel:
     order = _integer(metadata, "order", 1)
     neurons_per_term = _integer(metadata, "neurons_per_term", 0)
     sobol_skip = _integer(metadata, "sobol_skip", 0)
-    length_scale = _numbers(metadata, "length_scale", "metadata")
-    noise = _numbers(metadata, "noise", "metadata")
+    length_scale = _number(metadata, "length_scale", "metadata")
+    noise = _number(metadata, "noise", "metadata")
     try:
         length_scale, noise = _check_length_scale(length_scale), _check_noise(noise)
     except InvalidHyperparameterError as exc:
         raise ModelFormatError(f"metadata: bad length_scale or noise: {exc}") from exc
 
-    X = _numbers(document, "X", "document", (None, dimension))
+    X = _floats(document, "X", "document", (None, dimension))
     if X.shape[0] < 2:
         raise ModelFormatError(f"document.X: needs at least 2 training rows, got {X.shape[0]}")
 
     gp = _require(document, "gpr", "document")
-    alpha = _numbers(gp, "alpha", "gpr", (X.shape[0],))
-    effective_noise = float(_numbers(gp, "effective_noise", "gpr"))
-    target_offset = float(_numbers(gp, "target_offset", "gpr"))
+    alpha = _floats(gp, "alpha", "gpr", (X.shape[0],))
+    effective_noise = _number(gp, "effective_noise", "gpr")
+    target_offset = _number(gp, "target_offset", "gpr")
     if not effective_noise >= noise:
         raise ModelFormatError(
             f"gpr: effective_noise {effective_noise} is below the requested noise {noise}"
         )
 
-    # Held while it was parsed, the file's bytes; while the features are built,
-    # per row its D + 1 numbers (24-byte floats, list slots, array entries) and list.
-    held = size + 8 * X.shape[0] * (5 * dimension + 19)
+    # Held while the body was parsed: its bytes, their text and the document's
+    # copy of it.  Later steps hold less: the base64 text and at most 16 bytes
+    # a value (decoded bytes and array), 1.5 times the text's 32/3 bytes a value.
     try:
         fmap, scaler, Y = _training_features(X, order, neurons_per_term, sobol_skip,
-                                             held=held)
+                                             held=3 * size)
     except (HdmrnetError, ValueError) as exc:
         raise ModelFormatError(f"metadata: {exc}") from exc
     if not math.isfinite(_prediction_bound(target_offset, Y.shape[1], alpha)):

@@ -4,6 +4,7 @@ import contextlib
 import hashlib
 import io
 import json
+import logging
 import os
 import shutil
 import subprocess
@@ -533,6 +534,34 @@ def test_version_two_model_file_exits_three(workspace, tmp_path, capsys):
                "--out", str(tmp_path / "p.csv")) == 3
     assert f"file has version 2, this build reads only version {FORMAT_VERSION}; refit the " \
         f"model to write a version {FORMAT_VERSION} file" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field, edit", [
+    ("document.X", lambda doc: doc.update(X=doc["X"][:-1])),  # bad padding
+    ("document.X", lambda doc: doc.update(X=doc["X"].replace("+", "-"))),  # url-safe alphabet
+    ("gpr.alpha", lambda doc: doc["gpr"].update(alpha="\u00e9" + doc["gpr"]["alpha"][1:])),
+    ("gpr.alpha", lambda doc: doc["gpr"].update(alpha=doc["gpr"]["alpha"][:-4])),  # part of a value
+    ("gpr.alpha", lambda doc: doc["gpr"].update(alpha=[0.5] * 200)),  # the version 3 list
+], ids=["padding", "url-safe", "non-ascii", "partial", "list"])
+def test_malformed_payload_exits_three(workspace, tmp_path, capsys, resign, field, edit):
+    _, data, model = workspace
+    broken = str(tmp_path / "broken.model")
+    shutil.copy(model, broken)
+    resign(broken, edit)
+    assert run("predict", "--model", broken, "--data", data,
+               "--out", str(tmp_path / "p.csv")) == 3
+    assert capsys.readouterr().err.startswith(f"error: {field}: must be ")
+
+
+def test_predict_on_a_header_only_file_builds_no_table(workspace, tmp_path, caplog):
+    _, _, model = workspace
+    points, out = str(tmp_path / "none.csv"), str(tmp_path / "p.csv")
+    open(points, "w").write("x1,x2,x3\n")
+    with caplog.at_level(logging.DEBUG, logger="hdmrnet"):
+        assert run("predict", "--model", model, "--data", points, "--out", out) == 0
+    assert "activation table" not in caplog.text
+    assert [line for line in open(out).read().splitlines() if not line.startswith("#")] \
+        == ["x1,x2,x3,prediction"]
 
 
 def test_numeric_errors_exit_four(workspace, tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Pipeline and serialization tests for the fitted surrogate."""
 
+import base64
 import hashlib
 import json
 import logging
@@ -328,6 +329,16 @@ def test_table_is_built_once_and_logged(monkeypatch, caplog):
         "activation table built"]
 
 
+def test_zero_rows_build_no_table(caplog):
+    model, _ = _small_model()
+    with caplog.at_level(logging.DEBUG, logger="hdmrnet"):
+        assert hdmr_predict(model, np.zeros((0, 3))).shape == (0,)
+        terms = term_values(model, np.zeros((0, 3)))
+    assert len(terms) == 6 and all(values.shape == (0,) for values in terms.values())
+    assert caplog.records == []
+    assert "activation_table" not in vars(model.gpr)  # the cached property is unset
+
+
 def test_constant_target_predicts_its_offset_exactly():
     X = np.random.default_rng(8).uniform(size=(40, 3))
     model = hdmr_fit(Dataset(X=X, t=np.full(40, 2.5)), 2, 3, 0.3)
@@ -487,9 +498,10 @@ def test_save_load_round_trip_is_bit_exact(tmp_path):
     assert tables[0].coefficients.tobytes() == tables[1].coefficients.tobytes()
     assert tables[0].max_deviation == tables[1].max_deviation
     assert loaded.metadata == model.metadata
-    assert np.array_equal(loaded.X, ds.X)
-    assert np.array_equal(loaded.gpr.alpha, model.gpr.alpha)
-    assert np.array_equal(loaded.gpr.Ytrain, model.gpr.Ytrain)
+    assert loaded.X.tobytes() == ds.X.tobytes()
+    assert loaded.gpr.alpha.tobytes() == model.gpr.alpha.tobytes()
+    assert loaded.gpr.Ytrain.tobytes() == model.gpr.Ytrain.tobytes()
+    assert loaded.X.flags.writeable and loaded.gpr.alpha.flags.writeable
     assert loaded.gpr.length_scale == model.gpr.length_scale
     assert loaded.gpr.noise == model.gpr.noise
     assert loaded.gpr.effective_noise == model.gpr.effective_noise
@@ -507,6 +519,49 @@ def test_features_are_stored_neuron_major(tmp_path):
     mapped = map_features(model.feature_map, ds.X)
     for Y in (mapped, model.gpr.Ytrain, load_model(path).gpr.Ytrain):
         assert Y.flags.f_contiguous and not Y.flags.c_contiguous
+
+
+def _round_trip_model(rows, D, order, scale):
+    ds = synth("pairwise" if D > 1 else "additive", D, rows, seed=rows + D)
+    return hdmr_fit(Dataset(ds.X * scale, ds.t), order, 2, 0.3)
+
+
+def _assert_round_trip(tmp_path, model, points):
+    """load(save(model)) predicts the same bits at `points`, and saving it
+    again rewrites the same bytes."""
+    first, second = str(tmp_path / "first.model"), str(tmp_path / "second.model")
+    save_model(model, first)
+    loaded = load_model(first)
+    save_model(loaded, second)
+    assert open(first, "rb").read() == open(second, "rb").read()
+    assert loaded.X.tobytes() == model.X.tobytes()
+    assert loaded.gpr.alpha.tobytes() == model.gpr.alpha.tobytes()
+    assert loaded.gpr.Ytrain.tobytes() == model.gpr.Ytrain.tobytes()
+    assert hdmr_predict(loaded, points).tobytes() == hdmr_predict(model, points).tobytes()
+
+
+@pytest.mark.parametrize("scale", [1.0, 2.0**900, 2.0**-900], ids=["1", "2^900", "2^-900"])
+@pytest.mark.parametrize("D, order", [(1, 1), (3, 1), (3, 2), (6, 1), (6, 2)])
+@pytest.mark.parametrize("rows", [2, 200])
+def test_round_trip_keeps_every_bit(tmp_path, rows, D, order, scale):
+    model = _round_trip_model(rows, D, order, scale)
+    points = np.random.default_rng(rows * D).uniform(-0.2, 1.2, size=(50, D)) * scale
+    _assert_round_trip(tmp_path, model, points)
+
+
+@pytest.mark.parametrize("value", [-0.0, 5e-324], ids=["-0.0", "subnormal"])
+def test_round_trip_keeps_signed_zeros_and_subnormals(tmp_path, resign, value):
+    # X's first column and alpha's first values are set to the value in a
+    # re-signed file; its model then saves to the same bytes and predicts alike.
+    path = str(tmp_path / "edited.model")
+    save_model(_round_trip_model(200, 3, 2, 1.0), path)
+    resign(path, lambda doc: (_recode("X", _setting(*((i, value) for i in range(0, 600, 3))))(doc),
+                              _recode("alpha", _setting((0, value), (1, value)))(doc)))
+    model = load_model(path)
+    assert model.X[:, 0].tobytes() == np.full(200, value).tobytes()
+    assert model.gpr.alpha[:2].tobytes() == np.full(2, value).tobytes()
+    _assert_round_trip(tmp_path, model, np.random.default_rng(15).uniform(size=(50, 3)))
+    assert open(path, "rb").read() == open(tmp_path / "first.model", "rb").read()
 
 
 def test_save_is_deterministic(tmp_path):
@@ -565,9 +620,9 @@ def test_checksum_detects_tampering(tmp_path):
     path = str(tmp_path / "m.json")
     save_model(model, path)
     raw = open(path, "r").read()
-    # flip one digit inside the alpha array
-    broken = raw.replace("0.", "1.", 1)
-    assert broken != raw
+    # change one character of the base64 text of X
+    at = raw.index('"X":"') + 5
+    broken = raw[:at] + ("B" if raw[at] == "A" else "A") + raw[at + 1:]
     open(path, "w").write(broken)
     with pytest.raises(ModelFormatError, match="checksum"):
         load_model(path)
@@ -631,16 +686,27 @@ def _saved_file(tmp_path):
 
 def test_model_file_holds_only_config_inputs_and_alpha(tmp_path):
     # A header line signs the body's bytes as written; the body is one
-    # canonical JSON object.
-    head, body = open(_saved_file(tmp_path), "rb").read().split(b"\n", 1)
+    # canonical JSON object.  X and alpha are the padded standard base64 of
+    # their little-endian float64 bytes, X row-major: the bytes that the
+    # dataset fingerprint hashes before the targets'.
+    model, ds = _small_model()
+    path = str(tmp_path / "m.json")
+    save_model(model, path)
+    head, body = open(path, "rb").read().split(b"\n", 1)
     assert json.loads(head) == {"checksum": hashlib.sha256(body).hexdigest(),
                                 "format_version": FORMAT_VERSION}
     doc = json.loads(body)
     assert body.decode() == json.dumps(doc, sort_keys=True, separators=(",", ":"))
     assert set(doc) == {"metadata", "X", "gpr"}
     assert set(doc["gpr"]) == {"alpha", "effective_noise", "target_offset"}
-    assert len(doc["X"]) == len(doc["gpr"]["alpha"]) == 80
-    assert all(len(row) == 3 for row in doc["X"])
+    X = base64.b64decode(doc["X"], validate=True)
+    alpha = base64.b64decode(doc["gpr"]["alpha"], validate=True)
+    assert (len(X), len(alpha)) == (8 * 80 * 3, 8 * 80)
+    assert doc["X"] == base64.b64encode(X).decode() and "\n" not in doc["X"]
+    assert X == np.ascontiguousarray(ds.X, "<f8").tobytes()
+    assert alpha == model.gpr.alpha.astype("<f8").tobytes()
+    digest = hashlib.sha256(X + np.ascontiguousarray(ds.t, "<f8").tobytes()).hexdigest()
+    assert doc["metadata"]["dataset_fingerprint"]["sha256"] == digest
 
 
 def test_version_one_file_is_refused(tmp_path, resign):
@@ -650,15 +716,56 @@ def test_version_one_file_is_refused(tmp_path, resign):
         load_model(path)
 
 
+def _as_lists(doc):
+    """The version 3 layout: X and alpha as JSON lists of numbers."""
+    doc["X"] = _values(doc["X"]).reshape(-1, 3).tolist()
+    doc["gpr"]["alpha"] = _values(doc["gpr"]["alpha"]).tolist()
+
+
+def test_version_three_file_is_refused(tmp_path, resign):
+    path = _saved_file(tmp_path)
+    resign(path, lambda doc: (_as_lists(doc), doc.update(format_version=3)))
+    with pytest.raises(ModelFormatError, match="file has version 3, this build reads only "
+                                               "version 4; refit the model"):
+        load_model(path)
+
+
 def _edit(section, key, value):
     def edit(doc):
         doc[section][key] = value
     return edit
 
 
+def _values(text):
+    return np.frombuffer(base64.b64decode(text), "<f8").copy()
+
+
+def _text(key, change):
+    """Edit of the base64 text of the payload `key`, "X" or "alpha"."""
+    def edit(doc):
+        holder = doc if key == "X" else doc["gpr"]
+        holder[key] = change(holder[key])
+    return edit
+
+
+def _recode(key, change):
+    """Edit of the payload `key`, "X" or "alpha": `change` takes its decoded
+    values, a flat float64 array, and returns the bytes written instead."""
+    return _text(key, lambda text: base64.b64encode(change(_values(text))).decode())
+
+
+def _setting(*pairs):
+    """A `_recode` change that sets the values at the given flat indices."""
+    def change(values):
+        for index, value in pairs:
+            values[index] = value
+        return values.tobytes()
+    return change
+
+
 def _short_x(doc):
-    doc["X"] = doc["X"][:1]
-    doc["gpr"]["alpha"] = doc["gpr"]["alpha"][:1]
+    _recode("X", lambda values: values[:3].tobytes())(doc)
+    _recode("alpha", lambda values: values[:1].tobytes())(doc)
 
 
 BAD_FIELDS = {
@@ -666,7 +773,9 @@ BAD_FIELDS = {
     "dimension float": (_edit("metadata", "dimension", 3.0), "dimension"),
     "dimension bool": (_edit("metadata", "dimension", True), "dimension"),
     "dimension zero": (_edit("metadata", "dimension", 0), "dimension"),
-    "dimension not X width": (_edit("metadata", "dimension", 4), "X"),
+    # dimension 4 reads X's 240 values as 60 rows, which alpha's 80 contradict
+    "dimension not X width": (_edit("metadata", "dimension", 4),
+                              r"gpr\.alpha: must be 60 float64 values, got 640 bytes"),
     "order string": (_edit("metadata", "order", "2"), "order"),
     "order bool": (_edit("metadata", "order", True), "order"),
     "order zero": (_edit("metadata", "order", 0), "order"),
@@ -686,19 +795,49 @@ BAD_FIELDS = {
     "effective noise below noise": (_edit("gpr", "effective_noise", 1e-7), "effective_noise"),
     "effective noise bool": (_edit("gpr", "effective_noise", True), "effective_noise"),
     "target offset string": (_edit("gpr", "target_offset", "0.5"), "target_offset"),
-    "X ragged": (lambda doc: doc["X"][5].pop(), "X"),
-    "X not M x D": (lambda doc: [row.append(0.5) for row in doc["X"]], "X"),
-    "X holds a string": (lambda doc: doc["X"][0].__setitem__(0, "0.5"), "X"),
-    "X holds a bool": (lambda doc: doc["X"][2].__setitem__(1, True), "X"),
-    "X not a list": (lambda doc: doc.update(X=7), "X"),
+    # X is 80 rows of 3 values, 1920 bytes and 2560 base64 characters; alpha
+    # 80 values, 640 bytes, and its text ends in "==".
+    "X ragged": (_recode("X", lambda values: values[:-1].tobytes()),
+                 r"document\.X: must be M x 3 float64 values, got 1912 bytes"),
+    "X not M x D": (_recode("X", lambda values: np.column_stack([values.reshape(-1, 3),
+                                                                 values[:80]]).tobytes()),
+                    r"document\.X: must be M x 3 .* 2560 bytes"),
+    "X not whole values": (_recode("X", lambda values: values.tobytes()[:-3]),
+                           r"document\.X: must be M x 3 .* 1917 bytes"),
+    "X holds a string": (_text("X", lambda text: text[:8] + "0.5," + text[12:]),
+                         r"document\.X: must be base64 text"),
+    "X url-safe alphabet": (_text("X", lambda text: text.replace("+", "-").replace("/", "_")),
+                            r"document\.X: must be base64 text"),
+    "X with line breaks": (_text("X", lambda text: "\n".join(text[i:i + 76]
+                                                             for i in range(0, len(text), 76))),
+                           r"document\.X: must be base64 text"),
+    "X bad padding": (_text("X", lambda text: text[:-1]), r"document\.X: must be base64 text"),
+    "X holds a bool": (lambda doc: doc.update(X=True), r"document\.X: must be base64 text"),
+    "X a number": (lambda doc: doc.update(X=7), r"document\.X: must be base64 text"),
+    "X version 3 rows": (lambda doc: doc.update(X=_values(doc["X"]).reshape(-1, 3).tolist()),
+                         r"document\.X: must be base64 text"),
+    "X holds NaN": (_recode("X", _setting((4, np.nan))), r"document\.X: holds a non-finite"),
+    "X holds inf": (_recode("X", _setting((239, np.inf))), r"document\.X: holds a non-finite"),
+    "X empty": (lambda doc: doc.update(X=""), "X: needs at least 2 training rows, got 0"),
     "X one row": (_short_x, "X: needs at least 2"),
-    "alpha short": (lambda doc: doc["gpr"]["alpha"].pop(), "alpha"),
-    "alpha holds null": (lambda doc: doc["gpr"]["alpha"].__setitem__(3, None), "alpha"),
-    "alpha huge integer": (lambda doc: doc["gpr"]["alpha"].__setitem__(3, 10**400), "alpha"),
-    "X range overflows the scaler": (lambda doc: (doc["X"][0].__setitem__(0, 1.7e308),
-                                                  doc["X"][1].__setitem__(0, -1.7e308)),
+    "alpha short": (_recode("alpha", lambda values: values[:-1].tobytes()),
+                    r"gpr\.alpha: must be 80 float64 values, got 632 bytes"),
+    "alpha long": (_recode("alpha", lambda values: np.append(values, 0.5).tobytes()),
+                   r"gpr\.alpha: must be 80 float64 values, got 648 bytes"),
+    "alpha not whole values": (_recode("alpha", lambda values: values.tobytes() + b"\0"),
+                               r"gpr\.alpha: must be 80 float64 values, got 641 bytes"),
+    "alpha bad padding": (_text("alpha", lambda text: text[:-1]),
+                          r"gpr\.alpha: must be base64 text"),
+    "alpha non-ASCII": (_text("alpha", lambda text: "\u00e9" + text[1:]),
+                        r"gpr\.alpha: must be base64 text .*ASCII"),
+    "alpha holds null": (_edit("gpr", "alpha", None), r"gpr\.alpha: must be base64 text"),
+    "alpha huge integer": (_edit("gpr", "alpha", 10**400), r"gpr\.alpha: must be base64 text"),
+    "alpha holds -inf": (_recode("alpha", _setting((3, -np.inf))),
+                         r"gpr\.alpha: holds a non-finite"),
+    "X range overflows the scaler": (_recode("X", _setting((0, 1.7e308), (3, -1.7e308))),
                                      "training features are not all finite"),
-    "alpha bound overflows": (lambda doc: doc["gpr"].update(alpha=[1e308] * len(doc["X"])),
+    "alpha bound overflows": (_recode("alpha", lambda values: np.full_like(values, 1e308)
+                                      .tobytes()),
                               "prediction bound .* is not finite"),
 }
 
@@ -745,9 +884,9 @@ def test_non_finite_number_is_a_format_error(tmp_path, resign, literal, field):
     # Refused wherever it stands, in a field that the loader never reads too.
     def hole(doc):
         if field == "X":
-            doc["X"][4][1] = "HOLE"
+            doc["X"] = "HOLE"
         elif field == "alpha":
-            doc["gpr"]["alpha"][4] = "HOLE"
+            doc["gpr"]["alpha"] = "HOLE"
         elif field == "target_offset":
             doc["gpr"]["target_offset"] = "HOLE"
         else:
@@ -906,13 +1045,12 @@ def test_load_guard_counts_no_gram(tmp_path, monkeypatch):
     # The loader builds no Gram.  It holds the features, scaled in place,
     # 8 * 80 * 15 bytes for the 80-row model above, one gather of its 12
     # coupled features, 8 * 80 * 12 bytes, its 16 * 2 * 12 bytes of map
-    # arrays, the ufuncs' scratch, and the parsed document: the file's
-    # bytes plus 8 * (5 * 3 + 19) bytes per row.
+    # arrays, the ufuncs' scratch, and three times the file's bytes: the
+    # body, its text and the parsed document, held while the body is parsed.
     model, _ = _small_model()
     path = str(tmp_path / "small.json")
     save_model(model, path)
-    needed = (9600 + 7680 + 384 + hdmrnet.gpr._UFUNC_BYTES
-              + os.path.getsize(path) + 8 * 80 * (5 * 3 + 19))
+    needed = (9600 + 7680 + 384 + hdmrnet.gpr._UFUNC_BYTES + 3 * os.path.getsize(path))
     monkeypatch.setattr(hdmrnet.data, "_MEMORY_BYTES", needed - 1)
     with pytest.raises(ModelFormatError, match="15 features of 80 rows need"):
         load_model(path)
@@ -921,13 +1059,14 @@ def test_load_guard_counts_no_gram(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("n, D, order, neurons",
-                         [(1000, 6, 2, 20), (500, 3, 2, 4), (1000, 3, 1, 0)])
+                         [(1000, 6, 2, 20), (500, 3, 2, 4), (1000, 3, 1, 0), (20000, 6, 1, 0)])
 def test_load_peak_memory_is_within_the_guard(tmp_path, monkeypatch, n, D, order, neurons):
-    # The guard counts what a load holds while it builds the features: the
-    # parsed document, two feature arrays, the map arrays and the ufuncs'
-    # scratch, and the file's bytes, held while it was hashed and parsed.
-    # With F = 306 and 15 features the features set the peak; with 3, the
-    # file's text does.
+    # The guard counts what a load holds while it builds the features, two
+    # feature arrays, the map arrays and the ufuncs' scratch, and what it
+    # held while it parsed the body: the body, its text and the parsed
+    # document.  With F = 306 and 15 features the features set the peak;
+    # with 3 and 6, the parse does (at 20000 rows of 6, of a 1.5 MB file,
+    # against 0.96 MB of features).
     counted = []
     check = hdmrnet.model._check_memory
     monkeypatch.setattr(hdmrnet.model, "_check_memory",
