@@ -10,7 +10,6 @@ for the wall_s column.
 
 from __future__ import annotations
 
-import json
 import math
 import operator
 import time
@@ -19,7 +18,7 @@ from dataclasses import astuple, dataclass, field, fields
 
 import numpy as np
 
-from .data import Dataset, _check_memory, _split_sizes, _write_columns, split
+from .data import Dataset, _check_memory, _config_line, _split_sizes, _write_columns, split
 from .errors import DatasetError, HdmrnetError, InvalidHyperparameterError, ShapeError
 from .gpr import _check_length_scale, _check_noise, _dual_sums, _kernel_scratch_bytes
 from .model import HdmrModel, _check_fit_settings, hdmr_fit, hdmr_predict, term_values
@@ -32,49 +31,53 @@ _VAL_FRACTION = 0.2  # share of the rows `grid_search_l` holds out
 
 
 def rmse(predicted: np.ndarray, actual: np.ndarray) -> float:
+    """sqrt(mean((predicted - actual)^2)), on one path at every magnitude:
+    the difference is formed as p/2 - a/2, which cannot overflow, and
+    divided by `_power_of_two` of its largest magnitude before it is
+    squared, so no square overflows and none that matters underflows.
+    Halving and dividing by a power of two are exact, so wherever the plain
+    formula neither overflows nor underflows the score equals it bit for
+    bit; halving drops the last bit of an input below 2^-1021 in magnitude."""
     predicted = np.asarray(predicted, dtype=np.float64)
     actual = np.asarray(actual, dtype=np.float64)
     if predicted.shape != actual.shape or predicted.ndim != 1 or predicted.size == 0:
         raise ShapeError(
             f"need equal non-empty 1-D arrays, got {predicted.shape} and {actual.shape}"
         )
-    with np.errstate(over="ignore"):
-        diff = predicted - actual
-        score = float(np.sqrt(np.mean(diff * diff)))
-    scale = float(max(np.abs(predicted).max(), np.abs(actual).max()))
-    # Squares that overflow, or underflow below 1e-300: rescale to magnitudes <= 1.
-    if not 1e-150 < score < math.inf and 0.0 < scale < math.inf:
-        diff = predicted / scale - actual / scale
-        score = scale * float(np.sqrt(np.mean(diff * diff)))
-    return score
+    diff = predicted / 2 - actual / 2
+    scale = _power_of_two(np.abs(diff).max())
+    diff /= scale
+    return float(np.sqrt(np.mean(diff * diff))) * scale * 2
 
 
 def pearson_corr(predicted: np.ndarray, actual: np.ndarray) -> float:
+    """Pearson correlation of the inputs, each divided first by
+    `_power_of_two` of its largest magnitude: the correlation does not
+    change, no sum overflows and none that matters underflows, and
+    wherever the plain formula neither overflows nor underflows the result
+    equals it bit for bit.  A constant input, whose deviations are all 0,
+    is refused; deviations whose norms' product underflows to 0 give NaN."""
     predicted = np.asarray(predicted, dtype=np.float64)
     actual = np.asarray(actual, dtype=np.float64)
     if predicted.shape != actual.shape or predicted.ndim != 1 or predicted.size < 2:
         raise ShapeError(
             f"need equal 1-D arrays with >= 2 entries, got {predicted.shape} and {actual.shape}"
         )
-    with np.errstate(over="ignore", invalid="ignore"):
-        corr = _correlation(predicted, actual)
-        if math.isnan(corr):  # an overflow or underflow, or non-finite inputs: rescale
-            corr = _correlation(predicted / np.abs(predicted).max(),
-                                actual / np.abs(actual).max())
-    return corr
-
-
-def _correlation(a: np.ndarray, b: np.ndarray) -> float:
-    """Pearson correlation of a and b, or NaN where the product of their
-    deviations' norms underflows to 0 or is not finite; a constant input,
-    whose deviations are all 0, is refused."""
+    a, b = (v / _power_of_two(np.abs(v).max()) for v in (predicted, actual))
     va = a - a.mean()
     vb = b - b.mean()
     if not (va.any() and vb.any()):
         raise DatasetError("correlation undefined: an input has zero variance")
     na = float(np.sqrt(va @ va))
     nb = float(np.sqrt(vb @ vb))
-    return float((va @ vb) / (na * nb)) if 0.0 < na * nb < math.inf else math.nan
+    return float((va @ vb) / (na * nb)) if na * nb > 0.0 else math.nan
+
+
+def _power_of_two(x: float) -> float:
+    """The least power of two at or above x >= 0 (1 for 0), at most 2^1023,
+    since 2^1024 overflows; dividing by it is exact."""
+    mantissa, exponent = math.frexp(x)
+    return math.ldexp(1.0, min(exponent - (mantissa == 0.5), 1023))
 
 
 @dataclass
@@ -202,7 +205,7 @@ def write_sweep_csv(result: SweepResult, path: str) -> None:
         path,
         SWEEP_COLUMNS,
         [list(zip(*map(astuple, result.records)))],
-        ["config: " + json.dumps(result.config, sort_keys=True)],
+        [_config_line(result.config)],
     )
 
 

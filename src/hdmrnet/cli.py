@@ -19,8 +19,8 @@ import numpy as np
 
 from . import __version__
 from .analysis import _scores, component_curves, sweep, write_sweep_csv
-from .data import (SYNTH_KINDS, _atomic_open, _chunks, _write_columns, load_csv, load_matrix,
-                   save_csv, split, synth)
+from .data import (SYNTH_KINDS, _atomic_open, _chunks, _config_line, _write_columns, load_csv,
+                   load_matrix, save_csv, split, synth)
 from .errors import (DatasetError, HdmrnetError, IllConditionedGramError,
                      InvalidHyperparameterError, InvalidOrderError, ModelFormatError, ShapeError,
                      UnsupportedDimensionError)
@@ -111,8 +111,7 @@ def _cmd_fit(args) -> int:
 def _cmd_predict(args) -> int:
     model = load_model(args.model)
     X, columns = load_matrix(args.data)
-    config = _config_echo(args)
-    comments = ["config: " + json.dumps(config, sort_keys=True)]
+    comments = [_config_line(_config_echo(args))]
     names = [f"x{i + 1}" for i in range(model.dimension)] + ["prediction"]
     if not columns:  # no header and no rows, so no column count to check
         X = np.empty((0, model.dimension))
@@ -159,7 +158,7 @@ def _cmd_sweep(args) -> int:
         summary_path,
         ["d", "N", "best_test_rmse"],
         [np.array([row[k] for row in summary]) for k in range(3)],
-        ["config: " + json.dumps(result.config, sort_keys=True)],
+        [_config_line(result.config)],
     )
     failed = sum(1 for rec in result.records if rec.status != "ok")
     print(f"wrote {records_path} ({len(result.records)} cells, {failed} failed)")
@@ -177,8 +176,7 @@ def _term_label(curve) -> str:
 def _cmd_components(args) -> int:
     model = load_model(args.model)
     curves = component_curves(model, args.grid)
-    config = _config_echo(args)
-    comments = ["config: " + json.dumps(config, sort_keys=True)]
+    comments = [_config_line(_config_echo(args))]
     labelled = [(_term_label(curve), curve) for curve in curves]
     if args.out.endswith(("/", os.sep)) or os.path.isdir(args.out):
         os.makedirs(args.out, exist_ok=True)
@@ -201,12 +199,11 @@ def _cmd_components(args) -> int:
 
 def _cmd_synth(args) -> int:
     dataset = synth(args.kind, args.dim, args.n, args.seed, args.noise_std)
-    config = _config_echo(args)
     save_csv(
         args.out,
         dataset.column_names + [dataset.target_name],
         [dataset.X[:, i] for i in range(dataset.dimension)] + [dataset.t],
-        ["config: " + json.dumps(config, sort_keys=True)],
+        [_config_line(_config_echo(args))],
     )
     print(f"wrote {args.out} ({dataset.n} rows)")
     return EXIT_OK

@@ -10,6 +10,7 @@ a time, not a cell at a time.
 from __future__ import annotations
 
 import hashlib
+import json
 import math
 import os
 import uuid
@@ -230,6 +231,12 @@ def _chunks(columns: list):
     n_rows = min(map(len, columns), default=0)
     for r0 in range(0, n_rows, _CHUNK_ROWS):
         yield [column[r0:r0 + _CHUNK_ROWS] for column in columns]
+
+
+def _config_line(config: dict) -> str:
+    """The comment that echoes a run's configuration atop each CSV output:
+    'config: ' and the configuration as JSON with sorted keys."""
+    return "config: " + json.dumps(config, sort_keys=True)
 
 
 def _write_columns(path: str, names, chunks, comments: list[str]) -> None:

@@ -152,6 +152,18 @@ def _check_features(Y) -> np.ndarray:
     return Y
 
 
+def _check_points(P, width: int, name: str) -> np.ndarray:
+    """P as float64 (n, width) points, all finite, or the refusal of the
+    points called `name`: the one check of `gpr_predict`'s and
+    `hdmr_predict`'s points."""
+    P = np.asarray(P, dtype=np.float64)
+    if P.ndim != 2 or P.shape[1] != width:
+        raise ShapeError(f"{name} must be (n, {width}), got shape {P.shape}")
+    if not np.isfinite(P).all():
+        raise DatasetError(f"{name} contains non-finite values")
+    return P
+
+
 def _kernel(a: np.ndarray, b: np.ndarray, length_scale: float, out: np.ndarray) -> np.ndarray:
     """Fill `out` in place with exp(-(a[i] - b[j])^2 / (2 l^2)) and return it."""
     np.subtract.outer(a, b, out=out)
@@ -385,10 +397,11 @@ def _factor_matrix(Y: np.ndarray, factor: _KernelFactor, out: np.ndarray) -> np.
 
 def _symmetric_product(K: np.ndarray, diagonal: np.ndarray, v: np.ndarray) -> np.ndarray:
     """S @ v for the symmetric S with K's strict lower triangle and the
-    given diagonal, read without K's upper triangle or diagonal.  The row
-    blocks run in order, each as dgemv on its part left of the diagonal,
-    on that part's transpose and on its mirrored diagonal block; unlike
-    dsymv's, those bits do not depend on the BLAS thread count."""
+    given diagonal, read without K's upper triangle or diagonal, and
+    writing nothing into K.  The row blocks run in order, each as dgemv on
+    its part left of the diagonal, on that part's transpose and on a copy
+    of its diagonal block, mirrored there; unlike dsymv's, those bits do
+    not depend on the BLAS thread count."""
     M = K.shape[0]
     out = np.zeros(M)
     for r0 in range(0, M, _BLOCK):
@@ -396,8 +409,8 @@ def _symmetric_product(K: np.ndarray, diagonal: np.ndarray, v: np.ndarray) -> np
         left = K[r0:r1, :r0]
         out[r0:r1] += left @ v[:r0]
         out[:r0] += left.T @ v[r0:r1]
-        square = K[r0:r1, r0:r1]
-        np.copyto(square, square.T, where=_UPPER[:r1 - r0, :r1 - r0])
+        square = K[r0:r1, r0:r1].copy()
+        _mirror(K[r0:r1, r0:r1], square)
         square.flat[:: r1 - r0 + 1] = diagonal[r0:r1]
         out[r0:r1] += square @ v[r0:r1]
     return out
@@ -410,13 +423,19 @@ def _refill(K: np.ndarray) -> None:
     for r0 in range(0, M, _BLOCK):
         r1 = min(r0 + _BLOCK, M)
         K[r0:r1, r1:] = K[r1:, r0:r1].T
-        square = K[r0:r1, r0:r1]
-        np.copyto(square, square.T, where=_UPPER[:r1 - r0, :r1 - r0])
+        _mirror(K[r0:r1, r0:r1], K[r0:r1, r0:r1])
+
+
+def _mirror(square: np.ndarray, out: np.ndarray) -> None:
+    """Set the strict upper triangle of `out`, a block of `square`'s shape
+    or `square` itself, to the mirror of `square`'s strict lower one."""
+    np.copyto(out, square.T, where=_UPPER[:len(square), :len(square)])
 
 
 # `_fit_bytes`'s headroom: the factor's one-time check (at most 419,496 bytes,
-# at n = 40), the 128 x 128 block that numpy buffers to mirror a diagonal
-# block in place, the cached factor and numpy's scratch.
+# at n = 40), the two 128 x 128 blocks that `_symmetric_product` may hold
+# as it copies a diagonal block, or the one that numpy buffers for `_refill`
+# to mirror one in place, the cached factor and numpy's scratch.
 _HEADROOM = 2**20
 
 
@@ -517,13 +536,14 @@ def _solve(K: np.ndarray, b: np.ndarray, noise: float, route: str = "Gram route"
     own memory, with `bound` its check of alpha; K is consumed.
 
     `gram_matrix` makes K symmetric to the bit.  `_symmetric_product` reads
-    the residual and the column sums from K's intact strict lower triangle.
-    K's entries are positive, so ||K|| is its largest column sum, taken
-    once before the first try, and ||K + sigma I|| = ||K|| + sigma, the
-    rule of `_low_rank_solve` too.  Each product mirrors K's diagonal
-    blocks in place, after `dpotrs` has read the factor.  So a fit holds K,
-    seven M-vectors and numpy's buffer of one diagonal block, no second M x
-    M buffer.
+    the residual and the column sums from K's intact strict lower triangle
+    and writes nothing into K.  K's entries are positive, so ||K|| is its
+    largest column sum, taken once before the first try, and ||K + sigma
+    I|| = ||K|| + sigma, the rule of `_low_rank_solve` too.  So a fit holds
+    K, seven M-vectors and at most two copies of a diagonal block, no
+    second M x M buffer, and
+    an accepted try leaves K with K in its strict lower triangle and the
+    accepted factor L^T in its upper one.
     """
     from scipy.linalg.lapack import dpotrs
     norm_K = _symmetric_product(K, K.diagonal(), np.ones(K.shape[0])).max()
@@ -631,13 +651,7 @@ def gpr_predict(model: AdditiveGprModel, Ystar: np.ndarray) -> np.ndarray:
     identity hold to rounding of the component values themselves, even for
     ill-conditioned fits with huge dual coefficients.
     """
-    Ystar = np.asarray(Ystar, dtype=np.float64)
-    if Ystar.ndim != 2 or Ystar.shape[1] != model.n_features:
-        raise ShapeError(
-            f"Ystar must be (n, {model.n_features}), got shape {Ystar.shape}"
-        )
-    if not np.isfinite(Ystar).all():
-        raise DatasetError("Ystar contains non-finite values")
+    Ystar = _check_points(Ystar, model.n_features, "Ystar")
     return _dual_sums(model, Ystar, [range(model.n_features)], model.target_offset)[0]
 
 

@@ -30,7 +30,7 @@ from .data import Dataset, _atomic_open, _check_memory
 from .errors import (DatasetError, HdmrnetError, InvalidHyperparameterError,
                      ModelFormatError, ShapeError)
 from .gpr import (_UFUNC_BYTES, AdditiveGprModel, _check_length_scale, _check_noise,
-                  _fit_bytes, _prediction_bound, activation_sums, gpr_fit)
+                  _check_points, _fit_bytes, _prediction_bound, activation_sums, gpr_fit)
 from .sobol import _check_request
 
 FORMAT_VERSION = 4
@@ -188,11 +188,7 @@ def _features(model: HdmrModel, X: np.ndarray) -> np.ndarray:
 def _activation_sums(model: HdmrModel, X: np.ndarray, groups, start: float) -> np.ndarray:
     """`activation_sums` at the rows of X, which must be finite (n, D)
     points; each block maps its own rows, so no (n, F) features are built."""
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2 or X.shape[1] != model.dimension:
-        raise ShapeError(f"X must be (n, {model.dimension}), got shape {X.shape}")
-    if not np.isfinite(X).all():
-        raise DatasetError("X contains non-finite values")
+    X = _check_points(X, model.dimension, "X")
     return activation_sums(model.gpr, lambda rows: _features(model, X[rows]), len(X), groups,
                            start)
 
@@ -288,10 +284,16 @@ def _floats(mapping, key: str, section: str, shape: tuple) -> np.ndarray:
     """Field `key`, the base64 text of finite little-endian float64 values,
     as a float64 array of `shape` (a leading None matches any row count).
 
-    The text must be standard padded base64 and its bytes whole rows.
+    The text must be standard padded base64 and its bytes whole rows.  The
+    field is removed from `mapping`, and `raw` holds its text, then that
+    text's ASCII bytes, then their decoding: each step frees the one before.
     """
+    raw = _require(mapping, key, section)
+    del mapping[key]
+    if isinstance(raw, str) and raw.isascii():
+        raw = raw.encode("ascii")
     try:
-        raw = base64.b64decode(_require(mapping, key, section), validate=True)
+        raw = base64.b64decode(raw, validate=True)
     except (TypeError, ValueError) as exc:  # not a str, not ASCII, or a binascii.Error
         raise ModelFormatError(f"{section}.{key}: must be base64 text ({exc})") from exc
     row = 8 * math.prod(shape[1:])
@@ -312,7 +314,7 @@ def _finite(text: str) -> float:
     raise ModelFormatError(f"document: non-finite number literal '{text}'")
 
 
-def _parse(text: bytes, section: str) -> dict:
+def _parse(text: bytes | str, section: str) -> dict:
     try:
         value = json.loads(text, parse_constant=_finite, parse_float=_finite)
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
@@ -345,8 +347,12 @@ def load_model(path: str) -> HdmrModel:
         )
     if hashlib.sha256(body).hexdigest() != _require(header, "checksum", "header"):
         raise ModelFormatError("checksum: stored checksum does not match file contents")
-    document = _parse(body, "document")
     size = len(head) + len(body)
+    try:  # the text that json.loads would decode, held in place of the bytes
+        body = body.decode(json.detect_encoding(body), "surrogatepass")
+    except UnicodeDecodeError as exc:
+        raise ModelFormatError(f"document: not valid JSON ({exc})") from exc
+    document = _parse(body, "document")
     del body  # before the features are built
 
     metadata = _require(document, "metadata", "document")
@@ -374,12 +380,13 @@ def load_model(path: str) -> HdmrModel:
             f"gpr: effective_noise {effective_noise} is below the requested noise {noise}"
         )
 
-    # Held while the body was parsed: its bytes, their text and the document's
-    # copy of it.  Later steps hold less: the base64 text and at most 16 bytes
-    # a value (decoded bytes and array), 1.5 times the text's 32/3 bytes a value.
+    # Held while the body was decoded and parsed: its bytes and their text,
+    # then that text and the document's copy of it.  A payload's decoding
+    # holds less: its text and that text's bytes, then those bytes and its
+    # decoded bytes, then those and its array.
     try:
         fmap, scaler, Y = _training_features(X, order, neurons_per_term, sobol_skip,
-                                             held=3 * size)
+                                             held=2 * size)
     except (HdmrnetError, ValueError) as exc:
         raise ModelFormatError(f"metadata: {exc}") from exc
     if not math.isfinite(_prediction_bound(target_offset, Y.shape[1], alpha)):

@@ -60,6 +60,43 @@ def test_pearson_corr_known_values():
         pearson_corr(np.array([1.0]), np.array([1.0]))
 
 
+def _plain_scores(p, a):
+    """RMSE and Pearson correlation by their textbook formulas, for
+    magnitudes where no square or sum overflows or underflows."""
+    d = p - a
+    vp, va = p - p.mean(), a - a.mean()
+    return (float(np.sqrt(np.mean(d * d))),
+            float((vp @ va) / (float(np.sqrt(vp @ vp)) * float(np.sqrt(va @ va)))))
+
+
+@pytest.mark.parametrize("exponent", range(-100, 101, 20))
+def test_scores_equal_the_plain_formulas_bit_for_bit(exponent):
+    # Each score divides by powers of two only, which is exact: where the
+    # textbook formula neither overflows nor underflows, it gives its bits.
+    # The targets a lie at 10^second, their deviation from p at 10^(second + gap).
+    rng = np.random.default_rng(exponent + 100)
+    for n, second, gap in [(2, exponent, 0), (7, exponent, -3), (40, -exponent, 0),
+                           (200, exponent, -12), (33, exponent // 2, -1)]:
+        p = rng.normal(size=n) * 10.0**exponent
+        a = p * 10.0**(second - exponent) + rng.normal(size=n) * 10.0**(second + gap)
+        assert (rmse(p, a), pearson_corr(p, a)) == _plain_scores(p, a)
+
+
+@pytest.mark.parametrize("p, a", [
+    ([1.7e308, -1.7e308, 1e308], [1.6e308, -1.6e308, 0.9e308]),
+    ([1.7e308, 0.0, 1.0, 0.0], [-1e308, 1.0, 2.0, 3.0]),
+    (1.7e308 * np.sin(np.arange(50.0)), 1.7e308 * np.cos(np.arange(50.0))),
+], ids=["close", "opposite", "spread"])
+def test_scores_near_the_float_limit_are_finite(p, a):
+    # The squares and sums of these overflow, but the scores do not: they
+    # equal the plain formulas on the inputs scaled by 2^-600, scaled back.
+    p, a = np.array(p), np.array(a)
+    k = 2.0**-600
+    plain_rmse, plain_corr = _plain_scores(p * k, a * k)
+    assert rmse(p, a) == plain_rmse / k and math.isfinite(rmse(p, a))
+    assert pearson_corr(p, a) == plain_corr
+
+
 # ---------------------------------------------------------------------------
 # Sweep
 # ---------------------------------------------------------------------------

@@ -156,8 +156,8 @@ def test_constant_target_fits_and_sweeps_with_null_correlation(tmp_path, capsys)
 
 def test_huge_targets_fit_and_score_without_warnings(tmp_path):
     # Targets near 1e198 are finite, but their squares are not: the fit is
-    # sound, and the scores rescale where the plain sums overflow.  Tier-1
-    # turns any RuntimeWarning into an error.
+    # sound, and the scores divide by powers of two before they square.
+    # Tier-1 turns any RuntimeWarning into an error.
     line = str(tmp_path / "line.csv")
     assert run("synth", "--kind", "additive", "--dim", "1", "--n", "1500", "--seed", "1",
                "--out", line) == 0
@@ -182,7 +182,7 @@ def test_huge_targets_fit_and_score_without_warnings(tmp_path):
 
 def test_tiny_targets_score_as_their_rescaled_fit_does(tmp_path):
     # Targets near 1e-202 are not 0, but their squared deviations underflow:
-    # the scores rescale, as they do where the squares overflow, and are
+    # the scores divide by powers of two before they square, and are
     # neither 0 nor a "zero variance" null.
     line = str(tmp_path / "line.csv")
     assert run("synth", "--kind", "additive", "--dim", "1", "--n", "1500", "--seed", "1",

@@ -421,6 +421,26 @@ def test_solve_in_the_factor_buffer_matches_scipy_defaults_bit_for_bit(
     assert np.tril(K, -1).tobytes() == lower.tobytes()
 
 
+@pytest.mark.parametrize("M, F, length_scale, noise", [
+    (gpr._BLOCK + 1, 4, 0.5, 1e-8),
+    (300, 2, 1.0, 1e-16),  # 3 failed factors refilled, the last block partial
+    (300, 20, 0.3, 1e-6),  # the factor route's Gram
+    (300, 3, 0.1, 1e-6),  # the exact loop's Gram
+])
+def test_accepted_factor_survives_the_solve(M, F, length_scale, noise):
+    # The residual and column sums write nothing into K: after an accepted
+    # try K holds K in its strict lower triangle and the accepted factor
+    # L^T in its upper one, the bits of a fresh dpotrf of K + sigma I.
+    Y = np.random.default_rng(0).uniform(size=(M, F))
+    K = gram_matrix(Y, length_scale)
+    original = K.copy()
+    _, sigma = gpr._solve(K, np.sin(6.0 * Y).sum(axis=1), noise)
+    fresh, info = lapack.dpotrf(np.asfortranarray(original + sigma * np.eye(M)), lower=1)
+    assert info == 0
+    assert np.triu(K).tobytes() == np.triu(fresh.T).tobytes()
+    assert np.tril(K, -1).tobytes() == np.tril(original, -1).tobytes()
+
+
 @pytest.mark.parametrize("M, F, length_scale, noise, escalates", [
     (600, 2, 1.0, 1e-14, True), (600, 3, 1.0, 1e-6, False), (600, 60, 1.0, 1e-6, False),
     (600, 60, 1.0, 1e-14, True), (600, 2, 0.17, 1e-6, False), (600, 60, 0.17, 1e-6, False),

@@ -472,8 +472,12 @@ def test_prediction_holds_no_feature_array_of_all_rows():
 def test_exact_rows_hold_no_feature_array_of_all_rows(monkeypatch, length_scale):
     # Fallback-heavy points, or a model without a table: the exact rows'
     # indices add at most 8 bytes a row; F = 15 features would add 120.
-    # 128-row forward blocks keep the per-thread part small against 2000 rows.
+    # 128-row forward blocks on one thread: the peak then holds one block's
+    # scratch at either size.  On two threads it held one or two, as the
+    # threads happened to be scheduled, which moved the growth by up to 10
+    # bytes a row.
     monkeypatch.setattr(gpr, "_FORWARD_ENTRIES", 1)
+    monkeypatch.setattr(gpr, "_THREADS", 1)
     model, _ = _small_model(length_scale=length_scale)
     assert (model.gpr.activation_table is None) == (length_scale == 0.02)
     groups = 3 + 3
@@ -1045,12 +1049,13 @@ def test_load_guard_counts_no_gram(tmp_path, monkeypatch):
     # The loader builds no Gram.  It holds the features, scaled in place,
     # 8 * 80 * 15 bytes for the 80-row model above, one gather of its 12
     # coupled features, 8 * 80 * 12 bytes, its 16 * 2 * 12 bytes of map
-    # arrays, the ufuncs' scratch, and three times the file's bytes: the
-    # body, its text and the parsed document, held while the body is parsed.
+    # arrays, the ufuncs' scratch, and twice the file's bytes: the body and
+    # its text while the body is decoded, then the text and the parsed
+    # document while it is parsed.
     model, _ = _small_model()
     path = str(tmp_path / "small.json")
     save_model(model, path)
-    needed = (9600 + 7680 + 384 + hdmrnet.gpr._UFUNC_BYTES + 3 * os.path.getsize(path))
+    needed = (9600 + 7680 + 384 + hdmrnet.gpr._UFUNC_BYTES + 2 * os.path.getsize(path))
     monkeypatch.setattr(hdmrnet.data, "_MEMORY_BYTES", needed - 1)
     with pytest.raises(ModelFormatError, match="15 features of 80 rows need"):
         load_model(path)
@@ -1063,10 +1068,10 @@ def test_load_guard_counts_no_gram(tmp_path, monkeypatch):
 def test_load_peak_memory_is_within_the_guard(tmp_path, monkeypatch, n, D, order, neurons):
     # The guard counts what a load holds while it builds the features, two
     # feature arrays, the map arrays and the ufuncs' scratch, and what it
-    # held while it parsed the body: the body, its text and the parsed
-    # document.  With F = 306 and 15 features the features set the peak;
-    # with 3 and 6, the parse does (at 20000 rows of 6, of a 1.5 MB file,
-    # against 0.96 MB of features).
+    # held while it decoded and parsed the body: two of the body's bytes,
+    # text and parsed document.  With F = 306 and 15 features the features
+    # set the peak; with 3 and 6, the parse does (at 20000 rows of 6, of a
+    # 1.5 MB file, against 0.96 MB of features).
     counted = []
     check = hdmrnet.model._check_memory
     monkeypatch.setattr(hdmrnet.model, "_check_memory",
