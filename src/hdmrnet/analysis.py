@@ -32,22 +32,27 @@ _VAL_FRACTION = 0.2  # share of the rows `grid_search_l` holds out
 
 def rmse(predicted: np.ndarray, actual: np.ndarray) -> float:
     """sqrt(mean((predicted - actual)^2)), on one path at every magnitude:
-    the difference is formed as p/2 - a/2, which cannot overflow, and
-    divided by `_power_of_two` of its largest magnitude before it is
-    squared, so no square overflows and none that matters underflows.
-    Halving and dividing by a power of two are exact, so wherever the plain
+    the difference is formed as p/h - a/h, which cannot overflow, where h
+    is 2 if p - a overflows somewhere and 1 otherwise, and divided by
+    `_power_of_two` of its largest magnitude before it is squared, so no
+    square overflows and none that matters underflows.  Dividing by h and
+    by a power of two is exact, except that h = 2 drops the last bit of an
+    input below 2^-1021; that moves only differences that the scaling
+    by at least 2^1023 then flushes to 0 either way.  So wherever the plain
     formula neither overflows nor underflows the score equals it bit for
-    bit; halving drops the last bit of an input below 2^-1021 in magnitude."""
+    bit."""
     predicted = np.asarray(predicted, dtype=np.float64)
     actual = np.asarray(actual, dtype=np.float64)
     if predicted.shape != actual.shape or predicted.ndim != 1 or predicted.size == 0:
         raise ShapeError(
             f"need equal non-empty 1-D arrays, got {predicted.shape} and {actual.shape}"
         )
-    diff = predicted / 2 - actual / 2
+    with np.errstate(over="ignore", invalid="ignore"):
+        half = 2.0 if np.isinf(predicted - actual).any() else 1.0
+    diff = predicted / half - actual / half
     scale = _power_of_two(np.abs(diff).max())
     diff /= scale
-    return float(np.sqrt(np.mean(diff * diff))) * scale * 2
+    return float(np.sqrt(np.mean(diff * diff))) * scale * half
 
 
 def pearson_corr(predicted: np.ndarray, actual: np.ndarray) -> float:
@@ -55,7 +60,8 @@ def pearson_corr(predicted: np.ndarray, actual: np.ndarray) -> float:
     `_power_of_two` of its largest magnitude: the correlation does not
     change, no sum overflows and none that matters underflows, and
     wherever the plain formula neither overflows nor underflows the result
-    equals it bit for bit.  A constant input, whose deviations are all 0,
+    equals it clipped to [-1, 1], which rounding can leave by an ulp on
+    exactly linear inputs.  A constant input, whose deviations are all 0,
     is refused; deviations whose norms' product underflows to 0 give NaN."""
     predicted = np.asarray(predicted, dtype=np.float64)
     actual = np.asarray(actual, dtype=np.float64)
@@ -70,7 +76,7 @@ def pearson_corr(predicted: np.ndarray, actual: np.ndarray) -> float:
         raise DatasetError("correlation undefined: an input has zero variance")
     na = float(np.sqrt(va @ va))
     nb = float(np.sqrt(vb @ vb))
-    return float((va @ vb) / (na * nb)) if na * nb > 0.0 else math.nan
+    return float(np.clip((va @ vb) / (na * nb), -1.0, 1.0)) if na * nb > 0.0 else math.nan
 
 
 def _power_of_two(x: float) -> float:
@@ -134,10 +140,7 @@ def _run_cell(dataset: Dataset, config: dict, d: int, N: int, repeat: int) -> Sw
     record = SweepRecord(d, N, repeat, seed, nan, nan, nan, nan, nan, "ok")
     try:
         train, test = split(dataset, config["train_size"], seed, config["test_size"])
-        model = hdmr_fit(
-            train, d, N, config["length_scale"], config["noise"],
-            sobol_skip=config["sobol_skip"], split_seed=seed,
-        )
+        model = hdmr_fit(train, d, N, config["length_scale"], config["noise"], split_seed=seed)
         # Score both sides before setting a field: a failed cell keeps NaN,
         # and so does an undefined correlation.
         scores = [_scores(model, train), _scores(model, test)]
@@ -160,7 +163,6 @@ def sweep(
     noise: float,
     base_seed: int,
     jobs: int = 1,
-    sobol_skip: int = 0,
 ) -> SweepResult:
     """Fit every (d, N, repeat) cell and collect train/test metrics.
 
@@ -178,7 +180,7 @@ def sweep(
     _split_sizes(dataset.n, train_size, test_size, base_seed)
     for d in d_list:
         for N in N_list:
-            _check_fit_settings(train_size, dataset.dimension, d, N, sobol_skip)
+            _check_fit_settings(train_size, dataset.dimension, d, N)
     length_scale, noise = _check_length_scale(length_scale), _check_noise(noise)
     config = {  # integer-like settings stored as plain ints
         "d_list": [operator.index(d) for d in d_list],
@@ -189,7 +191,6 @@ def sweep(
         "length_scale": length_scale,
         "noise": noise,
         "base_seed": operator.index(base_seed),
-        "sobol_skip": operator.index(sobol_skip),
         "dataset": dataset.fingerprint(),
     }
     cells = [(d, N, r) for d in config["d_list"] for N in config["N_list"] for r in range(repeats)]
@@ -267,7 +268,7 @@ def grid_search_l(
         raise InvalidHyperparameterError("no length scale candidates given")
     val_size = max(1, int(round(_VAL_FRACTION * train.n)))
     _split_sizes(train.n, train.n - val_size, val_size, seed)
-    _check_fit_settings(train.n - val_size, train.dimension, order, neurons_per_term, 0)
+    _check_fit_settings(train.n - val_size, train.dimension, order, neurons_per_term)
     _check_noise(noise)
     inner, val = split(train, train.n - val_size, seed + 1, val_size)
     results = []

@@ -81,10 +81,7 @@ def _cmd_fit(args) -> int:
     else:
         train, test = dataset, None
     started = time.perf_counter()
-    model = hdmr_fit(
-        train, args.d, args.n_per_term, args.l, args.noise,
-        sobol_skip=args.sobol_skip, split_seed=args.seed,
-    )
+    model = hdmr_fit(train, args.d, args.n_per_term, args.l, args.noise, split_seed=args.seed)
     fit_seconds = time.perf_counter() - started
     report = {
         "config": _config_echo(args),
@@ -142,8 +139,7 @@ def _cmd_sweep(args) -> int:
     dataset = load_csv(args.data, target=args.target)
     result = sweep(dataset, d_list=args.d, N_list=args.n_per_term, repeats=args.repeats,
                    train_size=args.train, test_size=args.test, length_scale=args.l,
-                   noise=args.noise, base_seed=args.seed, jobs=args.jobs,
-                   sobol_skip=args.sobol_skip)
+                   noise=args.noise, base_seed=args.seed, jobs=args.jobs)
     # Neither jobs, which is scheduling only, nor the paths appear (the
     # dataset's fingerprint names the data): the outputs are the same for
     # any worker count and from any directory.
@@ -230,8 +226,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="training rows; remainder becomes the test set")
     fit.add_argument("--test", type=int, default=None, help="cap on test rows; needs --train")
     fit.add_argument("--seed", type=int, required=True, help="split seed")
-    fit.add_argument("--sobol-skip", type=int, default=0,
-                     help="skip this many initial direction points")
     fit.add_argument("--out", required=True, help="model file path")
     fit.set_defaults(func=_cmd_fit)
 
@@ -268,7 +262,6 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_cmd.add_argument("--seed", type=int, required=True,
                            help="base split seed; repeat r uses seed + r")
     sweep_cmd.add_argument("--jobs", type=int, default=1)
-    sweep_cmd.add_argument("--sobol-skip", type=int, default=0)
     sweep_cmd.add_argument("--out-dir", required=True)
     sweep_cmd.set_defaults(func=_cmd_sweep)
 

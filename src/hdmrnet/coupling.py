@@ -8,10 +8,10 @@ C(D, d) coordinate subsets.  Each subset receives the same number N of
 rows, so F = D + N * C(D, d) for d >= 2 and F = D for d = 1.
 
 The map is stored as two (F - D, d) arrays, the coordinate indices and the
-Sobol weights of each coupled row; it is a pure function of (D, d, N,
-sobol_skip).  `map_features` returns features neuron-major (Fortran
-order), so the scaler and every kernel pass of `gpr` read each neuron's
-column in place.
+Sobol weights of each coupled row.  It is a pure function of (D, d, N):
+the weights are Sobol points 1 .. N * C(D, d), in row order.
+`map_features` returns features neuron-major (Fortran order), so the
+scaler and every kernel pass of `gpr` read each neuron's column in place.
 """
 
 from __future__ import annotations
@@ -33,15 +33,14 @@ class FeatureMap:
     """Immutable-by-convention weight rows of the feature map.
 
     Rows are ordered: the D original rows first, then N coupled rows per
-    subset, subsets in lexicographic order.  Coupled row D + k has weights
-    `weights[k]` on coordinates `indices[k]`.  Construction is
-    deterministic given (dimension, order, neurons_per_term, sobol_skip).
+    subset, subsets in lexicographic order.  Coupled row D + k puts
+    `weights[k]`, Sobol point k + 1, on coordinates `indices[k]`.
+    Construction is a pure function of (dimension, order, neurons_per_term).
     """
 
     dimension: int
     order: int
     neurons_per_term: int
-    sobol_skip: int
     indices: np.ndarray  # (F - D, d) coordinate subset of each coupled row
     weights: np.ndarray  # (F - D, d) its Sobol point
 
@@ -77,29 +76,23 @@ def enumerate_subsets(dimension: int, order: int) -> list[tuple[int, ...]]:
     return list(combinations(range(dimension), _check_order(dimension, order)))
 
 
-def build_feature_map(
-    dimension: int,
-    order: int,
-    neurons_per_term: int,
-    sobol_skip: int = 0,
-) -> FeatureMap:
+def build_feature_map(dimension: int, order: int, neurons_per_term: int) -> FeatureMap:
     """Build the rule-based sparse weight matrix.
 
-    Coupled rows take consecutive points of one `order`-dimensional Sobol
-    call across subsets, so no two rows repeat a weight pattern.  For
-    order 1 no coupled rows are added and `neurons_per_term` is ignored.
+    Coupled rows take the first points of one `order`-dimensional Sobol
+    call, consecutive across subsets, so no two rows repeat a weight
+    pattern.  For order 1 no coupled rows are added and `neurons_per_term`
+    is ignored.
     """
     order = _check_order(dimension, order)
     subsets = enumerate_subsets(dimension, order)
     neurons_per_term = _check_count("neurons_per_term", neurons_per_term)
-    sobol_skip = _check_count("sobol_skip", sobol_skip)
     per_subset = neurons_per_term if order >= 2 else 0
-    weights = sobol_points(order, per_subset * len(subsets), sobol_skip)
+    weights = sobol_points(order, per_subset * len(subsets))
     return FeatureMap(
         dimension=dimension,
         order=order,
         neurons_per_term=neurons_per_term,
-        sobol_skip=sobol_skip,
         indices=np.repeat(np.array(subsets, dtype=np.intp), per_subset, axis=0),
         weights=weights,
     )

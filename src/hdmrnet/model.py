@@ -33,7 +33,11 @@ from .gpr import (_UFUNC_BYTES, AdditiveGprModel, _check_length_scale, _check_no
                   _check_points, _fit_bytes, _prediction_bound, activation_sums, gpr_fit)
 from .sobol import _check_request
 
-FORMAT_VERSION = 4
+FORMAT_VERSION = 5
+
+# The metadata fields that `hdmr_fit` writes; `load_model` refuses any other.
+_METADATA_FIELDS = ("dimension", "order", "neurons_per_term", "length_scale", "noise",
+                    "split_seed", "dataset_fingerprint")
 
 
 @dataclass
@@ -99,12 +103,13 @@ class HdmrModel:
         return self.feature_map.n_features
 
 
-def _check_fit_settings(M: int, D: int, order: int, neurons_per_term: int, sobol_skip: int,
+def _check_fit_settings(M: int, D: int, order: int, neurons_per_term: int,
                         length_scale: float | None = None) -> tuple[int, int]:
     """The one owner of the refusals that a fit of M rows of D coordinates
     makes from its settings alone, before anything is allocated: fewer than
-    2 rows, an order not an integer in [1, D], a count not an integer >= 0,
-    a request past the Sobol sequence, and a length scale that `gpr` refuses.
+    2 rows, an order not an integer in [1, D], a neuron count not an
+    integer >= 0, more coupled rows than the Sobol sequence has points
+    (1 + N C(D, d) > 2^32), and a length scale that `gpr` refuses.
     Returns F and the bytes of building the features: the map arrays, the
     features, which are scaled in place, one gather of `map_features` and
     the ufuncs' scratch, or, given the length scale of a fit, instead of
@@ -115,16 +120,15 @@ def _check_fit_settings(M: int, D: int, order: int, neurons_per_term: int, sobol
         raise DatasetError(f"training set needs at least 2 rows, got {M}")
     order = _check_order(D, order)
     neurons_per_term = _check_count("neurons_per_term", neurons_per_term)
-    sobol_skip = _check_count("sobol_skip", sobol_skip)
     coupled = neurons_per_term * math.comb(D, order) if order >= 2 else 0
-    _check_request(order, coupled, sobol_skip)
+    _check_request(order, coupled)
     F = D + coupled
     scratch = (_UFUNC_BYTES if length_scale is None
                else _fit_bytes(M, F, _check_length_scale(length_scale)))
     return F, 8 * M * (F + min(_CHUNK, coupled)) + 16 * order * coupled + scratch
 
 
-def _training_features(X: np.ndarray, order: int, neurons_per_term: int, sobol_skip: int,
+def _training_features(X: np.ndarray, order: int, neurons_per_term: int,
                        length_scale: float | None = None,
                        held: int = 0) -> tuple[FeatureMap, Scaler, np.ndarray]:
     """Feature map, scaler and scaled training features of X.
@@ -136,10 +140,10 @@ def _training_features(X: np.ndarray, order: int, neurons_per_term: int, sobol_s
     features whose range overflows the scaler, with `DatasetError`.
     """
     M, D = X.shape
-    F, needed = _check_fit_settings(M, D, order, neurons_per_term, sobol_skip, length_scale)
+    F, needed = _check_fit_settings(M, D, order, neurons_per_term, length_scale)
     gram = "" if length_scale is None else " and their Gram matrix"
     _check_memory(needed + held, f"{F} features of {M} rows{gram}")
-    fmap = build_feature_map(D, order, neurons_per_term, sobol_skip)
+    fmap = build_feature_map(D, order, neurons_per_term)
     Y = map_features(fmap, X)
     scaler = fit_scaler(Y)
     # Scaled values are NaN, inf or >= 0, so a column's max is finite only if all of it is.
@@ -154,17 +158,17 @@ def hdmr_fit(
     neurons_per_term: int,
     length_scale: float,
     noise: float = 1e-6,
-    sobol_skip: int = 0,
+    *,
     split_seed: int | None = None,
 ) -> HdmrModel:
     """Fit the full pipeline on a training dataset.
 
     Deterministic given (dataset contents, order, neurons_per_term,
-    length_scale, noise, sobol_skip).  `split_seed` is provenance only and
-    recorded in the model metadata.
+    length_scale, noise); the hidden weights are Sobol points 1 ..
+    N * C(D, d), so nothing else chooses them.  `split_seed`, keyword-only,
+    is provenance only and recorded in the model metadata.
     """
-    fmap, scaler, Y = _training_features(train.X, order, neurons_per_term, sobol_skip,
-                                         length_scale)
+    fmap, scaler, Y = _training_features(train.X, order, neurons_per_term, length_scale)
     gpr = gpr_fit(Y, train.t, length_scale, noise)
     metadata = {
         "dimension": train.dimension,
@@ -172,7 +176,6 @@ def hdmr_fit(
         "neurons_per_term": fmap.neurons_per_term,
         "length_scale": float(length_scale),
         "noise": float(noise),
-        "sobol_skip": fmap.sobol_skip,
         "split_seed": int(split_seed) if isinstance(split_seed, np.integer) else split_seed,
         "dataset_fingerprint": train.fingerprint(),
     }
@@ -328,8 +331,9 @@ def load_model(path: str) -> HdmrModel:
     """Read a model file, verifying structure, version, checksum and every field.
 
     `X` must decode to at least 2 rows of `metadata.dimension` finite
-    float64 values and `gpr.alpha` to one per row; any other payload, and a
-    file of another format version, is a `ModelFormatError`.
+    float64 values and `gpr.alpha` to one per row; any other payload, a
+    `metadata` field that `hdmr_fit` does not write, and a file of another
+    format version are a `ModelFormatError`.
     """
     try:
         with open(path, "rb") as fh:
@@ -359,7 +363,9 @@ def load_model(path: str) -> HdmrModel:
     dimension = _integer(metadata, "dimension", 1)
     order = _integer(metadata, "order", 1)
     neurons_per_term = _integer(metadata, "neurons_per_term", 0)
-    sobol_skip = _integer(metadata, "sobol_skip", 0)
+    for key in metadata:
+        if key not in _METADATA_FIELDS:
+            raise ModelFormatError(f"metadata: unknown field '{key:.80}'")
     length_scale = _number(metadata, "length_scale", "metadata")
     noise = _number(metadata, "noise", "metadata")
     try:
@@ -385,8 +391,7 @@ def load_model(path: str) -> HdmrModel:
     # holds less: its text and that text's bytes, then those bytes and its
     # decoded bytes, then those and its array.
     try:
-        fmap, scaler, Y = _training_features(X, order, neurons_per_term, sobol_skip,
-                                             held=2 * size)
+        fmap, scaler, Y = _training_features(X, order, neurons_per_term, held=2 * size)
     except (HdmrnetError, ValueError) as exc:
         raise ModelFormatError(f"metadata: {exc}") from exc
     if not math.isfinite(_prediction_bound(target_offset, Y.shape[1], alpha)):

@@ -1,8 +1,9 @@
 """Gray-code Sobol low-discrepancy sequence generator.
 
 `sobol_points` is the one entry point: a pure function of (dimension,
-count, skip).  The feature map of :mod:`hdmrnet.coupling` takes all of its
-nonzero weights from a single call.  Direction numbers are the standard
+count) that returns the first `count` points after the all-zeros one.
+The feature map of :mod:`hdmrnet.coupling` takes all of its nonzero
+weights from a single call.  Direction numbers are the standard
 Joe-Kuo set for dimensions up to 64, embedded below as an implementation
 constant.  Points are emitted in Gray-code order, and the index-0
 all-zeros point is never emitted: downstream it would turn into an
@@ -117,39 +118,31 @@ def _direction_table(dimension: int) -> np.ndarray:
     return table
 
 
-def _check_request(dimension: int, count: int, skip: int) -> None:
+def _check_request(dimension: int, count: int) -> None:
     """Refuse a request that `sobol_points` cannot serve."""
     if not 1 <= dimension <= MAX_DIMENSION:
         raise UnsupportedDimensionError(
             f"Sobol dimension must be in [1, {MAX_DIMENSION}], got {dimension}"
         )
-    if skip < 0 or count < 0:
-        raise ValueError(f"skip and count must be non-negative, got {skip} and {count}")
-    if 1 + skip + count > 1 << _NBITS:
+    if count < 0:
+        raise ValueError(f"count must be non-negative, got {count}")
+    if 1 + count > 1 << _NBITS:
         raise ValueError(f"sequence exhausted beyond 2**{_NBITS} - 1 points")
 
 
-def sobol_points(dimension: int, count: int, skip: int = 0) -> np.ndarray:
-    """Points skip+1 .. skip+count of the Sobol sequence, in [0, 1).
+def sobol_points(dimension: int, count: int) -> np.ndarray:
+    """Points 1 .. count of the Sobol sequence, in [0, 1).
 
     Pure: repeated calls with equal arguments return bit-identical
     arrays, and the rows of a longer request are a prefix-extension of a
     shorter one.
     """
-    _check_request(dimension, count, skip)
+    _check_request(dimension, count)
     directions = _direction_table(dimension)
-    # Gray-code identity: the integer state of point `skip` is the XOR of
-    # V[:, b+1] over the set bits b of skip ^ (skip >> 1).
     state = np.zeros(dimension, dtype=np.uint64)
-    gray, bit = skip ^ (skip >> 1), 1
-    while gray:
-        if gray & 1:
-            state ^= directions[:, bit]
-        gray >>= 1
-        bit += 1
     out = np.empty((count, dimension))
-    for r, index in enumerate(range(skip, skip + count)):
+    for index in range(count):
         # Point index + 1 flips the direction of index's lowest zero bit.
         state ^= directions[:, ((index + 1) & ~index).bit_length()]
-        out[r] = state / _SCALE
+        out[index] = state / _SCALE
     return out

@@ -590,12 +590,11 @@ def test_bad_hyperparameter_exits_four_before_writing(workspace, tmp_path, capsy
 @pytest.mark.parametrize("flag,value,code,message", [
     ("--l", "inf", 4, "length scale"), ("--noise", "nan", 4, "noise"),
     ("--train", "500", 3, "train_size must be in"), ("--test", "300", 3, "test_size must be in"),
-    ("--sobol-skip", "-3", 2, "sobol_skip must be >= 0"),
     ("--d", "1,4", 5, "coupling order must be in [1, 3], got 4"),
     ("--n-per-term", "-1", 2, "neurons_per_term must be >= 0"),
     ("--seed", "-1", 2, "seed must be >= 0, got -1"),
     ("--train", "1", 3, "training set needs at least 2 rows, got 1"),
-    ("--sobol-skip", "4294967295", 2, "sequence exhausted beyond 2**32 - 1 points"),
+    ("--n-per-term", "99999999999999999999", 2, "sequence exhausted beyond 2**32 - 1 points"),
 ])
 def test_sweep_refuses_bad_settings_before_writing(workspace, tmp_path, capsys,
                                                    flag, value, code, message):

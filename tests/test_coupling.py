@@ -75,17 +75,6 @@ def test_sparsity_pattern():
         assert len(fmap.subset(j)) == 3
 
 
-def test_sobol_skip_shifts_the_stream():
-    base = build_feature_map(4, 2, 3)
-    shifted = build_feature_map(4, 2, 3, sobol_skip=5)
-    flat_base = sobol_points(2, 3 * 6 + 5)[5:]
-    assert np.array_equal(shifted.weights, flat_base)
-    W = _weight_matrix(shifted)
-    for k in range(3 * 6):
-        assert np.array_equal(W[4 + k, list(shifted.subset(4 + k))], flat_base[k])
-    assert not np.array_equal(_weight_matrix(base), _weight_matrix(shifted))
-
-
 def test_map_features_is_the_linear_map():
     rng = np.random.default_rng(5)
     X = rng.uniform(size=(20, 4))
@@ -126,11 +115,9 @@ def test_zero_neurons_gives_bare_identity():
     assert fmap.n_features == 4
     with pytest.raises(ValueError):
         build_feature_map(4, 2, -1)
-    with pytest.raises(ValueError):
-        build_feature_map(4, 2, 3, sobol_skip=-1)
 
 
 def test_construction_is_deterministic():
-    a = build_feature_map(5, 2, 8, sobol_skip=2)
-    b = build_feature_map(5, 2, 8, sobol_skip=2)
+    a = build_feature_map(5, 2, 8)
+    b = build_feature_map(5, 2, 8)
     assert np.array_equal(_weight_matrix(a), _weight_matrix(b))

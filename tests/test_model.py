@@ -85,14 +85,14 @@ def test_scaler_shape_validation():
 
 def test_fit_records_provenance():
     ds = synth("pairwise", 3, 60, seed=1)
-    model = hdmr_fit(ds, 2, 3, 0.4, 1e-6, sobol_skip=2, split_seed=77)
+    model = hdmr_fit(ds, 2, 3, 0.4, 1e-6, split_seed=77)
     md = model.metadata
+    assert set(md) == set(hdmrnet.model._METADATA_FIELDS)
     assert md["dimension"] == 3
     assert md["order"] == 2
     assert md["neurons_per_term"] == 3
     assert md["length_scale"] == 0.4
     assert md["noise"] == 1e-6
-    assert md["sobol_skip"] == 2
     assert md["split_seed"] == 77
     assert md["dataset_fingerprint"] == ds.fingerprint()
     assert model.n_features == 3 + 3 * 3
@@ -602,18 +602,18 @@ def test_integer_like_settings_are_stored_as_plain_ints(tmp_path, order, neurons
         with pytest.raises(error, match="must be an integer, got 2.[05]"):
             sweep(ds, [order], [neurons], 1, 40, None, 0.4, 1e-6, 0)
         return
-    model = hdmr_fit(ds, order, neurons, 0.4, sobol_skip=np.int64(1), split_seed=np.int64(5))
+    model = hdmr_fit(ds, order, neurons, 0.4, split_seed=np.int64(5))
     save_model(model, str(tmp_path / "m.json"))
     loaded = load_model(str(tmp_path / "m.json"))
-    settings = ["order", "neurons_per_term", "sobol_skip", "split_seed"]
-    assert [loaded.metadata[key] for key in settings] == [2, 3, 1, 5]
+    settings = ["order", "neurons_per_term", "split_seed"]
+    assert [loaded.metadata[key] for key in settings] == [2, 3, 5]
     assert {type(model.metadata[key]) for key in settings} == {int}
     result = sweep(ds, np.array([1, order]), np.array([neurons]), np.int64(1), np.int64(40),
-                   None, 0.4, 1e-6, np.int64(0), sobol_skip=np.int64(1))
+                   None, 0.4, 1e-6, np.int64(0))
     write_sweep_csv(result, records)
     lines = open(records).read().splitlines()
     config = json.loads(lines[0][len("# config: "):])
-    assert (config["d_list"], config["N_list"], config["sobol_skip"]) == ([1, 2], [3], 1)
+    assert (config["d_list"], config["N_list"], config["base_seed"]) == ([1, 2], [3], 0)
     assert [line.split(",")[:4] for line in lines[2:]] == [["1", "3", "0", "0"],
                                                            ["2", "3", "0", "0"]]
     assert [line.split(",")[-1] for line in lines[2:]] == ["ok", "ok"]
@@ -720,17 +720,18 @@ def test_version_one_file_is_refused(tmp_path, resign):
         load_model(path)
 
 
-def _as_lists(doc):
-    """The version 3 layout: X and alpha as JSON lists of numbers."""
-    doc["X"] = _values(doc["X"]).reshape(-1, 3).tolist()
-    doc["gpr"]["alpha"] = _values(doc["gpr"]["alpha"]).tolist()
+def _as_version_four(doc):
+    """The version 4 layout: this one's, plus a `metadata.sobol_skip`."""
+    doc["metadata"]["sobol_skip"] = 0
+    doc["format_version"] = 4
 
 
-def test_version_three_file_is_refused(tmp_path, resign):
+def test_version_four_file_is_refused(tmp_path, resign):
     path = _saved_file(tmp_path)
-    resign(path, lambda doc: (_as_lists(doc), doc.update(format_version=3)))
-    with pytest.raises(ModelFormatError, match="file has version 3, this build reads only "
-                                               "version 4; refit the model"):
+    resign(path, _as_version_four)
+    with pytest.raises(ModelFormatError, match="file has version 4, this build reads only "
+                                               "version 5; refit the model to write a "
+                                               "version 5 file"):
         load_model(path)
 
 
@@ -787,9 +788,9 @@ BAD_FIELDS = {
     "neurons negative": (_edit("metadata", "neurons_per_term", -1), "neurons_per_term"),
     "neurons float": (_edit("metadata", "neurons_per_term", 4.5), "neurons_per_term"),
     "neurons past the sequence": (_edit("metadata", "neurons_per_term", 10**400), "exhausted"),
-    "skip negative": (_edit("metadata", "sobol_skip", -3), "sobol_skip"),
-    "skip bool": (_edit("metadata", "sobol_skip", False), "sobol_skip"),
-    "skip past the sequence": (_edit("metadata", "sobol_skip", 2**32), "metadata.*exhausted"),
+    # a version 4 body relabelled as version 5, and a field no build wrote
+    "version 4 skip": (_edit("metadata", "sobol_skip", 3), "metadata: unknown field 'sobol_skip'"),
+    "unknown field": (_edit("metadata", "jobs", 1), "metadata: unknown field 'jobs'"),
     "length scale negative": (_edit("metadata", "length_scale", -0.3), "length_scale"),
     "length scale zero": (_edit("metadata", "length_scale", 0), "length_scale"),
     "length scale string": (_edit("metadata", "length_scale", "0.3"), "length_scale"),

@@ -38,3 +38,36 @@ def test_power_of_two_scaling_is_bit_exact(case):
     for k in (900, -900):
         assert rmse(fitted * 2.0**k, ds.t * 2.0**k) == rmse(fitted, ds.t) * 2.0**k
         assert pearson_corr(fitted * 2.0**k, ds.t * 2.0**k) == pearson_corr(fitted, ds.t)
+
+
+def _score_pairs():
+    """Seeded (p, a) pairs of every length 1-29 at magnitudes from 1e-320,
+    where inputs are subnormal, to 1e300: independent draws, and exactly
+    linear pairs a = +-2^k p, whose correlation is +-1."""
+    rng = np.random.default_rng(8)
+    for n in range(1, 30):
+        for magnitude in (1e-320, 1e-310, 1e-300, 1e-150, 1.0, 1e150, 1e300):
+            for _ in range(4):
+                p = rng.uniform(-1.0, 1.0, n) * magnitude
+                yield p, rng.uniform(-1.0, 1.0, n) * magnitude
+                yield p, p * 2.0 ** int(rng.integers(-3, 4)) * rng.choice([-1.0, 1.0])
+
+
+def test_rmse_bounds_the_largest_gap():
+    # sum (p - a)^2 / n >= max (p - a)^2 / n, so rmse >= max |p - a| / sqrt(n)
+    # at every magnitude, subnormal gaps included.
+    for p, a in _score_pairs():
+        gap = np.abs(p - a).max()
+        if np.isfinite(gap):
+            assert rmse(p, a) >= gap / np.sqrt(len(p)), (p, a)
+
+
+def test_correlation_stays_in_range():
+    # Cauchy-Schwarz bounds |r| by 1, also where rounding would pass it.
+    checked = 0
+    for p, a in _score_pairs():
+        if len(p) >= 2 and np.ptp(p) > 0 and np.ptp(a) > 0:
+            r = pearson_corr(p, a)
+            assert np.isnan(r) or abs(r) <= 1.0, (p, a, r)
+            checked += 1
+    assert checked > 1000

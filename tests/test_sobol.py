@@ -7,6 +7,7 @@ requires bit-exact agreement, not closeness.
 
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -58,25 +59,17 @@ def test_dyadic_balance_without_zero_point():
             assert ((u >= 0.25) & (u < 0.5)).sum() == 64
 
 
-def test_skip_is_a_pure_offset():
-    full = sobol_points(4, 40)
-    assert np.array_equal(sobol_points(4, 30, skip=10), full[10:])
-    assert np.array_equal(sobol_points(4, 1, skip=39), full[39:])
-
-
 def test_longer_request_extends_shorter_one():
-    # sobol_points(d, a) is sobol_points(d, a + b)[:a], also from a skip and
-    # for an empty request
-    for dim, a, b, skip in [(3, 3, 5, 0), (2, 1, 40, 0), (6, 17, 15, 9), (1, 0, 8, 3)]:
-        longer = sobol_points(dim, a + b, skip=skip)
-        assert sobol_points(dim, a, skip=skip).shape == (a, dim)
-        assert np.array_equal(sobol_points(dim, a, skip=skip), longer[:a])
-        assert np.array_equal(sobol_points(dim, b, skip=skip + a), longer[a:])
+    # sobol_points(d, a) is sobol_points(d, a + b)[:a], also for an empty request
+    for dim, a, b in [(3, 3, 5), (2, 1, 40), (6, 17, 15), (1, 0, 8)]:
+        longer = sobol_points(dim, a + b)
+        assert sobol_points(dim, a).shape == (a, dim)
+        assert np.array_equal(sobol_points(dim, a), longer[:a])
 
 
 def test_repeated_calls_are_bit_identical():
-    a = sobol_points(6, 100, skip=7)
-    b = sobol_points(6, 100, skip=7)
+    a = sobol_points(6, 100)
+    b = sobol_points(6, 100)
     assert np.array_equal(a, b)
 
 
@@ -91,13 +84,12 @@ def test_supported_dimension_range():
 
 
 def test_argument_validation():
-    with pytest.raises(ValueError):
-        sobol_points(2, 1, skip=-1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="count must be non-negative"):
         sobol_points(2, -1)
-    # index 2**32 - 1 is the last point the 32-bit direction integers reach
-    with pytest.raises(ValueError):
-        sobol_points(2, 2, skip=2**32 - 2)
+    # index 2**32 - 1 is the last point the 32-bit direction integers reach;
+    # the request is refused before anything is allocated
+    with pytest.raises(ValueError, match="sequence exhausted"):
+        sobol_points(2, 2**32)
 
 
 def test_values_are_dyadic_rationals():
@@ -105,3 +97,16 @@ def test_values_are_dyadic_rationals():
     points = sobol_points(5, 128)
     scaled = points * 2.0**32
     assert np.array_equal(scaled, np.round(scaled))
+
+
+def test_matches_scipy_for_every_supported_dimension():
+    # scipy's unscrambled Sobol generator uses the same Joe-Kuo direction
+    # numbers; its first point is the all-zeros one that `sobol_points`
+    # never emits.  Imported here only: the package itself never loads it.
+    from scipy.stats import qmc
+
+    for dim in range(1, MAX_DIMENSION + 1):
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "The balance properties", UserWarning)
+            expected = qmc.Sobol(dim, scramble=False).random(1025)[1:]
+        assert np.array_equal(sobol_points(dim, 1024), expected), f"dimension {dim} deviates"
