@@ -19,7 +19,7 @@ from dataclasses import astuple, dataclass, field, fields
 import numpy as np
 
 from .data import Dataset, _check_memory, _config_line, _split_sizes, _write_columns, split
-from .errors import DatasetError, HdmrnetError, InvalidHyperparameterError, ShapeError
+from .errors import DatasetError, HdmrnetError, InvalidHyperparameterError, ShapeError, _integer
 from .gpr import _check_length_scale, _check_noise, _dual_sums, _kernel_scratch_bytes
 from .model import HdmrModel, _check_fit_settings, hdmr_fit, hdmr_predict, term_values
 
@@ -173,10 +173,7 @@ def sweep(
     runs, `split`, `gpr` and, for every (d, N), `model._check_fit_settings`
     raise each refusal of a split or fit setting; memory is checked per cell.
     """
-    if repeats < 1:
-        raise ValueError(f"repeats must be >= 1, got {repeats}")
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
+    repeats, jobs = _integer("repeats", repeats, 1), _integer("jobs", jobs, 1)
     _split_sizes(dataset.n, train_size, test_size, base_seed)
     for d in d_list:
         for N in N_list:
@@ -185,7 +182,7 @@ def sweep(
     config = {  # integer-like settings stored as plain ints
         "d_list": [operator.index(d) for d in d_list],
         "N_list": [operator.index(N) for N in N_list],
-        "repeats": operator.index(repeats),
+        "repeats": repeats,
         "train_size": operator.index(train_size),
         "test_size": test_size if test_size is None else operator.index(test_size),
         "length_scale": length_scale,
@@ -234,8 +231,7 @@ class ComponentCurve:
 
 
 def component_curves(model: HdmrModel, grid_size: int = 201) -> list[ComponentCurve]:
-    if grid_size < 2:
-        raise ValueError(f"grid_size must be >= 2, got {grid_size}")
+    grid_size = _integer("grid_size", grid_size, 2)
     F = model.n_features
     # The curves, their grid and one spare column for the interpreter's own
     # objects, the F one-feature groups, plus the kernel's scratch.

@@ -21,7 +21,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .errors import InvalidOrderError, ShapeError
+from .errors import InvalidOrderError, ShapeError, _integer
 from .sobol import sobol_points
 
 # Coupled features per gather of `map_features`.
@@ -56,24 +56,16 @@ class FeatureMap:
 
 
 def _check_order(dimension: int, order: int) -> int:
-    if not isinstance(order, (int, np.integer)):
-        raise InvalidOrderError(f"coupling order must be an integer, got {order!r}")
-    if not 1 <= order <= dimension:
-        raise InvalidOrderError(f"coupling order must be in [1, {dimension}], got {order}")
-    return int(order)
-
-
-def _check_count(name: str, value: int) -> int:
-    if not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    if value < 0:
-        raise ValueError(f"{name} must be >= 0, got {value}")
-    return int(value)
+    """The coupling order as an int in [1, dimension]; the dimension must be
+    an integer >= 1.  Either refusal is an `InvalidOrderError`."""
+    dimension = _integer("dimension", dimension, 1, error=InvalidOrderError)
+    return _integer("coupling order", order, 1, dimension, InvalidOrderError)
 
 
 def enumerate_subsets(dimension: int, order: int) -> list[tuple[int, ...]]:
     """All C(D, d) strictly-increasing index subsets, lexicographic order."""
-    return list(combinations(range(dimension), _check_order(dimension, order)))
+    order = _check_order(dimension, order)
+    return list(combinations(range(dimension), order))
 
 
 def build_feature_map(dimension: int, order: int, neurons_per_term: int) -> FeatureMap:
@@ -86,11 +78,11 @@ def build_feature_map(dimension: int, order: int, neurons_per_term: int) -> Feat
     """
     order = _check_order(dimension, order)
     subsets = enumerate_subsets(dimension, order)
-    neurons_per_term = _check_count("neurons_per_term", neurons_per_term)
+    neurons_per_term = _integer("neurons_per_term", neurons_per_term, 0)
     per_subset = neurons_per_term if order >= 2 else 0
     weights = sobol_points(order, per_subset * len(subsets))
     return FeatureMap(
-        dimension=dimension,
+        dimension=int(dimension),  # `_check_order` found it an integer
         order=order,
         neurons_per_term=neurons_per_term,
         indices=np.repeat(np.array(subsets, dtype=np.intp), per_subset, axis=0),

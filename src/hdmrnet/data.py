@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import numbers
 import os
 import uuid
 from contextlib import contextmanager
@@ -19,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DatasetError, InvalidHyperparameterError
+from .errors import DatasetError, InvalidHyperparameterError, _integer
 
 SYNTH_KINDS = ("additive", "pairwise", "product", "morse_like")
 
@@ -67,6 +68,8 @@ class Dataset:
             raise DatasetError(
                 f"{len(self.column_names)} column names for {self.X.shape[1]} columns"
             )
+        if not all(isinstance(name, str) for name in [*self.column_names, self.target_name]):
+            raise DatasetError("column names and the target name must be strings")
         if self.X.size and not np.isfinite(self.X).all():
             raise DatasetError("X contains non-finite values")
         if self.t.size and not np.isfinite(self.t).all():
@@ -268,28 +271,21 @@ def _format_column(column):
 def _format_cell(value) -> str:
     if isinstance(value, str):
         return value
-    if isinstance(value, (int, np.integer)):
+    if isinstance(value, numbers.Integral):  # int, bool or a numpy integer
         return str(int(value))
     return repr(float(value))
 
 
 def _split_sizes(n: int, train_size: int, test_size: int | None, seed: int) -> int:
-    """The test size that `split` takes from n rows with `seed`, or its refusal."""
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
-    if not 1 <= train_size < n:
-        raise DatasetError(
-            f"train_size must be in [1, {n - 1}] for {n} rows, got {train_size}"
-        )
-    remainder = n - train_size
+    """The test size that `split` takes from n rows with `seed`, or its
+    refusal: a seed that is not an integer >= 0 (`ValueError`), a train_size
+    not in [1, n - 1] or a test_size not in [1, n - train_size]
+    (`DatasetError`).  A test_size of None takes all the remaining rows."""
+    _integer("seed", seed, 0)
+    remainder = n - _integer("train_size", train_size, 1, n - 1, DatasetError)
     if test_size is None:
-        test_size = remainder
-    if not 1 <= test_size <= remainder:
-        raise DatasetError(
-            f"test_size must be in [1, {remainder}] after removing "
-            f"{train_size} training rows, got {test_size}"
-        )
-    return test_size
+        return remainder
+    return _integer("test_size", test_size, 1, remainder, DatasetError)
 
 
 def split(
@@ -368,14 +364,13 @@ def synth(
     """
     if kind not in SYNTH_KINDS:
         raise DatasetError(f"unknown synth kind '{kind}' (have: {', '.join(SYNTH_KINDS)})")
-    if dimension < 1:
-        raise DatasetError(f"dimension must be >= 1, got {dimension}")
+    dimension = _integer("dimension", dimension, 1, error=DatasetError)
     if kind in ("pairwise", "morse_like") and dimension < 2:
         raise DatasetError(f"kind '{kind}' needs dimension >= 2, got {dimension}")
-    if n < 1:
-        raise DatasetError(f"n must be >= 1, got {n}")
+    n = _integer("n", n, 1, error=DatasetError)
     if not 0 <= noise_std < math.inf:
         raise DatasetError(f"noise_std must be finite and >= 0, got {noise_std}")
+    seed = _integer("seed", seed, 0)
     width, extra = _SYNTH_COLUMNS[kind]
     _check_memory(8 * n * (width * dimension + extra),
                   f"{n} points of dimension {dimension}, their targets and temporaries")

@@ -1,4 +1,23 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and `_integer`, the one check
+of every integer setting: of the library's functions and of a model file.
+
+The module imports nothing from the package, so every module can import it.
+"""
+
+import math
+
+import numpy as np
+
+
+def _integer(name: str, value, low: int, high: float = math.inf, error=ValueError) -> int:
+    """`value` as a plain int if it is an int or a numpy integer, never a
+    bool, in [low, high]; else `error` naming the setting `name`."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise error(f"{name} must be an integer, got {value!r:.80}")
+    if not low <= int(value) <= high:
+        bounds = f">= {low}" if high == math.inf else f"in [{low}, {high}]"
+        raise error(f"{name} must be {bounds}, got {value}")
+    return int(value)
 
 
 class HdmrnetError(Exception):

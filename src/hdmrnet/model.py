@@ -24,11 +24,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coupling import (_CHUNK, FeatureMap, _check_count, _check_order, build_feature_map,
-                       map_features)
+from .coupling import _CHUNK, FeatureMap, _check_order, build_feature_map, map_features
 from .data import Dataset, _atomic_open, _check_memory
 from .errors import (DatasetError, HdmrnetError, InvalidHyperparameterError,
-                     ModelFormatError, ShapeError)
+                     ModelFormatError, ShapeError, _integer)
 from .gpr import (_UFUNC_BYTES, AdditiveGprModel, _check_length_scale, _check_noise,
                   _check_points, _fit_bytes, _prediction_bound, activation_sums, gpr_fit)
 from .sobol import _check_request
@@ -119,7 +118,7 @@ def _check_fit_settings(M: int, D: int, order: int, neurons_per_term: int,
     if M < 2:
         raise DatasetError(f"training set needs at least 2 rows, got {M}")
     order = _check_order(D, order)
-    neurons_per_term = _check_count("neurons_per_term", neurons_per_term)
+    neurons_per_term = _integer("neurons_per_term", neurons_per_term, 0)
     coupled = neurons_per_term * math.comb(D, order) if order >= 2 else 0
     _check_request(order, coupled)
     F = D + coupled
@@ -166,8 +165,10 @@ def hdmr_fit(
     Deterministic given (dataset contents, order, neurons_per_term,
     length_scale, noise); the hidden weights are Sobol points 1 ..
     N * C(D, d), so nothing else chooses them.  `split_seed`, keyword-only,
-    is provenance only and recorded in the model metadata.
+    is provenance only and recorded in the model metadata: None or an
+    integer >= 0, checked before the fit.
     """
+    split_seed = None if split_seed is None else _integer("split_seed", split_seed, 0)
     fmap, scaler, Y = _training_features(train.X, order, neurons_per_term, length_scale)
     gpr = gpr_fit(Y, train.t, length_scale, noise)
     metadata = {
@@ -176,7 +177,7 @@ def hdmr_fit(
         "neurons_per_term": fmap.neurons_per_term,
         "length_scale": float(length_scale),
         "noise": float(noise),
-        "split_seed": int(split_seed) if isinstance(split_seed, np.integer) else split_seed,
+        "split_seed": split_seed,
         "dataset_fingerprint": train.fingerprint(),
     }
     return HdmrModel(feature_map=fmap, scaler=scaler, gpr=gpr, metadata=metadata,
@@ -263,13 +264,6 @@ def _require(mapping, key, section):
     return mapping[key]
 
 
-def _integer(metadata: dict, key: str, low: int) -> int:
-    value = _require(metadata, key, "metadata")
-    if type(value) is not int or value < low:
-        raise ModelFormatError(f"metadata: '{key}' must be an integer >= {low}, got {value!r}")
-    return value
-
-
 def _number(mapping, key: str, section: str) -> float:
     """Field `key` as a float; it must be a finite JSON number (not a string,
     bool or null).  Floats are parsed finite, so only an integer past the
@@ -310,6 +304,24 @@ def _floats(mapping, key: str, section: str, shape: tuple) -> np.ndarray:
     return values
 
 
+def _check_fingerprint(fingerprint, rows: int, dimension: int) -> None:
+    """Refuse a `metadata.dataset_fingerprint` that `Dataset.fingerprint`
+    cannot have written for `rows` training rows of `dimension` columns."""
+    checks = {"rows": (f"{rows}, the rows of X", lambda v: type(v) is int and v == rows),
+              "columns": (f"a list of {dimension} strings", lambda v: type(v) is list
+                          and len(v) == dimension and all(type(c) is str for c in v)),
+              "target": ("a string", lambda v: type(v) is str),
+              "sha256": ("64 lowercase hex digits", lambda v: type(v) is str and len(v) == 64
+                         and set(v) <= set("0123456789abcdef"))}
+    if type(fingerprint) is not dict or sorted(fingerprint) != sorted(checks):
+        raise ModelFormatError("metadata.dataset_fingerprint: must be an object with exactly "
+                               f"the fields {', '.join(sorted(checks))}")
+    for key, (what, valid) in checks.items():
+        if not valid(fingerprint[key]):
+            raise ModelFormatError(f"metadata.dataset_fingerprint.{key}: must be {what}, "
+                                   f"got {fingerprint[key]!r:.80}")
+
+
 def _finite(text: str) -> float:
     """The JSON number or constant `text` as a float, refused unless finite."""
     if math.isfinite(value := float(text)):
@@ -331,9 +343,11 @@ def load_model(path: str) -> HdmrModel:
     """Read a model file, verifying structure, version, checksum and every field.
 
     `X` must decode to at least 2 rows of `metadata.dimension` finite
-    float64 values and `gpr.alpha` to one per row; any other payload, a
-    `metadata` field that `hdmr_fit` does not write, and a file of another
-    format version are a `ModelFormatError`.
+    float64 values and `gpr.alpha` to one per row; `split_seed` must be null
+    or an integer >= 0, and `dataset_fingerprint` what `Dataset.fingerprint`
+    writes for X's rows.  Any other payload or provenance, a `metadata`
+    field that `hdmr_fit` does not write, and a file of another format
+    version are a `ModelFormatError`.
     """
     try:
         with open(path, "rb") as fh:
@@ -360,9 +374,11 @@ def load_model(path: str) -> HdmrModel:
     del body  # before the features are built
 
     metadata = _require(document, "metadata", "document")
-    dimension = _integer(metadata, "dimension", 1)
-    order = _integer(metadata, "order", 1)
-    neurons_per_term = _integer(metadata, "neurons_per_term", 0)
+    dimension, order, neurons_per_term = (
+        _integer(f"metadata.{key}", _require(metadata, key, "metadata"), low, error=ModelFormatError)
+        for key, low in [("dimension", 1), ("order", 1), ("neurons_per_term", 0)])
+    if (split_seed := _require(metadata, "split_seed", "metadata")) is not None:
+        _integer("metadata.split_seed", split_seed, 0, error=ModelFormatError)
     for key in metadata:
         if key not in _METADATA_FIELDS:
             raise ModelFormatError(f"metadata: unknown field '{key:.80}'")
@@ -379,6 +395,7 @@ def load_model(path: str) -> HdmrModel:
 
     gp = _require(document, "gpr", "document")
     alpha = _floats(gp, "alpha", "gpr", (X.shape[0],))
+    _check_fingerprint(_require(metadata, "dataset_fingerprint", "metadata"), len(X), dimension)
     effective_noise = _number(gp, "effective_noise", "gpr")
     target_offset = _number(gp, "target_offset", "gpr")
     if not effective_noise >= noise:

@@ -16,7 +16,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import UnsupportedDimensionError
+from .errors import UnsupportedDimensionError, _integer
 
 MAX_DIMENSION = 64
 
@@ -118,16 +118,16 @@ def _direction_table(dimension: int) -> np.ndarray:
     return table
 
 
-def _check_request(dimension: int, count: int) -> None:
-    """Refuse a request that `sobol_points` cannot serve."""
-    if not 1 <= dimension <= MAX_DIMENSION:
-        raise UnsupportedDimensionError(
-            f"Sobol dimension must be in [1, {MAX_DIMENSION}], got {dimension}"
-        )
-    if count < 0:
-        raise ValueError(f"count must be non-negative, got {count}")
+def _check_request(dimension: int, count: int) -> tuple[int, int]:
+    """The dimension, an integer in [1, MAX_DIMENSION] else an
+    `UnsupportedDimensionError`, and the count, an integer >= 0 with
+    1 + count <= 2**32 else a `ValueError`, as plain ints: the request
+    that `sobol_points` serves.  Nothing is allocated before it returns."""
+    dimension = _integer("Sobol dimension", dimension, 1, MAX_DIMENSION, UnsupportedDimensionError)
+    count = _integer("count", count, 0)
     if 1 + count > 1 << _NBITS:
         raise ValueError(f"sequence exhausted beyond 2**{_NBITS} - 1 points")
+    return dimension, count
 
 
 def sobol_points(dimension: int, count: int) -> np.ndarray:
@@ -137,7 +137,7 @@ def sobol_points(dimension: int, count: int) -> np.ndarray:
     arrays, and the rows of a longer request are a prefix-extension of a
     shorter one.
     """
-    _check_request(dimension, count)
+    dimension, count = _check_request(dimension, count)
     directions = _direction_table(dimension)
     state = np.zeros(dimension, dtype=np.uint64)
     out = np.empty((count, dimension))

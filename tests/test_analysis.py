@@ -444,7 +444,7 @@ def test_grid_search_refuses_bad_settings_before_any_fit(monkeypatch):
             (Dataset(X=ds.X[:2], t=ds.t[:2]), 1, 0, 1e-6, DatasetError,
              "at least 2 rows, got 1"),
             (Dataset(X=ds.X[:1], t=ds.t[:1]), 1, 0, 1e-6, DatasetError,
-             r"train_size must be in \[1, 0\] for 1 rows")]:
+             r"train_size must be in \[1, 0\], got 0$")]:
         with pytest.raises(error, match=message):
             grid_search_l(train, order, neurons, [0.3], noise, seed=1)
     for seed in (-5, -1):  # the caller's own seed, not the inner split's seed + 1

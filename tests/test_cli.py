@@ -625,6 +625,23 @@ def test_synth_refuses_bad_noise_before_writing(tmp_path, capsys, value):
     assert not out.exists()
 
 
+def test_negative_seed_exits_two_before_writing(workspace, tmp_path, capsys):
+    # Without --train the seed is only provenance, still refused before the
+    # fit: a model file holds a split seed that is null or >= 0.  (A split's
+    # negative seed is refused by `split`, see the sweep refusals above.)
+    _, data, _ = workspace
+    target = tmp_path / "x.model"
+    assert run("fit", "--data", data, "--d", "2", "--n-per-term", "2", "--l", "0.3",
+               "--seed", "-5", "--out", str(target)) == 2
+    assert "error: split_seed must be >= 0, got -5" in capsys.readouterr().err
+    assert not target.exists()
+    out = tmp_path / "d.csv"
+    assert run("synth", "--kind", "additive", "--dim", "2", "--n", "10", "--seed", "-1",
+               "--out", str(out)) == 2
+    assert "error: seed must be >= 0, got -1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_failed_fit_leaves_no_model_file(workspace, tmp_path):
     _, data, _ = workspace
     target = str(tmp_path / "never.model")

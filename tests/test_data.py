@@ -67,6 +67,9 @@ def test_synth_validation():
         synth("additive", 0, 10, seed=0)
     with pytest.raises(DatasetError):
         synth("additive", 2, 0, seed=0)
+    # the seed is checked as a setting, not left to numpy's PCG64
+    with pytest.raises(ValueError, match="seed must be >= 0, got -1$"):
+        synth("additive", 2, 10, seed=-1)
     # a NaN noise fails `noise_std > 0` and would leave the targets noiseless
     for noise_std in (-1.0, math.nan, math.inf):
         with pytest.raises(DatasetError, match="noise_std must be finite and >= 0"):
@@ -218,6 +221,14 @@ def test_dataset_validation():
         Dataset(X=np.zeros((2, 2)), t=np.zeros(2), column_names=["a"])
     with pytest.raises(DatasetError, match="X must be 2-D"):
         Dataset(X=np.zeros(3), t=np.zeros(3))
+    # names go into a model file's dataset fingerprint, whose loading
+    # refuses any that is not a string
+    for columns, target in [([1, 2], None), ([1, 2], "t"), (["a", "b"], None),
+                            (["a", 2], "t"), (["a", "b"], 7), ([b"a", "b"], "t")]:
+        with pytest.raises(DatasetError, match="names and the target name must be strings"):
+            Dataset(X=np.zeros((2, 2)), t=np.zeros(2), column_names=columns, target_name=target)
+    names = Dataset(X=np.zeros((2, 2)), t=np.zeros(2), column_names=list(np.array(["a", "b"])))
+    assert names.fingerprint()["columns"] == ["a", "b"]
 
 
 def test_fingerprint_tracks_content():

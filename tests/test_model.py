@@ -741,6 +741,12 @@ def _edit(section, key, value):
     return edit
 
 
+def _fingerprint(**fields):
+    def edit(doc):
+        doc["metadata"]["dataset_fingerprint"].update(fields)
+    return edit
+
+
 def _values(text):
     return np.frombuffer(base64.b64decode(text), "<f8").copy()
 
@@ -791,6 +797,34 @@ BAD_FIELDS = {
     # a version 4 body relabelled as version 5, and a field no build wrote
     "version 4 skip": (_edit("metadata", "sobol_skip", 3), "metadata: unknown field 'sobol_skip'"),
     "unknown field": (_edit("metadata", "jobs", 1), "metadata: unknown field 'jobs'"),
+    # provenance: a split seed is null or an integer >= 0, and the dataset
+    # fingerprint holds what `Dataset.fingerprint` writes for X's 80 rows of 3
+    "split seed missing": (lambda doc: doc["metadata"].pop("split_seed"),
+                           "metadata: missing field 'split_seed'"),
+    "split seed string": (_edit("metadata", "split_seed", "not a seed"),
+                          "split_seed must be an integer, got 'not a seed'"),
+    "split seed float": (_edit("metadata", "split_seed", 1.5), "split_seed must be an integer"),
+    "split seed bool": (_edit("metadata", "split_seed", True), "split_seed must be an integer"),
+    "split seed negative": (_edit("metadata", "split_seed", -3), "split_seed must be >= 0, got -3"),
+    "fingerprint missing": (lambda doc: doc["metadata"].pop("dataset_fingerprint"),
+                            "metadata: missing field 'dataset_fingerprint'"),
+    "fingerprint a list": (_edit("metadata", "dataset_fingerprint", [1, 2]),
+                           "dataset_fingerprint: must be an object with exactly the fields"),
+    "fingerprint field missing": (lambda doc: doc["metadata"]["dataset_fingerprint"].pop("sha256"),
+                                  "dataset_fingerprint: must be an object"),
+    "fingerprint extra field": (lambda doc: doc["metadata"]["dataset_fingerprint"].update(path="a"),
+                                "dataset_fingerprint: must be an object"),
+    "fingerprint rows": (_fingerprint(rows=79), r"fingerprint\.rows: must be 80, .* got 79"),
+    "fingerprint rows float": (_fingerprint(rows=80.0), r"fingerprint\.rows: must be 80"),
+    "fingerprint columns short": (_fingerprint(columns=["x1", "x2"]),
+                                  r"fingerprint\.columns: must be a list of 3 strings"),
+    "fingerprint columns numbers": (_fingerprint(columns=[1, 2, 3]), r"fingerprint\.columns"),
+    "fingerprint columns string": (_fingerprint(columns="x1,x2,x3"), r"fingerprint\.columns"),
+    "fingerprint target null": (_fingerprint(target=None),
+                                r"fingerprint\.target: must be a string, got None"),
+    "fingerprint sha256 upper": (_fingerprint(sha256="A" * 64), r"fingerprint\.sha256: must be 64"),
+    "fingerprint sha256 short": (_fingerprint(sha256="a" * 63), r"fingerprint\.sha256: must be 64"),
+    "fingerprint sha256 number": (_fingerprint(sha256=7), r"fingerprint\.sha256: must be 64"),
     "length scale negative": (_edit("metadata", "length_scale", -0.3), "length_scale"),
     "length scale zero": (_edit("metadata", "length_scale", 0), "length_scale"),
     "length scale string": (_edit("metadata", "length_scale", "0.3"), "length_scale"),

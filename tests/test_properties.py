@@ -1,9 +1,16 @@
 """Properties that hold for every input, checked on seeded grids."""
 
+import pickle
+from dataclasses import replace
+from functools import cache
+
 import numpy as np
 import pytest
 
-from hdmrnet import Dataset, gpr, hdmr_fit, hdmr_predict, pearson_corr, rmse, synth
+from hdmrnet import (Dataset, HdmrnetError, SweepResult, build_feature_map, component_curves,
+                     enumerate_subsets, gpr, grid_search_l, hdmr_fit, hdmr_predict,
+                     pearson_corr, rmse, split, sweep, synth)
+from hdmrnet.sobol import sobol_points
 
 # (rows, order, neurons per term, length scale) of a D = 4 fit on each solve
 # route: the exact loop's Gram below l = 1/6, else the factor's Gram where
@@ -71,3 +78,71 @@ def test_correlation_stays_in_range():
             assert np.isnan(r) or abs(r) <= 1.0, (p, a, r)
             checked += 1
     assert checked > 1000
+
+
+@cache
+def _small():
+    """A 40-row D = 3 dataset and a d = 2 model fitted on it."""
+    data = synth("pairwise", 3, 40, seed=1)
+    return data, hdmr_fit(data, 2, 1, 0.3)
+
+
+# Every public function with integer settings: its valid keyword arguments,
+# and the least valid value of each integer setting; "d_list[1]" is an entry.
+_INTEGER_SETTINGS = {
+    sobol_points: (lambda: dict(dimension=2, count=5), {"dimension": 1, "count": 0}),
+    enumerate_subsets: (lambda: dict(dimension=3, order=2), {"dimension": 1, "order": 1}),
+    build_feature_map: (lambda: dict(dimension=3, order=2, neurons_per_term=2),
+                        {"dimension": 1, "order": 1, "neurons_per_term": 0}),
+    split: (lambda: dict(dataset=_small()[0], train_size=30, seed=7, test_size=5),
+            {"train_size": 1, "seed": 0, "test_size": 1}),
+    synth: (lambda: dict(kind="additive", dimension=2, n=10, seed=1),
+            {"dimension": 1, "n": 1, "seed": 0}),
+    hdmr_fit: (lambda: dict(train=_small()[0], order=2, neurons_per_term=1, length_scale=0.3,
+                            split_seed=5),
+               {"order": 1, "neurons_per_term": 0, "split_seed": 0}),
+    sweep: (lambda: dict(dataset=_small()[0], d_list=[1, 2], N_list=[1], repeats=1,
+                         train_size=30, test_size=5, length_scale=0.3, noise=1e-6, base_seed=7,
+                         jobs=1),
+            {"d_list[1]": 1, "N_list[0]": 0, "repeats": 1, "train_size": 1, "test_size": 1,
+             "base_seed": 0, "jobs": 1}),
+    grid_search_l: (lambda: dict(train=_small()[0], order=2, neurons_per_term=1,
+                                 candidates=[0.3, 0.6], noise=1e-6, seed=7),
+                    {"order": 1, "neurons_per_term": 0, "seed": 0}),
+    component_curves: (lambda: dict(model=_small()[1], grid_size=5), {"grid_size": 2}),
+}
+_SETTINGS = [(function, name) for function, (_, lows) in _INTEGER_SETTINGS.items()
+             for name in lows]
+
+
+def _with(arguments: dict, name: str, change) -> dict:
+    """`arguments` with the setting `name`, or the list entry "key[i]",
+    replaced by `change` of its value."""
+    key, _, index = name.partition("[")
+    if not index:
+        return {**arguments, key: change(arguments[key])}
+    entries = list(arguments[key])
+    entries[int(index[:-1])] = change(entries[int(index[:-1])])
+    return {**arguments, key: entries}
+
+
+def _bits(result) -> bytes:
+    """The pickled bytes of a result, a sweep's without its wall_s timings."""
+    if isinstance(result, SweepResult):
+        result = [replace(record, wall_s=0.0) for record in result.records], result.config
+    return pickle.dumps(result)
+
+
+@pytest.mark.parametrize("function, name", _SETTINGS,
+                         ids=[f"{function.__name__}-{name}" for function, name in _SETTINGS])
+def test_integer_settings_take_ints_and_numpy_integers_only(function, name):
+    # An integer setting is an int or a numpy integer, never a bool or a
+    # float: 2.5, True and a value below its bound each raise ValueError or
+    # an HdmrnetError, never a stray TypeError, and np.int64(v) gives the
+    # same result as v, bit for bit.
+    make_arguments, lows = _INTEGER_SETTINGS[function]
+    arguments = make_arguments()
+    for bad in (2.5, True, lows[name] - 1):
+        with pytest.raises((ValueError, HdmrnetError)):
+            function(**_with(arguments, name, lambda value: bad))
+    assert _bits(function(**_with(arguments, name, np.int64))) == _bits(function(**arguments))

@@ -84,7 +84,7 @@ def test_supported_dimension_range():
 
 
 def test_argument_validation():
-    with pytest.raises(ValueError, match="count must be non-negative"):
+    with pytest.raises(ValueError, match="count must be >= 0, got -1"):
         sobol_points(2, -1)
     # index 2**32 - 1 is the last point the 32-bit direction integers reach;
     # the request is refused before anything is allocated
