@@ -19,7 +19,8 @@ from dataclasses import astuple, dataclass, field, fields
 import numpy as np
 
 from .data import Dataset, _check_memory, _config_line, _split_sizes, _write_columns, split
-from .errors import DatasetError, HdmrnetError, InvalidHyperparameterError, ShapeError, _integer
+from .errors import (DatasetError, HdmrnetError, InvalidHyperparameterError, ShapeError,
+                     _integer, _real)
 from .gpr import _check_length_scale, _check_noise, _dual_sums, _kernel_scratch_bytes
 from .model import HdmrModel, _check_fit_settings, hdmr_fit, hdmr_predict, term_values
 
@@ -258,10 +259,15 @@ def grid_search_l(
     train/test split of the same seed.  Ties go to the larger (smoother)
     candidate.  `data._split_sizes`, given the caller's seed,
     `model._check_fit_settings` and `gpr`'s noise check raise before the
-    first fit; a candidate whose fit fails scores infinity.
+    first fit, and so does `errors._real` for a candidate that is not a
+    finite real number (a bool, a string, None, NaN or infinity), with
+    `InvalidHyperparameterError`; a real candidate whose fit fails, such
+    as -1.0, scores infinity.
     """
     if not candidates:
         raise InvalidHyperparameterError("no length scale candidates given")
+    candidates = [_real(f"candidates[{i}]", l, -math.inf, error=InvalidHyperparameterError)
+                  for i, l in enumerate(candidates)]
     val_size = max(1, int(round(_VAL_FRACTION * train.n)))
     _split_sizes(train.n, train.n - val_size, val_size, seed)
     _check_fit_settings(train.n - val_size, train.dimension, order, neurons_per_term)
@@ -274,7 +280,7 @@ def grid_search_l(
             score = rmse(hdmr_predict(model, val.X), val.t)
         except _FIT_ERRORS:
             score = float("inf")
-        results.append((float(l), score))
+        results.append((l, score))
     best_l, best_score = results[0]
     for l, score in results[1:]:
         if score <= best_score:

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DatasetError, InvalidHyperparameterError, _integer
+from .errors import DatasetError, InvalidHyperparameterError, _integer, _real
 
 SYNTH_KINDS = ("additive", "pairwise", "product", "morse_like")
 
@@ -62,6 +62,7 @@ class Dataset:
             raise DatasetError(
                 f"t must have shape ({self.X.shape[0]},), got {self.t.shape}"
             )
+        self.column_names = [] if self.column_names is None else list(self.column_names)
         if not self.column_names:
             self.column_names = [f"x{i + 1}" for i in range(self.X.shape[1])]
         if len(self.column_names) != self.X.shape[1]:
@@ -358,9 +359,10 @@ def synth(
     morse_like  sum_i (1 - exp(-(x_i - 0.3)))^2
                 + 0.5 sum_{i<j} (x_i - 0.3)(x_j - 0.3)
 
-    Points are drawn uniformly, then Gaussian noise of scale `noise_std`
-    (finite and >= 0) is added to the targets; both use one PCG64 stream
-    seeded with `seed`.
+    Points are drawn uniformly, then Gaussian noise of scale `noise_std` is
+    added to the targets; both use one PCG64 stream seeded with `seed`.
+    `noise_std` is a real number, finite and >= 0, by `errors._real`; any
+    other value raises `DatasetError` before anything is drawn.
     """
     if kind not in SYNTH_KINDS:
         raise DatasetError(f"unknown synth kind '{kind}' (have: {', '.join(SYNTH_KINDS)})")
@@ -368,8 +370,7 @@ def synth(
     if kind in ("pairwise", "morse_like") and dimension < 2:
         raise DatasetError(f"kind '{kind}' needs dimension >= 2, got {dimension}")
     n = _integer("n", n, 1, error=DatasetError)
-    if not 0 <= noise_std < math.inf:
-        raise DatasetError(f"noise_std must be finite and >= 0, got {noise_std}")
+    noise_std = _real("noise_std", noise_std, 0.0, error=DatasetError)
     seed = _integer("seed", seed, 0)
     width, extra = _SYNTH_COLUMNS[kind]
     _check_memory(8 * n * (width * dimension + extra),

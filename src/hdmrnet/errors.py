@@ -1,10 +1,13 @@
-"""Exception types shared across the package, and `_integer`, the one check
-of every integer setting: of the library's functions and of a model file.
+"""Exception types shared across the package, and the one check of every
+setting, of the library's functions and of a model file: `_integer` for an
+integer setting and `_real` for a real one.  Both return a plain Python
+number, and both raise the caller's error type with one wording.
 
 The module imports nothing from the package, so every module can import it.
 """
 
 import math
+import numbers
 
 import numpy as np
 
@@ -18,6 +21,23 @@ def _integer(name: str, value, low: int, high: float = math.inf, error=ValueErro
         bounds = f">= {low}" if high == math.inf else f"in [{low}, {high}]"
         raise error(f"{name} must be {bounds}, got {value}")
     return int(value)
+
+
+def _real(name: str, value, low: float, high: float = math.inf, error=ValueError) -> float:
+    """`value` as a plain float if it is a real number (an int, a float or a
+    numpy integer or floating scalar), never a bool, finite and in
+    [low, high]; else `error` naming the setting `name`.  An int past the
+    float range is not finite."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise error(f"{name} must be a real number, got {value!r:.80}")
+    try:
+        number = float(value)
+    except OverflowError:
+        number = math.nan
+    if not (math.isfinite(number) and low <= number <= high):
+        bounds = f">= {low}" if high == math.inf else f"in [{low}, {high}]"
+        raise error(f"{name} must be finite and {bounds}, got {value!s:.80}")
+    return number
 
 
 class HdmrnetError(Exception):

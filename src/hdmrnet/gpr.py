@@ -46,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (DatasetError, IllConditionedGramError, InvalidHyperparameterError,
-                     ShapeError)
+                     ShapeError, _real)
 
 # Jitter escalation ceiling (fits needing more are refused), and the c of
 # `_escalate`'s acceptance rule: backward error at most c * eps.
@@ -119,26 +119,18 @@ class AdditiveGprModel:
         return compile_components(self)
 
 
-def _check_length_scale(length_scale: float) -> float:
-    """The length scale as a float; the kernel's 1/(2 l^2) must be finite and > 0."""
-    length_scale = float(length_scale)
-    try:
-        inv = 1.0 / (2.0 * length_scale**2)
-    except (OverflowError, ZeroDivisionError):
-        inv = math.nan
-    if not (length_scale > 0.0 and 0.0 < inv < math.inf):
-        raise InvalidHyperparameterError(
-            f"length scale must be > 0 with 1/(2 l^2) a finite positive number, "
-            f"got {length_scale}"
-        )
-    return length_scale
+def _check_length_scale(length_scale, name: str = "length scale",
+                        error=InvalidHyperparameterError) -> float:
+    """The length scale as a float, by `errors._real`, in [2^-511, 2^511]:
+    there 2 l^2 is a normal float and the kernel's 1/(2 l^2) is finite and
+    nonzero.  `name` and `error` name the setting and its refusal."""
+    return _real(name, length_scale, 2.0**-511, 2.0**511, error)
 
 
-def _check_noise(noise: float) -> float:
-    noise = float(noise)
-    if not 0.0 < noise < math.inf:
-        raise InvalidHyperparameterError(f"noise must be finite and > 0, got {noise}")
-    return noise
+def _check_noise(noise, name: str = "noise", error=InvalidHyperparameterError) -> float:
+    """The noise level as a float, by `errors._real`: finite and at least the
+    least positive float."""
+    return _real(name, noise, math.ulp(0.0), error=error)
 
 
 def _check_features(Y) -> np.ndarray:

@@ -26,8 +26,7 @@ import numpy as np
 
 from .coupling import _CHUNK, FeatureMap, _check_order, build_feature_map, map_features
 from .data import Dataset, _atomic_open, _check_memory
-from .errors import (DatasetError, HdmrnetError, InvalidHyperparameterError,
-                     ModelFormatError, ShapeError, _integer)
+from .errors import DatasetError, HdmrnetError, ModelFormatError, ShapeError, _integer, _real
 from .gpr import (_UFUNC_BYTES, AdditiveGprModel, _check_length_scale, _check_noise,
                   _check_points, _fit_bytes, _prediction_bound, activation_sums, gpr_fit)
 from .sobol import _check_request
@@ -105,15 +104,15 @@ class HdmrModel:
 def _check_fit_settings(M: int, D: int, order: int, neurons_per_term: int,
                         length_scale: float | None = None) -> tuple[int, int]:
     """The one owner of the refusals that a fit of M rows of D coordinates
-    makes from its settings alone, before anything is allocated: fewer than
-    2 rows, an order not an integer in [1, D], a neuron count not an
-    integer >= 0, more coupled rows than the Sobol sequence has points
-    (1 + N C(D, d) > 2^32), and a length scale that `gpr` refuses.
+    makes from its integer settings, before anything is allocated: fewer
+    than 2 rows, an order not an integer in [1, D], a neuron count not an
+    integer >= 0, and more coupled rows than the Sobol sequence has points
+    (1 + N C(D, d) > 2^32); `hdmr_fit` checks its real settings before it.
     Returns F and the bytes of building the features: the map arrays, the
     features, which are scaled in place, one gather of `map_features` and
-    the ufuncs' scratch, or, given the length scale of a fit, instead of
-    that scratch what `gpr._fit_bytes` counts at it.  A fit keeps the
-    features as `Ytrain`.
+    the ufuncs' scratch, or, given the checked length scale of a fit,
+    instead of that scratch what `gpr._fit_bytes` counts at it.  A fit
+    keeps the features as `Ytrain`.
     """
     if M < 2:
         raise DatasetError(f"training set needs at least 2 rows, got {M}")
@@ -123,7 +122,7 @@ def _check_fit_settings(M: int, D: int, order: int, neurons_per_term: int,
     _check_request(order, coupled)
     F = D + coupled
     scratch = (_UFUNC_BYTES if length_scale is None
-               else _fit_bytes(M, F, _check_length_scale(length_scale)))
+               else _fit_bytes(M, F, length_scale))
     return F, 8 * M * (F + min(_CHUNK, coupled)) + 16 * order * coupled + scratch
 
 
@@ -166,17 +165,19 @@ def hdmr_fit(
     length_scale, noise); the hidden weights are Sobol points 1 ..
     N * C(D, d), so nothing else chooses them.  `split_seed`, keyword-only,
     is provenance only and recorded in the model metadata: None or an
-    integer >= 0, checked before the fit.
+    integer >= 0.  It, the length scale and the noise are checked before
+    anything is built, and the checked floats are recorded.
     """
     split_seed = None if split_seed is None else _integer("split_seed", split_seed, 0)
+    length_scale, noise = _check_length_scale(length_scale), _check_noise(noise)
     fmap, scaler, Y = _training_features(train.X, order, neurons_per_term, length_scale)
     gpr = gpr_fit(Y, train.t, length_scale, noise)
     metadata = {
         "dimension": train.dimension,
         "order": fmap.order,
         "neurons_per_term": fmap.neurons_per_term,
-        "length_scale": float(length_scale),
-        "noise": float(noise),
+        "length_scale": length_scale,
+        "noise": noise,
         "split_seed": split_seed,
         "dataset_fingerprint": train.fingerprint(),
     }
@@ -264,19 +265,6 @@ def _require(mapping, key, section):
     return mapping[key]
 
 
-def _number(mapping, key: str, section: str) -> float:
-    """Field `key` as a float; it must be a finite JSON number (not a string,
-    bool or null).  Floats are parsed finite, so only an integer past the
-    float range overflows."""
-    value = _require(mapping, key, section)
-    if type(value) in (int, float):
-        try:
-            return float(value)
-        except OverflowError:
-            pass
-    raise ModelFormatError(f"{section}.{key}: must be a finite number, got {value!r:.80}")
-
-
 def _floats(mapping, key: str, section: str, shape: tuple) -> np.ndarray:
     """Field `key`, the base64 text of finite little-endian float64 values,
     as a float64 array of `shape` (a leading None matches any row count).
@@ -345,7 +333,11 @@ def load_model(path: str) -> HdmrModel:
     `X` must decode to at least 2 rows of `metadata.dimension` finite
     float64 values and `gpr.alpha` to one per row; `split_seed` must be null
     or an integer >= 0, and `dataset_fingerprint` what `Dataset.fingerprint`
-    writes for X's rows.  Any other payload or provenance, a `metadata`
+    writes for X's rows.  The four real fields pass `errors._real` under
+    their own names, as JSON numbers, never a bool: `metadata.length_scale`
+    and `metadata.noise` by `gpr`'s checks of a fit's settings,
+    `gpr.effective_noise` finite and >= the noise, and `gpr.target_offset`
+    finite.  Any other payload or provenance, a `metadata`
     field that `hdmr_fit` does not write, and a file of another format
     version are a `ModelFormatError`.
     """
@@ -382,12 +374,10 @@ def load_model(path: str) -> HdmrModel:
     for key in metadata:
         if key not in _METADATA_FIELDS:
             raise ModelFormatError(f"metadata: unknown field '{key:.80}'")
-    length_scale = _number(metadata, "length_scale", "metadata")
-    noise = _number(metadata, "noise", "metadata")
-    try:
-        length_scale, noise = _check_length_scale(length_scale), _check_noise(noise)
-    except InvalidHyperparameterError as exc:
-        raise ModelFormatError(f"metadata: bad length_scale or noise: {exc}") from exc
+    length_scale = _check_length_scale(_require(metadata, "length_scale", "metadata"),
+                                       "metadata.length_scale", ModelFormatError)
+    noise = _check_noise(_require(metadata, "noise", "metadata"), "metadata.noise",
+                         ModelFormatError)
 
     X = _floats(document, "X", "document", (None, dimension))
     if X.shape[0] < 2:
@@ -396,12 +386,10 @@ def load_model(path: str) -> HdmrModel:
     gp = _require(document, "gpr", "document")
     alpha = _floats(gp, "alpha", "gpr", (X.shape[0],))
     _check_fingerprint(_require(metadata, "dataset_fingerprint", "metadata"), len(X), dimension)
-    effective_noise = _number(gp, "effective_noise", "gpr")
-    target_offset = _number(gp, "target_offset", "gpr")
-    if not effective_noise >= noise:
-        raise ModelFormatError(
-            f"gpr: effective_noise {effective_noise} is below the requested noise {noise}"
-        )
+    effective_noise = _real("gpr.effective_noise", _require(gp, "effective_noise", "gpr"),
+                            noise, error=ModelFormatError)
+    target_offset = _real("gpr.target_offset", _require(gp, "target_offset", "gpr"),
+                          -math.inf, error=ModelFormatError)
 
     # Held while the body was decoded and parsed: its bytes and their text,
     # then that text and the document's copy of it.  A payload's decoding

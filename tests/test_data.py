@@ -229,6 +229,16 @@ def test_dataset_validation():
             Dataset(X=np.zeros((2, 2)), t=np.zeros(2), column_names=columns, target_name=target)
     names = Dataset(X=np.zeros((2, 2)), t=np.zeros(2), column_names=list(np.array(["a", "b"])))
     assert names.fingerprint()["columns"] == ["a", "b"]
+    # names are taken as a list first: an array or a tuple of strings is
+    # stored as a list, an empty one gets the default names, and non-string
+    # names in an array are still refused
+    for columns, stored in [(np.array(["a", "b"]), ["a", "b"]), (("a", "b"), ["a", "b"]),
+                            (np.array([], dtype=str), ["x1", "x2"]), ((), ["x1", "x2"])]:
+        names = Dataset(X=np.zeros((2, 2)), t=np.zeros(2), column_names=columns)
+        assert type(names.column_names) is list and names.column_names == stored
+    for columns in (np.array([1, 2]), np.array([b"a", b"b"]), (1.0, "b")):
+        with pytest.raises(DatasetError, match="names and the target name must be strings"):
+            Dataset(X=np.zeros((2, 2)), t=np.zeros(2), column_names=columns)
 
 
 def test_fingerprint_tracks_content():

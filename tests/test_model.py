@@ -104,6 +104,22 @@ def test_fit_needs_two_rows():
         hdmr_fit(ds, 1, 0, 0.5)
 
 
+def test_bad_length_scale_or_noise_is_refused_before_any_feature(monkeypatch):
+    # l and sigma are checked before the training features are mapped, and
+    # the metadata records the checked floats, not the values given.
+    ds = synth("pairwise", 3, 40, seed=1)
+    model = hdmr_fit(ds, 2, 2, np.float64(0.5), 1)
+    assert [(type(v), v) for v in (model.metadata["length_scale"], model.metadata["noise"])] \
+        == [(float, 0.5), (float, 1.0)]
+    calls = []
+    monkeypatch.setattr(hdmrnet.model, "map_features", lambda *args: calls.append(args))
+    for length_scale, noise in [(0.3, 0.0), (0.3, True), (0.3, "1e-6"), (0.3, np.nan),
+                                (-0.3, 1e-6), (True, 1e-6), (None, 1e-6)]:
+        with pytest.raises(InvalidHyperparameterError, match="length scale|noise"):
+            hdmr_fit(ds, 2, 2, length_scale, noise)
+    assert calls == []
+
+
 def test_predict_shape_validation():
     model, _ = _small_model()
     with pytest.raises(ShapeError):
@@ -829,11 +845,17 @@ BAD_FIELDS = {
     "length scale zero": (_edit("metadata", "length_scale", 0), "length_scale"),
     "length scale string": (_edit("metadata", "length_scale", "0.3"), "length_scale"),
     "length scale 1e200": (_edit("metadata", "length_scale", 1e200), "length_scale"),
+    "length scale bool": (_edit("metadata", "length_scale", True),
+                          r"metadata\.length_scale must be a real number, got True"),
     "noise zero": (_edit("metadata", "noise", 0.0), "noise"),
     "noise null": (_edit("metadata", "noise", None), "noise"),
+    "noise bool": (_edit("metadata", "noise", True),
+                   r"metadata\.noise must be a real number, got True"),
     "effective noise below noise": (_edit("gpr", "effective_noise", 1e-7), "effective_noise"),
     "effective noise bool": (_edit("gpr", "effective_noise", True), "effective_noise"),
     "target offset string": (_edit("gpr", "target_offset", "0.5"), "target_offset"),
+    "target offset bool": (_edit("gpr", "target_offset", True),
+                           r"gpr\.target_offset must be a real number, got True"),
     # X is 80 rows of 3 values, 1920 bytes and 2560 base64 characters; alpha
     # 80 values, 640 bytes, and its text ends in "==".
     "X ragged": (_recode("X", lambda values: values[:-1].tobytes()),

@@ -1,5 +1,6 @@
 """Properties that hold for every input, checked on seeded grids."""
 
+import math
 import pickle
 from dataclasses import replace
 from functools import cache
@@ -7,9 +8,11 @@ from functools import cache
 import numpy as np
 import pytest
 
-from hdmrnet import (Dataset, HdmrnetError, SweepResult, build_feature_map, component_curves,
-                     enumerate_subsets, gpr, grid_search_l, hdmr_fit, hdmr_predict,
-                     pearson_corr, rmse, split, sweep, synth)
+import hdmrnet.model
+from hdmrnet import (Dataset, HdmrnetError, InvalidHyperparameterError, SweepResult,
+                     build_feature_map, component_curves, enumerate_subsets, gpr, gpr_fit,
+                     gram_matrix, grid_search_l, hdmr_fit, hdmr_predict, pearson_corr, rmse,
+                     split, sweep, synth)
 from hdmrnet.sobol import sobol_points
 
 # (rows, order, neurons per term, length scale) of a D = 4 fit on each solve
@@ -146,3 +149,70 @@ def test_integer_settings_take_ints_and_numpy_integers_only(function, name):
         with pytest.raises((ValueError, HdmrnetError)):
             function(**_with(arguments, name, lambda value: bad))
     assert _bits(function(**_with(arguments, name, np.int64))) == _bits(function(**arguments))
+
+
+def _features():
+    """20 rows of 2 features on [0, 1], and targets that are not constant."""
+    Y = np.random.default_rng(5).uniform(size=(20, 2))
+    return Y, np.sin(6.0 * Y).sum(axis=1)
+
+
+# Every public function with real settings: its valid keyword arguments,
+# and the least valid value of each real setting.  "candidates[0]" is an
+# entry, whose least value is -inf: a real candidate that its fit refuses,
+# such as -1.0, scores infinity, so only a non-real or non-finite one is
+# refused.
+_REAL_SETTINGS = {
+    gpr_fit: (lambda: dict(zip(("Y", "t"), _features()), length_scale=0.3, noise=1e-6),
+              {"length_scale": 2.0**-511, "noise": 5e-324}),
+    gram_matrix: (lambda: dict(Y=_features()[0], length_scale=0.3), {"length_scale": 2.0**-511}),
+    hdmr_fit: (lambda: dict(train=_small()[0], order=2, neurons_per_term=1, length_scale=0.3,
+                            noise=1e-6),
+               {"length_scale": 2.0**-511, "noise": 5e-324}),
+    sweep: (lambda: dict(dataset=_small()[0], d_list=[1, 2], N_list=[1], repeats=1,
+                         train_size=30, test_size=5, length_scale=0.3, noise=1e-6, base_seed=7),
+            {"length_scale": 2.0**-511, "noise": 5e-324}),
+    grid_search_l: (lambda: dict(train=_small()[0], order=2, neurons_per_term=1,
+                                 candidates=[0.3, 0.6], noise=1e-6, seed=7),
+                    {"noise": 5e-324, "candidates[0]": -math.inf}),
+    synth: (lambda: dict(kind="additive", dimension=2, n=10, seed=1, noise_std=0.1),
+            {"noise_std": 0.0}),
+}
+_REALS = [(function, name) for function, (_, lows) in _REAL_SETTINGS.items() for name in lows]
+
+
+@pytest.mark.parametrize("function, name", _REALS,
+                         ids=[f"{function.__name__}-{name}" for function, name in _REALS])
+def test_real_settings_take_finite_real_numbers_only(monkeypatch, function, name):
+    # A real setting is an int, a float or a numpy scalar of either, never a
+    # bool, a string or None, and finite: each of those, NaN, infinity and
+    # the float below its least value raise ValueError or an HdmrnetError,
+    # never a stray TypeError, and neither a Gram route nor a feature map is
+    # started.  np.float64(v) gives the same result as v, bit for bit.
+    make_arguments, lows = _REAL_SETTINGS[function]
+    arguments = make_arguments()
+    started = []
+    for module, helper in [(gpr, "_route"), (hdmrnet.model, "map_features")]:
+        monkeypatch.setattr(module, helper, lambda *args, real=getattr(module, helper):
+                            started.append(args) or real(*args))
+    for bad in (True, "0.3", None, math.nan, math.inf, math.nextafter(lows[name], -math.inf)):
+        with pytest.raises((ValueError, HdmrnetError)):
+            function(**_with(arguments, name, lambda value: bad))
+    assert started == []
+    assert _bits(function(**_with(arguments, name, np.float64))) == _bits(function(**arguments))
+
+
+def test_gram_matrix_runs_at_both_ends_of_the_length_scale_range():
+    # In [2^-511, 2^511], 2 l^2 is a normal float and 1/(2 l^2) finite and
+    # nonzero: the kernel is 0 between distinct features at the low end, 1
+    # (up to the factor route's rounding) at the high end, and the next
+    # float outside either end is refused.
+    Y = _features()[0]
+    distinct = ~np.eye(len(Y), dtype=bool)
+    for length_scale, off_diagonal in [(2.0**-511, 0.0), (2.0**511, 2.0)]:
+        K = gram_matrix(Y, length_scale)
+        assert (K.diagonal() == 2.0).all()
+        assert np.allclose(K[distinct], off_diagonal, rtol=1e-14, atol=0.0)
+    for outside in (math.nextafter(2.0**-511, 0.0), math.nextafter(2.0**511, math.inf)):
+        with pytest.raises(InvalidHyperparameterError, match="length scale must be finite and in"):
+            gram_matrix(Y, outside)
