@@ -2,8 +2,9 @@
 activation curves, and a validation grid search for the length scale.
 
 Sweep results are deterministic functions of (dataset, grid, seeds).  The
-cells run on `jobs` threads of the calling process, and each fit's kernel
-already uses every core; the thread count only changes scheduling, so CSV
+cells run on `jobs` threads of the calling process, and concurrent cells
+share the kernel workers of `gpr._kernel_pool`, one per core, rather than
+each starting its own; the thread count only changes scheduling, so CSV
 outputs are bit-identical across runs and across `jobs` settings except
 for the wall_s column.
 """

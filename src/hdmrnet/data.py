@@ -71,6 +71,9 @@ class Dataset:
             )
         if not all(isinstance(name, str) for name in [*self.column_names, self.target_name]):
             raise DatasetError("column names and the target name must be strings")
+        # plain str, as a CSV header gives: a numpy string pickles otherwise
+        self.column_names = [str(name) for name in self.column_names]
+        self.target_name = str(self.target_name)
         if self.X.size and not np.isfinite(self.X).all():
             raise DatasetError("X contains non-finite values")
         if self.t.size and not np.isfinite(self.t).all():

@@ -24,6 +24,15 @@ taking the features of each block of rows from a callback: a prediction
 holds its points, its output and a fixed block per thread, never n x F
 features.  README.md tells the same story with its measurements.
 
+The three blocked kernels, the exact loop of `gram_matrix`, `_dual_sums`
+and the forward blocks of `activation_sums`, run on one thread pool per
+process (`_kernel_pool`), started on first use and shared by every later
+call and by concurrent callers, such as a sweep's cells.  A call starts no
+thread of its own, so a long-lived process does not leave each call's
+freed memory in heaps of threads that have since exited.  A forked child
+forgets its parent's pool, whose workers it does not have, and starts its
+own.  Work run on the pool never dispatches to it.
+
 scipy is imported inside the four routines that call its BLAS and LAPACK
 (`gram_matrix`'s factor branch, `_escalate`, `_solve`, `_low_rank_solve`),
 not here: `scipy.linalg` took about 0.3 s of a 0.5 s `import hdmrnet.cli`
@@ -40,7 +49,7 @@ import math
 import operator
 import os
 import threading
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
 import numpy as np
@@ -164,12 +173,48 @@ def _kernel(a: np.ndarray, b: np.ndarray, length_scale: float, out: np.ndarray) 
     return np.exp(out, out=out)
 
 
+# The process's kernel pool as (executor, workers), and the lock that
+# guards it; `_forget_pool` resets both in a forked child.
+_pool: tuple[ThreadPoolExecutor, int] | None = None
+_pool_lock = threading.Lock()
+
+
+def _forget_pool() -> None:
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _kernel_pool() -> ThreadPoolExecutor:
+    """The process's one executor of kernel work, with `_THREADS` workers
+    as `_THREADS` reads at the call: built on first use, and again if
+    `_THREADS` has changed since (the old executor's idle workers exit
+    once it is dropped).  A forked child holds its parent's executor but
+    none of its workers, so a task submitted there would never run;
+    `_forget_pool`, run in every forked child, has it build its own."""
+    global _pool
+    with _pool_lock:
+        if _pool is None or _pool[1] != _THREADS:
+            _pool = ThreadPoolExecutor(_THREADS, thread_name_prefix="hdmrnet-kernel"), _THREADS
+        return _pool[0]
+
+
 def _map_blocks(n_items: int, work, step: int = _BLOCK) -> None:
     """Call work(spans) on up to `_THREADS` threads, where `spans` yields
     the fixed spans (i0, i1) of `step` items of range(n_items); the threads
     share one queue, each taking the next span until none is left, so the
     bookkeeping is one task per thread and `work` can set up per-thread
-    scratch before its loop."""
+    scratch before its loop.
+
+    A call that needs k >= 2 threads submits k tasks to `_kernel_pool`, the
+    process's one executor (a forked child's own, never its parent's), and
+    waits for them; with one, it runs `work` itself.  `work` must never
+    call `_map_blocks`: its tasks would queue behind the workers that wait
+    for them, and a shared pool could deadlock.  Concurrent calls share
+    the workers, their tasks queueing in submission order."""
     threads = min(_THREADS, -(-n_items // step))
     starts = itertools.count(0, step)
     lock = threading.Lock()
@@ -183,9 +228,11 @@ def _map_blocks(n_items: int, work, step: int = _BLOCK) -> None:
     if threads < 2:
         work(spans())
     else:
-        with ThreadPoolExecutor(threads) as pool:
-            for task in [pool.submit(work, spans()) for _ in range(threads)]:
-                task.result()
+        pool = _kernel_pool()
+        tasks = [pool.submit(work, spans()) for _ in range(threads)]
+        wait(tasks)  # all of them, before a failed one raises
+        for task in tasks:
+            task.result()
 
 
 # Ufunc buffering scratch, on contiguous operands too: two 8192-double buffers, 16 KiB objects.
@@ -771,7 +818,8 @@ def compile_components(model: AdditiveGprModel) -> ActivationTable | None:
 def activation_sums(model: AdditiveGprModel, features, n: int, groups,
                     start: float) -> np.ndarray:
     """(len(groups), n) array of start + sum_{j in group} f_j(y_rj), each
-    group a sequence of feature indices added in order, where features(rows)
+    group a contiguous ascending range of feature indices added in order,
+    as `FeatureMap` orders its rows by subset, where features(rows)
     gives the (k, F) scaled features y of the k rows that `rows` (a slice or
     an index array) selects.  Rows whose features all lie in
     `TABLE_INTERVAL` read the activation table; every other row, and every
@@ -779,9 +827,13 @@ def activation_sums(model: AdditiveGprModel, features, n: int, groups,
     blocks are `_BLOCK`-row multiples of about `_FORWARD_ENTRIES` entries,
     enough work per numpy call to amortize its overhead and the GIL; each
     thread maps its own block's rows, and the values are elementwise, so
-    block edges, thread count and the other rows cannot reach them.  The
-    exact rows go in chunks of one such block per thread, each chunk
-    starting on a multiple of `_BLOCK` of those rows: `_dual_sums` forms the
+    block edges, thread count and the other rows cannot reach them.  A
+    block adds each group in one call: its sum so far goes into the group's
+    first column, and one `np.add.accumulate`, sequential by definition,
+    runs along the group's columns, so the bits are those of adding the
+    features one at a time (`np.add.reduce` would sum a 1-row block
+    pairwise).  The exact rows go in chunks of one such block per thread,
+    each chunk starting on a multiple of `_BLOCK` of those rows: `_dual_sums` forms the
     same blocks, and bits, as one call over all of them, so an exact row's
     bits depend on its place among the exact rows of the call.  Besides its
     output a call holds the features of one block per thread, never of all
@@ -807,8 +859,10 @@ def activation_sums(model: AdditiveGprModel, features, n: int, groups,
                 np.clip(x, -1.0, 1.0, out=x)  # keeps the fallback rows finite
                 values = _clenshaw(table.coefficients, x)
                 for acc, js in zip(out[:, r0:r1], groups):
-                    for j in js:
-                        acc += values[:, j]
+                    part = values[:, js[0]:js[-1] + 1]
+                    part[:, 0] += acc
+                    np.add.accumulate(part, axis=1, out=part)
+                    acc[:] = part[:, -1]
         _map_blocks(n, work, step)
         rows = np.flatnonzero(outside)
     chunk = _THREADS * step

@@ -292,6 +292,17 @@ def _floats(mapping, key: str, section: str, shape: tuple) -> np.ndarray:
     return values
 
 
+def _real_field(mapping, key: str, section: str):
+    """Field `key` of a real setting, refused if it is a JSON integer: a fit
+    writes each of them as a float, so an integer was written by hand, and
+    would be kept in `metadata` and saved back as an integer."""
+    value = _require(mapping, key, section)
+    if type(value) is int:
+        raise ModelFormatError(f"{section}.{key} must be written as a float, "
+                               f"got the integer {value!s:.80}")
+    return value
+
+
 def _check_fingerprint(fingerprint, rows: int, dimension: int) -> None:
     """Refuse a `metadata.dataset_fingerprint` that `Dataset.fingerprint`
     cannot have written for `rows` training rows of `dimension` columns."""
@@ -334,7 +345,8 @@ def load_model(path: str) -> HdmrModel:
     float64 values and `gpr.alpha` to one per row; `split_seed` must be null
     or an integer >= 0, and `dataset_fingerprint` what `Dataset.fingerprint`
     writes for X's rows.  The four real fields pass `errors._real` under
-    their own names, as JSON numbers, never a bool: `metadata.length_scale`
+    their own names, as JSON numbers with a fraction or an exponent, never
+    an integer or a bool: `metadata.length_scale`
     and `metadata.noise` by `gpr`'s checks of a fit's settings,
     `gpr.effective_noise` finite and >= the noise, and `gpr.target_offset`
     finite.  Any other payload or provenance, a `metadata`
@@ -374,9 +386,9 @@ def load_model(path: str) -> HdmrModel:
     for key in metadata:
         if key not in _METADATA_FIELDS:
             raise ModelFormatError(f"metadata: unknown field '{key:.80}'")
-    length_scale = _check_length_scale(_require(metadata, "length_scale", "metadata"),
+    length_scale = _check_length_scale(_real_field(metadata, "length_scale", "metadata"),
                                        "metadata.length_scale", ModelFormatError)
-    noise = _check_noise(_require(metadata, "noise", "metadata"), "metadata.noise",
+    noise = _check_noise(_real_field(metadata, "noise", "metadata"), "metadata.noise",
                          ModelFormatError)
 
     X = _floats(document, "X", "document", (None, dimension))
@@ -386,9 +398,9 @@ def load_model(path: str) -> HdmrModel:
     gp = _require(document, "gpr", "document")
     alpha = _floats(gp, "alpha", "gpr", (X.shape[0],))
     _check_fingerprint(_require(metadata, "dataset_fingerprint", "metadata"), len(X), dimension)
-    effective_noise = _real("gpr.effective_noise", _require(gp, "effective_noise", "gpr"),
+    effective_noise = _real("gpr.effective_noise", _real_field(gp, "effective_noise", "gpr"),
                             noise, error=ModelFormatError)
-    target_offset = _real("gpr.target_offset", _require(gp, "target_offset", "gpr"),
+    target_offset = _real("gpr.target_offset", _real_field(gp, "target_offset", "gpr"),
                           -math.inf, error=ModelFormatError)
 
     # Held while the body was decoded and parsed: its bytes and their text,

@@ -28,3 +28,27 @@ def resign():
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(_dump(header) + "\n" + body)
     return rewrite
+
+
+@pytest.fixture
+def dispatches(monkeypatch):
+    """The kernel pool's dispatches during a test: `gpr._kernel_pool` is
+    wrapped so that each `_map_blocks` call that runs on the pool appends
+    one entry, the number of tasks it submits.  A call run on its own
+    thread appends nothing."""
+    from hdmrnet import gpr
+
+    log = []
+    kernel_pool = gpr._kernel_pool
+
+    class CountingPool:
+        def __init__(self):
+            self.executor, self.entry = kernel_pool(), len(log)
+            log.append(0)
+
+        def submit(self, fn, *args):
+            log[self.entry] += 1
+            return self.executor.submit(fn, *args)
+
+    monkeypatch.setattr(gpr, "_kernel_pool", CountingPool)
+    return log

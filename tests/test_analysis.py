@@ -4,6 +4,7 @@ import json
 import math
 import os
 import sys
+import threading
 import tracemalloc
 from dataclasses import replace
 
@@ -194,10 +195,24 @@ def test_sweep_cells_run_in_this_process(monkeypatch):
     assert calls == [os.getpid()] * 4
 
 
-def test_sweep_cells_on_more_threads_than_cores_match_one_thread(tiny_sweep):
-    # Cells share the dataset and the configuration; frequent thread
-    # switches with four threads would expose any state a cell writes.
+def test_sweep_cells_on_more_threads_than_cores_match_one_thread(tiny_sweep, monkeypatch):
+    # Cells share the dataset, the configuration and the kernel pool, which
+    # the first of them to build a table starts; frequent thread switches
+    # with four threads would expose any state a cell writes, or a second
+    # pool built by a lost update.
+    from hdmrnet import gpr
+
     ds, result = tiny_sweep
+    monkeypatch.setattr(gpr, "_THREADS", 2)
+    monkeypatch.setattr(gpr, "_pool", None)
+    kernel_threads, start = [], threading.Thread.start
+
+    def spy_start(thread):
+        if thread.name.startswith("hdmrnet-kernel"):
+            kernel_threads.append(thread.name)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", spy_start)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -206,6 +221,7 @@ def test_sweep_cells_on_more_threads_than_cores_match_one_thread(tiny_sweep):
         sys.setswitchinterval(interval)
     untimed = [[replace(r, wall_s=0.0) for r in res.records] for res in (result, again)]
     assert untimed[0] == untimed[1]
+    assert 1 <= len(kernel_threads) <= 2
 
 
 def test_sweep_csv_layout(tiny_sweep, tmp_path):
@@ -366,21 +382,13 @@ def test_component_curves_peak_memory_is_within_the_counted_bytes(monkeypatch, t
     assert peak <= counted[-1]
 
 
-def test_component_curves_open_one_pool(monkeypatch):
+def test_component_curves_open_one_pool(monkeypatch, dispatches):
     from hdmrnet import gpr
 
-    pools = []
-
-    class SpyExecutor(gpr.ThreadPoolExecutor):
-        def __init__(self, max_workers):
-            pools.append(max_workers)
-            super().__init__(max_workers)
-
     model = _curve_model(3, 3, 60)
-    monkeypatch.setattr(gpr, "ThreadPoolExecutor", SpyExecutor)
     monkeypatch.setattr(gpr, "_THREADS", 2)
     curves = component_curves(model, grid_size=41)
-    assert pools == [2]  # one pool for all 12 curves
+    assert dispatches == [2]  # one dispatch of two tasks for all 12 curves
     for j in (0, 11):
         assert np.array_equal(curves[j].values, gpr.gpr_component(model.gpr, j, curves[j].grid))
 

@@ -3,6 +3,7 @@
 import hashlib
 import math
 import os
+import pickle
 
 import numpy as np
 import pytest
@@ -239,6 +240,14 @@ def test_dataset_validation():
     for columns in (np.array([1, 2]), np.array([b"a", b"b"]), (1.0, "b")):
         with pytest.raises(DatasetError, match="names and the target name must be strings"):
             Dataset(X=np.zeros((2, 2)), t=np.zeros(2), column_names=columns)
+    # numpy strings are stored as plain ones, so the dataset pickles as one
+    # built from plain names
+    numpy_names = Dataset(X=np.zeros((2, 2)), t=np.zeros(2), column_names=np.array(["a", "b"]),
+                          target_name=np.str_("y"))
+    plain_names = Dataset(X=np.zeros((2, 2)), t=np.zeros(2), column_names=["a", "b"],
+                          target_name="y")
+    assert all(type(name) is str for name in [*numpy_names.column_names, numpy_names.target_name])
+    assert pickle.dumps(numpy_names) == pickle.dumps(plain_names)
 
 
 def test_fingerprint_tracks_content():

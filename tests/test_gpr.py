@@ -100,24 +100,17 @@ def test_gram_matrix_ragged_block_sizes(M):
             assert K[i, j] == pytest.approx(_kernel_additive(Y[i], Y[j], 0.45), rel=1e-14)
 
 
-def test_results_do_not_depend_on_thread_count(monkeypatch, tmp_path):
-    pools = []
-
-    class SpyExecutor(gpr.ThreadPoolExecutor):
-        def __init__(self, max_workers):
-            pools.append(max_workers)
-            super().__init__(max_workers)
-
-    monkeypatch.setattr(gpr, "ThreadPoolExecutor", SpyExecutor)
+def test_results_do_not_depend_on_thread_count(monkeypatch, tmp_path, dispatches):
     rng = np.random.default_rng(7)
     M = 2 * gpr._BLOCK + 5  # three row blocks, the last one ragged
     Y = rng.uniform(size=(M, 6))
     t = np.sin(3.0 * Y).sum(axis=1)
     Ystar = rng.uniform(size=(M + 40, 6))
     train = synth("pairwise", 3, M, seed=2)
-    outputs = {}
+    outputs, tasks = {}, {}
     for threads in (1, 2):
         monkeypatch.setattr(gpr, "_THREADS", threads)
+        dispatches.clear()
         model = gpr_fit(Y, t, 0.4)
         path = tmp_path / f"threads{threads}.model"
         surrogate = hdmr_fit(train, 2, 3, 0.3)
@@ -132,7 +125,9 @@ def test_results_do_not_depend_on_thread_count(monkeypatch, tmp_path):
             surrogate.gpr.activation_table.coefficients.tobytes(),
             b"".join(v.tobytes() for v in term_values(surrogate, Ystar[:, :3]).values()),
         )
-    assert pools and set(pools) == {2}  # the one-thread run starts no pool
+        tasks[threads] = list(dispatches)
+    # the one-thread run dispatches nothing; the other two tasks each time
+    assert tasks[1] == [] and tasks[2] and set(tasks[2]) == {2}
     assert outputs[1] == outputs[2]
 
 

@@ -4,7 +4,9 @@ import base64
 import hashlib
 import json
 import logging
+import multiprocessing
 import os
+import threading
 import tracemalloc
 import warnings
 
@@ -180,20 +182,12 @@ def test_term_values_make_one_pass_per_term(monkeypatch):
         assert np.array_equal(values, expected)
 
 
-def test_term_values_without_a_table_open_one_pool(monkeypatch):
-    pools = []
-
-    class SpyExecutor(gpr.ThreadPoolExecutor):
-        def __init__(self, max_workers):
-            pools.append(max_workers)
-            super().__init__(max_workers)
-
+def test_term_values_without_a_table_open_one_pool(monkeypatch, dispatches):
     model, ds = _small_model(neurons=4, length_scale=0.02)
     assert model.gpr.activation_table is None
-    monkeypatch.setattr(gpr, "ThreadPoolExecutor", SpyExecutor)
     monkeypatch.setattr(gpr, "_THREADS", 2)
     assert len(term_values(model, ds.X[:9])) == 6
-    assert pools == [2]  # one pool for all D + C(D, d) terms
+    assert dispatches == [2]  # one dispatch of two tasks for all D + C(D, d) terms
 
 
 def test_order_one_has_no_coupled_terms():
@@ -277,20 +271,13 @@ def test_table_drops_the_longest_tail_within_half_the_slack(length_scale):
 
 
 @pytest.mark.parametrize("length_scale", [0.3, 0.1])
-def test_table_build_runs_one_neuron_queue_on_every_core(monkeypatch, length_scale):
-    pools = []
-
-    class SpyExecutor(gpr.ThreadPoolExecutor):
-        def __init__(self, max_workers):
-            pools.append(max_workers)
-            super().__init__(max_workers)
-
+def test_table_build_runs_one_neuron_queue_on_every_core(monkeypatch, length_scale,
+                                                         dispatches):
     model = hdmr_fit(synth("additive", 4, 60, seed=1), 1, 1, length_scale).gpr
     assert model.n_features == 4  # fewer neurons than a block of rows
-    monkeypatch.setattr(gpr, "ThreadPoolExecutor", SpyExecutor)
     monkeypatch.setattr(gpr, "_THREADS", 2)
     assert gpr.compile_components(model) is not None
-    assert pools == [2]  # one pool of two threads, and none per neuron
+    assert dispatches == [2]  # one dispatch of two tasks, and none per neuron
 
 
 def test_rows_outside_the_table_interval_take_the_exact_path():
@@ -500,6 +487,74 @@ def test_exact_rows_hold_no_feature_array_of_all_rows(monkeypatch, length_scale)
     for evaluate, count in ((hdmr_predict, 1), (term_values, groups)):
         growth = _peak_growth(evaluate, model, (2000, 20000), -0.6, 1.6)
         assert growth <= 8 * (count + 2)
+
+
+def test_predict_calls_reuse_the_kernel_pool(monkeypatch):
+    # 20 predictions of 30 forward blocks each (F = 63, 512 rows a block):
+    # the first call starts the pool's workers, and no later call starts a
+    # thread; every block runs on one of at most `_THREADS` threads.
+    model, _ = _small_model(neurons=20, n=200)
+    assert model.gpr.activation_table is not None
+    X = np.random.default_rng(6).uniform(size=(30 * 512, 3))
+    monkeypatch.setattr(gpr, "_THREADS", 2)
+    monkeypatch.setattr(gpr, "_pool", None)  # this test's pool starts with the first call
+    started, idents = [], set()
+    start, features = threading.Thread.start, hdmrnet.model._features
+
+    def spy_start(thread):
+        started.append(thread.name)
+        start(thread)
+
+    def spy_features(*args):
+        idents.add(threading.get_ident())
+        return features(*args)
+
+    monkeypatch.setattr(threading.Thread, "start", spy_start)
+    monkeypatch.setattr(hdmrnet.model, "_features", spy_features)
+    expected = hdmr_predict(model, X)
+    first = len(started)
+    for _ in range(19):
+        assert hdmr_predict(model, X).tobytes() == expected.tobytes()
+    assert 1 <= first <= 2 and started[first:] == []
+    assert 1 <= len(idents) <= 2
+
+
+def _pooled_fit_and_predict():
+    """Bytes of a fit on the exact loop's Gram (l = 0.1, M = 300: three row
+    blocks) and of its prediction at 6000 points (three forward blocks of
+    2688 rows), each of which dispatches two tasks at `_THREADS` = 2."""
+    model = hdmr_fit(synth("pairwise", 3, 300, seed=4), 2, 3, 0.1)
+    X = np.random.default_rng(8).uniform(size=(6000, 3))
+    return model.gpr.alpha.tobytes() + hdmr_predict(model, X).tobytes()
+
+
+def _send_pooled_fit_and_predict(writer):
+    writer.send_bytes(_pooled_fit_and_predict())
+
+
+def test_forked_child_builds_its_own_kernel_pool(monkeypatch, dispatches):
+    # A child forked after the parent's pool has run holds that executor but
+    # none of its workers: a task submitted there would never run.
+    try:
+        context = multiprocessing.get_context("fork")
+    except ValueError:
+        pytest.skip("no fork start method here")
+    monkeypatch.setattr(gpr, "_THREADS", 2)
+    expected = _pooled_fit_and_predict()
+    assert len(dispatches) >= 3 and set(dispatches) == {2}
+    reader, writer = context.Pipe(duplex=False)
+    child = context.Process(target=_send_pooled_fit_and_predict, args=(writer,))
+    child.start()
+    writer.close()
+    try:
+        assert reader.poll(60), "the forked child did not finish within 60 s"
+        assert reader.recv_bytes() == expected
+    finally:
+        child.join(10)
+        if child.is_alive():
+            child.kill()
+            child.join(10)
+    assert not child.is_alive() and child.exitcode == 0
 
 
 # ---------------------------------------------------------------------------
@@ -856,6 +911,16 @@ BAD_FIELDS = {
     "target offset string": (_edit("gpr", "target_offset", "0.5"), "target_offset"),
     "target offset bool": (_edit("gpr", "target_offset", True),
                            r"gpr\.target_offset must be a real number, got True"),
+    # a fit writes every real field as a float; an integer is a hand edit,
+    # which would load as an int and be saved back as one
+    "length scale integer": (_edit("metadata", "length_scale", 1),
+                             r"metadata\.length_scale must be written as a float, got the integer 1"),
+    "noise integer": (_edit("metadata", "noise", 1),
+                      r"metadata\.noise must be written as a float, got the integer 1"),
+    "effective noise integer": (_edit("gpr", "effective_noise", 1),
+                                r"gpr\.effective_noise must be written as a float"),
+    "target offset integer": (_edit("gpr", "target_offset", -2),
+                              r"gpr\.target_offset must be written as a float, got the integer -2"),
     # X is 80 rows of 3 values, 1920 bytes and 2560 base64 characters; alpha
     # 80 values, 640 bytes, and its text ends in "==".
     "X ragged": (_recode("X", lambda values: values[:-1].tobytes()),
