@@ -33,21 +33,30 @@ freed memory in heaps of threads that have since exited.  A forked child
 forgets its parent's pool, whose workers it does not have, and starts its
 own.  Work run on the pool never dispatches to it.
 
-scipy is imported inside the four routines that call its BLAS and LAPACK
-(`gram_matrix`'s factor branch, `_escalate`, `_solve`, `_low_rank_solve`),
-not here: `scipy.linalg` took about 0.3 s of a 0.5 s `import hdmrnet.cli`
-on a 2-core x86_64 machine, and only a fit's solve needs it.  So importing
-the package loads numpy only.
+The four BLAS and LAPACK routines of a fit, `dsyrk`, `dgemv`, `dpotrf` and
+`dpotrs`, come from scipy's two f2py extension modules that define them,
+`scipy.linalg._fblas` and `scipy.linalg._flapack`, which `_wrapper` loads
+at a fit's first solve (in `gram_matrix`'s factor branch, `_escalate`,
+`_solve` or `_low_rank_solve`), never at import: so importing the package
+loads numpy only.  They are the very objects that `scipy.linalg.blas` and
+`scipy.linalg.lapack` export, but `_wrapper` loads them without running
+`scipy.linalg`'s package import, which on a 2-core x86_64 machine (numpy
+2.4.6, scipy 1.17.1) took 0.23-0.24 s and 28 MB of peak RSS after numpy's
+own import, most of it in scipy's array-API shim, against 11-15 ms and
+4.4 MB for `import scipy` and the two modules.
 """
 
 from __future__ import annotations
 
 import functools
+import importlib.machinery
+import importlib.util
 import itertools
 import logging
 import math
 import operator
 import os
+import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
@@ -173,19 +182,56 @@ def _kernel(a: np.ndarray, b: np.ndarray, length_scale: float, out: np.ndarray) 
     return np.exp(out, out=out)
 
 
-# The process's kernel pool as (executor, workers), and the lock that
-# guards it; `_forget_pool` resets both in a forked child.
+# The process's kernel pool as (executor, workers), the lock that guards
+# it, and the lock under which `_wrapper` loads a module; `_after_fork`
+# resets all three in a forked child, which a lock held by another thread
+# at the fork would otherwise block for good.
 _pool: tuple[ThreadPoolExecutor, int] | None = None
 _pool_lock = threading.Lock()
+_wrapper_lock = threading.Lock()
 
 
-def _forget_pool() -> None:
-    global _pool, _pool_lock
-    _pool, _pool_lock = None, threading.Lock()
+def _after_fork() -> None:
+    global _pool, _pool_lock, _wrapper_lock
+    _pool, _pool_lock, _wrapper_lock = None, threading.Lock(), threading.Lock()
 
 
 if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_pool)
+    os.register_at_fork(after_in_child=_after_fork)
+
+
+def _wrapper(name: str):
+    """scipy's f2py extension module `scipy.linalg.<name>`, `_fblas` or
+    `_flapack`, loaded from its file in scipy's `linalg` directory without
+    running `scipy/linalg/__init__.py`.
+
+    The top-level `scipy` package is imported first, for the wheel's own
+    start-up code.  A module already in `sys.modules`, scipy's own or one
+    loaded here, is returned as it is; one loaded here is put there under
+    its own name, so a later `import scipy.linalg` reuses it and exports
+    the same routine objects (the package then has no attribute for it,
+    which scipy reads only by import).  The lock makes concurrent first fits, such
+    as a cold sweep's cells, load each module once.  A missing file is an
+    `ImportError` that names it.
+    """
+    qualified = f"scipy.linalg.{name}"
+    with _wrapper_lock:
+        if (module := sys.modules.get(qualified)) is not None:
+            return module
+        import scipy
+        directory = os.path.join(scipy.__path__[0], "linalg")
+        files = [os.path.join(directory, name + suffix)
+                 for suffix in importlib.machinery.EXTENSION_SUFFIXES]
+        path = next(filter(os.path.isfile, files), None)
+        if path is None:
+            raise ImportError(f"scipy's {qualified} is missing: none of "
+                              f"{', '.join(files)} exists", name=qualified)
+        loader = importlib.machinery.ExtensionFileLoader(qualified, path)
+        module = importlib.util.module_from_spec(
+            importlib.util.spec_from_file_location(qualified, path, loader=loader))
+        loader.exec_module(module)
+        sys.modules[qualified] = module
+        return module
 
 
 def _kernel_pool() -> ThreadPoolExecutor:
@@ -194,7 +240,7 @@ def _kernel_pool() -> ThreadPoolExecutor:
     `_THREADS` has changed since (the old executor's idle workers exit
     once it is dropped).  A forked child holds its parent's executor but
     none of its workers, so a task submitted there would never run;
-    `_forget_pool`, run in every forked child, has it build its own."""
+    `_after_fork`, run in every forked child, has it build its own."""
     global _pool
     with _pool_lock:
         if _pool is None or _pool[1] != _THREADS:
@@ -396,7 +442,7 @@ def gram_matrix(Y: np.ndarray, length_scale: float) -> np.ndarray:
     M, F = Y.shape
     factor, _, why = _route(M, F, length_scale, _in_unit_interval(Y))
     if factor is not None:
-        from scipy.linalg.blas import dsyrk
+        dsyrk = _wrapper("_fblas").dsyrk
         _log.debug("Gram: factor route, n = %d, r = %d, eps_1 = %.3g, %d panels",
                    factor.degree, factor.rank, factor.error, -(-F // factor.panel))
         G = np.empty((min(factor.panel, F), factor.rank, M))
@@ -528,7 +574,7 @@ def _escalate(A: np.ndarray, noise: float, solve, route: str,
     model's `_prediction_bound`, is finite.  The accepted try is logged
     with the route's name.
     """
-    from scipy.linalg.lapack import dpotrf
+    dpotrf = _wrapper("_flapack").dpotrf
     n = A.shape[0]
     diagonal = A.diagonal().copy()
     sigma = noise
@@ -584,7 +630,7 @@ def _solve(K: np.ndarray, b: np.ndarray, noise: float, route: str = "Gram route"
     an accepted try leaves K with K in its strict lower triangle and the
     accepted factor L^T in its upper one.
     """
-    from scipy.linalg.lapack import dpotrs
+    dpotrs = _wrapper("_flapack").dpotrs
     norm_K = _symmetric_product(K, K.diagonal(), np.ones(K.shape[0])).max()
     def solve(factor, sigma, shifted):
         alpha = dpotrs(factor, b, lower=1)[0]
@@ -610,11 +656,12 @@ def _low_rank_solve(Bt: np.ndarray, b: np.ndarray, noise: float, route: str,
     further than `_solve`.  `dsyrk` fills the upper triangle of a
     Fortran-ordered C, the lower one of the C-ordered view that `_escalate`
     takes, which is mirrored once before the first try.  Every product is a
-    scipy `dgemv`, `dsyrk` or LAPACK call, since numpy's own OpenBLAS pool
-    would spin against scipy's.
+    `dgemv`, `dsyrk` or LAPACK call of scipy's wrappers, from `_wrapper`,
+    never a numpy product: numpy's own OpenBLAS pool would spin against the
+    one that scipy's wrappers link.
     """
-    from scipy.linalg.blas import dgemv, dsyrk
-    from scipy.linalg.lapack import dpotrs
+    blas = _wrapper("_fblas")
+    dgemv, dsyrk, dpotrs = blas.dgemv, blas.dsyrk, _wrapper("_flapack").dpotrs
     FR, M = Bt.shape
     B = Bt.T  # Fortran-ordered (M, F r)
     C = dsyrk(1.0, B, trans=1, lower=0).T

@@ -333,6 +333,10 @@ def _parse(text: bytes | str, section: str) -> dict:
         value = json.loads(text, parse_constant=_finite, parse_float=_finite)
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ModelFormatError(f"{section}: not valid JSON ({exc})") from exc
+    except ValueError as exc:  # an integer past Python's digit limit for int(str)
+        raise ModelFormatError(f"{section}: holds an integer too long to read ({exc})") from exc
+    except RecursionError as exc:
+        raise ModelFormatError(f"{section}: nested too deeply to read") from exc
     if not isinstance(value, dict):
         raise ModelFormatError(f"{section}: top level must be an object")
     return value

@@ -333,16 +333,21 @@ for argv in json.loads(sys.argv[1]):
 """
 
 
+def _fresh(script: str, *args: str) -> str:
+    """What `script` prints, run with `args` in a fresh interpreter that
+    imports the package from this checkout."""
+    path = os.pathsep.join(filter(None, [os.path.dirname(os.path.dirname(hdmrnet.cli.__file__)),
+                                         os.environ.get("PYTHONPATH")]))
+    result = subprocess.run([sys.executable, "-c", script, *args],
+                            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
+    assert result.returncode == 0, result.stderr
+    return result.stdout
+
+
 def _cold(commands: list[list[str]], block: bool = False) -> bool:
     """Run `commands` through `_COLD` in a fresh interpreter; whether
     importing the package imported scipy."""
-    path = os.pathsep.join(filter(None, [os.path.dirname(os.path.dirname(hdmrnet.cli.__file__)),
-                                         os.environ.get("PYTHONPATH")]))
-    result = subprocess.run([sys.executable, "-c", _COLD, json.dumps(commands),
-                             "block" if block else "load"],
-                            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
-    assert result.returncode == 0, result.stderr
-    return result.stdout.split()[0] == "True"
+    return _fresh(_COLD, json.dumps(commands), "block" if block else "load").split()[0] == "True"
 
 
 def _body(path) -> list[str]:
@@ -380,10 +385,11 @@ def test_commands_without_a_fit_run_without_scipy(workspace, tmp_path):
 
 
 def test_cold_sweep_imports_scipy_on_two_threads_at_once(tmp_path):
-    # The first cells of a cold `--jobs 2` sweep import scipy at once, on
-    # the low-rank route (d = 1, F r = 51 < M = 100) and the Gram route
-    # (d = 2, F r = 153 >= M): the import lock makes both wait for one
-    # import, so the outputs equal a one-job run's here.  Every factored
+    # The first cells of a cold `--jobs 2` sweep load scipy's BLAS and
+    # LAPACK wrappers at once, on the low-rank route (d = 1, F r = 51 < M =
+    # 100) and the Gram route (d = 2, F r = 153 >= M): `gpr._wrapper`'s lock
+    # makes both wait for one load of each module, so the outputs equal a
+    # one-job run's here.  Every factored
     # matrix has fewer than 128 rows, where dpotrf's bits do not depend on
     # the BLAS thread count.
     data = str(tmp_path / "pair.csv")
@@ -401,6 +407,87 @@ def test_cold_sweep_imports_scipy_on_two_threads_at_once(tmp_path):
         outputs.append(([row[:wall] + row[wall + 1:] for row in rows[1:]],
                         (out / "summary.csv").read_bytes()))
     assert outputs[0] == outputs[1]
+
+
+# Fit argv[1] on the low-rank route (d = 1, F r = 51 < M = 100) and the
+# Gram route (d = 2, F r = 153 >= M) through `main`, writing d1.model and
+# d2.model into the directory argv[2]; with argv[3] "linalg", import
+# scipy.linalg first.  Print whether scipy.linalg was loaded after the
+# fits, then import it and check that it runs on the routines they called.
+_WRAPPERS = """
+import os, sys
+if sys.argv[3] == "linalg":
+    import scipy.linalg
+from hdmrnet import gpr
+from hdmrnet.cli import main
+for d in ("1", "2"):
+    if main(["fit", "--data", sys.argv[1], "--d", d, "--n-per-term", "2", "--l", "0.3",
+             "--train", "100", "--seed", "7",
+             "--out", os.path.join(sys.argv[2], f"d{d}.model")]) != 0:
+        sys.exit(f"fit --d {d} failed")
+print("scipy.linalg" in sys.modules, flush=True)
+called = {name: getattr(gpr._wrapper(module), name) for module, names in
+          [("_fblas", ("dsyrk", "dgemv")), ("_flapack", ("dpotrf", "dpotrs"))] for name in names}
+import numpy as np
+import scipy.linalg
+for name, routine in called.items():
+    module = scipy.linalg.blas if name in ("dsyrk", "dgemv") else scipy.linalg.lapack
+    assert getattr(module, name) is routine, name
+factor, _ = scipy.linalg.cho_factor(np.array([[4.0, 2.0], [2.0, 5.0]]), lower=True)
+assert np.tril(factor).tolist() == [[2.0, 0.0], [1.0, 2.0]], factor
+"""
+
+
+def test_fits_load_only_scipys_wrappers_and_write_the_same_models(tmp_path):
+    # A fit loads scipy's two f2py modules, not the scipy.linalg package,
+    # and writes the models of a process that imported scipy.linalg first;
+    # scipy.linalg imports afterwards and exports the very routines that the
+    # fits called.
+    data = str(tmp_path / "pair.csv")
+    assert run("synth", "--kind", "pairwise", "--dim", "3", "--n", "150", "--seed", "1",
+               "--out", data) == 0
+    models = []
+    for mode in ("load", "linalg"):
+        os.mkdir(tmp_path / mode)
+        last = _fresh(_WRAPPERS, data, str(tmp_path / mode), mode).splitlines()[-1]
+        assert last == str(mode == "linalg")
+        models.append([(tmp_path / mode / f"d{d}.model").read_bytes() for d in (1, 2)])
+    assert models[0] == models[1]
+
+
+# Eight threads, more than the cores, ask for scipy's LAPACK wrapper at
+# once in a fresh interpreter, switching every microsecond, while each
+# load of an extension file takes 50 ms longer and is counted.
+_RACE = """
+import importlib.machinery, sys, threading, time
+import scipy
+from hdmrnet import gpr
+loads = []
+class Slow(importlib.machinery.ExtensionFileLoader):
+    def create_module(self, spec):
+        loads.append(spec.name)
+        time.sleep(0.05)
+        return super().create_module(spec)
+importlib.machinery.ExtensionFileLoader = Slow
+sys.setswitchinterval(1e-6)
+barrier, found = threading.Barrier(8), []
+def load():
+    barrier.wait(timeout=60)
+    found.append(gpr._wrapper("_flapack"))
+threads = [threading.Thread(target=load) for _ in range(8)]
+for thread in threads:
+    thread.start()
+for thread in threads:
+    thread.join(timeout=60)
+assert not any(thread.is_alive() for thread in threads)
+assert loads == ["scipy.linalg._flapack"], loads
+assert len(found) == 8 and all(m is sys.modules["scipy.linalg._flapack"] for m in found)
+"""
+
+
+def test_concurrent_first_loads_load_the_file_once():
+    # Every caller gets the one module that stays in sys.modules.
+    _fresh(_RACE)
 
 
 def test_model_files_are_bit_identical_across_runs(workspace, tmp_path):
@@ -519,6 +606,29 @@ def test_non_finite_literal_in_model_exits_three(workspace, tmp_path, capsys, re
     assert run("predict", "--model", broken, "--data", data,
                "--out", str(tmp_path / "p.csv")) == 3
     assert "NaN" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("section", ["header", "document"])
+def test_json_past_the_parser_limits_exits_three(workspace, tmp_path, capsys, resign, section):
+    # A header nested 100 000 deep, read before its checksum, and a
+    # re-signed document holding a 5000-digit integer, past Python's 4300.
+    _, data, model = workspace
+    broken = str(tmp_path / "deep.model")
+    if section == "header":
+        with open(model, "rb") as fh:
+            body = fh.read().split(b"\n", 1)[1]
+        with open(broken, "wb") as fh:
+            fh.write(b"[" * 100_000 + b"]" * 100_000 + b"\n" + body)
+        message = "header: nested too deeply to read"
+    else:
+        shutil.copy(model, broken)
+        resign(broken, lambda doc: doc["metadata"].update(split_seed="HOLE"),
+               lambda body: body.replace('"HOLE"', "1" * 5000))
+        message = "document: holds an integer too long to read"
+    out = str(tmp_path / "p.csv")
+    assert run("predict", "--model", broken, "--data", data, "--out", out) == 3
+    assert capsys.readouterr().err.startswith(f"error: {message}")
+    assert not os.path.exists(out)
 
 
 def test_version_two_model_file_exits_three(workspace, tmp_path, capsys):
@@ -669,7 +779,7 @@ def test_fit_without_train_scores_all_rows_and_reports_no_table(workspace, tmp_p
 def test_fit_without_a_stable_solve_exits_four_writing_nothing(workspace, tmp_path,
                                                                monkeypatch, capsys):
     _, data, _ = workspace
-    monkeypatch.setattr("scipy.linalg.lapack.dpotrf", lambda a, **kwargs: (a, 1))
+    monkeypatch.setattr(hdmrnet.gpr._wrapper("_flapack"), "dpotrf", lambda a, **kwargs: (a, 1))
     target = str(tmp_path / "unstable.model")
     assert run("fit", "--data", data, "--d", "2", "--n-per-term", "2", "--l", "0.3",
                "--train", "200", "--seed", "7", "--out", target) == 4

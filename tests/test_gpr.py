@@ -346,7 +346,7 @@ def test_solve_above_the_backward_error_bound_escalates(monkeypatch):
     Y = rng.uniform(size=(25, 4))
     t = np.sin(Y.sum(axis=1))
     expected = gpr_fit(Y, t, 0.8, 1e-5)
-    monkeypatch.setattr(lapack, "dpotrs", perturbed)
+    monkeypatch.setattr(gpr._wrapper("_flapack"), "dpotrs", perturbed)
     model = gpr_fit(Y, t, 0.8, 1e-6)
     assert len(solves) == 2
     assert model.effective_noise == 1e-6 * 10.0
@@ -795,7 +795,7 @@ def test_low_rank_fit_escalates_a_tiny_noise_as_the_gram_route_does(monkeypatch,
     assert again.effective_noise == again.noise
     assert again.alpha.tobytes() == model.alpha.tobytes()
     # No factorization of C succeeds: the error reports the final jitter.
-    monkeypatch.setattr(lapack, "dpotrf", lambda a, **kwargs: (a, 1))
+    monkeypatch.setattr(gpr._wrapper("_flapack"), "dpotrf", lambda a, **kwargs: (a, 1))
     with pytest.raises(IllConditionedGramError,
                        match=r"jitter 0\.01 \(requested noise 1e-06\)") as caught:
         gpr_fit(Y, t, 0.3)
@@ -814,12 +814,24 @@ def test_low_rank_refinement_that_hits_its_cap_fails_the_try(monkeypatch, caplog
     assert model.effective_noise == model.noise
     assert "low-rank route, F r = 68 < M = 3000, 1 refinement steps" in caplog.text
     tries, dpotrf = [], lapack.dpotrf
-    monkeypatch.setattr(lapack, "dpotrf", lambda a, **kwargs: tries.append(1) or dpotrf(a, **kwargs))
+    monkeypatch.setattr(gpr._wrapper("_flapack"), "dpotrf",
+                        lambda a, **kwargs: tries.append(1) or dpotrf(a, **kwargs))
     monkeypatch.setattr(gpr, "_REFINE_STEPS", 0)
     with pytest.raises(IllConditionedGramError) as caught:
         gpr_fit(Y, t, 0.3)
     assert caught.value.final_jitter == gpr.MAX_JITTER
     assert len(tries) == 5
+
+
+def test_fit_without_scipys_lapack_module_is_an_import_error(monkeypatch):
+    # No fallback: a scipy whose _flapack file cannot be found refuses the
+    # fit, naming every file name that was tried.
+    monkeypatch.delitem(sys.modules, "scipy.linalg._flapack")
+    monkeypatch.setattr("importlib.machinery.EXTENSION_SUFFIXES", [".missing.so"])
+    Y = np.random.default_rng(8).uniform(size=(20, 2))
+    with pytest.raises(ImportError, match=r"scipy\.linalg\._flapack is missing: none of "
+                                          r"\S+_flapack\.missing\.so exists"):
+        gpr_fit(Y, Y.sum(axis=1), 0.5)
 
 
 def test_solve_route_is_logged(caplog):

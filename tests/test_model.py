@@ -977,6 +977,28 @@ def test_bad_field_is_refused(tmp_path, resign, case):
         load_model(path)
 
 
+@pytest.mark.parametrize("value, message", [
+    ("1" * 5000, "holds an integer too long to read"),  # past Python's 4300 digits
+    ("[" * 100_000 + "]" * 100_000, "nested too deeply to read"),
+], ids=["long integer", "deep nesting"])
+@pytest.mark.parametrize("section", ["header", "document"])
+def test_json_past_the_parser_limits_is_a_format_error(tmp_path, resign, section, value,
+                                                       message):
+    # The header is read before its checksum is checked, so an edit there
+    # needs no re-signing.
+    path = _saved_file(tmp_path)
+    if section == "header":
+        with open(path, "rb") as fh:
+            head, body = fh.read().split(b"\n", 1)
+        with open(path, "wb") as fh:
+            fh.write(head[:-1] + b',"x":' + value.encode() + b"}\n" + body)
+    else:
+        resign(path, lambda doc: doc["metadata"].update(split_seed="HOLE"),
+               lambda body: body.replace('"HOLE"', value))
+    with pytest.raises(ModelFormatError, match=f"^{section}: {message}"):
+        load_model(path)
+
+
 def test_tiny_noise_fit_escalates_to_a_model_that_loads(tmp_path, monkeypatch):
     # At noise 1e-300 the low-rank route (F r = 10 < M = 1500) fails its
     # tries up to about sigma = 1e-12, with no RuntimeWarning, which tier-1
