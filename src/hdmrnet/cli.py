@@ -66,11 +66,14 @@ def _write_report(path: str | None, report: dict) -> str:
 
 
 def _table_report(model) -> dict | None:
-    """The model's activation table as a report field; None on the exact path."""
+    """The model's activation table as a report field, its `max_deviation`
+    beside the three parts that it sums; None on the exact path."""
     table = model.gpr.activation_table
     if table is None:
         return None
-    return {"nodes": table.nodes, "terms": table.terms, "max_deviation": table.max_deviation,
+    return {"degree": table.degree, "moment_degree": table.moment_degree, "terms": table.terms,
+            "bound": table.bound, "chopped_tail": table.chopped_tail,
+            "probed_deviation": table.probed_deviation, "max_deviation": table.max_deviation,
             "tolerance": table.tolerance}
 
 

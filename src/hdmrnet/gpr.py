@@ -18,11 +18,15 @@ built and solved; `_kernel_factor` builds the low-rank factor of the 1-D
 kernel on [0, 1], and `_factor_matrix` fills its G_j; `gram_matrix` builds
 K; `_solve` and `_low_rank_solve` are the two solve routes, and
 `_escalate` their one Cholesky loop, which accepts a try or raises sigma.
-`compile_components` tabulates the component functions, and
-`activation_sums` evaluates them for predictions and coupling terms alike,
-taking the features of each block of rows from a callback: a prediction
-holds its points, its output and a fixed block per thread, never n x F
-features.  README.md tells the same story with its measurements.
+`compile_components` tabulates the component functions, as A mu_j: A the
+2-D interpolant of the kernel (`_table_matrix`) at degrees that a bound
+proves (`_table_degrees`), mu_j the Chebyshev moments of alpha over
+feature j (`_moments`), with no kernel evaluated at a table node.
+`activation_sums` evaluates the tables for predictions and coupling terms
+alike, taking the features of each block of rows from a callback: a
+prediction holds its points, its output and a fixed block per thread,
+never n x F features.  README.md tells the same story with its
+measurements.
 
 The three blocked kernels, the exact loop of `gram_matrix`, `_dual_sums`
 and the forward blocks of `activation_sums`, run on one thread pool per
@@ -95,12 +99,20 @@ _GRID = 256
 _GRID_BLOCK = 8
 
 # Scaled-feature interval that an activation table covers, the most nodes a
-# table may have, its accepted deviation per unit of sum |alpha|, and the
-# entries (rows x F) that a forward block of `activation_sums` spans.
+# table may have, its accepted deviation per unit of sum |alpha|, the share
+# of that which its degrees' proved bound may take, the points of its
+# variable x = (u - 0.5) / 0.75 at which it is probed, the log rho of the
+# Bernstein ellipses that its bound tries, the entries (rows x F) that a
+# forward block of `activation_sums` spans, and those of a block of
+# `_moments`.
 TABLE_INTERVAL = (-0.25, 1.25)
 _MAX_NODES = 256
 _TABLE_TOLERANCE = 1e-12
+_BOUND_SHARE = 0.1
+_PROBES = np.cos(np.pi * np.arange(1, 8, 2) / 8)
+_LOG_RHO = np.geomspace(2.0**-12, 16.0, 2048)
 _FORWARD_ENTRIES = 2**15
+_MOMENT_ENTRIES = 2**14
 _CENTER = 0.5 * (TABLE_INTERVAL[0] + TABLE_INTERVAL[1])
 _HALF_WIDTH = 0.5 * (TABLE_INTERVAL[1] - TABLE_INTERVAL[0])
 
@@ -350,9 +362,10 @@ def _kernel_factor(length_scale: float) -> _KernelFactor:
     """The 1-D kernel's factor on [0, 1], built once per length scale.
 
     The kernel at the n + 1 Chebyshev points u_i = (1 + cos(pi i / n)) / 2
-    gives its 2-D Chebyshev coefficients A = C K C^T, C the DCT of
-    `compile_components`.  Of A = V diag(w) V^T, the pairs with w > 1e-16
-    max w make R = V_r diag(w_r)^(1/2), so k(u, v) ~= T(u)^T R R^T T(v).
+    gives its 2-D Chebyshev coefficients A = C K C^T, C the `_dct` with
+    its first and last rows halved, as in `_table_matrix`.  Of A = V
+    diag(w) V^T, the pairs with w > 1e-16 max w make R = V_r
+    diag(w_r)^(1/2), so k(u, v) ~= T(u)^T R R^T T(v).
     Every product here is too small for OpenBLAS to thread, so R does not
     depend on the thread count.  The error is measured `_GRID_BLOCK` grid
     rows at a time, within `_fit_bytes`'s headroom.
@@ -763,22 +776,33 @@ def gpr_component(model: AdditiveGprModel, feature_index: int, u) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ActivationTable:
-    """Chebyshev interpolants of every component function on `TABLE_INTERVAL`,
+    """Chebyshev series of every component function on `TABLE_INTERVAL`,
     built and checked by `compile_components`.
 
     Column j of `coefficients` holds the coefficients of f_j in the
     Chebyshev polynomials T_k(x), x = (u - 0.5) / 0.75: the first `terms`
-    of the interpolant through `nodes` points.
+    of A mu_j, where A is the 2-D interpolant of the kernel at degrees
+    (`degree`, `moment_degree`) and mu_j are the moments of alpha.  On the
+    whole interval, the summed deviation of the tables from the exact
+    components is at most `max_deviation` = `bound` + `chopped_tail` +
+    `probed_deviation`, which is at most `tolerance`.
     """
 
     coefficients: np.ndarray  # (terms, F)
-    max_deviation: float
+    bound: float  # proved interpolation error of the unchopped tables
+    chopped_tail: float  # sum of |c_kj| over the dropped k
+    probed_deviation: float  # measured at `_PROBES`: the rounding, which no bound covers
     tolerance: float
-    nodes: int
+    degree: int  # of the table's variable, before the chop
+    moment_degree: int  # of the training side, the moments' count less 1
 
     @property
     def terms(self) -> int:
         return self.coefficients.shape[0]
+
+    @property
+    def max_deviation(self) -> float:
+        return self.bound + self.chopped_tail + self.probed_deviation
 
 
 def _clenshaw(coefficients: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -809,57 +833,186 @@ def _dct(n: int) -> np.ndarray:
     return cosines
 
 
+def _bernstein_degree(half_width: float, length_scale: float,
+                      target: float) -> tuple[int, float]:
+    """(n, e): the least degree n at which the Chebyshev interpolant of
+    k(u, v) in u, on an interval of this half-width and for any real v,
+    provably deviates from it by e <= target, or n = `_MAX_NODES` (and e
+    above target) if no degree below that is proved.
+
+    k is entire, and on the Bernstein ellipse of parameter rho of the
+    interval, where |Im u| <= b = half_width (rho - 1 / rho) / 2, it is at
+    most exp(b^2 / (2 l^2)); so the interpolant through n + 1 Chebyshev
+    points deviates by at most 4 exp(b^2 / (2 l^2)) rho^-n / (rho - 1)
+    (Trefethen, Approximation Theory and Approximation Practice, SIAM
+    2013, Thm 8.2).  Any rho > 1 gives a proof: this takes the best of the
+    2048 of `_LOG_RHO`, in logarithms.
+    """
+    t = _LOG_RHO
+    with np.errstate(over="ignore"):  # at a small l: that rho, or no rho, proves it
+        log_scale = (math.log(4.0) + (half_width * np.sinh(t)) ** 2 / (2.0 * length_scale**2)
+                     - np.log(np.expm1(t)))
+        n = max(1, math.ceil(min(float(((log_scale - math.log(target)) / t).min()), _MAX_NODES)))
+        return n, float(np.exp((log_scale - n * t).min()))
+
+
+def _table_degrees(length_scale: float, n_features: int) -> tuple[int, int, float]:
+    """(n_x, n_y, e) of the tables of `n_features` components: the least
+    degrees in the table's variable and on the training side whose 2-D
+    interpolant of the kernel deviates from it by at most e = E_x +
+    Lambda(n_x) E_y <= `_BOUND_SHARE` * `_TABLE_TOLERANCE` / F, half of it
+    each side.  E_x and E_y are `_bernstein_degree`'s bounds in each
+    variable, and Lambda(n) <= 1 + (2 / pi) log(n + 1) the Lebesgue
+    constant of n + 1 Chebyshev points (ATAP, Thm 15.2): interpolating in
+    u the error left by y multiplies it by at most that.  So F e sum |alpha|
+    bounds the tables' summed deviation from the exact components.
+    """
+    target = 0.5 * _BOUND_SHARE * _TABLE_TOLERANCE / n_features
+    n_x, e_x = _bernstein_degree(_HALF_WIDTH, length_scale, target)
+    lebesgue = 1.0 + 2.0 / math.pi * math.log(n_x + 1)
+    n_y, e_y = _bernstein_degree(0.5, length_scale, target / lebesgue)
+    return n_x, n_y, e_x + lebesgue * e_y
+
+
+@functools.lru_cache(maxsize=32)
+def _table_matrix(length_scale: float, degree: int, moment_degree: int) -> np.ndarray:
+    """A, (degree + 1, moment_degree + 1): the 2-D Chebyshev coefficients
+    of the interpolant of k(u, y) through the Chebyshev points of
+    `TABLE_INTERVAL` x [0, 1], in the variables x = (u - 0.5) / 0.75 and
+    s = 2 y - 1: k ~= sum_ab A[a, b] T_a(x) T_b(s).  Built once per
+    (l, degrees) as two `_dct`s of `_kernel` values, summed by `np.einsum`
+    without BLAS, so its bits do not depend on the thread count.
+    """
+    u = _CENTER + _HALF_WIDTH * np.cos(np.pi * np.arange(degree + 1) / degree)
+    y = 0.5 + 0.5 * np.cos(np.pi * np.arange(moment_degree + 1) / moment_degree)
+    dct_u, dct_y = _dct(degree), _dct(moment_degree)
+    dct_u[[0, -1]] *= 0.5
+    dct_y[[0, -1]] *= 0.5
+    values = _kernel(u, y, length_scale, np.empty((degree + 1, moment_degree + 1)))
+    A = np.einsum("ai,ib->ab", dct_u, np.einsum("ik,bk->ib", values, dct_y))
+    A.flags.writeable = False  # shared by every caller of the cache
+    return A
+
+
+def _moments(model: AdditiveGprModel, degree: int,
+             points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(mu, exact): the (degree + 1, F) Chebyshev moments of alpha, mu[b, j]
+    = sum_m alpha_m T_b(s_mj) with s = 2 Ytrain - 1, and the (len(points),
+    F) exact component values f_j(u) at the `points` u.
+
+    One pass over the training rows, in blocks of all F features and
+    about `_MOMENT_ENTRIES` entries, on the calling thread.  Per
+    block: each point's `_kernel` values, weighted by alpha; then the even
+    W_b = alpha T_b(s) by the Chebyshev recurrence two degrees at a time,
+    W_b+2 = 2 T_2(s) W_b - W_b-2, with their column sums, and between them
+    the odd moments from 2 T_1 T_b = T_b+1 + T_b-1: mu_b+1 = sum 2 T_1(s)
+    W_b - mu_b-1, one `np.einsum` each.  So two degrees cost four passes
+    over the block, not six.  Blocks add in row order, and each sum runs
+    in one numpy call, so the bits depend on F and the rows alone.  A call
+    holds five block buffers, never an (M, F) array: 634 KiB at F = 306, where
+    128-row blocks, the forward blocks at F = 306, took 1.5 MiB and were
+    slower (10.5 against 9.3 ms for a `fit_coupled` table on a 2-core
+    x86_64 machine).
+    """
+    M, F = model.Ytrain.shape
+    step = max(1, _MOMENT_ENTRIES // F)
+    mu, part = np.zeros((degree + 1, F)), np.empty((degree + 1, F))
+    exact = np.zeros((len(points), F))
+    buffers = np.empty((5, min(step, M), F))
+    for r0 in range(0, M, step):
+        a = model.alpha[r0:r0 + step]
+        x2, y2, low, high, scratch = (buf[:len(a)] for buf in buffers)
+        np.copyto(x2, model.Ytrain[r0:r0 + step])  # C order: one strided pass over Ytrain
+        for row, u in zip(exact, points):
+            row += np.einsum("mj,m->j", _kernel(x2, u, model.length_scale, scratch), a)
+        x2 *= 4.0
+        x2 -= 2.0  # 2 T_1(s)
+        np.multiply(x2, x2, out=y2)
+        y2 -= 2.0  # 2 T_2(s)
+        np.copyto(low, a[:, None])  # W_0
+        np.multiply(y2, 0.5 * a[:, None], out=high)  # W_2
+        part[0] = np.add.reduce(low, axis=0)
+        part[1] = 0.5 * np.einsum("mj,mj->j", x2, low)
+        for b in range(2, degree + 1, 2):
+            if b > 2:
+                np.multiply(y2, high, out=scratch)
+                np.subtract(scratch, low, out=low)
+                low, high = high, low
+            part[b] = np.add.reduce(high, axis=0)
+            if b < degree:
+                np.subtract(np.einsum("mj,mj->j", x2, high), part[b - 1], out=part[b + 1])
+        mu += part
+    return mu, exact
+
+
 def compile_components(model: AdditiveGprModel) -> ActivationTable | None:
     """One checked Chebyshev table per component function, or None.
 
-    The table of f_j interpolates the exact `gpr_component` values at the
-    n + 1 Chebyshev points of the second kind on `TABLE_INTERVAL`, with
-    n = max(16, 8 * ceil(1.25 / l)): the kernel's width sets how many
-    nodes resolve it.  The coefficients are a type-I DCT of the node
-    values, summed node by node without BLAS, so the table's bytes do not
-    depend on the thread count.  The deviation from the exact components,
-    measured at the n points between the nodes and summed over the
-    features, must be at most tau = 1e-12 * sum_m |alpha_m| (about 100
-    times the exact path's own rounding); a table that fails the check, or
-    one that would need more than `_MAX_NODES` nodes, is not built.
-    The accepted table then drops its longest tail of coefficients k >= K
-    >= 1 whose sum_k sum_j |c_kj| is at most (tau - deviation) / 2 (Aurentz
-    and Trefethen, "Chopping a Chebyshev series", ACM TOMS 43, 2017): as
-    |T_k| <= 1, that bounds the change everywhere on the interval, not only
-    at the checked points.  The deviation is measured again on what is kept.
+    f_j(u) = sum_m alpha_m k(u, Ytrain[m, j]), and on `TABLE_INTERVAL` x
+    [0, 1] the kernel is close to its 2-D interpolant sum_ab A[a, b]
+    T_a(x) T_b(2 y - 1) (`_table_matrix`), so f_j's coefficients are A mu_j,
+    with mu_j the Chebyshev moments of alpha over feature j (`_moments`):
+    no kernel is evaluated at a table node.  The degrees come from a bound
+    that is proved for the whole interval (`_table_degrees`): the tables'
+    summed deviation from the exact components is at most `bound` = F e
+    sum |alpha|, at most a tenth of tau = 1e-12 * sum |alpha| (about 100
+    times the exact path's own rounding).  The bound does not cover
+    rounding, so the tables are probed against the exact values at the 4
+    points `_PROBES`, and their summed deviation there is added.  Then the
+    longest tail of coefficients k >= K >= 1 whose sum_k sum_j |c_kj| is at
+    most (tau - bound - probed) / 2 is dropped (Aurentz and Trefethen,
+    "Chopping a Chebyshev series", ACM TOMS 43, 2017): as |T_k| <= 1, that
+    sum bounds the change everywhere on the interval.  So the reported
+    `max_deviation`, bound + tail + probed, is at most tau.
+
+    The moments hold only for training features in [0, 1], as
+    `hdmr_fit`'s are; other models get no table, as do models whose
+    degrees would need more than `_MAX_NODES` nodes, whose sum |alpha| or
+    series overflows, or whose bound and probe exceed tau.  Each refusal
+    is logged, and such a model predicts on the exact path.
     """
-    n = max(16, 8 * math.ceil(1.25 / model.length_scale))
-    tolerance = _TABLE_TOLERANCE * float(np.abs(model.alpha).sum())
-    if n + 1 > _MAX_NODES:
-        _log.debug("activation table refused: l = %g needs %d nodes, more than %d",
-                   model.length_scale, n + 1, _MAX_NODES)
-        return None
-    # Points cos(pi i / 2n): the even ones are the nodes, the odd ones lie
-    # halfway between them and check the interpolant.
-    x = np.cos(np.pi * np.arange(2 * n + 1) / (2 * n))
-    u = _CENTER + _HALF_WIDTH * x
-    values = _dual_sums(model, np.broadcast_to(u[:, None], (u.size, model.n_features)),
-                        np.arange(model.n_features)[:, None], 0.0).T
-    cosines = _dct(n)
-    coefficients = np.zeros((n + 1, model.n_features))
-    for i in range(n + 1):
-        coefficients += cosines[:, i, None] * values[2 * i]
-    coefficients[[0, -1]] *= 0.5
-    between = np.broadcast_to(x[1::2, None], (n, model.n_features))
-    def deviation_of(table):
-        return float(np.abs(_clenshaw(table, between) - values[1::2]).max(axis=0).sum())
-    deviation = deviation_of(coefficients)
-    if not deviation <= tolerance:
-        _log.debug("activation table refused: %d nodes deviate by %.3g, above %.3g",
-                   n + 1, deviation, tolerance)
-        return None
-    tails = np.cumsum(np.abs(coefficients[:0:-1]).sum(axis=1))[::-1]  # k >= 1 .. k >= n
-    terms = 1 + int(np.count_nonzero(tails > 0.5 * (tolerance - deviation)))
-    coefficients = coefficients[:terms]
-    deviation = deviation_of(coefficients)
-    _log.debug("activation table built: %d nodes, %d terms, deviation %.3g, tolerance %.3g",
-               n + 1, terms, deviation, tolerance)
-    return ActivationTable(coefficients, deviation, tolerance, n + 1)
+    F = model.n_features
+    if not _in_unit_interval(model.Ytrain):
+        return _refuse("features not all in [0, 1]")
+    with np.errstate(over="ignore"):
+        scale = float(np.abs(model.alpha).sum())
+    if not math.isfinite(scale):
+        return _refuse("sum |alpha| overflows")
+    tolerance = _TABLE_TOLERANCE * scale
+    degree, moment_degree, error = _table_degrees(model.length_scale, F)
+    if degree >= _MAX_NODES:
+        return _refuse(f"l = {model.length_scale:g} needs more than {_MAX_NODES} nodes "
+                       f"for {F} features")
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
+        mu, exact = _moments(model, moment_degree, _CENTER + _HALF_WIDTH * _PROBES)
+        coefficients = np.einsum("ab,bj->aj", _table_matrix(model.length_scale, degree,
+                                                           moment_degree), mu)
+        x = np.broadcast_to(_PROBES[:, None], exact.shape)
+        probed = float(np.abs(_clenshaw(coefficients, x) - exact).max(axis=0).sum())
+        bound = F * error * scale
+        sums = np.abs(coefficients).sum(axis=1)
+        tails = np.cumsum(sums[:0:-1])[::-1]  # k >= 1 .. k >= degree
+        # bounds every intermediate of `_clenshaw`, since |U_k| <= k + 1 on [-1, 1]
+        series = 2.0 * (degree + 1) * float(sums[0] + tails[0])
+    if not (math.isfinite(series) and math.isfinite(probed)):
+        return _refuse("the series overflows")
+    if not bound + probed <= tolerance:
+        return _refuse(f"bound {bound:.3g} and probed deviation {probed:.3g} "
+                       f"deviate by more than {tolerance:.3g}")
+    terms = 1 + int(np.count_nonzero(tails > 0.5 * (tolerance - bound - probed)))
+    table = ActivationTable(coefficients[:terms], bound,
+                            float(tails[terms - 1]) if terms <= degree else 0.0, probed,
+                            tolerance, degree, moment_degree)
+    _log.debug("activation table built: degrees %d x %d, %d terms, bound %.3g + chopped "
+               "tail %.3g + probed deviation %.3g = max deviation %.3g, tolerance %.3g",
+               degree, moment_degree, terms, table.bound, table.chopped_tail,
+               table.probed_deviation, table.max_deviation, tolerance)
+    return table
+
+
+def _refuse(why: str) -> None:
+    _log.debug("activation table refused: %s", why)
+    return None
 
 
 def activation_sums(model: AdditiveGprModel, features, n: int, groups,

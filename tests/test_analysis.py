@@ -195,14 +195,18 @@ def test_sweep_cells_run_in_this_process(monkeypatch):
     assert calls == [os.getpid()] * 4
 
 
-def test_sweep_cells_on_more_threads_than_cores_match_one_thread(tiny_sweep, monkeypatch):
+def test_sweep_cells_on_more_threads_than_cores_match_one_thread(monkeypatch):
     # Cells share the dataset, the configuration and the kernel pool, which
-    # the first of them to build a table starts; frequent thread switches
-    # with four threads would expose any state a cell writes, or a second
-    # pool built by a lost update.
+    # the first of them to score its test rows starts: at l = 0.02 a model
+    # has no table, and 300 test rows are three blocks of the exact path.
+    # Frequent thread switches with four threads would expose any state a
+    # cell writes, or a second pool built by a lost update.
     from hdmrnet import gpr
 
-    ds, result = tiny_sweep
+    ds = synth("pairwise", 3, 400, seed=2)
+    monkeypatch.setattr(gpr, "_THREADS", 1)
+    result = sweep(ds, [1, 2], [3, 5], 2, 100, 300, 0.02, 1e-6, 40)
+    assert all(r.status == "ok" for r in result.records)
     monkeypatch.setattr(gpr, "_THREADS", 2)
     monkeypatch.setattr(gpr, "_pool", None)
     kernel_threads, start = [], threading.Thread.start
@@ -216,7 +220,7 @@ def test_sweep_cells_on_more_threads_than_cores_match_one_thread(tiny_sweep, mon
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        again = sweep(ds, [1, 2], [3, 5], 2, 100, 50, 0.3, 1e-6, 40, jobs=4)
+        again = sweep(ds, [1, 2], [3, 5], 2, 100, 300, 0.02, 1e-6, 40, jobs=4)
     finally:
         sys.setswitchinterval(interval)
     untimed = [[replace(r, wall_s=0.0) for r in res.records] for res in (result, again)]

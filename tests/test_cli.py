@@ -88,9 +88,14 @@ def test_fit_writes_model_and_report(workspace):
     assert report["train_rmse"] <= report["test_rmse"]
     assert report["test_corr"] > 0.99
     table = report["activation_table"]
-    assert table["nodes"] == 41  # 8 * ceil(1.25 / 0.3) + 1
-    assert 1 <= table["terms"] < table["nodes"]  # chopped to what the tolerance needs
-    assert 0.0 <= table["max_deviation"] <= table["tolerance"]
+    assert set(table) == {"degree", "moment_degree", "terms", "bound", "chopped_tail",
+                          "probed_deviation", "max_deviation", "tolerance"}
+    # the degrees that the bound proves for F = 3 + 3 * 5 = 18 features at l = 0.3
+    assert (table["degree"], table["moment_degree"]) == hdmrnet.gpr._table_degrees(0.3, 18)[:2]
+    assert 1 <= table["terms"] <= table["degree"]  # chopped to what the tolerance needs
+    assert min(table["bound"], table["chopped_tail"], table["probed_deviation"]) >= 0.0
+    assert table["bound"] + table["chopped_tail"] + table["probed_deviation"] \
+        == table["max_deviation"] <= table["tolerance"]
     header, body = map(json.loads, open(model).read().split("\n", 1))
     assert header["format_version"] == FORMAT_VERSION
     assert set(body) == {"metadata", "X", "gpr"}
@@ -763,10 +768,10 @@ def test_failed_fit_leaves_no_model_file(workspace, tmp_path):
 
 def test_fit_without_train_scores_all_rows_and_reports_no_table(workspace, tmp_path,
                                                                  capsys):
-    # l = 0.03 needs 8 * ceil(1.25 / 0.03) + 1 = 337 table nodes, past 256.
+    # At l = 0.02 the bound proves no table degree below 256 nodes.
     _, data, _ = workspace
     target = str(tmp_path / "all.model")
-    assert run("fit", "--data", data, "--d", "2", "--n-per-term", "2", "--l", "0.03",
+    assert run("fit", "--data", data, "--d", "2", "--n-per-term", "2", "--l", "0.02",
                "--seed", "1", "--out", target) == 0
     assert "test rmse" not in capsys.readouterr().out
     report = json.load(open(target + ".report.json"))

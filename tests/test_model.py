@@ -1,6 +1,7 @@
 """Pipeline and serialization tests for the fitted surrogate."""
 
 import base64
+import dataclasses
 import hashlib
 import json
 import logging
@@ -22,6 +23,7 @@ from hdmrnet import (
     fit_scaler,
     gpr,
     gpr_component,
+    gpr_fit,
     gpr_predict,
     hdmr_fit,
     hdmr_predict,
@@ -207,7 +209,8 @@ def test_compiled_predict_is_within_tolerance_of_exact(length_scale):
     model = hdmr_fit(ds, 2, 5, length_scale)
     table = model.gpr.activation_table
     assert table is not None
-    assert table.nodes == 1 + max(16, 8 * int(np.ceil(1.25 / length_scale)))
+    assert (table.degree, table.moment_degree) \
+        == gpr._table_degrees(length_scale, model.n_features)[:2]
     assert table.tolerance == 1e-12 * np.abs(model.gpr.alpha).sum()
     assert table.max_deviation <= table.tolerance
     X = np.random.default_rng(4).uniform(size=(500, 4))
@@ -222,62 +225,193 @@ def test_compiled_predict_is_within_tolerance_of_exact(length_scale):
         assert np.abs(values - grouped).max() <= table.tolerance
 
 
-def _full_table(model):
-    """The unchopped DCT coefficients of `gpr_component`'s values at the n + 1
-    nodes, and their summed deviation from those values between the nodes."""
-    n = max(16, 8 * int(np.ceil(1.25 / model.length_scale)))
-    x = np.cos(np.pi * np.arange(2 * n + 1) / (2 * n))
-    values = np.column_stack([gpr_component(model, j, gpr._CENTER + gpr._HALF_WIDTH * x)
-                              for j in range(model.n_features)])
-    k = np.arange(n + 1)
-    cosines = np.cos(np.pi * (np.outer(k, k) % (2 * n)) / n) * (2.0 / n)
-    cosines[:, [0, -1]] *= 0.5
-    reference = np.zeros((n + 1, model.n_features))
-    for i in k:
-        reference += cosines[:, i, None] * values[2 * i]
-    reference[[0, -1]] *= 0.5
-    between = np.broadcast_to(x[1::2, None], (n, model.n_features))
-    deviation = np.abs(gpr._clenshaw(reference, between) - values[1::2]).max(axis=0).sum()
-    return reference, deviation
+def _reference_table(model):
+    """The unchopped table A mu by the build's arithmetic, written out on one
+    thread: A from `_kernel` values at the Chebyshev points of the table
+    interval x [0, 1] and two `_dct`s; mu block by block in row order, with
+    every degree's W_b = alpha T_b(2 y - 1) kept, the even ones by the
+    two-degree recurrence and the odd moments from 2 T_1 T_b = T_b+1 + T_b-1."""
+    M, F = model.Ytrain.shape
+    n_x, n_y, _ = gpr._table_degrees(model.length_scale, F)
+    u = gpr._CENTER + gpr._HALF_WIDTH * np.cos(np.pi * np.arange(n_x + 1) / n_x)
+    y = 0.5 + 0.5 * np.cos(np.pi * np.arange(n_y + 1) / n_y)
+    dct_u, dct_y = gpr._dct(n_x), gpr._dct(n_y)
+    dct_u[[0, -1]] *= 0.5
+    dct_y[[0, -1]] *= 0.5
+    K = np.array([[gpr._kernel(np.array([ui]), np.array([yb]), model.length_scale,
+                               np.empty((1, 1)))[0, 0] for yb in y] for ui in u])
+    A = np.einsum("ai,ib->ab", dct_u, np.einsum("ik,bk->ib", K, dct_y))
+    mu = np.zeros((n_y + 1, F))
+    step = max(1, gpr._MOMENT_ENTRIES // F)
+    for r0 in range(0, M, step):
+        a = model.alpha[r0:r0 + step, None]
+        x2 = np.ascontiguousarray(model.Ytrain[r0:r0 + step]) * 4.0 - 2.0
+        y2 = x2 * x2 - 2.0
+        W = {0: np.broadcast_to(a, x2.shape).copy(), 2: y2 * (0.5 * a)}
+        for b in range(4, n_y + 1, 2):
+            W[b] = y2 * W[b - 2] - W[b - 4]
+        part = np.zeros((n_y + 1, F))
+        part[1] = 0.5 * np.einsum("mj,mj->j", x2, W[0])
+        for b in range(0, n_y + 1, 2):
+            part[b] = np.add.reduce(W[b], axis=0)
+            if 0 < b < n_y:
+                part[b + 1] = np.einsum("mj,mj->j", x2, W[b]) - part[b - 1]
+        mu += part
+    return np.einsum("ab,bj->aj", A, mu), mu
 
 
-@pytest.mark.parametrize("threads", [1, 2, 5])  # 5: more threads than cores share the queue
-@pytest.mark.parametrize("length_scale", [0.3, 0.1])  # 81 points in one block; 209 in two
+@pytest.mark.parametrize("threads", [1, 2, 5])  # 5: more threads than cores
+@pytest.mark.parametrize("length_scale", [0.3, 0.1])
 def test_table_coefficients_are_the_dct_of_gpr_component_values(monkeypatch, length_scale,
                                                                 threads):
+    # c_j = A mu_j is the DCT in x of f_j's values at the table's nodes, with
+    # the kernel interpolated on the training side.  The M = 300 rows of
+    # F = 22 features are one block of 744 rows, or four of 90.
     model = hdmr_fit(synth("morse_like", 4, 300, seed=3), 2, 3, length_scale).gpr
-    monkeypatch.setattr(gpr, "_THREADS", 1)
-    reference, _ = _full_table(model)
+    assert model.n_features == 22 and gpr._MOMENT_ENTRIES // 22 == 744
     monkeypatch.setattr(gpr, "_THREADS", threads)
-    table = gpr.compile_components(model)
-    assert table.coefficients.tobytes() == reference[:table.terms].tobytes()
+    for entries in (gpr._MOMENT_ENTRIES, 2000):
+        monkeypatch.setattr(gpr, "_MOMENT_ENTRIES", entries)
+        reference, mu = _reference_table(model)
+        table = gpr.compile_components(model)
+        assert table.coefficients.tobytes() == reference[:table.terms].tobytes()
+    # the moments are sum_m alpha_m T_b(2 y_mj - 1), up to rounding
+    vander = np.polynomial.chebyshev.chebvander(2.0 * model.Ytrain - 1.0, table.moment_degree)
+    np.testing.assert_allclose(mu, np.einsum("mjb,m->bj", vander, model.alpha),
+                               rtol=0, atol=1e-14 * np.abs(model.alpha).sum())
 
 
 @pytest.mark.parametrize("length_scale", [0.1, 0.3, 1.0])
 def test_table_drops_the_longest_tail_within_half_the_slack(length_scale):
     ds = synth("morse_like", 4, 300, seed=3)
     model = hdmr_fit(ds, 2, 5, length_scale)
-    reference, deviation = _full_table(model.gpr)
+    reference, _ = _reference_table(model.gpr)
     table = model.gpr.activation_table
-    assert table.nodes == len(reference) and 1 <= table.terms < table.nodes
-    slack = 0.5 * (table.tolerance - deviation)
+    assert len(reference) == table.degree + 1 and 1 <= table.terms < table.degree + 1
+    slack = 0.5 * (table.tolerance - table.bound - table.probed_deviation)
     # sums taken in another order than the table's, hence the 1e-12 margins
-    assert np.abs(reference[table.terms:]).sum() <= slack * (1 + 1e-12)
+    tail = np.abs(reference[table.terms:]).sum()
+    assert tail <= slack * (1 + 1e-12)
     assert np.abs(reference[table.terms - 1:]).sum() > slack * (1 - 1e-12)
+    assert table.chopped_tail == pytest.approx(tail, rel=1e-12)
+    assert table.max_deviation == table.bound + table.chopped_tail + table.probed_deviation
     assert table.max_deviation <= table.tolerance
     X = np.random.default_rng(4).uniform(size=(500, 4))
     Y = hdmrnet.model._features(model, X)
     assert np.abs(hdmr_predict(model, X) - gpr_predict(model.gpr, Y)).max() <= table.tolerance
 
 
+@pytest.mark.parametrize("length_scale", [0.1, 0.3, 1.0])  # 0.1: no factor, the exact loop
+@pytest.mark.parametrize("F, M", [(24, 200), (3, 900)])  # F r >= M, and F r < M at l >= 1/6
+def test_tables_deviate_by_at_most_their_max_deviation_on_a_dense_grid(length_scale, F, M):
+    rng = np.random.default_rng(F * M)
+    Y = rng.uniform(size=(M, F))
+    model = gpr_fit(Y, np.sin(6.0 * Y).sum(axis=1) + Y[:, 0] * Y[:, -1], length_scale)
+    factor, low_rank, _ = gpr._route(M, F, length_scale)
+    assert (factor is None) == (length_scale == 0.1) and low_rank == (factor is not None and F == 3)
+    table = model.activation_table
+    grid = np.linspace(*gpr.TABLE_INTERVAL, 801)
+    exact = np.column_stack([gpr_component(model, j, grid) for j in range(F)])
+    x = np.broadcast_to(((grid - gpr._CENTER) / gpr._HALF_WIDTH)[:, None], exact.shape)
+    deviation = np.abs(gpr._clenshaw(table.coefficients, x) - exact).max(axis=0).sum()
+    assert deviation <= table.max_deviation <= table.tolerance
+
+
+@pytest.mark.parametrize("length_scale", [0.05, 0.1, 0.3, 1.0, 3.0])
+@pytest.mark.parametrize("tolerance", [1e-12, 1e-4])  # 1e-4: low degrees, where truncation shows
+def test_kernel_interpolant_is_within_its_proved_bound(monkeypatch, length_scale, tolerance):
+    # The unchopped 2-D interpolant A against the kernel on a 801 x 801
+    # grid of the table interval x [0, 1]: its largest error is at most the
+    # bound e = E_x + Lambda(n_x) E_y per unit of sum |alpha| (F = 1).
+    monkeypatch.setattr(gpr, "_TABLE_TOLERANCE", tolerance)
+    n_x, n_y, bound = gpr._table_degrees(length_scale, 1)
+    assert bound <= 0.1 * tolerance
+    x = np.linspace(-1.0, 1.0, 801)
+    chebvander = np.polynomial.chebyshev.chebvander
+    interpolant = chebvander(x, n_x) @ gpr._table_matrix(length_scale, n_x, n_y) \
+        @ chebvander(x, n_y).T
+    kernel = gpr._kernel(gpr._CENTER + gpr._HALF_WIDTH * x, 0.5 + 0.5 * x, length_scale,
+                         np.empty((801, 801)))
+    assert np.abs(interpolant - kernel).max() <= bound
+
+
 @pytest.mark.parametrize("length_scale", [0.3, 0.1])
-def test_table_build_runs_one_neuron_queue_on_every_core(monkeypatch, length_scale,
-                                                         dispatches):
+def test_neuron_queue_runs_on_every_core_and_the_table_build_on_one(monkeypatch, length_scale,
+                                                                    dispatches):
+    # A table build sums moments on the calling thread; the exact path of
+    # its four neurons, fewer than a block of rows, runs as one queue of
+    # (neuron, block) tasks on both cores, not one dispatch per neuron.
     model = hdmr_fit(synth("additive", 4, 60, seed=1), 1, 1, length_scale).gpr
-    assert model.n_features == 4  # fewer neurons than a block of rows
+    assert model.n_features == 4
     monkeypatch.setattr(gpr, "_THREADS", 2)
     assert gpr.compile_components(model) is not None
-    assert dispatches == [2]  # one dispatch of two tasks, and none per neuron
+    assert dispatches == []
+    Y = np.random.default_rng(2).uniform(size=(50, 4))
+    values = gpr._dual_sums(model, Y, [[j] for j in range(4)], 0.0)
+    assert dispatches == [2]
+    assert values.tobytes() == np.array(
+        [gpr_component(model, j, Y[:, j]) for j in range(4)]).tobytes()
+
+
+def test_features_outside_the_unit_interval_get_no_table(caplog):
+    # The moments hold for training features in [0, 1] only, where the
+    # 2-D interpolant holds: a model fitted on [-1, 2] predicts exactly.
+    rng = np.random.default_rng(21)
+    Y = rng.uniform(-1.0, 2.0, size=(200, 3))
+    model = gpr_fit(Y, np.sin(2.0 * Y).sum(axis=1), 0.3)
+    with caplog.at_level(logging.DEBUG, logger="hdmrnet"):
+        assert model.activation_table is None
+    assert "activation table refused: features not all in [0, 1]" in caplog.text
+    P = rng.uniform(-0.25, 1.25, size=(500, 3))
+    sums = gpr.activation_sums(model, lambda rows: P[rows], 500, [range(3)],
+                               model.target_offset)
+    assert sums.tobytes() == gpr._dual_sums(model, P, [range(3)], model.target_offset).tobytes()
+
+
+def _scaled(alpha, scale):
+    return alpha / np.abs(alpha).max() * scale
+
+
+def _lone(alpha, value):
+    lone = np.zeros_like(alpha)
+    lone[7] = value
+    return lone
+
+
+@pytest.mark.parametrize("alpha, refusal", [
+    (lambda a: _scaled(a, 1e300), None),
+    (lambda a: _scaled(a, 1e306), None),
+    (lambda a: _lone(a, 1.5e308), "the series overflows"),  # a finite sum, a model that loads
+    (lambda a: _scaled(a, 1e308), "sum |alpha| overflows"),
+])
+def test_extreme_alpha_builds_a_table_or_none_without_a_warning(alpha, refusal, caplog):
+    # tier-1 turns any RuntimeWarning into an error.  A refused model whose
+    # prediction bound |offset| + F sum |alpha| is finite, as a fit or a
+    # load requires, predicts on the exact path.
+    gp = hdmr_fit(synth("additive", 1, 100, seed=5), 1, 0, 0.3).gpr
+    model = dataclasses.replace(gp, alpha=alpha(gp.alpha))
+    with caplog.at_level(logging.DEBUG, logger="hdmrnet"):
+        table = model.activation_table
+    if refusal is None:
+        assert table.max_deviation <= table.tolerance and np.isfinite(table.coefficients).all()
+        return
+    assert table is None and f"activation table refused: {refusal}" in caplog.text
+    if np.isfinite(gpr._prediction_bound(model.target_offset, 1, model.alpha)):
+        Y = np.random.default_rng(22).uniform(size=(300, 1))
+        assert gpr.activation_sums(model, lambda rows: Y[rows], 300, [range(1)], 0.0).tobytes() \
+            == gpr._dual_sums(model, Y, [range(1)], 0.0).tobytes()
+
+
+def test_noise_floor_fit_builds_its_table_without_a_warning():
+    # CI's fit at noise 1e-300 (1500 rows, one feature, l = 1): its alpha is
+    # large, and its table is built within tolerance or refused, silently.
+    model = hdmr_fit(synth("additive", 1, 1500, seed=1), 1, 0, 1.0, 1e-300)
+    table = model.gpr.activation_table
+    assert table is None or table.max_deviation <= table.tolerance
+    X = np.random.default_rng(23).uniform(size=(200, 1))
+    predicted = hdmr_predict(model, X)
+    exact = gpr_predict(model.gpr, hdmrnet.model._features(model, X))
+    assert np.abs(predicted - exact).max() <= (table.tolerance if table else 0.0)
 
 
 def test_rows_outside_the_table_interval_take_the_exact_path():
@@ -294,10 +428,11 @@ def test_rows_outside_the_table_interval_take_the_exact_path():
 
 def test_small_length_scale_builds_no_table(caplog):
     model, ds = _small_model()
-    model = hdmr_fit(ds, 2, 4, 0.02)  # 8 * ceil(1.25 / 0.02) + 1 = 505 nodes
+    model = hdmr_fit(ds, 2, 4, 0.02)  # the bound proves no degree below 256 for F = 15
+    assert gpr._table_degrees(0.02, 15)[0] == gpr._MAX_NODES
     with caplog.at_level(logging.DEBUG, logger="hdmrnet"):
         assert model.gpr.activation_table is None
-    assert "refused" in caplog.text and "505 nodes" in caplog.text
+    assert "refused: l = 0.02 needs more than 256 nodes for 15 features" in caplog.text
     X = np.random.default_rng(6).uniform(size=(150, 3))
     Y = hdmrnet.model._features(model, X)
     assert np.array_equal(hdmr_predict(model, X), gpr_predict(model.gpr, Y))
@@ -330,6 +465,10 @@ def test_table_is_built_once_and_logged(monkeypatch, caplog):
     assert builds == [model.gpr]
     assert [r.getMessage().split(":")[0] for r in caplog.records] == [
         "activation table built"]
+    table = model.gpr.activation_table  # the record carries what the reports show
+    assert caplog.records[0].args == (table.degree, table.moment_degree, table.terms,
+                                      table.bound, table.chopped_tail, table.probed_deviation,
+                                      table.max_deviation, table.tolerance)
 
 
 def test_zero_rows_build_no_table(caplog):
@@ -521,10 +660,11 @@ def test_predict_calls_reuse_the_kernel_pool(monkeypatch):
 
 def _pooled_fit_and_predict():
     """Bytes of a fit on the exact loop's Gram (l = 0.1, M = 300: three row
-    blocks) and of its prediction at 6000 points (three forward blocks of
-    2688 rows), each of which dispatches two tasks at `_THREADS` = 2."""
+    blocks) and of its prediction at 6000 points on [-0.5, 1.5]^3 (three
+    forward blocks of 2688 rows, and the rows outside the table's interval
+    on the exact path), each of which dispatches two tasks at `_THREADS` = 2."""
     model = hdmr_fit(synth("pairwise", 3, 300, seed=4), 2, 3, 0.1)
-    X = np.random.default_rng(8).uniform(size=(6000, 3))
+    X = np.random.default_rng(8).uniform(-0.5, 1.5, size=(6000, 3))
     return model.gpr.alpha.tobytes() + hdmr_predict(model, X).tobytes()
 
 
