@@ -21,7 +21,9 @@ K; `_solve` and `_low_rank_solve` are the two solve routes, and
 `compile_components` tabulates the component functions, as A mu_j: A the
 2-D interpolant of the kernel (`_table_matrix`) at degrees that a bound
 proves (`_table_degrees`), mu_j the Chebyshev moments of alpha over
-feature j (`_moments`), with no kernel evaluated at a table node.
+feature j (`_moments`), with no kernel evaluated at a table node.  The
+factor is the same interpolant on [0, 1]^2, at the degree that the same
+bound proves (`_factor_degree`), so its error eps_1 is proved too.
 `activation_sums` evaluates the tables for predictions and coupling terms
 alike, taking the features of each block of rows from a callback: a
 prediction holds its points, its output and a fixed block per thread,
@@ -86,17 +88,14 @@ _UPPER = np.triu(np.ones((_BLOCK, _BLOCK), dtype=bool), 1)
 _THREADS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
 
-# The factor route of `gram_matrix`: the largest accepted eps_1 (at l >= 1/6,
-# where both bounds hold, eps_1 is below 4e-15, the product's own rounding),
-# the highest Chebyshev degree (a block's product, at most 41^2 * 128
-# multiply-adds, is under the 4 * 65536 from which OpenBLAS threads a
-# dgemm), the rows of one G panel, the points per side of the grid that
-# measures eps_1, and the grid rows per block of that measurement.
+# The factor route of `gram_matrix`: the largest accepted eps_1, the bound
+# that `_kernel_factor` proves (half of it is the interpolant's share, see
+# `_factor_degree`), the highest Chebyshev degree (a block's product, at
+# most 41^2 * 128 multiply-adds, is under the 4 * 65536 from which OpenBLAS
+# threads a dgemm), and the rows of one G panel.
 _FACTOR_BOUND = 1e-14
 _MAX_DEGREE = 40
 _PANEL = 128
-_GRID = 256
-_GRID_BLOCK = 8
 
 # Scaled-feature interval that an activation table covers, the most nodes a
 # table may have, its accepted deviation per unit of sum |alpha|, the share
@@ -327,17 +326,21 @@ def _dual_sums(model: AdditiveGprModel, Y: np.ndarray, groups, start: float) -> 
     return out
 
 
-def _factor_degree(length_scale: float) -> int:
-    """Chebyshev degree n of `_kernel_factor` at this length scale."""
-    return 10 + math.ceil(5.0 / length_scale)
+def _factor_degree(length_scale: float) -> tuple[int, float]:
+    """(n, E) of `_kernel_factor`: the least n at which `_bernstein_degree`
+    proves E, the 1-D interpolant's error on [0, 1], at most `_FACTOR_BOUND`
+    / (2 (1 + Lambda(_MAX_DEGREE))), so that the 2-D error E (1 + Lambda(n))
+    is at most half of `_FACTOR_BOUND` at any n <= `_MAX_DEGREE`."""
+    return _bernstein_degree(0.5, length_scale,
+                             0.5 * _FACTOR_BOUND / (1.0 + _lebesgue(_MAX_DEGREE)))
 
 
 @dataclass(frozen=True)
 class _KernelFactor:
     """k(u, v) ~= g(u) . g(v) for u, v in [0, 1], with g(u) = Rt @ T(2u - 1)
     and T(x) the Chebyshev polynomials of degree 0..n at x; `error` is
-    eps_1, the largest |k - g . g| on a grid of `_GRID` points per side, a
-    measurement and not a bound."""
+    eps_1, a proved bound on |k - g . g| on [0, 1]^2 that leaves out the
+    rounding of the build and of g . g."""
 
     Rt: np.ndarray  # (r, n + 1), R transposed
     error: float
@@ -361,50 +364,24 @@ class _KernelFactor:
 def _kernel_factor(length_scale: float) -> _KernelFactor:
     """The 1-D kernel's factor on [0, 1], built once per length scale.
 
-    The kernel at the n + 1 Chebyshev points u_i = (1 + cos(pi i / n)) / 2
-    gives its 2-D Chebyshev coefficients A = C K C^T, C the `_dct` with
-    its first and last rows halved, as in `_table_matrix`.  Of A = V
-    diag(w) V^T, the pairs with w > 1e-16 max w make R = V_r
-    diag(w_r)^(1/2), so k(u, v) ~= T(u)^T R R^T T(v).
-    Every product here is too small for OpenBLAS to thread, so R does not
-    depend on the thread count.  The error is measured `_GRID_BLOCK` grid
-    rows at a time, within `_fit_bytes`'s headroom.
+    A = `_table_matrix` on [0, 1]^2 at the degree n of `_factor_degree`
+    holds the 2-D Chebyshev coefficients of the kernel's interpolant, k(u,
+    v) ~= T(2u - 1)^T A T(2v - 1), within E (1 + Lambda(n)).  Of A = V
+    diag(w) V^T, the pairs with w > 1e-16 max w make R = V_r diag(w_r)^(1/2),
+    so k(u, v) ~= T(2u - 1)^T R R^T T(2v - 1).  As |T_k| <= 1, a dropped pair
+    moves that product by at most |w_i| ||v_i||_1^2, so eps_1 = E (1 +
+    Lambda(n)) + sum |w_i| ||v_i||_1^2 over the dropped pairs bounds |k - g
+    . g| on [0, 1]^2, rounding aside.  A is summed without BLAS and eigh's
+    matrix is too small for OpenBLAS to thread, so R does not depend on the
+    thread count.
     """
-    n = _factor_degree(length_scale)
-    nodes = 0.5 + 0.5 * np.cos(np.pi * np.arange(n + 1) / n)
-    dct = _dct(n)
-    dct[[0, -1]] *= 0.5
-    w, V = np.linalg.eigh(dct @ _kernel(nodes, nodes, length_scale, np.empty((n + 1,) * 2)) @ dct.T)
+    n, e = _factor_degree(length_scale)
+    w, V = np.linalg.eigh(_table_matrix(length_scale, n, n, (0.0, 1.0)))
     keep = w > 1e-16 * w[-1]
     Rt = np.ascontiguousarray((V[:, keep] * np.sqrt(w[keep])).T)
     Rt.flags.writeable = False  # shared by every caller of the cache
-    grid = np.linspace(0.0, 1.0, _GRID)
-    g = _factor_rows(Rt, grid, np.empty((n + 1, _GRID)), np.empty((Rt.shape[0], _GRID)))
-    k, gg = np.empty((_GRID_BLOCK, _GRID)), np.empty((_GRID_BLOCK, _GRID))
-    error = 0.0
-    for i0 in range(0, _GRID, _GRID_BLOCK):
-        _kernel(grid[i0:i0 + _GRID_BLOCK], grid, length_scale, k)
-        k -= np.matmul(g[:, i0:i0 + _GRID_BLOCK].T, g, out=gg)
-        error = max(error, float(np.abs(k, out=k).max()))
-    return _KernelFactor(Rt, error)
-
-
-def _factor_rows(Rt: np.ndarray, y: np.ndarray, T: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Fill `out` (r, len(y)) with g(y_i) = Rt @ T(2 y_i - 1) for each entry
-    of y, and return it; T (n + 1, len(y)) is the buffer that the Chebyshev
-    recurrence fills.  The product runs once per fixed block of `_BLOCK`
-    entries, each too small for OpenBLAS to thread, so the bits do not
-    depend on the BLAS thread count."""
-    T[0] = 1.0
-    np.multiply(y, 2.0, out=T[1])
-    T[1] -= 1.0
-    x2 = T[1] + T[1]
-    for k in range(1, T.shape[0] - 1):
-        np.multiply(x2, T[k], out=T[k + 1])
-        T[k + 1] -= T[k - 1]
-    for i0 in range(0, len(y), _BLOCK):
-        np.matmul(Rt, T[:, i0:i0 + _BLOCK], out=out[:, i0:i0 + _BLOCK])
-    return out
+    dropped = float(np.abs(w[~keep]) @ np.abs(V[:, ~keep]).sum(axis=0) ** 2)
+    return _KernelFactor(Rt, e * (1.0 + _lebesgue(n)) + dropped)
 
 
 def _in_unit_interval(Y: np.ndarray) -> bool:
@@ -424,7 +401,7 @@ def _route(n_train: int, n_features: int, length_scale: float,
     `gpr_fit` takes it, `gram_matrix` its Gram part, and `_fit_bytes`
     counts it.
     """
-    n = _factor_degree(length_scale)
+    n = _factor_degree(length_scale)[0]
     if n > _MAX_DEGREE:
         return None, False, (f"l = {length_scale:g} is too small for the factor "
                              f"(degree {n} > {_MAX_DEGREE})")
@@ -472,11 +449,12 @@ def gram_matrix(Y: np.ndarray, length_scale: float) -> np.ndarray:
     K = np.zeros((M, M))
     def work(blocks):
         scratch = np.empty(min(_BLOCK, M) * M)
-        for r0, r1 in blocks:
-            buf = scratch[:(r1 - r0) * (M - r0)].reshape(r1 - r0, M - r0)
-            for y in Yt:
-                K[r0:r1, r0:] += _kernel(y[r0:r1], y[r0:], length_scale, buf)
-            K[r1:, r0:r1] = K[r0:r1, r1:].T
+        with np.errstate(over="ignore"):  # per thread; a huge y - y': its square is inf, k = 0
+            for r0, r1 in blocks:
+                buf = scratch[:(r1 - r0) * (M - r0)].reshape(r1 - r0, M - r0)
+                for y in Yt:
+                    K[r0:r1, r0:] += _kernel(y[r0:r1], y[r0:], length_scale, buf)
+                K[r1:, r0:r1] = K[r0:r1, r1:].T
     _map_blocks(M, work)
     return K
 
@@ -485,11 +463,22 @@ def _factor_matrix(Y: np.ndarray, factor: _KernelFactor, out: np.ndarray) -> np.
     """Fill out[:k], for Y's k columns, with G_j = [g(Y[m, j])]_m (r, M)
     of each column j, through one (n + 1, M) Chebyshev buffer, and return
     the (k r, M) view of out[:k]: B^T for all F features, or one panel of
-    it.  The one fill of G_j, for the Gram and the low-rank route alike."""
+    it.  The one fill of G_j, for the Gram and the low-rank route alike.
+    Each G_j is Rt @ T(2 Y[:, j] - 1) from the Chebyshev recurrence, one
+    product per fixed block of `_BLOCK` rows, each too small for OpenBLAS to
+    thread, so the bits do not depend on the BLAS thread count."""
     M, k = Y.shape
     T = np.empty((factor.degree + 1, M))
+    T[0] = 1.0
     for j in range(k):
-        _factor_rows(factor.Rt, Y[:, j], T, out[j])
+        np.multiply(Y[:, j], 2.0, out=T[1])
+        T[1] -= 1.0
+        x2 = T[1] + T[1]
+        for d in range(1, factor.degree):
+            np.multiply(x2, T[d], out=T[d + 1])
+            T[d + 1] -= T[d - 1]
+        for i0 in range(0, M, _BLOCK):
+            np.matmul(factor.Rt, T[:, i0:i0 + _BLOCK], out=out[j, :, i0:i0 + _BLOCK])
     return out[:k].reshape(-1, M)
 
 
@@ -530,8 +519,8 @@ def _mirror(square: np.ndarray, out: np.ndarray) -> None:
     np.copyto(out, square.T, where=_UPPER[:len(square), :len(square)])
 
 
-# `_fit_bytes`'s headroom: the factor's one-time check (at most 419,496 bytes,
-# at n = 40), the two 128 x 128 blocks that `_symmetric_product` may hold
+# `_fit_bytes`'s headroom: the factor's one-time build (69,906 bytes traced at
+# n = 40), the two 128 x 128 blocks that `_symmetric_product` may hold
 # as it copies a diagonal block, or the one that numpy buffers for `_refill`
 # to mirror one in place, the cached factor and numpy's scratch.
 _HEADROOM = 2**20
@@ -862,28 +851,38 @@ def _table_degrees(length_scale: float, n_features: int) -> tuple[int, int, floa
     interpolant of the kernel deviates from it by at most e = E_x +
     Lambda(n_x) E_y <= `_BOUND_SHARE` * `_TABLE_TOLERANCE` / F, half of it
     each side.  E_x and E_y are `_bernstein_degree`'s bounds in each
-    variable, and Lambda(n) <= 1 + (2 / pi) log(n + 1) the Lebesgue
-    constant of n + 1 Chebyshev points (ATAP, Thm 15.2): interpolating in
-    u the error left by y multiplies it by at most that.  So F e sum |alpha|
-    bounds the tables' summed deviation from the exact components.
+    variable, and Lambda(n) the Lebesgue constant of n + 1 Chebyshev points
+    (`_lebesgue`): interpolating in u the error left by y multiplies it by
+    at most that.  So F e sum |alpha| bounds the tables' summed deviation
+    from the exact components.
     """
     target = 0.5 * _BOUND_SHARE * _TABLE_TOLERANCE / n_features
     n_x, e_x = _bernstein_degree(_HALF_WIDTH, length_scale, target)
-    lebesgue = 1.0 + 2.0 / math.pi * math.log(n_x + 1)
+    lebesgue = _lebesgue(n_x)
     n_y, e_y = _bernstein_degree(0.5, length_scale, target / lebesgue)
     return n_x, n_y, e_x + lebesgue * e_y
 
 
+def _lebesgue(n: int) -> float:
+    """1 + (2 / pi) log(n + 1), at least the Lebesgue constant Lambda(n) of
+    n + 1 Chebyshev points (ATAP, Thm 15.2)."""
+    return 1.0 + 2.0 / math.pi * math.log(n + 1)
+
+
 @functools.lru_cache(maxsize=32)
-def _table_matrix(length_scale: float, degree: int, moment_degree: int) -> np.ndarray:
+def _table_matrix(length_scale: float, degree: int, moment_degree: int,
+                  interval: tuple[float, float] = TABLE_INTERVAL) -> np.ndarray:
     """A, (degree + 1, moment_degree + 1): the 2-D Chebyshev coefficients
-    of the interpolant of k(u, y) through the Chebyshev points of
-    `TABLE_INTERVAL` x [0, 1], in the variables x = (u - 0.5) / 0.75 and
-    s = 2 y - 1: k ~= sum_ab A[a, b] T_a(x) T_b(s).  Built once per
-    (l, degrees) as two `_dct`s of `_kernel` values, summed by `np.einsum`
-    without BLAS, so its bits do not depend on the thread count.
+    of the interpolant of k(u, y) through the Chebyshev points of `interval`
+    x [0, 1], in the variables x = (u - c) / h, for the interval's centre c
+    and half-width h, and s = 2 y - 1: k ~= sum_ab A[a, b] T_a(x) T_b(s).
+    The activation tables take it on `TABLE_INTERVAL`, `_kernel_factor` on
+    [0, 1].  Built once per (l, degrees, interval) as two `_dct`s of
+    `_kernel` values, summed by `np.einsum` without BLAS, so its bits do
+    not depend on the thread count.
     """
-    u = _CENTER + _HALF_WIDTH * np.cos(np.pi * np.arange(degree + 1) / degree)
+    center, half_width = 0.5 * (interval[0] + interval[1]), 0.5 * (interval[1] - interval[0])
+    u = center + half_width * np.cos(np.pi * np.arange(degree + 1) / degree)
     y = 0.5 + 0.5 * np.cos(np.pi * np.arange(moment_degree + 1) / moment_degree)
     dct_u, dct_y = _dct(degree), _dct(moment_degree)
     dct_u[[0, -1]] *= 0.5

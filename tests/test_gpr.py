@@ -439,18 +439,19 @@ def test_accepted_factor_survives_the_solve(M, F, length_scale, noise):
 @pytest.mark.parametrize("M, F, length_scale, noise, escalates", [
     (600, 2, 1.0, 1e-14, True), (600, 3, 1.0, 1e-6, False), (600, 60, 1.0, 1e-6, False),
     (600, 60, 1.0, 1e-14, True), (600, 2, 0.17, 1e-6, False), (600, 60, 0.17, 1e-6, False),
-    (600, 3, 0.1, 1e-6, False)], ids=[
-    "600-2-1e-14-True", "600-3-1e-06-False", "600-60-1e-06-False", "600-60-1e-14-True",
-    "600-2-0.17-low-rank", "600-60-0.17-factor-gram", "600-3-0.1-exact-loop"])
+    (600, 3, 0.1, 1e-6, False), (600, 2, 0.15, 1e-6, False), (600, 60, 0.15, 1e-6, False)],
+    ids=["600-2-1e-14-True", "600-3-1e-06-False", "600-60-1e-06-False", "600-60-1e-14-True",
+         "600-2-0.17-low-rank", "600-60-0.17-factor-gram", "600-3-0.1-exact-loop",
+         "600-2-0.15-low-rank", "600-60-0.15-factor-gram"])
 def test_fit_peak_memory_is_the_counted_gram_and_factor_buffer(monkeypatch, M, F, length_scale,
                                                                noise, escalates):
     # The Gram guard of `model._training_features` counts `gpr._fit_bytes`
     # for a fit.  At l = 1, r = 10: with F = 60, F r >= M, and it counts the
     # Gram matrix, which `_solve` factors in place, and a G panel; with F =
     # 2 or 3, F r < M, and it counts B^T and C = B^T B; on both, M-vectors
-    # and one headroom.  Just above l = 1/6, at l = 0.17, the factor has
+    # and one headroom.  At l = 0.17, n = 36; at l = 0.15 the factor has
     # its highest degree, n = 40: the most M-vectors fill G_j, and its
-    # one-time check is the largest.  At l = 0.1 the exact loop runs on two
+    # build is the largest.  At l = 0.1 the exact loop runs on two
     # threads, each with its block buffer.  Besides that a fit holds 64 KiB
     # of the interpreter's own objects; a second (M, M) array would not fit.
     monkeypatch.setattr(gpr, "_THREADS", 2)
@@ -458,7 +459,7 @@ def test_fit_peak_memory_is_the_counted_gram_and_factor_buffer(monkeypatch, M, F
     Y = rng.uniform(size=(M, F))
     t = np.sin(6.0 * Y).sum(axis=1)
     gpr_fit(Y, t, length_scale, noise)  # first LAPACK call outside the trace
-    gpr._kernel_factor.cache_clear()  # the traced fit checks the factor's bound
+    gpr._kernel_factor.cache_clear()  # the traced fit builds the factor
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
@@ -499,7 +500,12 @@ def test_solve_products_do_not_depend_on_the_blas_thread_count():
     K = gram_matrix(np.random.default_rng(0).uniform(size=(M, 3)), 0.5)
     K.flat[:: M + 1] += 1e-6
     for line, v in zip(outputs[0].split(), (np.sin(0.37 * np.arange(M)), np.ones(M))):
-        np.testing.assert_allclose(np.frombuffer(bytes.fromhex(line)), K @ v, rtol=1e-13)
+        # Two summation orders of a dot product of length M differ by at most
+        # 2 gamma_M |K| |v| (Higham, 3.1), gamma_M = M (eps / 2) / (1 - M eps / 2):
+        # just over M eps |K| |v|, so c = 2 covers that and the rounding of
+        # the bound itself.
+        difference = np.abs(np.frombuffer(bytes.fromhex(line)) - K @ v)
+        assert (difference <= 2 * M * np.finfo(np.float64).eps * (K @ np.abs(v))).all()
 
 
 @pytest.mark.parametrize("M, noise", [(600, 1e-14), (600, 1e-6), (300, 1e-16), (gpr._BLOCK + 1, 1e-8)])
@@ -573,9 +579,34 @@ def test_factor_gram_is_within_its_bound(length_scale, M, caplog):
         assert abs(K[i, j] - _kernel_additive(Y[i], Y[j], length_scale)) <= bound
 
 
+@pytest.mark.parametrize("length_scale", [0.145, 0.15, 0.2, 0.3, 0.6, 1.0, 3.0, 30.0])
+def test_factor_error_is_a_bound_at_the_least_proved_degree(length_scale):
+    # eps_1 bounds |k - g . g| on [0, 1]^2, rounding aside: on a grid of
+    # 2001 points per side, in row blocks, the largest excess over eps_1
+    # was 1.5e-15, about 7 eps, at l = 3.  The degree is the least that
+    # `_bernstein_degree` proves: Trefethen's bound at n - 1, taken here on
+    # the same ellipses, misses the interpolant's share of `_FACTOR_BOUND`.
+    factor = gpr._kernel_factor(length_scale)
+    n, r, P = factor.degree, factor.rank, 2001
+    target = 0.5 * gpr._FACTOR_BOUND / (1.0 + gpr._lebesgue(gpr._MAX_DEGREE))
+    assert gpr._bernstein_degree(0.5, length_scale, target)[0] == n <= gpr._MAX_DEGREE
+    t = gpr._LOG_RHO
+    log_bound = (np.log(4.0) + (0.5 * np.sinh(t))**2 / (2.0 * length_scale**2)
+                 - np.log(np.expm1(t)) - (n - 1) * t)
+    assert log_bound.min() > np.log(target)
+    grid = np.linspace(0.0, 1.0, P)
+    g = gpr._factor_matrix(grid[:, None], factor, np.empty((1, r, P)))
+    worst = 0.0
+    for i0 in range(0, P, gpr._BLOCK):
+        k = gpr._kernel(grid[i0:i0 + gpr._BLOCK], grid, length_scale,
+                        np.empty((min(gpr._BLOCK, P - i0), P)))
+        worst = max(worst, np.abs(k - g[:, i0:i0 + gpr._BLOCK].T @ g).max())
+    assert worst <= factor.error + 16 * np.finfo(np.float64).eps
+
+
 @pytest.mark.parametrize("length_scale, entry, reason", [
-    (0.05, 0.5, "l = 0.05 is too small for the factor (degree 110 > 40)"),
-    (0.15, 0.5, "l = 0.15 is too small for the factor (degree 44 > 40)"),
+    (0.05, 0.5, "l = 0.05 is too small for the factor (degree 93 > 40)"),
+    (0.14, 0.5, "l = 0.14 is too small for the factor (degree 41 > 40)"),
     (0.3, 1.0 + 1e-9, "features not all in [0, 1]"),
     (0.3, -1e-300, "features not all in [0, 1]"),
 ])
@@ -600,8 +631,8 @@ def test_gram_falls_back_when_the_factor_misses_its_bound(monkeypatch, caplog):
 @pytest.mark.parametrize("M, F, length_scale", [(200, 1, 0.3), (80, 15, 0.3), (300, 40, 1.0),
                                                 (300, 40, 0.05)])
 def test_first_gram_at_a_length_scale_is_within_the_counted_scratch(M, F, length_scale):
-    # The first Gram at a length scale builds its factor and checks its
-    # bound; K and either route's scratch fit in what `_fit_bytes` counts
+    # The first Gram at a length scale builds its factor; K and either
+    # route's scratch fit in what `_fit_bytes` counts
     # for a fit of that size, plus 8 KiB of the interpreter's objects.  At
     # 200 rows of one feature such a fit takes the low-rank route, whose
     # count still covers the Gram.  The features are Fortran-ordered, as a
@@ -621,7 +652,7 @@ def test_first_gram_at_a_length_scale_is_within_the_counted_scratch(M, F, length
 
 
 def test_fit_bytes_count_the_route_taken(monkeypatch):
-    # At l = 0.3, n = 27 and r = 17: one feature of 20 rows is low-rank
+    # At l = 0.3, n = 26 and r = 17: one feature of 20 rows is low-rank
     # (F r = 17 < 20) and counts B^T and C; two features are a factor-route
     # Gram (F r = 34 >= 20) and count K and a G panel of 128 M-vectors; on
     # both, the n + 2 M-vectors of the Chebyshev fill and the centred
@@ -631,17 +662,19 @@ def test_fit_bytes_count_the_route_taken(monkeypatch):
     # M x M Gram at all.
     monkeypatch.setattr(gpr, "_THREADS", 2)
     factor, headroom = gpr._kernel_factor(0.3), gpr._HEADROOM
-    assert (factor.degree, factor.rank) == (27, 17)
+    assert (factor.degree, factor.rank) == (26, 17)
     assert gpr._route(20, 1, 0.3) == (factor, True, "")
-    assert gpr._fit_bytes(20, 1, 0.3) == 8 * 17 * (20 + 17) + 8 * 20 * 30 + headroom
+    assert gpr._fit_bytes(20, 1, 0.3) == 8 * 17 * (20 + 17) + 8 * 20 * 29 + headroom
     assert gpr._route(20, 2, 0.3) == (factor, False, "")
-    assert gpr._fit_bytes(20, 2, 0.3) == 8 * 20 * (20 + 128) + 8 * 20 * 30 + headroom
-    for length_scale in (0.15, 0.05):
+    assert gpr._fit_bytes(20, 2, 0.3) == 8 * 20 * (20 + 128) + 8 * 20 * 29 + headroom
+    gpr._kernel_factor.cache_clear()
+    for length_scale in (0.14, 0.05):
         assert gpr._route(20, 1, length_scale)[:2] == (None, False)
         assert gpr._fit_bytes(20, 1, length_scale) == (8 * 20 * (20 + 8) + headroom
                                                        + 2 * (8 * 128 * 20 + gpr._UFUNC_BYTES))
+    assert gpr._kernel_factor.cache_info().currsize == 0  # refused before a factor is built
     M = 3000
-    assert gpr._fit_bytes(M, 4, 0.3) == 8 * 68 * (M + 68) + 8 * M * 30 + headroom
+    assert gpr._fit_bytes(M, 4, 0.3) == 8 * 68 * (M + 68) + 8 * M * 29 + headroom
     assert gpr._fit_bytes(M, 4, 0.3) < 8 * M * M / 10
 
 

@@ -302,7 +302,7 @@ def test_table_drops_the_longest_tail_within_half_the_slack(length_scale):
 
 
 @pytest.mark.parametrize("length_scale", [0.1, 0.3, 1.0])  # 0.1: no factor, the exact loop
-@pytest.mark.parametrize("F, M", [(24, 200), (3, 900)])  # F r >= M, and F r < M at l >= 1/6
+@pytest.mark.parametrize("F, M", [(24, 200), (3, 900)])  # F r >= M, and F r < M at l >= 0.145
 def test_tables_deviate_by_at_most_their_max_deviation_on_a_dense_grid(length_scale, F, M):
     rng = np.random.default_rng(F * M)
     Y = rng.uniform(size=(M, F))
@@ -1230,16 +1230,16 @@ def test_fit_past_physical_memory_is_refused(monkeypatch):
     # 80 rows of F = 3 + 4 * C(3, 2) = 15 features: 8 * 80 * 15 bytes of
     # features, which the model keeps, 8 * 80 * 12 for the one gather of
     # the 12 coupled features and 16 * 2 * 12 bytes of map arrays = 17,664
-    # bytes.  At l = 0.3 (n = 27, r = 17) the fit takes the factor Gram
+    # bytes.  At l = 0.3 (n = 26, r = 17) the fit takes the factor Gram
     # route (F r = 255 >= 80), and also needs 8 * 80^2 bytes for its Gram
-    # matrix, factored in place, 8 * 80 * 128 for a G panel, 8 * 80 * 30
+    # matrix, factored in place, 8 * 80 * 128 for a G panel, 8 * 80 * 29
     # for the n + 2 M-vectors of the Chebyshev fill and the centred
-    # targets, and the 1 MiB headroom: 1,200,896 bytes.
+    # targets, and the 1 MiB headroom: 1,200,256 bytes.
     monkeypatch.setattr(hdmrnet.data, "_MEMORY_BYTES", 17_663)
     with pytest.raises(InvalidHyperparameterError, match="15 features of 80 rows"):
         _small_model()
-    needed = 17_664 + 8 * 80 * (80 + 128 + 30) + 2**20
-    assert needed == 1_218_560
+    needed = 17_664 + 8 * 80 * (80 + 128 + 29) + 2**20
+    assert needed == 1_217_920
     monkeypatch.setattr(hdmrnet.data, "_MEMORY_BYTES", needed - 1)
     with pytest.raises(InvalidHyperparameterError, match="15 features of 80 rows and their Gram"):
         _small_model()
@@ -1249,7 +1249,7 @@ def test_fit_past_physical_memory_is_refused(monkeypatch):
 
 
 def test_fit_guard_counts_the_gram_and_its_factor_copy(monkeypatch):
-    # 200 rows of D = d = 1 at l = 0.15, below the factor's range, so the
+    # 200 rows of D = d = 1 at l = 0.14, below the factor's range, so the
     # fit builds its Gram by the exact loop: 8 * 200 bytes of features,
     # which the model keeps, no map arrays, and on one thread 8 * 200^2
     # bytes for the Gram matrix, which `_solve` factors in place, the
@@ -1262,17 +1262,17 @@ def test_fit_guard_counts_the_gram_and_its_factor_copy(monkeypatch):
     assert needed == 1_735_232
     monkeypatch.setattr(hdmrnet.data, "_MEMORY_BYTES", needed - 1)
     with pytest.raises(InvalidHyperparameterError, match="1 features of 200 rows and their Gram"):
-        hdmr_fit(ds, 1, 0, 0.15)
+        hdmr_fit(ds, 1, 0, 0.14)
     monkeypatch.setattr(hdmrnet.data, "_MEMORY_BYTES", needed)
-    assert hdmr_fit(ds, 1, 0, 0.15).gpr.n_train == 200
+    assert hdmr_fit(ds, 1, 0, 0.14).gpr.n_train == 200
 
 
 def test_tall_fit_guard_counts_no_gram(monkeypatch):
-    # The same 200 rows at l = 0.3 (n = 27, r = 17) take the low-rank
+    # The same 200 rows at l = 0.3 (n = 26, r = 17) take the low-rank
     # route: F r = 17 < M, so the guard counts B^T and C = B^T B, 8 * 17 *
     # (200 + 17) bytes, not a 200 x 200 Gram and its G panel, and accepts
     # the fit under a limit that the Gram alone, with the headroom, would
-    # exceed.  Besides, it counts 8 * 200 of features, 8 * 200 * 30 for
+    # exceed.  Besides, it counts 8 * 200 of features, 8 * 200 * 29 for
     # the n + 2 M-vectors of the Chebyshev fill and the centred targets,
     # and the 1 MiB headroom.
     ds = synth("additive", 1, 200, seed=4)
@@ -1280,8 +1280,8 @@ def test_tall_fit_guard_counts_no_gram(monkeypatch):
     check = hdmrnet.model._check_memory
     monkeypatch.setattr(hdmrnet.model, "_check_memory",
                         lambda needed, what: (counted.append(needed), check(needed, what)))
-    needed = 8 * 200 + 8 * 17 * (200 + 17) + 8 * 200 * 30 + 2**20
-    assert needed == 1_127_688 < 8 * 200**2 + 2**20
+    needed = 8 * 200 + 8 * 17 * (200 + 17) + 8 * 200 * 29 + 2**20
+    assert needed == 1_126_088 < 8 * 200**2 + 2**20
     monkeypatch.setattr(hdmrnet.data, "_MEMORY_BYTES", needed - 1)
     with pytest.raises(InvalidHyperparameterError, match="1 features of 200 rows"):
         hdmr_fit(ds, 1, 0, 0.3)
@@ -1305,7 +1305,7 @@ def test_fit_peak_memory_is_within_the_guard(monkeypatch, n, order, neurons, noi
     # The guard counts every array of a fit: the features, which the model
     # keeps, the map arrays and one gather, the one Gram matrix and the
     # scratch that builds and solves it, on every jitter try (noise 1e-16
-    # escalates three times), and the one-time bound check of the kernel
+    # escalates three times), and the one-time build of the kernel
     # factor at l = 1, whose cache is cleared.  With F = 3003 >> M = 50 the
     # features set the peak, and the model keeps them without a copy.
     counted, built = [], []

@@ -16,7 +16,7 @@ from hdmrnet import (Dataset, HdmrnetError, InvalidHyperparameterError, SweepRes
 from hdmrnet.sobol import sobol_points
 
 # (rows, order, neurons per term, length scale) of a D = 4 fit on each solve
-# route: the exact loop's Gram below l = 1/6, else the factor's Gram where
+# route: the exact loop's Gram below l = 0.145, else the factor's Gram where
 # F r >= M and the low-rank route where F r < M (r = 17 at l = 0.3).
 _ROUTES = {
     "exact-d1": (300, 1, 0, 0.1), "exact-d2": (300, 2, 2, 0.1),
@@ -206,13 +206,18 @@ def test_gram_matrix_runs_at_both_ends_of_the_length_scale_range():
     # In [2^-511, 2^511], 2 l^2 is a normal float and 1/(2 l^2) finite and
     # nonzero: the kernel is 0 between distinct features at the low end, 1
     # (up to the factor route's rounding) at the high end, and the next
-    # float outside either end is refused.
+    # float outside either end is refused.  Finite features 2e300 apart,
+    # whose squared difference overflows, have kernel 0 at either end, in
+    # the exact loop's Gram and its fit alike, with no RuntimeWarning.
     Y = _features()[0]
     distinct = ~np.eye(len(Y), dtype=bool)
     for length_scale, off_diagonal in [(2.0**-511, 0.0), (2.0**511, 2.0)]:
         K = gram_matrix(Y, length_scale)
         assert (K.diagonal() == 2.0).all()
         assert np.allclose(K[distinct], off_diagonal, rtol=1e-14, atol=0.0)
+        huge = np.array([[1e300], [-1e300]])
+        assert gram_matrix(huge, length_scale).tobytes() == np.eye(2).tobytes()
+        assert np.isfinite(gpr_fit(huge, [1.0, 2.0], length_scale).alpha).all()
     for outside in (math.nextafter(2.0**-511, 0.0), math.nextafter(2.0**511, math.inf)):
         with pytest.raises(InvalidHyperparameterError, match="length scale must be finite and in"):
             gram_matrix(Y, outside)
